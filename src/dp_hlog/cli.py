@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -52,7 +52,6 @@ class RunConfig:
     rank: int | None = None
     seed: int | None = None
     tol: float | None = None
-    threads: int = 1
     out: str | None = None
     stretch: bool = False
     quotient: bool = False
@@ -223,7 +222,6 @@ def _route_numeric(
     seed: int | None,
     gamma: Fraction | None,
     pi: Fraction | None,
-    threads: int,
 ) -> tuple[dict, int]:
     if samples is None:
         samples = 20 if rank == 4 else 10
@@ -240,7 +238,7 @@ def _route_numeric(
             return {"rank": rank, "error": str(exc)}, EXIT_USAGE
     try:
         report = hnumeric.verify_identity_numeric(
-            rank, samples, tol, data=data, seed=seed, threads=threads
+            rank, samples, tol, data=data, seed=seed
         )
     except (hnumeric.PathTooClose, hnumeric.QuadratureFailure) as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_NUMERIC
@@ -291,7 +289,6 @@ def run(config: RunConfig) -> int:
             config.seed,
             config.gamma,
             config.pi,
-            config.threads,
         )
     elif config.subcommand == "all":
         artifact, code = _route_all(config)
@@ -337,7 +334,6 @@ def _route_all(config: RunConfig) -> tuple[dict, int]:
                 config.seed,
                 config.gamma,
                 config.pi,
-                config.threads,
             ),
         )
     artifact = {"rank": rank, "routes": routes, "passed": code == EXIT_OK}
@@ -357,18 +353,6 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-
-
-def _default_threads() -> int:
-    env = os.environ.get("DP_HLOG_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-    return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("all", help="every route that applies to the rank")
     add_common(p, range(3, 9))
@@ -423,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--stretch", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -434,11 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     values = vars(args)
-    if values.get("threads") is None:
-        values["threads"] = _default_threads()
-    if values["threads"] < 1:
-        print("threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     if values.get("gamma") is not None or values.get("pi") is not None:
         if values.get("rank") != 5:
             print("--gamma/--pi apply to rank 5 only", file=sys.stderr)
@@ -448,6 +425,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     if values.get("samples") is not None and values["samples"] < 1:
         print("need at least one sample", file=sys.stderr)
+        return EXIT_USAGE
+    tol = values.get("tol")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        print("--tol must be a finite positive number", file=sys.stderr)
         return EXIT_USAGE
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     config = RunConfig(**{k: v for k, v in values.items() if k in known})

@@ -1,8 +1,10 @@
 """Transport accuracy oracles and the numeric functional identities."""
 
 import cmath
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ def test_weight_two_gauss_legendre_oracle():
     )
     pe = numeric.evaluate_words(numeric.LogFormBasis((b0, b1)), base, end, 2)
     assert abs(pe.values[(0, 1)] - oracle) < 1e-10
+
+
+def test_dilogarithm_closed_form_oracle():
+    # Letters (0, 1) on segments clear of 0 and of the cut [1, inf): the
+    # word (0, 1) is -(Li2(z1) - Li2(z0)) - log(1 - z0) log(z1 / z0).
+    basis = numeric.LogFormBasis((0.0, 1.0))
+    for z0, z1 in [
+        (-0.5 + 0.5j, 0.3 + 0.8j),
+        (-1.0 - 1.0j, -0.2 - 0.3j),
+        (-2.0 + 0.1j, -0.5 - 0.6j),
+    ]:
+        pe = numeric.evaluate_words(basis, z0, z1, 2)
+        oracle = -(mpmath.polylog(2, z1) - mpmath.polylog(2, z0)) - mpmath.log(
+            1 - z0
+        ) * mpmath.log(z1 / z0)
+        assert abs(pe.values[(0, 1)] - complex(oracle)) < pe.error
 
 
 def test_shuffle_consistency():
@@ -88,6 +106,9 @@ def test_rejections():
         numeric.verify_identity_numeric(6, samples=1)
     with pytest.raises(ValueError):
         numeric.verify_identity_numeric(4, samples=0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            numeric.verify_identity_numeric(4, samples=1, tol=tol)
 
 
 def test_value_of_matches_hand_expansion():
@@ -134,11 +155,8 @@ def test_identity_is_nonvacuous():
     # Dropping one term leaves a residual comparable to that term.
     data, maps, letters, alignment, weight = numeric._web(4, None)
     _, signs = numeric.aligned_certificate(4, alignment)
-    import random
-
     plan = numeric._draw_plan(random.Random(2), maps, letters, 1, 1e-3)
-    xi, p = plan[0]
-    terms, _ = numeric._sample_terms(maps, letters, xi, p, weight, 1e-11, 1 << 17)
+    terms, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-11, 1 << 17)
     scale = max(abs(t) for t in terms)
     full = abs(sum(s * t for s, t in zip(signs, terms))) / scale
     partial = abs(sum(s * t for s, t in zip(signs[:-1], terms[:-1]))) / scale
@@ -146,11 +164,48 @@ def test_identity_is_nonvacuous():
     assert partial > 0.1 * abs(terms[-1]) / scale
 
 
-def test_threads_are_deterministic():
-    seq = numeric.verify_identity_numeric(4, samples=2, tol=1e-8, seed=3, threads=1)
-    par = numeric.verify_identity_numeric(4, samples=2, tol=1e-8, seed=3, threads=3)
-    assert seq.residuals == par.residuals
-    assert seq.error_budgets == par.error_budgets
+def _segment(base, end, points):
+    pts = np.asarray(points, dtype=complex)
+    seg = end - base
+    return lambda t: seg / (base + t[:, None] * seg - pts[None, :])
+
+
+def test_mixed_batch_matches_single_paths():
+    # The ten paths of this rank-5 sample stop at 128, 256 and 512 steps.
+    data, maps, letters, alignment, weight = numeric._web(5, None)
+    ((xi, p),) = numeric._draw_plan(random.Random(3), maps, letters, 1, 1e-3)
+    coefs = [m.pullback(xi, p, np.asarray(pts)) for m, pts in zip(maps, letters)]
+    steps = [0] * len(coefs)
+
+    def counted(j):
+        def coef_at(t):
+            steps[j] = max(steps[j], len(t))
+            return coefs[j](t)
+
+        return coef_at
+
+    _, larr, parr = numeric._word_system(3, weight)
+    batch = [counted(j) for j in range(len(coefs))]
+    values, errors = numeric._rk4_batch(batch, larr, parr, 1e-9, 1 << 17)
+    assert len(set(steps)) > 2
+    for j, coef in enumerate(coefs):
+        alone, error = numeric._rk4_batch([coef], larr, parr, 1e-9, 1 << 17)
+        assert np.array_equal(values[j], alone[0])
+        assert errors[j] == error[0]
+
+
+def test_batch_fails_if_any_path_fails():
+    _, larr, parr = numeric._word_system(1, 2)
+    easy = _segment(1.0, 2.0 + 1.0j, (0.0,))  # converges at 256 steps
+    slow = _segment(-1.0 + 0.01j, 1.0 + 0.01j, (0.0,))  # needs 2048
+    numeric._rk4_batch([easy], larr, parr, 1e-10, 1024)
+    with pytest.raises(numeric.QuadratureFailure, match="no convergence"):
+        numeric._rk4_batch([easy, slow], larr, parr, 1e-10, 1024)
+    # A segment through the branch point gives non-finite values.
+    through = _segment(-1.0, 1.0, (0.0,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(numeric.QuadratureFailure, match="diverged"):
+            numeric._rk4_batch([easy, through], larr, parr, 1e-10, 1 << 17)
 
 
 def test_tolerance_ladder_monotone():
@@ -158,14 +213,12 @@ def test_tolerance_ladder_monotone():
     # converged value monotonically. The raw identity residual is not a
     # reliable ladder statistic: at coarse tolerances all terms share one
     # step count and their truncation errors largely cancel in the sum.
-    import random
-
     data, maps, letters, alignment, weight = numeric._web(4, None)
-    xi, p = numeric._draw_plan(random.Random(9), maps, letters, 1, 1e-3)[0]
-    ref, _ = numeric._sample_terms(maps, letters, xi, p, weight, 1e-13, 1 << 17)
+    plan = numeric._draw_plan(random.Random(9), maps, letters, 1, 1e-3)
+    ref, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-13, 1 << 17)
     deviations = []
     for quad in (1e-4, 1e-7, 1e-10):
-        terms, _ = numeric._sample_terms(maps, letters, xi, p, weight, quad, 1 << 17)
+        terms, _ = numeric._plan_terms(maps, letters, plan, weight, quad, 1 << 17)
         deviations.append(max(abs(a - b) for a, b in zip(terms, ref)))
     assert deviations[0] >= deviations[1] >= deviations[2]
     assert deviations[2] < deviations[0]
@@ -173,7 +226,5 @@ def test_tolerance_ladder_monotone():
 
 def test_draw_plan_gives_up_cleanly():
     data, maps, letters, alignment, weight = numeric._web(4, None)
-    import random
-
     with pytest.raises(numeric.PathTooClose):
         numeric._draw_plan(random.Random(0), maps, letters, 1, 10.0)

@@ -34,9 +34,6 @@ EXIT_KERNEL = 4
 EXIT_CHARACTER = 5
 EXIT_NUMERIC = 6
 
-TABLE_LINES = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
-TABLE_CONICS = {3: 3, 4: 5, 5: 10, 6: 27, 7: 126, 8: 2160}
-TABLE_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}
 EXPECTED_NORMS = {4: (3, 2), 5: (3, 3), 6: (3, 3), 7: (4, 5)}
 D5_CHI = (16, 0, 0, 8, 0, 0, 0, 4, 0, 0, 4, 0, 0, 2, 0, 2, 0, 1)
 D5_WEDGE3 = (560, 0, 0, 24, 0, 0, 0, -20, 0, 0, 8, 0, 0, 0, 0, -2, 0, 0)
@@ -61,7 +58,6 @@ class RunConfig:
     count_only: bool = False
     orbit: bool = False
     d5_full: bool = False
-    check_asym: bool = False
     certificate: str | None = None
 
 
@@ -78,8 +74,8 @@ def _route_enumerate(rank: int) -> tuple[dict, int]:
         for a, b in c.fibers:
             covered.update((a, b))
     ok = (
-        len(lt) == TABLE_LINES[rank]
-        and len(conics) == TABLE_CONICS[rank]
+        len(lt) == incidence.COUNTS[rank].lines
+        and len(conics) == incidence.COUNTS[rank].conics
         and fibers_ok
         and len(covered) == len(lt)
     )
@@ -100,14 +96,15 @@ def _route_group(rank: int, count_only: bool, orbit: bool) -> tuple[dict, int]:
     except weyl.GroupTooLarge as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_USAGE
     order = len(gd)
-    ok = order == TABLE_ORDERS[rank]
-    artifact = {"rank": rank, "order": order, "expected": TABLE_ORDERS[rank]}
+    expected = incidence.COUNTS[rank].group_order
+    ok = order == expected
+    artifact = {"rank": rank, "order": order, "expected": expected}
     if not count_only:
         artifact["length_distribution"] = np.bincount(gd.levels).tolist()
     if orbit:
         orbit_size = len(incidence.enumerate_lines(rank))
         artifact["line_orbit"] = orbit_size
-        ok = ok and orbit_size == TABLE_LINES[rank]
+        ok = ok and orbit_size == incidence.COUNTS[rank].lines
     artifact["matches_expected"] = ok
     return artifact, EXIT_OK if ok else EXIT_ENUM
 
@@ -389,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d5-full", action="store_true")
 
     p = sub.add_parser("symbols", help="exact antisymmetrization identities")
-    p.add_argument("--check-asym", action="store_true")
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("numeric", help="numerical functional identities")

@@ -73,7 +73,4 @@ CLASS_WORDS: tuple[tuple[int, ...], ...] = (
 # matching the two Dynkin labelings of D5 node by node.
 ZETA_TO_S: dict[int, int] = {1: 4, 2: 5, 3: 3, 4: 2, 5: 1}
 
-TRIVIAL_ROW = IRREDUCIBLE_LABELS.index("[.5]")
-SIGNATURE_ROW = IRREDUCIBLE_LABELS.index("[.1^5]")
-
 GROUP_ORDER = 1920

@@ -23,11 +23,9 @@ from .numeric import (
 from .words import (
     IdentityReport,
     WordCombination,
-    apply_linear,
     asym,
     shuffle,
     shuffle_combinations,
-    sym,
     verify_asym_shuffle_identities,
     word,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "SymbolicIdentityViolation",
     "WordCombination",
     "ai3_cross_check",
-    "apply_linear",
     "asym",
     "bol_alignment",
     "conic_alignment",
@@ -54,7 +51,6 @@ __all__ = [
     "evaluate_words",
     "shuffle",
     "shuffle_combinations",
-    "sym",
     "verify_asym_shuffle_identities",
     "verify_identity_numeric",
     "word",

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
-from ..incidence import ConicFibration, enumerate_conics, enumerate_lines
+from ..errors import InternalError
+from ..incidence import enumerate_conics, enumerate_lines
 from ..lattice import DelPezzoLattice, DivisorClass
-from ..rep_theory import InternalError
-
-_X, _Y = sympy.symbols("x y")
 
 Poly = dict  # {(x_degree, y_degree): Fraction}
 
@@ -81,8 +77,7 @@ RESIDUE_VECTORS: tuple[tuple[tuple[int, ...], ...], ...] = (
 )
 
 
-def _u_expressions(g: sympy.Rational, p: sympy.Rational) -> tuple:
-    x, y = _X, _Y
+def _u_expressions(g, p, x, y) -> tuple:
     return (
         x,
         1 / y,
@@ -97,8 +92,7 @@ def _u_expressions(g: sympy.Rational, p: sympy.Rational) -> tuple:
     )
 
 
-def _l_expressions(g: sympy.Rational, p: sympy.Rational) -> tuple:
-    x, y = _X, _Y
+def _l_expressions(g, p, x, y) -> tuple:
     return (
         x,
         y,
@@ -128,8 +122,10 @@ def _r_values(g: Fraction, p: Fraction) -> tuple[Fraction, ...]:
     )
 
 
-def _poly_from_expr(expr) -> Poly:
-    poly = sympy.Poly(sympy.expand(expr), _X, _Y)
+def _poly_from_expr(expr, x, y) -> Poly:
+    import sympy
+
+    poly = sympy.Poly(sympy.expand(expr), x, y)
     out: Poly = {}
     for (i, j), c in poly.terms():
         out[(int(i), int(j))] = Fraction(c.p, c.q)
@@ -185,13 +181,18 @@ def dp4_data(gamma, pi) -> DP4Data:
         raise ValueError(
             "parameters must satisfy pi*gamma*(pi-1)*(gamma-1)*(pi-gamma) != 0"
         )
+    # Only the dp4 routes need sympy; importing it here, not at module level,
+    # keeps it out of every other command's start-up.
+    import sympy
+
+    x, y = sympy.symbols("x y")
     gs = sympy.Rational(g.numerator, g.denominator)
     ps = sympy.Rational(p.numerator, p.denominator)
     integrals = []
-    for expr in _u_expressions(gs, ps):
+    for expr in _u_expressions(gs, ps, x, y):
         num, den = sympy.fraction(sympy.together(expr))
-        integrals.append((_poly_from_expr(num), _poly_from_expr(den)))
-    factors = tuple(_poly_from_expr(e) for e in _l_expressions(gs, ps))
+        integrals.append((_poly_from_expr(num, x, y), _poly_from_expr(den, x, y)))
+    factors = tuple(_poly_from_expr(e, x, y) for e in _l_expressions(gs, ps, x, y))
     spectra = []
     for r in _r_values(g, p):
         if r in (0, 1):

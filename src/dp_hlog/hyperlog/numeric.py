@@ -30,9 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..errors import InternalError
 from ..incidence import enumerate_conics, enumerate_lines
 from ..lattice import DivisorClass
-from ..rep_theory import InternalError
 from ..wedge_kernel import HlogCertificate, kernel_signs
 from . import dp4
 from .words import Word, WordCombination, asym

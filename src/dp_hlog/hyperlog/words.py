@@ -8,9 +8,10 @@ of a word is the outermost integration form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -28,10 +29,6 @@ class WordCombination:
             if Fraction(c) != 0
         }
         object.__setattr__(self, "terms", clean)
-
-    @property
-    def alphabet(self) -> int:
-        return 1 + max((max(w) for w in self.terms if w), default=-1)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -97,38 +94,12 @@ def _signed_permutations(n: int):
 def asym(w: Word) -> WordCombination:
     """(1/|w|!) sum of signed letter permutations of w."""
     n = len(w)
-    norm = Fraction(1, max(1, _factorial(n)))
+    norm = Fraction(1, math.factorial(n))
     out: dict[Word, Fraction] = {}
     for perm, sign in _signed_permutations(n):
         key = tuple(w[p] for p in perm)
         out[key] = out.get(key, Fraction(0)) + sign * norm
     return WordCombination(out)
-
-
-def sym(w: Word) -> WordCombination:
-    """(1/|w|!) sum of unsigned letter permutations of w."""
-    n = len(w)
-    norm = Fraction(1, max(1, _factorial(n)))
-    out: dict[Word, Fraction] = {}
-    for perm, _ in _signed_permutations(n):
-        key = tuple(w[p] for p in perm)
-        out[key] = out.get(key, Fraction(0)) + norm
-    return WordCombination(out)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def apply_linear(c: WordCombination, op) -> WordCombination:
-    """Extend a word-level operator (word -> WordCombination) linearly."""
-    total = WordCombination()
-    for w, coeff in c.terms.items():
-        total = total + coeff * op(w)
-    return total
 
 
 @dataclass(frozen=True)

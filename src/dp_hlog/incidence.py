@@ -7,17 +7,38 @@ both sets, so each is enumerated here as the orbit closure of one seed
 
 Each conic fibration has exactly r - 1 reducible fibers, and every
 reducible fiber is a pair of lines meeting transversely in one point:
-from l + l' = c, expanding (c, c) = 0 gives pair(l, l') = 1 for free.
+from l + l' = c, expanding (c, c) = 0 gives pair(l, l') = 1. Conversely two
+lines meeting once sum to a conic class, so the fibers are read off the Gram
+matrix of the lines, and their sums must be exactly the conic orbit. The
+work runs on int64 coefficient arrays; DivisorClass objects are built only
+for the returned tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .lattice import DelPezzoLattice, DivisorClass, SUPPORTED_RANKS
+import numpy as np
 
-LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
-CONIC_COUNTS = {3: 3, 4: 5, 5: 10, 6: 27, 7: 126, 8: 2160}
+from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass, pair_matrix
+
+
+class RankCounts(NamedTuple):
+    lines: int
+    conics: int
+    group_order: int  # |W(E_r)|
+
+
+# Lines, conic classes and Weyl group order of the degree 9 - r surface.
+COUNTS = {
+    3: RankCounts(6, 3, 12),
+    4: RankCounts(10, 5, 120),
+    5: RankCounts(16, 10, 1920),
+    6: RankCounts(27, 27, 51840),
+    7: RankCounts(56, 126, 2903040),
+    8: RankCounts(240, 2160, 696729600),
+}
 
 
 class UnsupportedRank(ValueError):
@@ -28,16 +49,30 @@ class FiberCountViolation(RuntimeError):
     """A conic fibration did not decompose into exactly r - 1 line pairs."""
 
 
+def rank_for_line_count(n: int) -> int:
+    """The rank r whose surface has n lines."""
+    for r, counts in COUNTS.items():
+        if counts.lines == n:
+            return r
+    raise ValueError(f"no rank has {n} lines")
+
+
 @dataclass(frozen=True)
 class LineTable:
-    """The lines of X_r in canonical (lexicographic) order, with index map."""
+    """The lines of X_r in canonical (lexicographic) order, with index map.
+
+    coeffs holds them as the rows of an (n, r + 1) int64 array.
+    """
 
     r: int
     lines: tuple[DivisorClass, ...]
     index: dict[DivisorClass, int] = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", {l: i for i, l in enumerate(self.lines)})
+        coeffs = np.array([l.coeffs for l in self.lines], dtype=np.int64)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -60,20 +95,22 @@ def _check_rank(r: int) -> None:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
 
 
-def _orbit(lat: DelPezzoLattice, seed: DivisorClass) -> list[DivisorClass]:
-    """Breadth-first closure of seed under the fundamental reflections."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for rho in lat.roots:
-                image = lat.reflect(rho, d)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return sorted(seen)
+def _orbit(lat: DelPezzoLattice, seed: DivisorClass) -> np.ndarray:
+    """Closure of seed under the fundamental reflections, rows sorted.
+
+    Each step reflects a whole frontier at once, d -> d + pair(d, rho) rho,
+    and keeps the images not seen before.
+    """
+    roots = np.array([rho.coeffs for rho in lat.roots], dtype=np.int64)
+    orbit = frontier = np.array([seed.coeffs], dtype=np.int64)
+    while len(frontier):
+        images = frontier[:, None, :] + pair_matrix(frontier, roots)[:, :, None] * roots
+        merged, first = np.unique(
+            np.concatenate([orbit, images.reshape(-1, lat.r + 1)]), axis=0, return_index=True
+        )
+        frontier = merged[first >= len(orbit)]
+        orbit = merged
+    return orbit
 
 
 def enumerate_lines(r: int) -> LineTable:
@@ -81,29 +118,30 @@ def enumerate_lines(r: int) -> LineTable:
     _check_rank(r)
     lat = DelPezzoLattice(r)
     orbit = _orbit(lat, lat.exceptional(r))
-    if len(orbit) != LINE_COUNTS[r]:
-        raise RuntimeError(f"line orbit has size {len(orbit)}, expected {LINE_COUNTS[r]}")
-    return LineTable(r, tuple(orbit))
+    if len(orbit) != COUNTS[r].lines:
+        raise RuntimeError(f"line orbit has size {len(orbit)}, expected {COUNTS[r].lines}")
+    return LineTable(r, tuple(DivisorClass(tuple(row)) for row in orbit.tolist()))
+
+
+def _meeting_pairs(lt: LineTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair i < j of lines with pair = 1, row-major, and its sum."""
+    i, j = np.nonzero(np.triu(pair_matrix(lt.coeffs, lt.coeffs) == 1, 1))
+    return np.stack([i, j], axis=1), lt.coeffs[i] + lt.coeffs[j]
 
 
 def reducible_fibers(c: DivisorClass, lt: LineTable) -> list[tuple[int, int]]:
     """All unordered line-index pairs {i, j} with line_i + line_j = c.
 
-    Found by partner lookup: for each line l the complementary class c - l
-    either is a line (one dictionary probe) or contributes nothing. Exactly
-    r - 1 pairs must exist for a conic class; anything else signals a broken
-    enumeration.
+    Exactly r - 1 pairs must exist for a conic class; anything else signals
+    a broken enumeration.
     """
-    pairs = []
-    for i, line in enumerate(lt.lines):
-        j = lt.index.get(c - line)
-        if j is not None and i < j:
-            pairs.append((i, j))
-    if len(pairs) != lt.r - 1:
+    pairs, sums = _meeting_pairs(lt)
+    found = pairs[(sums == np.array(c.coeffs)).all(axis=1)].tolist()
+    if len(found) != lt.r - 1:
         raise FiberCountViolation(
-            f"conic {c.coeffs} has {len(pairs)} reducible fibers, expected {lt.r - 1}"
+            f"conic {c.coeffs} has {len(found)} reducible fibers, expected {lt.r - 1}"
         )
-    return pairs
+    return [(i, j) for i, j in found]
 
 
 def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration]:
@@ -117,6 +155,17 @@ def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration
     if lt is None:
         lt = enumerate_lines(r)
     orbit = _orbit(lat, lat.h - lat.exceptional(1))
-    if len(orbit) != CONIC_COUNTS[r]:
-        raise RuntimeError(f"conic orbit has size {len(orbit)}, expected {CONIC_COUNTS[r]}")
-    return [ConicFibration(c, tuple(reducible_fibers(c, lt))) for c in orbit]
+    if len(orbit) != COUNTS[r].conics:
+        raise RuntimeError(f"conic orbit has size {len(orbit)}, expected {COUNTS[r].conics}")
+    pairs, sums = _meeting_pairs(lt)
+    classes, owner, counts = np.unique(sums, axis=0, return_inverse=True, return_counts=True)
+    if not np.array_equal(classes, orbit):
+        raise RuntimeError("the sums of meeting line pairs are not the conic orbit")
+    for c, n in zip(classes.tolist(), counts.tolist()):
+        if n != r - 1:
+            raise FiberCountViolation(f"conic {c} has {n} reducible fibers, expected {r - 1}")
+    grouped = pairs[np.argsort(owner.ravel(), kind="stable")].reshape(len(orbit), r - 1, 2)
+    return [
+        ConicFibration(DivisorClass(tuple(c)), tuple((i, j) for i, j in fibers))
+        for c, fibers in zip(orbit.tolist(), grouped.tolist())
+    ]

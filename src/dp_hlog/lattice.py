@@ -6,13 +6,17 @@ intersection form is diagonal of signature (1, r):
 
     pair(a, b) = a_0*b_0 - sum_{i>=1} a_i*b_i.
 
-Everything here is exact integer arithmetic on immutable values.
+Everything here is exact integer arithmetic, on immutable values or on
+int64 arrays whose rows are coefficient vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 SUPPORTED_RANKS = range(3, 9)
 
@@ -85,6 +89,11 @@ def pair(a: DivisorClass, b: DivisorClass) -> int:
     return total
 
 
+def pair_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """pair() of every coefficient row of a with every row of b, as a matrix."""
+    return a[:, :1] @ b[:, :1].T - a[:, 1:] @ b[:, 1:].T
+
+
 @dataclass(frozen=True)
 class DelPezzoLattice:
     """Pic of the blow-up of the plane at r general points, 3 <= r <= 8.
@@ -122,11 +131,11 @@ class DelPezzoLattice:
     def _basis(self, k: int) -> DivisorClass:
         return DivisorClass(tuple(1 if j == k else 0 for j in range(self.r + 1)))
 
-    @property
+    @cached_property
     def canonical(self) -> DivisorClass:
         return DivisorClass((-3,) + (1,) * self.r)
 
-    @property
+    @cached_property
     def roots(self) -> tuple[DivisorClass, ...]:
         """Fundamental roots (rho_1, ..., rho_r)."""
         out = [self.exceptional(i) - self.exceptional(i + 1) for i in range(1, self.r)]

@@ -21,9 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from . import d5_data
-from .incidence import enumerate_conics, enumerate_lines
+from .errors import InternalError
+from .incidence import enumerate_conics, enumerate_lines, rank_for_line_count
 from .lattice import RankMismatch
 from .weyl import (
+    _CHUNK,
     GroupTooLarge,
     WeylElement,
     d5_class_representatives,
@@ -33,15 +35,9 @@ from .weyl import (
     _spanning_inverse,
 )
 
-_CHUNK = 1 << 18
-
 
 class NotACharacter(ValueError):
     """Decomposition against the character table gave a non-integer."""
-
-
-class InternalError(RuntimeError):
-    """An exactness invariant failed (integer division, orthogonality)."""
 
 
 @dataclass(frozen=True)
@@ -176,16 +172,8 @@ def _conic_values(r: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _trace_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     """T[c, m] with trace(g on Pic) = sum_c T[c, perm_g[kcols[c]]]."""
-    gd = group_data(r)
     inv, kcols = _spanning_inverse(r)
-    l = len(gd.lt)
-    table = np.empty((r + 1, l), dtype=np.int64)
-    for c in range(r + 1):
-        for m in range(l):
-            table[c, m] = sum(
-                int(inv[c, k]) * gd.lt.lines[m].coeffs[k] for k in range(r + 1)
-            )
-    return table, kcols
+    return inv @ group_data(r).lt.coeffs.T, kcols
 
 
 @lru_cache(maxsize=None)
@@ -219,16 +207,9 @@ def trivial_character(r: int) -> ClassFunctionSample:
 
 def reflection_character_value(g: WeylElement) -> int:
     """Trace on Pic minus 1 for a single element, exactly (any rank)."""
-    lt = enumerate_lines(_rank_from_lines(len(g.perm)))
+    lt = enumerate_lines(rank_for_line_count(len(g.perm)))
     mat = induced_matrix(g, lt)
     return sum(mat[k][k] for k in range(len(mat))) - 1
-
-
-def _rank_from_lines(l: int) -> int:
-    counts = {6: 3, 10: 4, 16: 5, 27: 6, 56: 7, 240: 8}
-    if l not in counts:
-        raise ValueError(f"no rank has {l} lines")
-    return counts[l]
 
 
 def inner_product(chi: ClassFunctionSample, psi: ClassFunctionSample) -> Fraction:

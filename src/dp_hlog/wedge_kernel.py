@@ -23,15 +23,17 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Sequence
 
+from .errors import InternalError
 from .incidence import (
-    LINE_COUNTS,
+    COUNTS,
     ConicFibration,
+    LineTable,
     UnsupportedRank,
     enumerate_conics,
     enumerate_lines,
+    rank_for_line_count,
 )
 from .lattice import DelPezzoLattice
-from .rep_theory import InternalError
 
 _STRETCH_ENTRY_BUDGET = 30_000_000
 
@@ -134,7 +136,7 @@ def fiber_differences(
     nf = len(f.fibers)
     if not 0 <= base < nf:
         raise IndexError(f"base fiber index {base} out of range 0..{nf - 1}")
-    l = LINE_COUNTS[f.cls.rank]
+    l = COUNTS[f.cls.rank].lines
     bi, bj = f.fibers[base]
     rows = []
     for s, (i, j) in enumerate(f.fibers):
@@ -176,21 +178,13 @@ def wedge_vector(m: FiberDifferenceMatrix) -> WedgeVector:
 
 def quotient_by_exceptional(v: Sequence[int]) -> tuple[int, ...]:
     """Drop the coordinates sitting at exceptional line classes."""
-    keep = _quotient_columns(_rank_for_length(len(v)))
+    keep = _quotient_columns(enumerate_lines(rank_for_line_count(len(v))))
     return tuple(v[c] for c in keep)
 
 
-def _rank_for_length(l: int) -> int:
-    by_count = {count: r for r, count in LINE_COUNTS.items()}
-    if l not in by_count:
-        raise ValueError(f"no rank has {l} lines")
-    return by_count[l]
-
-
-def _quotient_columns(r: int) -> tuple[int, ...]:
-    lt = enumerate_lines(r)
-    lat = DelPezzoLattice(r)
-    exceptional = {lat.exceptional(i) for i in range(1, r + 1)}
+def _quotient_columns(lt: LineTable) -> tuple[int, ...]:
+    lat = DelPezzoLattice(lt.r)
+    exceptional = {lat.exceptional(i) for i in range(1, lt.r + 1)}
     return tuple(m for m, line in enumerate(lt.lines) if line not in exceptional)
 
 
@@ -250,21 +244,22 @@ def _combine(a: int, row1: dict, b: int, row2: dict) -> dict:
 
 
 def _build_wedges(
-    r: int,
+    lt: LineTable,
     fiber_orders: Sequence[Sequence[tuple[int, int]]],
     bases: Sequence[int],
     quotient: bool,
     conics,
     budget: int | None = None,
 ) -> list[WedgeVector]:
-    keep = _quotient_columns(r) if quotient else None
+    r = lt.r
+    keep = _quotient_columns(lt) if quotient else None
     out = []
     entries = 0
     for k, f in enumerate(conics):
         ordered = ConicFibration(f.cls, tuple(fiber_orders[k]))
         m = fiber_differences(ordered, bases[k], conic=k)
         if keep is not None:
-            rows = tuple(quotient_by_exceptional(row) for row in m.rows)
+            rows = tuple(tuple(row[c] for c in keep) for row in m.rows)
             support = sorted({c for row in rows for c, v in enumerate(row) if v})
             m = FiberDifferenceMatrix(k, rows, tuple(support))
         w = wedge_vector(m)
@@ -323,7 +318,7 @@ def kernel_signs(
         bases = [int(b) for b in bases]
 
     gate = budget if r == 8 else None
-    wedges = _build_wedges(r, fiber_orders, bases, quotient, conics, gate)
+    wedges = _build_wedges(lt, fiber_orders, bases, quotient, conics, gate)
     rows = [{bytes(t): v for t, v in w.entries.items()} for w in wedges]
     null_tracks = _eliminate(rows, gate)
     if len(null_tracks) != 1:
@@ -397,9 +392,7 @@ def replay(cert: HlogCertificate) -> None:
             raise ReplayFailure("stored fiber order is not a permutation of the fibers")
         if not 0 <= b < len(f.fibers):
             raise ReplayFailure("stored base index out of range")
-    wedges = _build_wedges(
-        cert.r, cert.fiber_orders, cert.bases, cert.quotient, conics
-    )
+    wedges = _build_wedges(lt, cert.fiber_orders, cert.bases, cert.quotient, conics)
     try:
         _verify_zero(wedges, cert.epsilon)
     except InternalError as exc:

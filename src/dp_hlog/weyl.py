@@ -19,14 +19,13 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-import sympy
 
 from . import d5_data
-from .incidence import LineTable, UnsupportedRank, enumerate_lines, reducible_fibers
+from .errors import InternalError
+from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_lines, reducible_fibers
 from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass
 
-GROUP_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}
-
+# Group elements per block when a sum runs over the whole group.
 _CHUNK = 1 << 18
 
 
@@ -89,7 +88,6 @@ class _GroupData:
     levels: np.ndarray  # (N,) uint8, word length parity carrier
     parents: np.ndarray  # (N,) int32, BFS predecessor
     gens: np.ndarray  # (N,) int8, generator applied last
-    gen_rows: np.ndarray  # (r, l) uint8
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -114,7 +112,7 @@ def group_data(r: int) -> _GroupData:
     """Enumerate W(E_r) for r in 3..7 (cached; r=7 takes a couple of minutes)."""
     if r == 8:
         raise GroupTooLarge("W(E_8) has ~6.96e8 elements; enumeration refused")
-    if r not in GROUP_ORDERS:
+    if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     lt = enumerate_lines(r)
     l = len(lt)
@@ -123,7 +121,7 @@ def group_data(r: int) -> _GroupData:
     # key-gather columns per generator: child[kcols] = parent[gen_rows[g][kcols]]
     key_cols = [gen_rows[g][kcols] for g in range(r)]
 
-    cap = GROUP_ORDERS[r]
+    cap = COUNTS[r].group_order
     perms = np.empty((cap, l), dtype=np.uint8)
     levels = np.empty(cap, dtype=np.uint8)
     parents = np.empty(cap, dtype=np.int32)
@@ -164,7 +162,7 @@ def group_data(r: int) -> _GroupData:
 
     if count != cap:
         raise RuntimeError(f"group closure found {count} elements, expected {cap}")
-    return _GroupData(r, lt, perms, levels, parents, gens, gen_rows)
+    return _GroupData(r, lt, perms, levels, parents, gens)
 
 
 def _check_line_table(lt: LineTable | None, canonical: LineTable) -> None:
@@ -208,14 +206,13 @@ def stabilizer_order(r: int, target: DivisorClass) -> int:
         return int(np.count_nonzero(gd.perms[:, idx] == idx))
     if lat.is_conic_class(target):
         i, j = reducible_fibers(target, gd.lt)[0]
-        coeffs = np.array([l.coeffs for l in gd.lt.lines], dtype=np.int16)
-        t = np.array(target.coeffs, dtype=np.int16)
+        coeffs = gd.lt.coeffs
         total = 0
         for lo in range(0, len(gd), _CHUNK):
             pi = gd.perms[lo : lo + _CHUNK, i]
             pj = gd.perms[lo : lo + _CHUNK, j]
             sums = coeffs[pi] + coeffs[pj]
-            total += int(np.count_nonzero(np.all(sums == t, axis=1)))
+            total += int(np.count_nonzero(np.all(sums == target.coeffs, axis=1)))
         return total
     raise ValueError("target must be a line or a conic class")
 
@@ -242,12 +239,19 @@ def d5_class_representatives(lt: LineTable | None = None) -> list[WeylElement]:
 
 
 @lru_cache(maxsize=None)
-def _spanning_inverse(r: int) -> tuple[sympy.Matrix, np.ndarray]:
-    """Inverse of the spanning-line coefficient matrix, exact over Z."""
+def _spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of the spanning-line coefficient matrix, exact over Z.
+
+    The basis is unimodular, so its inverse is an integer matrix: the
+    rounded float inverse is kept only once A * A^-1 = I holds exactly.
+    """
     lt = enumerate_lines(r)
     kcols = spanning_line_indices(r, lt)
-    basis = sympy.Matrix([[lt.lines[int(c)].coeffs[k] for c in kcols] for k in range(r + 1)])
-    return basis.inv(), kcols
+    basis = lt.coeffs[kcols].T
+    inv = np.rint(np.linalg.inv(basis)).astype(np.int64)
+    if not np.array_equal(basis @ inv, np.eye(r + 1, dtype=np.int64)):
+        raise InternalError("spanning lines are not a unimodular basis")
+    return inv, kcols
 
 
 def induced_matrix(e: WeylElement, lt: LineTable) -> tuple[tuple[int, ...], ...]:
@@ -256,10 +260,6 @@ def induced_matrix(e: WeylElement, lt: LineTable) -> tuple[tuple[int, ...], ...]
     Solves A * V = V' where V holds the spanning lines as columns and V'
     their images; V is unimodular so A is exact.
     """
-    r = lt.r
-    inv, kcols = _spanning_inverse(r)
-    images = sympy.Matrix(
-        [[lt.lines[e.perm[int(c)]].coeffs[k] for c in kcols] for k in range(r + 1)]
-    )
-    mat = images * inv
-    return tuple(tuple(int(x) for x in mat.row(k)) for k in range(r + 1))
+    inv, kcols = _spanning_inverse(lt.r)
+    images = lt.coeffs[np.asarray(e.perm)[kcols]].T
+    return tuple(tuple(row) for row in (images @ inv).tolist())

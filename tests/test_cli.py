@@ -1,9 +1,14 @@
 """Exit-code families, artifact shapes and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dp_hlog
 from dp_hlog import cli
 
 
@@ -108,7 +113,9 @@ def test_d5_flag_needs_rank_five():
 
 
 def test_symbols(tmp_path):
-    code, artifact = run_json(tmp_path, "s.json", ["symbols", "--check-asym"])
+    # symbols takes no option but --out.
+    assert cli.main(["symbols", "--check-asym"]) == 2
+    code, artifact = run_json(tmp_path, "s.json", ["symbols"])
     assert code == 0
     assert artifact["passed"] is True
     assert len(artifact["identities"]) == 3
@@ -187,3 +194,14 @@ def test_stdout_used_without_out_flag(capsys):
     artifact = json.loads(captured.out)
     assert artifact["lines"] == 6
     assert "enumerate" in captured.err
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # Only the dp4 routes need sympy; every other command starts without it.
+    src = str(Path(dp_hlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, dp_hlog.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

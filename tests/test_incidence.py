@@ -4,8 +4,7 @@ from collections import Counter
 import pytest
 
 from dp_hlog.incidence import (
-    CONIC_COUNTS,
-    LINE_COUNTS,
+    COUNTS,
     FiberCountViolation,
     UnsupportedRank,
     enumerate_conics,
@@ -16,7 +15,8 @@ from dp_hlog.lattice import DelPezzoLattice, DivisorClass, pair
 
 
 def test_line_counts() -> None:
-    for r, expected in LINE_COUNTS.items():
+    for r, counts in COUNTS.items():
+        expected = counts.lines
         lt = enumerate_lines(r)
         assert len(lt) == expected
         assert len(set(lt.lines)) == expected
@@ -41,7 +41,8 @@ def test_r7_line_shapes() -> None:
 
 def test_conic_counts() -> None:
     lines = {r: enumerate_lines(r) for r in range(3, 9)}
-    for r, expected in CONIC_COUNTS.items():
+    for r, counts in COUNTS.items():
+        expected = counts.conics
         conics = enumerate_conics(r, lines[r])
         assert len(conics) == expected
         assert len({f.cls for f in conics}) == expected
@@ -137,3 +138,25 @@ def test_orbit_independent_of_generator_order() -> None:
                         nxt.append(image)
             frontier = nxt
         assert seen == reference
+
+
+def test_fibers_match_brute_force_pairs_and_orbit() -> None:
+    # Oracle: every pair of lines meeting once, found with pair(), grouped
+    # by its sum; and the conic orbit closed one reflection at a time.
+    for r in range(3, 9):
+        lat = DelPezzoLattice(r)
+        lt = enumerate_lines(r)
+        by_sum: dict = {}
+        for i, a in enumerate(lt.lines):
+            for j in range(i + 1, len(lt)):
+                if pair(a, lt.lines[j]) == 1:
+                    by_sum.setdefault(a + lt.lines[j], []).append((i, j))
+        seed = lat.h - lat.exceptional(1)
+        orbit, frontier = {seed}, [seed]
+        while frontier:
+            images = {lat.reflect(rho, d) for d in frontier for rho in lat.roots}
+            frontier = list(images - orbit)
+            orbit |= images
+        assert orbit == set(by_sum)
+        conics = enumerate_conics(r, lt)
+        assert {f.cls: list(f.fibers) for f in conics} == by_sum

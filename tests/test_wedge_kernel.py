@@ -181,3 +181,18 @@ def test_base_choice_flips_are_absorbed():
 def test_elimination_budget_guard():
     with pytest.raises(wk.BudgetExceeded):
         wk.kernel_signs(8, stretch=True, budget=10)
+
+
+def test_quotient_certificate_builds_one_line_table(monkeypatch):
+    from dp_hlog import incidence
+
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return enumerate_lines(r)
+
+    monkeypatch.setattr(incidence, "enumerate_lines", counting)
+    monkeypatch.setattr(wk, "enumerate_lines", counting)
+    wk.kernel_signs(7, quotient=True)
+    assert calls == [7]

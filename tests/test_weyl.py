@@ -3,10 +3,9 @@ import random
 import pytest
 import sympy
 
-from dp_hlog.incidence import UnsupportedRank, enumerate_conics, enumerate_lines
+from dp_hlog.incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import DelPezzoLattice
 from dp_hlog.weyl import (
-    GROUP_ORDERS,
     GroupTooLarge,
     WeylElement,
     d5_class_representatives,
@@ -62,7 +61,7 @@ def test_group_orders_small() -> None:
         for e in enumerate_group(r):
             count += 1
             seen.add(e.perm)
-        assert count == GROUP_ORDERS[r]
+        assert count == COUNTS[r].group_order
         assert len(seen) == count
         assert group_order(r) == count
 
@@ -160,7 +159,7 @@ def test_d5_class_representatives() -> None:
     # exhaust the group. (Fixed-point counts of powers plus sign would
     # separate only 14 of the 18, so the honest check is the orbits.)
     classes = [conjugacy_class(5, e.perm) for e in reps]
-    assert sum(len(c) for c in classes) == GROUP_ORDERS[5]
+    assert sum(len(c) for c in classes) == COUNTS[5].group_order
     for a in range(18):
         for b in range(a + 1, 18):
             assert not (classes[a] & classes[b])

@@ -50,7 +50,6 @@ class RunConfig:
     seed: int | None = None
     tol: float | None = None
     out: str | None = None
-    stretch: bool = False
     quotient: bool = False
     samples: int | None = None
     gamma: Fraction | None = None
@@ -109,17 +108,13 @@ def _route_group(rank: int, count_only: bool, orbit: bool) -> tuple[dict, int]:
     return artifact, EXIT_OK if ok else EXIT_ENUM
 
 
-def _route_certify(
-    rank: int, seed: int | None, stretch: bool, quotient: bool
-) -> tuple[dict, int]:
+def _route_certify(rank: int, seed: int | None, quotient: bool) -> tuple[dict, int]:
     try:
-        cert = wedge_kernel.kernel_signs(
-            rank, seed=seed, quotient=quotient, stretch=stretch
-        )
+        cert = wedge_kernel.kernel_signs(rank, seed=seed, quotient=quotient)
     except (
         wedge_kernel.KernelDimensionViolation,
         wedge_kernel.SignViolation,
-        wedge_kernel.BudgetExceeded,
+        wedge_kernel.WedgeStructureViolation,
     ) as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_KERNEL
     artifact = {"rank": rank, "seed": seed, "certificate": cert.to_json()}
@@ -263,15 +258,7 @@ def run(config: RunConfig) -> int:
     elif config.subcommand == "group":
         artifact, code = _route_group(config.rank, config.count_only, config.orbit)
     elif config.subcommand == "certify":
-        if config.rank == 8 and not config.stretch:
-            print(
-                "certify: rank 8 is a stretch computation; pass --stretch",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        artifact, code = _route_certify(
-            config.rank, config.seed, config.stretch, config.quotient
-        )
+        artifact, code = _route_certify(config.rank, config.seed, config.quotient)
     elif config.subcommand == "replay":
         artifact, code = _route_replay(config.certificate)
     elif config.subcommand == "characters":
@@ -313,11 +300,8 @@ def _route_all(config: RunConfig) -> tuple[dict, int]:
     record("enumerate", _route_enumerate(rank))
     if rank <= 7:
         record("group", _route_group(rank, config.count_only, config.orbit))
-    if 4 <= rank <= 7 or (rank == 8 and config.stretch):
-        record(
-            "certify",
-            _route_certify(rank, config.seed, config.stretch, config.quotient),
-        )
+    if rank >= 4:
+        record("certify", _route_certify(rank, config.seed, config.quotient))
     if 4 <= rank <= 7:
         record("characters", _route_characters(rank, rank == 5 and config.d5_full))
     record("symbols", _route_symbols())
@@ -374,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="wedge-kernel sign certificate")
     add_common(p, range(4, 9))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--stretch", action="store_true")
     p.add_argument("--quotient", action="store_true")
 
     p = sub.add_parser("replay", help="re-verify a stored certificate")
@@ -401,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--stretch", action="store_true")
     return parser
 
 

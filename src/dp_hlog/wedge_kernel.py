@@ -8,8 +8,12 @@ conic) is expected to be one-dimensional with all coefficients +-1; the
 certificate records the orderings that produced it so the identity can be
 replayed bit-exactly.
 
-All arithmetic is exact. Elimination is fraction-free (integer row
-combinations, gcd-normalized), pivoting on the shortest active row.
+Every occupied tuple sits in exactly two wedges, both times with value +-1,
+so the system is a signed graph on the conics: tuple t joins conics a and b
+with sign -v_a v_b, and a kernel vector is a sign assignment that every edge
+respects. Its left kernel is one-dimensional with +-1 entries exactly when
+the graph is connected and balanced (Harary 1953; Zaslavsky, "Signed
+graphs", 1982). The solve checks that structure and raises when it fails.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 from typing import Sequence
 
 from .errors import InternalError
@@ -35,8 +39,6 @@ from .incidence import (
 )
 from .lattice import DelPezzoLattice
 
-_STRETCH_ENTRY_BUDGET = 30_000_000
-
 
 class KernelDimensionViolation(RuntimeError):
     """The wedge system's kernel is not one-dimensional."""
@@ -46,8 +48,8 @@ class SignViolation(RuntimeError):
     """A normalized kernel coefficient is not +1 or -1."""
 
 
-class BudgetExceeded(RuntimeError):
-    """A gated stretch computation ran past its resource budget."""
+class WedgeStructureViolation(RuntimeError):
+    """A wedge entry is not +-1, or a tuple does not occur in exactly two wedges."""
 
 
 class ReplayFailure(RuntimeError):
@@ -188,59 +190,61 @@ def _quotient_columns(lt: LineTable) -> tuple[int, ...]:
     return tuple(m for m, line in enumerate(lt.lines) if line not in exceptional)
 
 
-def _eliminate(
-    rows: list[dict[bytes, int]], budget: int | None = None
-) -> list[dict[int, int]]:
-    """Left-nullspace basis of the row system, by exact sparse elimination.
+def _signed_graph_kernel(wedges: Sequence[WedgeVector]) -> tuple[int, ...]:
+    """The +-1 left kernel vector of the wedges, normalized to epsilon_0 = +1.
 
-    Each row carries a tracking vector (conic index -> coefficient); integer
-    row combinations preserve row = sum_k track[k] * wedge_k, and rows that
-    reach zero yield the dependencies. Pivot rule: shortest row first, then
-    smallest coefficient magnitude, then lexicographic column key.
+    One pass pairs the two occurrences of each tuple into an edge and merges
+    it into a spanning forest whose nodes carry their sign relative to the
+    root (union-find with parity); an edge that closes a cycle of sign -1
+    marks its component unbalanced. The kernel dimension is the number of
+    balanced components, and an unbalanced component forces zeros.
     """
-    tracks: list[dict[int, int]] = [{k: 1} for k in range(len(rows))]
-    active = list(range(len(rows)))
-    null_tracks: list[dict[int, int]] = []
-    while active:
-        pick = min(active, key=lambda i: (len(rows[i]), i))
-        if not rows[pick]:
-            null_tracks.append(tracks[pick])
-            active.remove(pick)
-            continue
-        pcol, pval = min(
-            rows[pick].items(), key=lambda item: (abs(item[1]), item[0])
-        )
-        active.remove(pick)
-        prow, ptrack = rows[pick], tracks[pick]
-        for i in active:
-            rval = rows[i].get(pcol)
-            if rval is None:
+    parent = list(range(len(wedges)))
+    sign = [1] * len(wedges)  # sign of a node relative to its parent
+    balanced = [True] * len(wedges)
+
+    def find(x: int) -> int:
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        s = 1
+        for y in reversed(path):
+            s *= sign[y]
+            sign[y], parent[y] = s, x
+        return x
+
+    first: dict[tuple[int, ...], tuple[int, int] | None] = {}
+    for b, w in enumerate(wedges):
+        for t, v in w.entries.items():
+            if v not in (1, -1):
+                raise WedgeStructureViolation(f"wedge entry {v} at tuple {t}")
+            entry = (b, v)
+            seen = first.setdefault(t, entry)
+            if seen is entry:
                 continue
-            rows[i] = _combine(pval, rows[i], rval, prow)
-            tracks[i] = _combine(pval, tracks[i], rval, ptrack)
-            g = 0
-            for v in rows[i].values():
-                g = gcd(g, v)
-            for v in tracks[i].values():
-                g = gcd(g, v)
-            if g > 1:
-                rows[i] = {c: v // g for c, v in rows[i].items()}
-                tracks[i] = {c: v // g for c, v in tracks[i].items()}
-        if budget is not None and sum(len(rows[i]) for i in active) > budget:
-            raise BudgetExceeded("elimination fill-in exceeded the stretch budget")
-    return null_tracks
-
-
-def _combine(a: int, row1: dict, b: int, row2: dict) -> dict:
-    """a*row1 - b*row2 over sparse dicts."""
-    out = {c: a * v for c, v in row1.items()}
-    for c, v in row2.items():
-        total = out.get(c, 0) - b * v
-        if total:
-            out[c] = total
-        else:
-            out.pop(c, None)
-    return out
+            if seen is None:
+                raise WedgeStructureViolation(f"tuple {t} occurs in three or more wedges")
+            first[t] = None
+            a, u = seen
+            ra, rb = find(a), find(b)
+            # eps_b = -u v eps_a, restated between the two roots
+            edge = -u * v * sign[a] * sign[b]
+            if ra == rb:
+                balanced[ra] = balanced[ra] and edge == 1
+            else:
+                parent[rb], sign[rb] = ra, edge
+                balanced[ra] = balanced[ra] and balanced[rb]
+    if any(seen is not None for seen in first.values()):
+        raise WedgeStructureViolation("a tuple occurs in only one wedge")
+    # After a find on every node, each sign is relative to the node's root.
+    roots = {find(k) for k in range(len(wedges))}
+    dimension = sum(balanced[x] for x in roots)
+    if dimension != 1:
+        raise KernelDimensionViolation(f"kernel dimension {dimension}, expected 1")
+    if len(roots) != 1:
+        raise SignViolation("kernel coefficients not all +-1: an unbalanced component is 0")
+    return tuple(s * sign[0] for s in sign)
 
 
 def _build_wedges(
@@ -249,12 +253,10 @@ def _build_wedges(
     bases: Sequence[int],
     quotient: bool,
     conics,
-    budget: int | None = None,
 ) -> list[WedgeVector]:
     r = lt.r
     keep = _quotient_columns(lt) if quotient else None
     out = []
-    entries = 0
     for k, f in enumerate(conics):
         ordered = ConicFibration(f.cls, tuple(fiber_orders[k]))
         m = fiber_differences(ordered, bases[k], conic=k)
@@ -265,9 +267,6 @@ def _build_wedges(
         w = wedge_vector(m)
         if len(w) > comb(2 * (r - 1), r - 2):
             raise InternalError("wedge sparsity bound violated")
-        entries += len(w)
-        if budget is not None and entries > budget:
-            raise BudgetExceeded("wedge assembly exceeded the stretch budget")
         out.append(w)
     return out
 
@@ -279,20 +278,18 @@ def kernel_signs(
     fiber_orders: Sequence[Sequence[tuple[int, int]]] | None = None,
     bases: Sequence[int] | None = None,
     quotient: bool = False,
-    stretch: bool = False,
-    budget: int = _STRETCH_ENTRY_BUDGET,
 ) -> HlogCertificate:
     """Compute the +-1 kernel vector over the conic classes of rank r.
 
     Default orderings are the canonical enumeration with the last fiber as
     base. A seed randomizes fiber orders and bases; explicit `fiber_orders`
-    (full fiber lists per conic) and `bases` win over the seed. r=8 is a
-    gated stretch computation (set stretch=True) with an entry budget.
+    (full fiber lists per conic) and `bases` win over the seed. The kernel
+    is solved as a signed graph on the conics (see the module docstring),
+    then checked to annihilate every wedge; a broken structure raises
+    WedgeStructureViolation, KernelDimensionViolation or SignViolation.
     """
     if r not in (4, 5, 6, 7, 8):
         raise UnsupportedRank(f"rank must be in 4..8, got {r}")
-    if r == 8 and not stretch:
-        raise ValueError("rank 8 is a stretch computation; pass stretch=True")
     lt = enumerate_lines(r)
     conics = enumerate_conics(r, lt)
     rng = random.Random(seed) if seed is not None else None
@@ -317,15 +314,8 @@ def kernel_signs(
     else:
         bases = [int(b) for b in bases]
 
-    gate = budget if r == 8 else None
-    wedges = _build_wedges(lt, fiber_orders, bases, quotient, conics, gate)
-    rows = [{bytes(t): v for t, v in w.entries.items()} for w in wedges]
-    null_tracks = _eliminate(rows, gate)
-    if len(null_tracks) != 1:
-        raise KernelDimensionViolation(
-            f"kernel dimension {len(null_tracks)}, expected 1"
-        )
-    epsilon = _normalize_track(null_tracks[0], len(conics))
+    wedges = _build_wedges(lt, fiber_orders, bases, quotient, conics)
+    epsilon = _signed_graph_kernel(wedges)
     _verify_zero(wedges, epsilon)
     payload_cert = HlogCertificate(
         r=r,
@@ -339,21 +329,6 @@ def kernel_signs(
     )
     digest = _content_hash(payload_cert.payload())
     return dataclasses.replace(payload_cert, content_hash=digest)
-
-
-def _normalize_track(track: dict[int, int], kappa: int) -> tuple[int, ...]:
-    vec = [track.get(k, 0) for k in range(kappa)]
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    if g:
-        vec = [v // g for v in vec]
-    first = next((v for v in vec if v), 0)
-    if first < 0:
-        vec = [-v for v in vec]
-    if any(v not in (1, -1) for v in vec):
-        raise SignViolation(f"kernel coefficients not all +-1: {sorted(set(vec))}")
-    return tuple(vec)
 
 
 def _verify_zero(wedges: Sequence[WedgeVector], epsilon: Sequence[int]) -> None:
@@ -370,7 +345,12 @@ def _verify_zero(wedges: Sequence[WedgeVector], epsilon: Sequence[int]) -> None:
 
 
 def replay(cert: HlogCertificate) -> None:
-    """Re-verify a certificate from its stored orderings; raise on failure."""
+    """Re-prove a certificate from its stored orderings; raise on failure.
+
+    The wedges are rebuilt and the signed-graph solve runs again, so the
+    kernel dimension is proved rather than read from the certificate; then
+    the stored coefficients must annihilate every wedge.
+    """
     if cert.r not in (4, 5, 6, 7, 8):
         raise ReplayFailure(f"unsupported rank {cert.r}")
     if _content_hash(cert.payload()) != cert.content_hash:
@@ -394,6 +374,12 @@ def replay(cert: HlogCertificate) -> None:
             raise ReplayFailure("stored base index out of range")
     wedges = _build_wedges(lt, cert.fiber_orders, cert.bases, cert.quotient, conics)
     try:
+        _signed_graph_kernel(wedges)
         _verify_zero(wedges, cert.epsilon)
-    except InternalError as exc:
+    except (
+        WedgeStructureViolation,
+        KernelDimensionViolation,
+        SignViolation,
+        InternalError,
+    ) as exc:
         raise ReplayFailure(str(exc)) from exc

@@ -156,7 +156,8 @@ def group_data(r: int) -> _GroupData:
         levels[block] = level + 1
         parents[block] = p_sel
         gens[block] = g_sel
-        seen = np.union1d(seen, uniq)
+        # uniq is sorted and disjoint from seen, so a sorted merge keeps seen sorted.
+        seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
         front_lo, count = count, count + n_new
         level += 1
 

@@ -88,15 +88,19 @@ def test_criterion_03_kernel_certificates():
         notes.append(f"r={r} {elapsed:.2f}s")
     try:
         start = time.monotonic()
-        stretch = wedge_kernel.kernel_signs(8, stretch=True)
+        stretch = wedge_kernel.kernel_signs(8)
         elapsed = time.monotonic() - start
         plus = sum(1 for e in stretch.epsilon if e == 1)
         notes.append(
             f"r=8 stretch reported: dim={stretch.kernel_dimension} "
             f"signs {plus}/{len(stretch.epsilon) - plus} in {elapsed:.1f}s"
         )
-    except wedge_kernel.BudgetExceeded as exc:
-        notes.append(f"r=8 stretch reported: budget exceeded ({exc})")
+    except (
+        wedge_kernel.KernelDimensionViolation,
+        wedge_kernel.SignViolation,
+        wedge_kernel.WedgeStructureViolation,
+    ) as exc:
+        notes.append(f"r=8 stretch reported: {exc}")
     report(3, "kernel certificates", ok, "; ".join(notes))
 
 

@@ -3,6 +3,7 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
 from dp_hlog import wedge_kernel as wk
@@ -81,8 +82,6 @@ def test_kernel_signs_rejections():
         wk.kernel_signs(3)
     with pytest.raises(UnsupportedRank):
         wk.kernel_signs(9)
-    with pytest.raises(ValueError):
-        wk.kernel_signs(8)  # needs stretch=True
 
 
 def test_kernel_signs_randomized_orderings_stay_valid():
@@ -178,9 +177,70 @@ def test_base_choice_flips_are_absorbed():
         assert all(e in (1, -1) for e in cert.epsilon)
 
 
-def test_elimination_budget_guard():
-    with pytest.raises(wk.BudgetExceeded):
-        wk.kernel_signs(8, stretch=True, budget=10)
+def _wedges(*entries):
+    return [wk.WedgeVector(k, 1, dict(e)) for k, e in enumerate(entries)]
+
+
+# Three conics pairwise joined by a -1 edge: a cycle of sign -1.
+_UNBALANCED_TRIANGLE = ({(0,): 1, (2,): 1}, {(0,): 1, (1,): 1}, {(1,): 1, (2,): 1})
+
+
+def test_signed_graph_kernel_solves_balanced_graph():
+    # Edge signs are -v_a v_b: two parallel edges give conic 1 the opposite
+    # sign of conic 0, and conic 2 follows conic 1 with the same sign.
+    wedges = _wedges({(0,): 1, (5,): 1}, {(0,): 1, (1,): 1, (5,): 1}, {(1,): -1})
+    assert wk._signed_graph_kernel(wedges) == (1, -1, -1)
+    wk._verify_zero(wedges, (1, -1, -1))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ({(0,): 1}, {(1,): 1}),  # tuples in one wedge only
+        ({(0,): 1}, {(0,): -1}, {(0,): 1}),  # a tuple in three wedges
+        ({(0,): 2}, {(0,): 1}),  # an entry that is not +-1
+    ],
+)
+def test_signed_graph_kernel_rejects_broken_structure(entries):
+    with pytest.raises(wk.WedgeStructureViolation):
+        wk._signed_graph_kernel(_wedges(*entries))
+
+
+def test_signed_graph_kernel_dimension_and_sign_failures():
+    two_components = _wedges({(0,): 1}, {(0,): 1}, {(1,): 1}, {(1,): -1})
+    with pytest.raises(wk.KernelDimensionViolation, match="dimension 2,"):
+        wk._signed_graph_kernel(two_components)
+    with pytest.raises(wk.KernelDimensionViolation, match="dimension 0,"):
+        wk._signed_graph_kernel(_wedges(*_UNBALANCED_TRIANGLE))
+    balanced_plus_unbalanced = _wedges(*_UNBALANCED_TRIANGLE, {(9,): 1}, {(9,): 1})
+    with pytest.raises(wk.SignViolation):
+        wk._signed_graph_kernel(balanced_plus_unbalanced)
+
+
+def test_replay_reproves_the_wedge_structure(monkeypatch):
+    cert = wk.kernel_signs(4)
+    monkeypatch.setattr(wk, "_build_wedges", lambda *args: _wedges({(0,): 1}))
+    with pytest.raises(wk.ReplayFailure, match="only one wedge"):
+        wk.replay(cert)
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("r", [4, 5, 6, 7])
+def test_dense_rank_oracle(r, quotient):
+    # Dense conic x tuple matrix: its rank, computed by SVD, proves the
+    # kernel dimension without the signed-graph solve.
+    cert = wk.kernel_signs(r, quotient=quotient)
+    conics = enumerate_conics(r)
+    wedges = wk._build_wedges(
+        enumerate_lines(r), cert.fiber_orders, cert.bases, quotient, conics
+    )
+    column = {t: c for c, t in enumerate(sorted({t for w in wedges for t in w.entries}))}
+    m = np.zeros((len(wedges), len(column)), dtype=np.int64)
+    for k, w in enumerate(wedges):
+        for t, v in w.entries.items():
+            m[k, column[t]] = v
+    assert np.linalg.matrix_rank(m) == len(wedges) - 1
+    assert not np.any(np.array(cert.epsilon, dtype=np.int64) @ m)
 
 
 def test_quotient_certificate_builds_one_line_table(monkeypatch):

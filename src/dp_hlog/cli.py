@@ -35,10 +35,6 @@ EXIT_CHARACTER = 5
 EXIT_NUMERIC = 6
 
 EXPECTED_NORMS = {4: (3, 2), 5: (3, 3), 6: (3, 3), 7: (4, 5)}
-D5_CHI = (16, 0, 0, 8, 0, 0, 0, 4, 0, 0, 4, 0, 0, 2, 0, 2, 0, 1)
-D5_WEDGE3 = (560, 0, 0, 24, 0, 0, 0, -20, 0, 0, 8, 0, 0, 0, 0, -2, 0, 0)
-D5_WEDGE3_MULTS = (1, 1, 0, 4, 5, 4, 1, 1, 6, 0, 5, 6, 3, 3, 1, 2, 2, 0)
-D5_CHI_PARTS = ("[.5]", "[1.4]", "[2.3]")
 
 
 @dataclass(frozen=True)
@@ -182,10 +178,10 @@ def _route_characters(rank: int, d5_full: bool) -> tuple[dict, int]:
         }
         ok = (
             ok
-            and chi == D5_CHI
-            and wedge == D5_WEDGE3
-            and wedge_dec == D5_WEDGE3_MULTS
-            and chi_parts == D5_CHI_PARTS
+            and chi == d5_data.D5_CHI
+            and wedge == d5_data.D5_WEDGE3
+            and wedge_dec == d5_data.D5_WEDGE3_MULTS
+            and chi_parts == d5_data.D5_CHI_PARTS
         )
     artifact["matches_expected"] = ok
     return artifact, EXIT_OK if ok else EXIT_CHARACTER
@@ -221,10 +217,11 @@ def _route_numeric(
         tol = 1e-8 if rank == 4 else 1e-6
     data = None
     if rank == 5:
+        default_gamma, default_pi = dp4.DEFAULT_PARAMETERS
         try:
             data = dp4.dp4_data(
-                gamma if gamma is not None else Fraction(1, 3),
-                pi if pi is not None else Fraction(5, 2),
+                default_gamma if gamma is None else gamma,
+                default_pi if pi is None else pi,
             )
         except ValueError as exc:
             return {"rank": rank, "error": str(exc)}, EXIT_USAGE

@@ -74,3 +74,11 @@ CLASS_WORDS: tuple[tuple[int, ...], ...] = (
 ZETA_TO_S: dict[int, int] = {1: 4, 2: 5, 3: 3, 4: 2, 5: 1}
 
 GROUP_ORDER = 1920
+
+# Class values expected of the line character chi (16 lines) and of its
+# alternating cube, the multiplicities of the irreducibles in that cube, and
+# the irreducibles in chi.
+D5_CHI = (16, 0, 0, 8, 0, 0, 0, 4, 0, 0, 4, 0, 0, 2, 0, 2, 0, 1)
+D5_WEDGE3 = (560, 0, 0, 24, 0, 0, 0, -20, 0, 0, 8, 0, 0, 0, 0, -2, 0, 0)
+D5_WEDGE3_MULTS = (1, 1, 0, 4, 5, 4, 1, 1, 6, 0, 5, 6, 3, 3, 1, 2, 2, 0)
+D5_CHI_PARTS = ("[.5]", "[1.4]", "[2.3]")

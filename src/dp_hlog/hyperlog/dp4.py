@@ -8,6 +8,10 @@ affine log forms h_j = d log L_j, and those residue vectors are embedded
 verbatim alongside a re-derivation check (exact probabilistic identity
 testing at random rational points).
 
+The web is written down once, as expressions in (gamma, pi, x, y), and
+expanded at a parameter pair in exact rational arithmetic on Poly dicts;
+the tests check every coefficient against a sympy expansion.
+
 The conic alignment below matches each integral to its conic class and
 orders the reducible fibers by spectrum value; feeding those orderings to
 the wedge-kernel engine produces the sign vector used by the numeric
@@ -17,6 +21,7 @@ verification, so signs are never hard-coded.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +32,9 @@ from ..incidence import enumerate_conics, enumerate_lines
 from ..lattice import DelPezzoLattice, DivisorClass
 
 Poly = dict  # {(x_degree, y_degree): Fraction}
+
+# The (gamma, pi) pair used when a caller names none.
+DEFAULT_PARAMETERS = (Fraction(1, 3), Fraction(5, 2))
 
 
 class ResidueMismatch(RuntimeError):
@@ -122,16 +130,6 @@ def _r_values(g: Fraction, p: Fraction) -> tuple[Fraction, ...]:
     )
 
 
-def _poly_from_expr(expr, x, y) -> Poly:
-    import sympy
-
-    poly = sympy.Poly(sympy.expand(expr), x, y)
-    out: Poly = {}
-    for (i, j), c in poly.terms():
-        out[(int(i), int(j))] = Fraction(c.p, c.q)
-    return out
-
-
 def _peval(p: Poly, xv, yv):
     total = 0
     for (i, j), c in p.items():
@@ -161,6 +159,89 @@ def _pscale_sub(a: Poly, c: Fraction, b: Poly) -> Poly:
     return out
 
 
+def _pmul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for (i, j), u in a.items():
+        for (k, m), v in b.items():
+            key = (i + k, j + m)
+            total = out.get(key, Fraction(0)) + u * v
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return out
+
+
+class _Quotient:
+    """num/den as a pair of Poly dicts, combined without any cancellation.
+
+    Evaluating an expression table over these operands expands each
+    numerator and denominator exactly as written.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly | None = None) -> None:
+        self.num = num
+        self.den = {(0, 0): Fraction(1)} if den is None else den
+
+    @staticmethod
+    def lift(v) -> _Quotient:
+        if isinstance(v, _Quotient):
+            return v
+        return _Quotient({(0, 0): Fraction(v)} if v else {})
+
+    def __add__(self, other) -> _Quotient:
+        o = _Quotient.lift(other)
+        num = _pscale_sub(_pmul(self.num, o.den), Fraction(-1), _pmul(o.num, self.den))
+        return _Quotient(num, _pmul(self.den, o.den))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> _Quotient:
+        return _Quotient({k: -c for k, c in self.num.items()}, self.den)
+
+    def __sub__(self, other) -> _Quotient:
+        return self + -_Quotient.lift(other)
+
+    def __rsub__(self, other) -> _Quotient:
+        return -self + other
+
+    def __mul__(self, other) -> _Quotient:
+        o = _Quotient.lift(other)
+        return _Quotient(_pmul(self.num, o.num), _pmul(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> _Quotient:
+        o = _Quotient.lift(other)
+        return _Quotient(_pmul(self.num, o.den), _pmul(self.den, o.num))
+
+    def __rtruediv__(self, other) -> _Quotient:
+        return _Quotient.lift(other) / self
+
+
+def _without_content(q: _Quotient) -> tuple[Poly, Poly]:
+    """Divide num and den by their joint rational content, keeping signs.
+
+    The content is the gcd of every coefficient numerator over the lcm of
+    every coefficient denominator, so both results have coprime integer
+    coefficients. It is the form sympy's together/fraction/expand gives,
+    which the tests keep as the reference. The numeric transport evaluates
+    these coefficients in floating point, so its residuals depend on the
+    scaling.
+    """
+    coeffs = [*q.num.values(), *q.den.values()]
+    content = Fraction(
+        math.gcd(*(c.numerator for c in coeffs)),
+        math.lcm(*(c.denominator for c in coeffs)),
+    )
+    return (
+        {k: c / content for k, c in q.num.items()},
+        {k: c / content for k, c in q.den.items()},
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class DP4Data:
     """Exact web data at a fixed admissible parameter pair (gamma, pi)."""
@@ -181,18 +262,10 @@ def dp4_data(gamma, pi) -> DP4Data:
         raise ValueError(
             "parameters must satisfy pi*gamma*(pi-1)*(gamma-1)*(pi-gamma) != 0"
         )
-    # Only the dp4 routes need sympy; importing it here, not at module level,
-    # keeps it out of every other command's start-up.
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    gs = sympy.Rational(g.numerator, g.denominator)
-    ps = sympy.Rational(p.numerator, p.denominator)
-    integrals = []
-    for expr in _u_expressions(gs, ps, x, y):
-        num, den = sympy.fraction(sympy.together(expr))
-        integrals.append((_poly_from_expr(num, x, y), _poly_from_expr(den, x, y)))
-    factors = tuple(_poly_from_expr(e, x, y) for e in _l_expressions(gs, ps, x, y))
+    x = _Quotient({(1, 0): Fraction(1)})
+    y = _Quotient({(0, 1): Fraction(1)})
+    integrals = tuple(_without_content(u) for u in _u_expressions(g, p, x, y))
+    factors = tuple(f.num for f in _l_expressions(g, p, x, y))
     spectra = []
     for r in _r_values(g, p):
         if r in (0, 1):
@@ -201,7 +274,7 @@ def dp4_data(gamma, pi) -> DP4Data:
     return DP4Data(
         gamma=g,
         pi=p,
-        integrals=tuple(integrals),
+        integrals=integrals,
         factors=factors,
         spectra=tuple(spectra),
         residues=RESIDUE_VECTORS,

@@ -415,7 +415,7 @@ def _web(r: int, data: dp4.DP4Data | None):
         return None, maps, letters, alignment, 2
     if r == 5:
         if data is None:
-            data = dp4.dp4_data(Fraction(1, 3), Fraction(5, 2))
+            data = dp4.dp4_data(*dp4.DEFAULT_PARAMETERS)
         maps = [_RationalMap(n, d) for n, d in data.integrals]
         letters = [tuple(complex(c) for c in row) for row in data.spectra]
         return data, maps, letters, dp4.conic_alignment(), 3

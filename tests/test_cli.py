@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dp_hlog
-from dp_hlog import cli
+from dp_hlog import cli, d5_data
 
 
 def run_json(tmp_path, name, args):
@@ -104,10 +104,10 @@ def test_characters_d5_full_tables(tmp_path):
         tmp_path, "c5.json", ["characters", "--rank", "5", "--d5-full"]
     )
     assert code == 0
-    assert tuple(artifact["d5"]["chi"]) == cli.D5_CHI
-    assert tuple(artifact["d5"]["wedge3"]) == cli.D5_WEDGE3
-    assert tuple(artifact["d5"]["wedge3_multiplicities"]) == cli.D5_WEDGE3_MULTS
-    assert tuple(artifact["d5"]["chi_parts"]) == cli.D5_CHI_PARTS
+    assert tuple(artifact["d5"]["chi"]) == d5_data.D5_CHI
+    assert tuple(artifact["d5"]["wedge3"]) == d5_data.D5_WEDGE3
+    assert tuple(artifact["d5"]["wedge3_multiplicities"]) == d5_data.D5_WEDGE3_MULTS
+    assert tuple(artifact["d5"]["chi_parts"]) == d5_data.D5_CHI_PARTS
 
 
 def test_d5_flag_needs_rank_five():
@@ -198,12 +198,18 @@ def test_stdout_used_without_out_flag(capsys):
     assert "enumerate" in captured.err
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    # Only the dp4 routes need sympy; every other command starts without it.
+def test_cli_import_leaves_sympy_unloaded(tmp_path):
+    # sympy is a test oracle only: neither the import nor the rank-5 route,
+    # which builds the explicit ten-integral web, may load it.
     src = str(Path(dp_hlog.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, dp_hlog.cli; print('sympy' in sys.modules)"
+    args = ["numeric", "--rank", "5", "--samples", "1", "--out", str(tmp_path / "n.json")]
+    probe = (
+        "import sys, dp_hlog.cli; loaded = ['sympy' in sys.modules]; "
+        f"code = dp_hlog.cli.main({args!r}); "
+        "print(code, *loaded, 'sympy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["0", "False", "False"]

@@ -2,9 +2,11 @@
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from dp_hlog import wedge_kernel
 from dp_hlog.hyperlog import dp4
@@ -14,6 +16,54 @@ from dp_hlog.incidence import enumerate_conics, enumerate_lines
 @pytest.fixture(scope="module")
 def data():
     return dp4.dp4_data(Fraction(1, 3), Fraction(5, 2))
+
+
+def _sympy_web(g, p):
+    """Reference expansion: sympy's together/fraction/expand of the same table."""
+    x, y = sympy.symbols("x y")
+    gs = sympy.Rational(g.numerator, g.denominator)
+    ps = sympy.Rational(p.numerator, p.denominator)
+
+    def poly(expr):
+        terms = sympy.Poly(sympy.expand(expr), x, y).terms()
+        return {(int(i), int(j)): Fraction(c.p, c.q) for (i, j), c in terms}
+
+    integrals = tuple(
+        tuple(poly(e) for e in sympy.fraction(sympy.together(u)))
+        for u in dp4._u_expressions(gs, ps, x, y)
+    )
+    factors = tuple(poly(e) for e in dp4._l_expressions(gs, ps, x, y))
+    return integrals, factors
+
+
+def _random_admissible_pairs(n, seed):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < n:
+        g = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        p = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        if g * p * (g - 1) * (p - 1) * (p - g):
+            pairs.append((g, p))
+    return pairs
+
+
+# The default pair; pairs where some integral's coefficient numerators share
+# a factor, so clearing denominators alone misses sympy's form; random pairs.
+ORACLE_PAIRS = [
+    (Fraction(1, 3), Fraction(5, 2)),
+    (Fraction(4), Fraction(2)),
+    (Fraction(-5, 2), Fraction(15, 2)),
+    (Fraction(29, 11), Fraction(-29, 9)),
+    *_random_admissible_pairs(50, seed=2024),
+]
+
+
+@pytest.mark.parametrize("g, p", ORACLE_PAIRS)
+def test_web_matches_sympy_expansion(g, p):
+    data = dp4.dp4_data(g, p)
+    integrals, factors = _sympy_web(g, p)
+    assert data.integrals == integrals
+    assert data.factors == factors
 
 
 def test_embedded_residue_rows():

@@ -139,6 +139,13 @@ def test_d5_line_character_values_and_decomposition():
     assert names == ["[2.3]", "[1.4]", "[.5]"]
 
 
+def test_d5_expectations_match_frozen_values():
+    assert d5_data.D5_CHI == CHI5
+    assert d5_data.D5_WEDGE3 == WEDGE3_CHI5
+    assert d5_data.D5_WEDGE3_MULTS == WEDGE3_MULTS
+    assert d5_data.D5_CHI_PARTS == ("[.5]", "[1.4]", "[2.3]")
+
+
 def test_d5_wedge3_values_and_decomposition():
     assert rt.d5_wedge3_values() == WEDGE3_CHI5
     assert rt.d5_decompose(WEDGE3_CHI5) == WEDGE3_MULTS

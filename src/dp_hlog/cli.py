@@ -296,11 +296,11 @@ def _route_all(config: RunConfig) -> tuple[dict, int]:
 
     record("enumerate", _route_enumerate(rank))
     if rank <= 7:
-        record("group", _route_group(rank, config.count_only, config.orbit))
+        record("group", _route_group(rank, False, False))
     if rank >= 4:
-        record("certify", _route_certify(rank, config.seed, config.quotient))
+        record("certify", _route_certify(rank, config.seed, False))
     if 4 <= rank <= 7:
-        record("characters", _route_characters(rank, rank == 5 and config.d5_full))
+        record("characters", _route_characters(rank, False))
     record("symbols", _route_symbols())
     if rank in (4, 5):
         record(

@@ -9,8 +9,12 @@ scheme, doubling the step count until the values stabilize; the reported
 error estimate is never below the observed halving discrepancy. All paths of
 one call (every sample times every first integral) advance together in one
 RK4 loop over a (paths, words) array. Each path keeps its own step doubling
-and leaves the batch once it has converged, so its values and error estimate
-are bit-identical to transporting it alone.
+and leaves the batch once it has converged. Coefficients come from one
+vectorised evaluation per first integral over its active paths, on one grid
+of dyadic nodes that each doubling extends by its midpoints instead of
+rebuilding. The per-element arithmetic is that of a lone path on fresh
+nodes, so values and error estimates are bit-identical to transporting each
+path alone.
 
 The five-integral planar web (x, y, x/y, (1-x)/(1-y), x(1-y)/(y(1-x))) is
 embedded alongside its fiber tables so the weight-2 functional identity can
@@ -105,38 +109,35 @@ def _word_system(alphabet: int, max_weight: int):
 
 
 def _rk4_batch(
-    coefs: Sequence[Callable[[np.ndarray], np.ndarray]],
+    coef: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    count: int,
     letters: np.ndarray,
     parents: np.ndarray,
     tol: float,
     max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transport the word system along every path in one batch.
+    """Transport the word system along `count` paths in one batch.
 
-    coefs[p](t) gives path p's letter coefficients at the times t in [0, 1].
-    Every path starts at 64 steps and doubles until two successive runs
-    differ by less than tol, then leaves the batch, so its values and error
-    estimate are those it gets when transported alone. Returns the values,
-    one row per path indexed as in _word_system, and the error estimates.
+    coef(paths, t) gives the letter coefficients of the given paths at the
+    times t in [0, 1], shaped (len(t), len(paths), alphabet). Every path
+    starts at 64 steps and doubles until two successive runs differ by less
+    than tol, then leaves the batch, so its values and error estimate are
+    those it gets when transported alone. A run of n steps reads the exact
+    dyadic nodes j/(2n): step starts, midpoints and ends are rows 0::2, 1::2
+    and 2::2 of one array, and the 2n-step run reuses them as its even rows,
+    evaluating only the odd ones. Returns the values, one row per path
+    indexed as in _word_system, and the error estimates.
     """
-    # Every letter is a word of weight one, so letters covers the alphabet.
-    alphabet = letters.max() + 1
 
-    def run(paths: np.ndarray, n_steps: int) -> np.ndarray:
+    def run(c: np.ndarray, n_steps: int) -> np.ndarray:
         h = 1.0 / n_steps
-        grid = np.arange(n_steps) * h
-        nodes = (grid, grid + h / 2, grid + h)
-        c = np.empty((3, n_steps, len(paths), alphabet), dtype=complex)
-        for j, p in enumerate(paths):
-            for s, t in enumerate(nodes):
-                c[s, :, j] = coefs[p](t)
-        v = np.zeros((len(paths), len(letters) + 1), dtype=complex)
+        v = np.zeros((c.shape[1], len(letters) + 1), dtype=complex)
         v[:, 0] = 1.0
         k = np.zeros((4,) + v.shape, dtype=complex)
         for i in range(n_steps):
-            a0 = c[0, i][:, letters]
-            ah = c[1, i][:, letters]
-            a1 = c[2, i][:, letters]
+            a0 = c[2 * i][:, letters]
+            ah = c[2 * i + 1][:, letters]
+            a1 = c[2 * i + 2][:, letters]
             k[0, :, 1:] = a0 * v[:, parents]
             k[1, :, 1:] = ah * (v + (h / 2) * k[0])[:, parents]
             k[2, :, 1:] = ah * (v + (h / 2) * k[1])[:, parents]
@@ -144,18 +145,25 @@ def _rk4_batch(
             v = v + (h / 6) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
         return v
 
-    values = np.empty((len(coefs), len(letters) + 1), dtype=complex)
-    errors = np.empty(len(coefs))
-    active = np.arange(len(coefs))
+    values = np.empty((count, len(letters) + 1), dtype=complex)
+    errors = np.empty(count)
+    active = np.arange(count)
     n = 64
-    prev = run(active, n)
+    c = coef(active, np.arange(2 * n + 1) / (2 * n))
+    prev = run(c, n)
     while active.size:
         n *= 2
         if n > max_steps:
             raise QuadratureFailure(
                 f"no convergence below {tol:.1e} within {max_steps} steps"
             )
-        cur = run(active, n)
+        # Free the coarse array before the odd rows are evaluated, so the
+        # peak stays at the finer array plus its odd rows.
+        coarse, c = c, np.empty((2 * n + 1,) + c.shape[1:], dtype=complex)
+        c[::2] = coarse
+        del coarse
+        c[1::2] = coef(active, np.arange(1, 2 * n, 2) / (2 * n))
+        cur = run(c, n)
         diff = np.max(np.abs(cur - prev), axis=1)
         if not np.isfinite(diff).all():
             raise QuadratureFailure("transport diverged (path too singular)")
@@ -163,7 +171,7 @@ def _rk4_batch(
         scale = np.max(np.abs(cur[done]), axis=1)
         values[active[done]] = cur[done]
         errors[active[done]] = np.maximum(diff[done], 3e-14 * (1.0 + scale))
-        active, prev = active[~done], cur[~done]
+        active, prev, c = active[~done], cur[~done], c[:, ~done]
     return values, errors
 
 
@@ -211,12 +219,12 @@ def evaluate_words(
     pts = np.asarray(basis.points)
     seg = end - base
 
-    def coef_at(t: np.ndarray) -> np.ndarray:
+    def coef(paths: np.ndarray, t: np.ndarray) -> np.ndarray:
         z = base + t[:, None] * seg
-        return seg / (z - pts[None, :])
+        return (seg / (z - pts[None, :]))[:, None]
 
     index, letters, parents = _word_system(len(basis), max_weight)
-    v, err = _rk4_batch([coef_at], letters, parents, tol, max_steps)
+    v, err = _rk4_batch(coef, 1, letters, parents, tol, max_steps)
     values = {w: complex(v[0, i]) for w, i in index.items()}
     return PathEvaluation(base, end, values, float(err[0]))
 
@@ -345,30 +353,24 @@ class _RationalMap:
             (_PolyEval(dp4._pdiff(den, 0)), _PolyEval(dp4._pdiff(den, 1))),
         )
 
-    def pullback(
-        self,
-        start: tuple[complex, complex],
-        stop: tuple[complex, complex],
-        pts: np.ndarray,
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """Coefficients of the forms du/(u - b_k) along the segment, as a
-        callable on t arrays."""
-        dx = stop[0] - start[0]
-        dy = stop[1] - start[1]
-
-        def coef_at(t: np.ndarray) -> np.ndarray:
-            x = start[0] + t * dx
-            y = start[1] + t * dy
-            n = self.num(x, y)
-            d = self.den(x, y)
-            (nx, ny), (dxp, dyp) = self.grads
-            dn = nx(x, y) * dx + ny(x, y) * dy
-            dd = dxp(x, y) * dx + dyp(x, y) * dy
-            u = n / d
-            du = (dn * d - n * dd) / (d * d)
-            return du[:, None] / (u[:, None] - pts[None, :])
-
-        return coef_at
+    def forms(
+        self, start: np.ndarray, stop: np.ndarray, t: np.ndarray, pts: np.ndarray
+    ) -> np.ndarray:
+        """Coefficients of the forms du/(u - b_k) at the times t along the
+        planar segments start -> stop (rows of (x, y)), shaped
+        (len(t), segments, len(pts))."""
+        dx = stop[:, 0] - start[:, 0]
+        dy = stop[:, 1] - start[:, 1]
+        x = start[:, 0] + t[:, None] * dx
+        y = start[:, 1] + t[:, None] * dy
+        n = self.num(x, y)
+        d = self.den(x, y)
+        (nx, ny), (dxp, dyp) = self.grads
+        dn = nx(x, y) * dx + ny(x, y) * dy
+        dd = dxp(x, y) * dx + dyp(x, y) * dy
+        u = n / d
+        du = (dn * d - n * dd) / (d * d)
+        return du[..., None] / (u[..., None] - pts)
 
 
 class _PolyEval:
@@ -482,6 +484,30 @@ def _draw_plan(
     return plan
 
 
+def _plan_coef(
+    maps: Sequence[_RationalMap],
+    letters: Sequence[tuple[complex, ...]],
+    plan: Sequence[tuple[tuple[complex, complex], tuple[complex, complex]]],
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
+    """Batched letter coefficients of every (segment, integral) path of the
+    plan, path s * len(maps) + i being integral i on segment s, and the path
+    count. Paths are grouped by integral, one evaluation per integral."""
+    starts = np.asarray([xi for xi, _ in plan])
+    stops = np.asarray([p for _, p in plan])
+    pts = [np.asarray(row) for row in letters]
+
+    def coef(paths: np.ndarray, t: np.ndarray) -> np.ndarray:
+        segment, integral = np.divmod(paths, len(maps))
+        out = np.empty((len(t), len(paths), len(pts[0])), dtype=complex)
+        for i, m in enumerate(maps):
+            sel = integral == i
+            s = segment[sel]
+            out[:, sel] = m.forms(starts[s], stops[s], t, pts[i])
+        return out
+
+    return coef, len(plan) * len(maps)
+
+
 def _plan_terms(
     maps: Sequence[_RationalMap],
     letters: Sequence[tuple[complex, ...]],
@@ -495,13 +521,9 @@ def _plan_terms(
 
     All (segment, integral) paths are transported in one batch.
     """
-    coefs = [
-        m.pullback(xi, p, np.asarray(pts))
-        for xi, p in plan
-        for m, pts in zip(maps, letters)
-    ]
+    coef, count = _plan_coef(maps, letters, plan)
     index, larr, parr = _word_system(len(letters[0]), weight)
-    values, errors = _rk4_batch(coefs, larr, parr, quad_tol, max_steps)
+    values, errors = _rk4_batch(coef, count, larr, parr, quad_tol, max_steps)
     combination = [(index[w], float(c)) for w, c in asym(tuple(range(weight)))]
     terms: list[complex] = []
     for row in values:

@@ -76,11 +76,12 @@ def shuffle(u: Word, v: Word) -> WordCombination:
 
 def shuffle_combinations(a: WordCombination, b: WordCombination) -> WordCombination:
     """Bilinear extension of the shuffle product."""
-    total = WordCombination()
+    total: dict[Word, Fraction] = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            total = total + (cu * cv) * shuffle(u, v)
-    return total
+            for w, c in shuffle(u, v).terms.items():
+                total[w] = total.get(w, Fraction(0)) + cu * cv * c
+    return WordCombination(total)
 
 
 def _signed_permutations(n: int):

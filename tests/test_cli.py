@@ -1,5 +1,6 @@
 """Exit-code families, artifact shapes and byte-level determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -188,6 +189,18 @@ def test_all_rank_four(tmp_path):
         "numeric",
     }
     assert artifact["routes"]["numeric"]["passed"] is True
+
+
+@pytest.mark.parametrize("rank", ["4", "5"])
+def test_all_matches_the_reference_artifact(tmp_path, rank):
+    # The benchmark's recorded SHA-256 pins every byte of the artifact, the
+    # numeric residuals and error budgets included.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    key = f"all --rank {rank} --seed 1"
+    expected = json.loads(reference.read_text(encoding="utf-8"))[key]
+    out = tmp_path / "all.json"
+    assert cli.main(key.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_stdout_used_without_out_flag(capsys):

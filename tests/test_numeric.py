@@ -164,48 +164,111 @@ def test_identity_is_nonvacuous():
     assert partial > 0.1 * abs(terms[-1]) / scale
 
 
-def _segment(base, end, points):
-    pts = np.asarray(points, dtype=complex)
-    seg = end - base
-    return lambda t: seg / (base + t[:, None] * seg - pts[None, :])
+def _segments(*segments):
+    # Batched letter coefficients of straight segments (base, end, points).
+    def coef(paths, t):
+        cols = []
+        for p in paths:
+            base, end, points = segments[p]
+            pts = np.asarray(points, dtype=complex)
+            seg = end - base
+            cols.append(seg / (base + t[:, None] * seg - pts[None, :]))
+        return np.stack(cols, axis=1)
+
+    return coef, len(segments)
+
+
+def _plan_batch(r, seed):
+    data, maps, letters, alignment, weight = numeric._web(r, None)
+    plan = numeric._draw_plan(random.Random(seed), maps, letters, 1, 1e-3)
+    coef, count = numeric._plan_coef(maps, letters, plan)
+    _, larr, parr = numeric._word_system(len(letters[0]), weight)
+    return coef, count, larr, parr
 
 
 def test_mixed_batch_matches_single_paths():
     # The ten paths of this rank-5 sample stop at 128, 256 and 512 steps.
-    data, maps, letters, alignment, weight = numeric._web(5, None)
-    ((xi, p),) = numeric._draw_plan(random.Random(3), maps, letters, 1, 1e-3)
-    coefs = [m.pullback(xi, p, np.asarray(pts)) for m, pts in zip(maps, letters)]
-    steps = [0] * len(coefs)
+    coef, count, larr, parr = _plan_batch(5, 3)
+    steps = [0] * count
 
-    def counted(j):
-        def coef_at(t):
-            steps[j] = max(steps[j], len(t))
-            return coefs[j](t)
+    def counted(paths, t):
+        for p in paths:
+            steps[p] = max(steps[p], len(t))
+        return coef(paths, t)
 
-        return coef_at
-
-    _, larr, parr = numeric._word_system(3, weight)
-    batch = [counted(j) for j in range(len(coefs))]
-    values, errors = numeric._rk4_batch(batch, larr, parr, 1e-9, 1 << 17)
+    values, errors = numeric._rk4_batch(counted, count, larr, parr, 1e-9, 1 << 17)
     assert len(set(steps)) > 2
-    for j, coef in enumerate(coefs):
-        alone, error = numeric._rk4_batch([coef], larr, parr, 1e-9, 1 << 17)
+    for j in range(count):
+
+        def single(paths, t, j=j):
+            return coef(paths + j, t)
+
+        alone, error = numeric._rk4_batch(single, 1, larr, parr, 1e-9, 1 << 17)
         assert np.array_equal(values[j], alone[0])
         assert errors[j] == error[0]
 
 
+def _fresh_node_transport(coef, path, letters, parents, tol):
+    # One path alone, with fresh step-start, midpoint and step-end nodes for
+    # every run, sharing no node or row bookkeeping with _rk4_batch.
+    def run(n):
+        h = 1.0 / n
+        grid = np.arange(n) * h
+        a0, ah, a1 = (
+            coef(np.array([path]), t)[:, 0][:, letters]
+            for t in (grid, grid + h / 2, grid + h)
+        )
+        v = np.zeros(len(letters) + 1, dtype=complex)
+        v[0] = 1.0
+        k = np.zeros((4, len(v)), dtype=complex)
+        for i in range(n):
+            k[0, 1:] = a0[i] * v[parents]
+            k[1, 1:] = ah[i] * (v + (h / 2) * k[0])[parents]
+            k[2, 1:] = ah[i] * (v + (h / 2) * k[1])[parents]
+            k[3, 1:] = a1[i] * (v + h * k[2])[parents]
+            v = v + (h / 6) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+        return v
+
+    n, prev = 64, run(64)
+    while True:
+        n *= 2
+        cur = run(n)
+        diff = np.max(np.abs(cur - prev))
+        if diff < tol:
+            return cur, max(diff, 3e-14 * (1.0 + np.max(np.abs(cur)))), n
+        prev = cur
+
+
+@pytest.mark.parametrize("r, seed, tol", [(4, 1, 1e-11), (5, 3, 1e-9)])
+def test_node_reuse_matches_fresh_nodes(r, seed, tol):
+    # Paths of these samples stop at 128, 256 and 512 steps, so the batch
+    # reuses nodes across two doublings and drops the rows of paths that
+    # have converged.
+    coef, count, larr, parr = _plan_batch(r, seed)
+    values, errors = numeric._rk4_batch(coef, count, larr, parr, tol, 1 << 17)
+    stops = set()
+    for j in range(count):
+        alone, error, n = _fresh_node_transport(coef, j, larr, parr, tol)
+        assert np.array_equal(values[j], alone)
+        assert errors[j] == error
+        stops.add(n)
+    assert stops == {128, 256, 512}
+
+
 def test_batch_fails_if_any_path_fails():
     _, larr, parr = numeric._word_system(1, 2)
-    easy = _segment(1.0, 2.0 + 1.0j, (0.0,))  # converges at 256 steps
-    slow = _segment(-1.0 + 0.01j, 1.0 + 0.01j, (0.0,))  # needs 2048
-    numeric._rk4_batch([easy], larr, parr, 1e-10, 1024)
+    easy = (1.0, 2.0 + 1.0j, (0.0,))  # converges at 256 steps
+    slow = (-1.0 + 0.01j, 1.0 + 0.01j, (0.0,))  # needs 2048
+    numeric._rk4_batch(*_segments(easy), larr, parr, 1e-10, 1024)
     with pytest.raises(numeric.QuadratureFailure, match="no convergence"):
-        numeric._rk4_batch([easy, slow], larr, parr, 1e-10, 1024)
+        numeric._rk4_batch(*_segments(easy, slow), larr, parr, 1e-10, 1024)
     # A segment through the branch point gives non-finite values.
-    through = _segment(-1.0, 1.0, (0.0,))
+    through = (-1.0, 1.0, (0.0,))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(numeric.QuadratureFailure, match="diverged"):
-            numeric._rk4_batch([easy, through], larr, parr, 1e-10, 1 << 17)
+            numeric._rk4_batch(
+                *_segments(easy, through), larr, parr, 1e-10, 1 << 17
+            )
 
 
 def test_tolerance_ladder_monotone():

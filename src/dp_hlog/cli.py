@@ -56,7 +56,8 @@ class RunConfig:
     certificate: str | None = None
 
 
-def _route_enumerate(rank: int) -> tuple[dict, int]:
+def _route_enumerate(config: RunConfig) -> tuple[dict, int]:
+    rank = config.rank
     try:
         lt = incidence.enumerate_lines(rank)
         conics = incidence.enumerate_conics(rank, lt)
@@ -85,7 +86,8 @@ def _route_enumerate(rank: int) -> tuple[dict, int]:
     return artifact, EXIT_OK if ok else EXIT_ENUM
 
 
-def _route_group(rank: int, count_only: bool, orbit: bool) -> tuple[dict, int]:
+def _route_group(config: RunConfig) -> tuple[dict, int]:
+    rank = config.rank
     try:
         gd = weyl.group_data(rank)
     except weyl.GroupTooLarge as exc:
@@ -94,9 +96,9 @@ def _route_group(rank: int, count_only: bool, orbit: bool) -> tuple[dict, int]:
     expected = incidence.COUNTS[rank].group_order
     ok = order == expected
     artifact = {"rank": rank, "order": order, "expected": expected}
-    if not count_only:
+    if not config.count_only:
         artifact["length_distribution"] = np.bincount(gd.levels).tolist()
-    if orbit:
+    if config.orbit:
         orbit_size = len(incidence.enumerate_lines(rank))
         artifact["line_orbit"] = orbit_size
         ok = ok and orbit_size == incidence.COUNTS[rank].lines
@@ -104,22 +106,25 @@ def _route_group(rank: int, count_only: bool, orbit: bool) -> tuple[dict, int]:
     return artifact, EXIT_OK if ok else EXIT_ENUM
 
 
-def _route_certify(rank: int, seed: int | None, quotient: bool) -> tuple[dict, int]:
+def _route_certify(config: RunConfig) -> tuple[dict, int]:
+    rank = config.rank
     try:
-        cert = wedge_kernel.kernel_signs(rank, seed=seed, quotient=quotient)
+        cert = wedge_kernel.kernel_signs(
+            rank, seed=config.seed, quotient=config.quotient
+        )
     except (
         wedge_kernel.KernelDimensionViolation,
         wedge_kernel.SignViolation,
         wedge_kernel.WedgeStructureViolation,
     ) as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_KERNEL
-    artifact = {"rank": rank, "seed": seed, "certificate": cert.to_json()}
+    artifact = {"rank": rank, "seed": config.seed, "certificate": cert.to_json()}
     return artifact, EXIT_OK
 
 
-def _route_replay(path: str) -> tuple[dict, int]:
+def _route_replay(config: RunConfig) -> tuple[dict, int]:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(config.certificate).read_text(encoding="utf-8"))
         if isinstance(data, dict) and "certificate" in data:
             data = data["certificate"]
         cert = wedge_kernel.HlogCertificate.from_json(data)
@@ -137,7 +142,8 @@ def _route_replay(path: str) -> tuple[dict, int]:
     return artifact, EXIT_OK
 
 
-def _route_characters(rank: int, d5_full: bool) -> tuple[dict, int]:
+def _route_characters(config: RunConfig) -> tuple[dict, int]:
+    rank = config.rank
     try:
         line = rep_theory.line_character(rank)
         conic = rep_theory.conic_character(rank)
@@ -162,7 +168,7 @@ def _route_characters(rank: int, d5_full: bool) -> tuple[dict, int]:
         and artifact["reflection_in_line"] == 1
         and artifact["signature_multiplicity"] == 0
     )
-    if d5_full:
+    if config.d5_full:
         chi = rep_theory.d5_chi_values()
         wedge = rep_theory.d5_wedge3_values()
         chi_dec = rep_theory.d5_decompose(chi)
@@ -187,7 +193,7 @@ def _route_characters(rank: int, d5_full: bool) -> tuple[dict, int]:
     return artifact, EXIT_OK if ok else EXIT_CHARACTER
 
 
-def _route_symbols() -> tuple[dict, int]:
+def _route_symbols(config: RunConfig) -> tuple[dict, int]:
     reports = hwords.verify_asym_shuffle_identities()
     artifact = {
         "identities": [
@@ -203,31 +209,23 @@ def _route_symbols() -> tuple[dict, int]:
     return artifact, EXIT_OK if artifact["passed"] else EXIT_NUMERIC
 
 
-def _route_numeric(
-    rank: int,
-    samples: int | None,
-    tol: float | None,
-    seed: int | None,
-    gamma: Fraction | None,
-    pi: Fraction | None,
-) -> tuple[dict, int]:
-    if samples is None:
-        samples = 20 if rank == 4 else 10
-    if tol is None:
-        tol = 1e-8 if rank == 4 else 1e-6
+def _route_numeric(config: RunConfig) -> tuple[dict, int]:
+    rank = config.rank
+    samples = (20 if rank == 4 else 10) if config.samples is None else config.samples
+    tol = (1e-8 if rank == 4 else 1e-6) if config.tol is None else config.tol
     data = None
     if rank == 5:
-        default_gamma, default_pi = dp4.DEFAULT_PARAMETERS
+        gamma, pi = dp4.DEFAULT_PARAMETERS
         try:
             data = dp4.dp4_data(
-                default_gamma if gamma is None else gamma,
-                default_pi if pi is None else pi,
+                gamma if config.gamma is None else config.gamma,
+                pi if config.pi is None else config.pi,
             )
         except ValueError as exc:
             return {"rank": rank, "error": str(exc)}, EXIT_USAGE
     try:
         report = hnumeric.verify_identity_numeric(
-            rank, samples, tol, data=data, seed=seed
+            rank, samples, tol, data=data, seed=config.seed
         )
     except (hnumeric.PathTooClose, hnumeric.QuadratureFailure) as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_NUMERIC
@@ -247,75 +245,43 @@ def _route_numeric(
     return artifact, EXIT_OK if report.passed else EXIT_NUMERIC
 
 
+def _route_all(config: RunConfig) -> tuple[dict, int]:
+    routes: dict[str, dict] = {}
+    code = EXIT_OK
+    for name, (handler, ranks) in ROUTES.items():
+        if config.rank in ranks:
+            routes[name], route_code = handler(config)
+            if code == EXIT_OK:
+                code = route_code
+    artifact = {"rank": config.rank, "routes": routes, "passed": code == EXIT_OK}
+    return artifact, code
+
+
+# Subcommand -> (route, ranks at which `all` runs it). `all` reads no option
+# of the other routes, so each gets its RunConfig defaults there.
+ROUTES = {
+    "enumerate": (_route_enumerate, range(3, 9)),
+    "group": (_route_group, range(3, 8)),
+    "certify": (_route_certify, range(4, 9)),
+    "replay": (_route_replay, ()),
+    "characters": (_route_characters, range(4, 8)),
+    "symbols": (_route_symbols, range(3, 9)),
+    "numeric": (_route_numeric, (4, 5)),
+    "all": (_route_all, ()),
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured invocation and write its JSON artifact."""
     started = time.monotonic()
-    if config.subcommand == "enumerate":
-        artifact, code = _route_enumerate(config.rank)
-    elif config.subcommand == "group":
-        artifact, code = _route_group(config.rank, config.count_only, config.orbit)
-    elif config.subcommand == "certify":
-        artifact, code = _route_certify(config.rank, config.seed, config.quotient)
-    elif config.subcommand == "replay":
-        artifact, code = _route_replay(config.certificate)
-    elif config.subcommand == "characters":
-        artifact, code = _route_characters(config.rank, config.d5_full)
-    elif config.subcommand == "symbols":
-        artifact, code = _route_symbols()
-    elif config.subcommand == "numeric":
-        artifact, code = _route_numeric(
-            config.rank,
-            config.samples,
-            config.tol,
-            config.seed,
-            config.gamma,
-            config.pi,
-        )
-    elif config.subcommand == "all":
-        artifact, code = _route_all(config)
-    else:
+    if config.subcommand not in ROUTES:
         print(f"unknown subcommand {config.subcommand!r}", file=sys.stderr)
         return EXIT_USAGE
+    artifact, code = ROUTES[config.subcommand][0](config)
     _write_artifact(artifact, config.out)
     elapsed = time.monotonic() - started
     print(f"{config.subcommand}: {elapsed:.2f}s", file=sys.stderr)
     return code
-
-
-def _route_all(config: RunConfig) -> tuple[dict, int]:
-    rank = config.rank
-    routes: dict[str, dict] = {}
-    code = EXIT_OK
-
-    def record(name: str, result: tuple[dict, int]) -> None:
-        nonlocal code
-        artifact, route_code = result
-        routes[name] = artifact
-        if code == EXIT_OK and route_code != EXIT_OK:
-            code = route_code
-
-    record("enumerate", _route_enumerate(rank))
-    if rank <= 7:
-        record("group", _route_group(rank, False, False))
-    if rank >= 4:
-        record("certify", _route_certify(rank, config.seed, False))
-    if 4 <= rank <= 7:
-        record("characters", _route_characters(rank, False))
-    record("symbols", _route_symbols())
-    if rank in (4, 5):
-        record(
-            "numeric",
-            _route_numeric(
-                rank,
-                config.samples,
-                config.tol,
-                config.seed,
-                config.gamma,
-                config.pi,
-            ),
-        )
-    artifact = {"rank": rank, "routes": routes, "passed": code == EXIT_OK}
-    return artifact, code
 
 
 def _write_artifact(artifact: dict, out: str | None) -> None:

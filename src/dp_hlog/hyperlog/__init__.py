@@ -1,10 +1,10 @@
-"""Word algebra, embedded web data and numerics for hyperlogarithms."""
+"""Word algebra, derived conic webs and numerics for hyperlogarithms."""
 
 from .dp4 import (
     DP4Data,
     ResidueMismatch,
     SymbolicIdentityViolation,
-    conic_alignment,
+    conic_web,
     dp4_data,
     dp4_residue_check,
     dp4_symbolic_identity,
@@ -16,7 +16,6 @@ from .numeric import (
     PathTooClose,
     QuadratureFailure,
     ai3_cross_check,
-    bol_alignment,
     evaluate_words,
     verify_identity_numeric,
 )
@@ -43,8 +42,7 @@ __all__ = [
     "WordCombination",
     "ai3_cross_check",
     "asym",
-    "bol_alignment",
-    "conic_alignment",
+    "conic_web",
     "dp4_data",
     "dp4_residue_check",
     "dp4_symbolic_identity",

@@ -1,133 +1,85 @@
-"""The explicit two-parameter ten-integral web on the quartic surface.
+"""The conic webs of the quintic and quartic del Pezzo surfaces, derived
+from their points.
 
-Blowing up the plane at [1:0:0], [0:1:0], (0,0), (1,1), (pi, gamma) gives a
-degree-4 del Pezzo surface whose ten conic pencils push down to the ten
-rational first integrals embedded here. Each U_i has spectrum
-(0, 1, r_i, infinity); d log(U_i - c) decomposes exactly over the ten
-affine log forms h_j = d log L_j, and those residue vectors are embedded
-verbatim alongside a re-derivation check (exact probabilistic identity
-testing at random rational points).
+Blowing up the plane at r points p_1..p_r gives a del Pezzo surface of
+degree 9 - r. Each non-exceptional line class d h - sum m_i l_i (m_i in
+{0, 1} for r <= 5) is the unique plane curve of degree d through the points
+with m_i = 1, found as an exact nullspace. A conic pencil's reducible fibers
+are pairs of lines, so a fiber's equation is the product of its components'
+curves; the first integral of the pencil is U = lambda F_0 / F_inf, scaled
+so that the fiber F_1 maps to 1, and r_i is the value of U on the remaining
+fiber. As U - c vanishes exactly on the fiber over c, d log(U - c) is that
+fiber's affine factors minus those of the infinity fiber: an integer residue
+row over the affine lines, which the residue check re-derives by exact
+identity testing at random rational points. The line through [1:0:0] and
+[0:1:0] is the line at infinity; it is a constant in affine coordinates, so
+it is no factor.
 
-The web is written down once, as expressions in (gamma, pi, x, y), and
-expanded at a parameter pair in exact rational arithmetic on Poly dicts;
-the tests check every coefficient against a sympy expansion.
-
-The conic alignment below matches each integral to its conic class and
-orders the reducible fibers by spectrum value; feeding those orderings to
-the wedge-kernel engine produces the sign vector used by the numeric
-verification, so signs are never hard-coded.
+At r = 5 the points [1:0:0], [0:1:0], (0,0), (1,1), (pi, gamma) give the
+two-parameter ten-integral web; at r = 4 the points (0,0), (1,1), [1:0:0],
+[0:1:0] give the five-term web (x, y, x/y, (1-x)/(1-y), x(1-y)/(y(1-x))).
+A fiber spec names, for each first integral, its conic class and one line
+of the fiber at each spectrum value 0, 1, [r_i,] infinity. That is also the
+conic alignment: feeding those fiber orders to the wedge-kernel engine
+produces the sign vector used by the numeric verification, so signs are
+never hard-coded. The tests check the derived webs against hand-written
+tables of the integrals, factors, residues and fibers, and against a sympy
+expansion of those tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InternalError
 from ..incidence import enumerate_conics, enumerate_lines
-from ..lattice import DelPezzoLattice, DivisorClass
+from ..lattice import DivisorClass
 
 Poly = dict  # {(x_degree, y_degree): Fraction}
 
 # The (gamma, pi) pair used when a caller names none.
 DEFAULT_PARAMETERS = (Fraction(1, 3), Fraction(5, 2))
 
+# The points p_1..p_4 of the five-term web, as [X:Y:Z] with x = X/Z, y = Y/Z.
+FIVE_TERM_POINTS = ((0, 0, 1), (1, 1, 1), (1, 0, 0), (0, 1, 0))
+
+# One row per first integral, in integral order: the conic class, and one
+# line of the fiber over each spectrum value 0, 1, [r_i,] infinity.
+FIVE_TERM_SPEC = (
+    ("h-l4", ("h-l1-l4", "h-l2-l4", "h-l3-l4")),
+    ("h-l3", ("h-l1-l3", "h-l2-l3", "h-l3-l4")),
+    ("h-l1", ("h-l1-l4", "h-l1-l2", "h-l1-l3")),
+    ("h-l2", ("h-l2-l4", "h-l1-l2", "h-l2-l3")),
+    ("2h-l1-l2-l3-l4", ("h-l1-l4", "h-l1-l2", "h-l1-l3")),
+)
+TEN_TERM_SPEC = (
+    ("h-l2", ("h-l2-l3", "h-l2-l4", "h-l2-l5", "h-l1-l2")),
+    ("h-l1", ("h-l1-l2", "h-l1-l4", "h-l1-l5", "h-l1-l3")),
+    ("h-l3", ("h-l1-l3", "h-l3-l4", "h-l3-l5", "h-l2-l3")),
+    ("h-l4", ("h-l3-l4", "h-l1-l4", "h-l4-l5", "h-l2-l4")),
+    ("h-l5", ("h-l2-l5", "h-l1-l5", "h-l4-l5", "h-l3-l5")),
+    ("2h-l1-l2-l4-l5", ("h-l1-l2", "h-l1-l4", "2h-l1-l2-l3-l4-l5", "h-l1-l5")),
+    ("2h-l1-l3-l4-l5", ("h-l1-l5", "h-l1-l4", "2h-l1-l2-l3-l4-l5", "h-l1-l3")),
+    ("2h-l2-l3-l4-l5", ("h-l2-l3", "h-l2-l4", "2h-l1-l2-l3-l4-l5", "h-l2-l5")),
+    ("2h-l1-l2-l3-l5", ("h-l1-l3", "h-l1-l2", "2h-l1-l2-l3-l4-l5", "h-l1-l5")),
+    ("2h-l1-l2-l3-l4", ("h-l1-l4", "h-l1-l2", "2h-l1-l2-l3-l4-l5", "h-l1-l3")),
+)
+
 
 class ResidueMismatch(RuntimeError):
-    """An embedded residue vector disagrees with the derivative of log U."""
+    """A residue vector disagrees with the derivative of log U."""
 
 
 class SymbolicIdentityViolation(RuntimeError):
     """The weight-3 antisymmetric tensor sum failed to vanish."""
-
-
-def _hv(entries: dict[int, int]) -> tuple[int, ...]:
-    """A vector over the h-basis from 1-based index -> coefficient."""
-    return tuple(entries.get(j, 0) for j in range(1, 11))
-
-
-# d log(U_i - c) over (h_1..h_10) for c = 0, 1, r_i.
-RESIDUE_VECTORS: tuple[tuple[tuple[int, ...], ...], ...] = (
-    (_hv({1: 1}), _hv({4: 1}), _hv({5: 1})),
-    (_hv({2: -1}), _hv({7: 1, 2: -1}), _hv({3: 1, 2: -1})),
-    (_hv({1: -1, 2: 1}), _hv({1: -1, 6: 1}), _hv({1: -1, 10: 1})),
-    (_hv({4: -1, 6: 1}), _hv({7: 1, 4: -1}), _hv({9: 1, 4: -1})),
-    (_hv({10: -1, 5: 1}), _hv({3: 1, 10: -1}), _hv({9: 1, 10: -1})),
-    (
-        _hv({3: -1, 9: 1, 4: -1}),
-        _hv({7: 1, 3: -1, 4: -1, 5: 1}),
-        _hv({3: -1, 4: -1, 8: 1}),
-    ),
-    (
-        _hv({3: 1, 9: -1, 6: 1, 2: -1}),
-        _hv({7: 1, 9: -1, 10: 1, 2: -1}),
-        _hv({9: -1, 2: -1, 8: 1}),
-    ),
-    (
-        _hv({9: 1, 1: 1, 5: -1, 6: -1}),
-        _hv({4: 1, 5: -1, 6: -1, 10: 1}),
-        _hv({5: -1, 6: -1, 8: 1}),
-    ),
-    (
-        _hv({3: -1, 1: -1, 5: 1, 2: 1}),
-        _hv({3: -1, 1: -1, 10: 1}),
-        _hv({3: -1, 1: -1, 8: 1}),
-    ),
-    (
-        _hv({7: 1, 1: 1, 4: -1, 2: -1}),
-        _hv({4: -1, 6: 1, 2: -1}),
-        _hv({4: -1, 2: -1, 8: 1}),
-    ),
-)
-
-
-def _u_expressions(g, p, x, y) -> tuple:
-    return (
-        x,
-        1 / y,
-        y / x,
-        (x - y) / (x - 1),
-        g * (p - x) / (p * y - g * x),
-        ((1 - x) * g + x + (p - 1) * y - p) / ((x - 1) * (y - g)),
-        (x - y) * (y - g) / (y * (p * y - g * x - p + g + x - y)),
-        -x * (x * (g - 1) + (1 - y) * p - g + y) / ((x - y) * (x - p)),
-        y * (x - p) / (x * (y - g)),
-        x * (y - 1) / (y * (x - 1)),
-    )
-
-
-def _l_expressions(g, p, x, y) -> tuple:
-    return (
-        x,
-        y,
-        y - g,
-        x - 1,
-        x - p,
-        x - y,
-        y - 1,
-        g * ((x - y) * p + x * (y - 1)) - p * y * (x - 1),
-        g * (x - 1) - p * (y - 1) + y - x,
-        g * x - p * y,
-    )
-
-
-def _r_values(g: Fraction, p: Fraction) -> tuple[Fraction, ...]:
-    return (
-        p,
-        1 / g,
-        g / p,
-        (p - g) / (p - 1),
-        g * (p - 1) / (p - g),
-        (g - p) / g,
-        1 / (1 - p),
-        1 - g,
-        (p - 1) / (g - 1),
-        p * (g - 1) / (g * (p - 1)),
-    )
 
 
 def _peval(p: Poly, xv, yv):
@@ -172,113 +124,195 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-class _Quotient:
-    """num/den as a pair of Poly dicts, combined without any cancellation.
-
-    Evaluating an expression table over these operands expands each
-    numerator and denominator exactly as written.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None) -> None:
-        self.num = num
-        self.den = {(0, 0): Fraction(1)} if den is None else den
-
-    @staticmethod
-    def lift(v) -> _Quotient:
-        if isinstance(v, _Quotient):
-            return v
-        return _Quotient({(0, 0): Fraction(v)} if v else {})
-
-    def __add__(self, other) -> _Quotient:
-        o = _Quotient.lift(other)
-        num = _pscale_sub(_pmul(self.num, o.den), Fraction(-1), _pmul(o.num, self.den))
-        return _Quotient(num, _pmul(self.den, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> _Quotient:
-        return _Quotient({k: -c for k, c in self.num.items()}, self.den)
-
-    def __sub__(self, other) -> _Quotient:
-        return self + -_Quotient.lift(other)
-
-    def __rsub__(self, other) -> _Quotient:
-        return -self + other
-
-    def __mul__(self, other) -> _Quotient:
-        o = _Quotient.lift(other)
-        return _Quotient(_pmul(self.num, o.num), _pmul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> _Quotient:
-        o = _Quotient.lift(other)
-        return _Quotient(_pmul(self.num, o.den), _pmul(self.den, o.num))
-
-    def __rtruediv__(self, other) -> _Quotient:
-        return _Quotient.lift(other) / self
-
-
-def _without_content(q: _Quotient) -> tuple[Poly, Poly]:
-    """Divide num and den by their joint rational content, keeping signs.
+def _without_content(*polys: Poly) -> tuple[Poly, ...]:
+    """Divide the polys by their joint rational content, with one sign rule:
+    the last poly's coefficient at its lowest (x, y) exponent pair is
+    positive.
 
     The content is the gcd of every coefficient numerator over the lcm of
-    every coefficient denominator, so both results have coprime integer
-    coefficients. It is the form sympy's together/fraction/expand gives,
-    which the tests keep as the reference. The numeric transport evaluates
-    these coefficients in floating point, so its residuals depend on the
-    scaling.
+    every coefficient denominator, so the results have coprime integer
+    coefficients. The numeric transport evaluates these coefficients in
+    floating point, so its residuals depend on the scaling, but not on the
+    joint sign: negating a numerator and its denominator together leaves
+    every quotient bit-identical.
     """
-    coeffs = [*q.num.values(), *q.den.values()]
+    coeffs = [c for p in polys for c in p.values()]
     content = Fraction(
         math.gcd(*(c.numerator for c in coeffs)),
         math.lcm(*(c.denominator for c in coeffs)),
     )
-    return (
-        {k: c / content for k, c in q.num.items()},
-        {k: c / content for k, c in q.den.items()},
-    )
+    if polys[-1][min(polys[-1])] < 0:
+        content = -content
+    return tuple({k: c / content for k, c in p.items()} for p in polys)
+
+
+def _nullspace(rows: Sequence[Sequence], n: int) -> list[list[Fraction]]:
+    """A basis of {v in Q^n : rows v = 0}, by exact row reduction."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(n):
+        k = len(pivots)
+        pick = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[k], rows[pick] = rows[pick], rows[k]
+        rows[k] = [v / rows[k][col] for v in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[k])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            v[col] = -rows[k][free]
+        basis.append(v)
+    return basis
+
+
+def _kernel_vector(rows: Sequence[Sequence], n: int, what: str) -> list[Fraction]:
+    basis = _nullspace(rows, n)
+    if len(basis) != 1:
+        raise InternalError(f"{what}: nullspace of dimension {len(basis)}, expected 1")
+    return basis[0]
+
+
+def _divisor(r: int, text: str) -> DivisorClass:
+    """The class written as, say, '2h-l1-l2' on the rank-r lattice."""
+    coeffs = [0] * (r + 1)
+    for sign, mult, base, i in re.findall(r"([+-]?)(\d*)([hl])(\d*)", text):
+        coeffs[int(i or 0)] += (-1 if sign == "-" else 1) * int(mult or 1)
+    return DivisorClass(tuple(coeffs))
+
+
+def _curve(line: DivisorClass, points: Sequence[tuple]) -> Poly:
+    """The plane curve of a non-exceptional line class, at Z = 1."""
+    d = line.coeffs[0]
+    monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    rows = [
+        [X**i * Y**j * Z ** (d - i - j) for i, j in monomials]
+        for (X, Y, Z), m in zip(points, line.coeffs[1:])
+        if m
+    ]
+    v = _kernel_vector(rows, len(monomials), f"curves of class {line.coeffs}")
+    return {k: c for k, c in zip(monomials, v) if c}
+
+
+def _pencil_coordinates(f0: Poly, finf: Poly, fs: Poly) -> tuple[Fraction, Fraction]:
+    """(a, b), both nonzero, with fs = a f0 + b finf."""
+    keys = sorted({*f0, *finf, *fs})
+    rows = [[f0.get(k, 0), finf.get(k, 0), fs.get(k, 0)] for k in keys]
+    a, b, c = _kernel_vector(rows, 3, "fibers of one pencil")
+    if not (a and b and c):
+        raise InternalError("a fiber is not a third member of its pencil")
+    return -a / c, -b / c
+
+
+@dataclass(frozen=True)
+class AlignmentEntry:
+    """Which conic a first integral cuts out, with fibers in spectrum order."""
+
+    integral: int
+    conic: int
+    fiber_order: tuple[tuple[int, int], ...]  # fibers at 0, 1, [r_i,] infinity
+    base: int  # position of the infinity fiber in fiber_order
 
 
 @dataclass(frozen=True, eq=False)
 class DP4Data:
-    """Exact web data at a fixed admissible parameter pair (gamma, pi)."""
+    """Exact web data: the rank-5 web at an admissible parameter pair
+    (gamma, pi), or the rank-4 web with gamma = pi = None."""
 
-    gamma: Fraction
-    pi: Fraction
+    gamma: Fraction | None
+    pi: Fraction | None
     integrals: tuple[tuple[Poly, Poly], ...]  # (numerator, denominator)
+    lines: tuple[DivisorClass, ...]  # the line class of each factor
     factors: tuple[Poly, ...]
-    spectra: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (0, 1, r_i)
+    spectra: tuple[tuple[Fraction, ...], ...]  # (0, 1[, r_i])
     residues: tuple[tuple[tuple[int, ...], ...], ...]
+    alignment: tuple[AlignmentEntry, ...]
+
+
+def conic_web(points: Sequence[tuple], spec: Sequence[tuple]) -> DP4Data:
+    """Derive the web of the plane blown up at `points` ([X:Y:Z] triples)
+    from its fiber spec, with gamma = pi = None."""
+    r = len(points)
+    lt = enumerate_lines(r)
+    conics = enumerate_conics(r, lt)
+    curves = {k: _curve(l, points) for k, l in enumerate(lt.lines) if l.coeffs[0]}
+    factor_ids = [k for k, f in curves.items() if set(f) != {(0, 0)}]
+    conic_ids = {f.cls: k for k, f in enumerate(conics)}
+    integrals, spectra, residues, alignment = [], [], [], []
+    for i, (conic_name, slot_names) in enumerate(spec):
+        k = conic_ids.get(_divisor(r, conic_name))
+        if k is None:
+            raise InternalError(f"spec row {i + 1}: {conic_name} is not a conic class")
+        fibers = []
+        for name in slot_names:
+            line = lt.index.get(_divisor(r, name))
+            owner = [f for f in conics[k].fibers if line in f]
+            if not owner:
+                raise InternalError(
+                    f"spec row {i + 1}: {name} is in no fiber of {conic_name}"
+                )
+            fibers.append(owner[0])
+        if len(set(fibers)) != len(fibers) or len(fibers) != r - 1:
+            raise InternalError(
+                f"spec row {i + 1} must name each of the {r - 1} fibers once"
+            )
+        f0, f1, *rest, finf = (
+            functools.reduce(
+                _pmul, (curves[j] for j in f if j in curves), {(0, 0): Fraction(1)}
+            )
+            for f in fibers
+        )
+        a1, b1 = _pencil_coordinates(f0, finf, f1)
+        values = [Fraction(0), Fraction(1)]
+        for fs in rest:
+            a, b = _pencil_coordinates(f0, finf, fs)
+            values.append(a1 * b / (b1 * a))
+        if len(set(values)) != len(values):
+            raise InternalError(f"spectrum of integral {i + 1} degenerates")
+        lam = -a1 / b1
+        integrals.append(_without_content({m: lam * c for m, c in f0.items()}, finf))
+        spectra.append(tuple(values))
+        residues.append(
+            tuple(
+                tuple(int(j in f) - int(j in fibers[-1]) for j in factor_ids)
+                for f in fibers[:-1]
+            )
+        )
+        alignment.append(AlignmentEntry(i, k, tuple(fibers), r - 2))
+    if sorted(e.conic for e in alignment) != list(range(len(conics))):
+        raise InternalError("spec rows do not exhaust the conic classes")
+    return DP4Data(
+        gamma=None,
+        pi=None,
+        integrals=tuple(integrals),
+        lines=tuple(lt.lines[j] for j in factor_ids),
+        factors=tuple(_without_content(curves[j])[0] for j in factor_ids),
+        spectra=tuple(spectra),
+        residues=tuple(residues),
+        alignment=tuple(alignment),
+    )
+
+
+def five_term_web() -> DP4Data:
+    """The rank-4 web of the five-term relation."""
+    return conic_web(FIVE_TERM_POINTS, FIVE_TERM_SPEC)
 
 
 def dp4_data(gamma, pi) -> DP4Data:
-    """Build the web at exact rational parameters, checking genericity."""
+    """Build the rank-5 web at exact rational parameters, checking genericity."""
     g = Fraction(gamma)
     p = Fraction(pi)
     if g * p * (p - 1) * (g - 1) * (p - g) == 0:
         raise ValueError(
             "parameters must satisfy pi*gamma*(pi-1)*(gamma-1)*(pi-gamma) != 0"
         )
-    x = _Quotient({(1, 0): Fraction(1)})
-    y = _Quotient({(0, 1): Fraction(1)})
-    integrals = tuple(_without_content(u) for u in _u_expressions(g, p, x, y))
-    factors = tuple(f.num for f in _l_expressions(g, p, x, y))
-    spectra = []
-    for r in _r_values(g, p):
-        if r in (0, 1):
-            raise InternalError("spectrum degenerates despite genericity")
-        spectra.append((Fraction(0), Fraction(1), r))
-    return DP4Data(
-        gamma=g,
-        pi=p,
-        integrals=integrals,
-        factors=factors,
-        spectra=tuple(spectra),
-        residues=RESIDUE_VECTORS,
-    )
+    points = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (p, g, 1))
+    return dataclasses.replace(conic_web(points, TEN_TERM_SPEC), gamma=g, pi=p)
 
 
 @dataclass(frozen=True)
@@ -391,82 +425,4 @@ def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
         raise SymbolicIdentityViolation(
             f"{len(total)} nonzero tensor entries remain"
         )
-    return SymbolicReport(tuple(sizes), 1000)
-
-
-def factor_classes() -> tuple[DivisorClass, ...]:
-    """Divisor classes of the affine factors L_1..L_10, in order."""
-    lat = DelPezzoLattice(5)
-    h = lat.h
-    e = [None] + [lat.exceptional(i) for i in range(1, 6)]
-    return (
-        h - e[2] - e[3],
-        h - e[1] - e[3],
-        h - e[1] - e[5],
-        h - e[2] - e[4],
-        h - e[2] - e[5],
-        h - e[3] - e[4],
-        h - e[1] - e[4],
-        2 * h - e[1] - e[2] - e[3] - e[4] - e[5],
-        h - e[4] - e[5],
-        h - e[3] - e[5],
-    )
-
-
-@dataclass(frozen=True)
-class AlignmentEntry:
-    """Which conic a first integral cuts out, with fibers in spectrum order."""
-
-    integral: int
-    conic: int
-    fiber_order: tuple[tuple[int, int], ...]  # fibers at 0, 1, r_i, infinity
-    base: int  # position of the infinity fiber in fiber_order
-
-
-def conic_alignment() -> tuple[AlignmentEntry, ...]:
-    """Match each U_i to its conic class and order fibers by spectrum value.
-
-    The positive support of each residue vector lists the affine curves in
-    the fiber over that spectrum value; the (common) negative support lists
-    the affine curves in the infinity fiber. A fiber component that is not
-    an affine factor class must be an exceptional line or the line at
-    infinity (those carry no affine residue), so the visible classes of each
-    fiber must equal the support exactly. The resulting assignment must be
-    uniquely consistent, and across the ten integrals it must exhaust the
-    ten conic classes.
-    """
-    lt = enumerate_lines(5)
-    conics = enumerate_conics(5, lt)
-    lclasses = factor_classes()
-    visible = set(lclasses)
-    entries = []
-    seen_conics = set()
-    for i, rows in enumerate(RESIDUE_VECTORS):
-        neg = {j for j, v in enumerate(rows[0]) if v < 0}
-        for row in rows[1:]:
-            if {j for j, v in enumerate(row) if v < 0} != neg:
-                raise InternalError("pole support differs across spectrum slots")
-        pole_classes = {lclasses[j] for j in neg}
-        pos_classes = [
-            {lclasses[j] for j, v in enumerate(row) if v > 0} for row in rows
-        ]
-        matches = []
-        for k, f in enumerate(conics):
-            fiber_vis = [
-                {lt.lines[a], lt.lines[b]} & visible for a, b in f.fibers
-            ]
-            for assign in itertools.permutations(range(4)):
-                slots = (*pos_classes, pole_classes)
-                if all(slots[t] == fiber_vis[assign[t]] for t in range(4)):
-                    matches.append((k, assign))
-        if len(matches) != 1:
-            raise InternalError(
-                f"integral {i + 1} matched {len(matches)} fiber assignments"
-            )
-        k, assign = matches[0]
-        seen_conics.add(k)
-        fiber_order = tuple(conics[k].fibers[assign[t]] for t in range(4))
-        entries.append(AlignmentEntry(i, k, fiber_order, 3))
-    if len(seen_conics) != len(conics):
-        raise InternalError("integrals do not exhaust the conic classes")
-    return tuple(entries)
+    return SymbolicReport(tuple(sizes), len(data.factors) ** 3)

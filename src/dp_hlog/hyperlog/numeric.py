@@ -4,7 +4,7 @@ Hyperlogarithms with letters dz/(z - b_k) satisfy a triangular linear ODE:
 the derivative of the value of a word is the first letter's form times the
 value of the word with that letter removed. This module integrates the full
 word-indexed system along straight segments (or along pullbacks of planar
-segments under the embedded first integrals) with a fixed-step fourth-order
+segments under the first integrals of a web) with a fixed-step fourth-order
 scheme, doubling the step count until the values stabilize; the reported
 error estimate is never below the observed halving discrepancy. All paths of
 one call (every sample times every first integral) advance together in one
@@ -16,11 +16,11 @@ rebuilding. The per-element arithmetic is that of a lone path on fresh
 nodes, so values and error estimates are bit-identical to transporting each
 path alone.
 
-The five-integral planar web (x, y, x/y, (1-x)/(1-y), x(1-y)/(y(1-x))) is
-embedded alongside its fiber tables so the weight-2 functional identity can
-be checked at rank 4; the rank-5 ten-term identity reuses the embedded web
-data of the dp4 module. In both cases the term signs come from the wedge
-kernel certificate, aligned fiber-by-fiber, never from a hard-coded list.
+The first integrals come from the webs the dp4 module derives from a point
+configuration: the five-term web for the weight-2 identity at rank 4, and
+the ten-integral web for the weight-3 identity at rank 5. In both cases the
+term signs come from the wedge kernel certificate, aligned fiber-by-fiber
+by the web's fiber spec, never from a hard-coded list.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import InternalError
-from ..incidence import enumerate_conics, enumerate_lines
-from ..lattice import DivisorClass
 from ..wedge_kernel import HlogCertificate, kernel_signs
 from . import dp4
 from .words import Word, WordCombination, asym
@@ -250,81 +247,6 @@ def ai3_cross_check(
     return abs(lhs - rhs / 3)
 
 
-# The five-integral planar web: numerator/denominator coefficient tables
-# over (x, y) and, for each integral, its conic class with the reducible
-# fibers over 0, 1, infinity as pairs of line classes.
-BOL_INTEGRALS: tuple[tuple[dict, dict], ...] = (
-    ({(1, 0): 1}, {(0, 0): 1}),
-    ({(0, 1): 1}, {(0, 0): 1}),
-    ({(1, 0): 1}, {(0, 1): 1}),
-    ({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): -1}),
-    ({(1, 0): 1, (1, 1): -1}, {(0, 1): 1, (1, 1): -1}),
-)
-
-BOL_FIBER_TABLE: tuple = (
-    (
-        (1, 0, 0, 0, -1),
-        (
-            ((1, -1, 0, 0, -1), (0, 1, 0, 0, 0)),
-            ((1, 0, -1, 0, -1), (0, 0, 1, 0, 0)),
-            ((1, 0, 0, -1, -1), (0, 0, 0, 1, 0)),
-        ),
-    ),
-    (
-        (1, 0, 0, -1, 0),
-        (
-            ((1, -1, 0, -1, 0), (0, 1, 0, 0, 0)),
-            ((1, 0, -1, -1, 0), (0, 0, 1, 0, 0)),
-            ((1, 0, 0, -1, -1), (0, 0, 0, 0, 1)),
-        ),
-    ),
-    (
-        (1, -1, 0, 0, 0),
-        (
-            ((1, -1, 0, 0, -1), (0, 0, 0, 0, 1)),
-            ((1, -1, -1, 0, 0), (0, 0, 1, 0, 0)),
-            ((1, -1, 0, -1, 0), (0, 0, 0, 1, 0)),
-        ),
-    ),
-    (
-        (1, 0, -1, 0, 0),
-        (
-            ((1, 0, -1, 0, -1), (0, 0, 0, 0, 1)),
-            ((1, -1, -1, 0, 0), (0, 1, 0, 0, 0)),
-            ((1, 0, -1, -1, 0), (0, 0, 0, 1, 0)),
-        ),
-    ),
-    (
-        (2, -1, -1, -1, -1),
-        (
-            ((1, -1, 0, 0, -1), (1, 0, -1, -1, 0)),
-            ((1, -1, -1, 0, 0), (1, 0, 0, -1, -1)),
-            ((1, -1, 0, -1, 0), (1, 0, -1, 0, -1)),
-        ),
-    ),
-)
-
-
-def bol_alignment() -> tuple[dp4.AlignmentEntry, ...]:
-    """Match the five planar integrals to the rank-4 conic classes."""
-    lt = enumerate_lines(4)
-    conics = enumerate_conics(4, lt)
-    cls_index = {c.cls: k for k, c in enumerate(conics)}
-    entries = []
-    for i, (cls, fibers) in enumerate(BOL_FIBER_TABLE):
-        k = cls_index[DivisorClass(cls)]
-        order = []
-        for pair in fibers:
-            a, b = sorted(lt.index[DivisorClass(p)] for p in pair)
-            order.append((a, b))
-        if sorted(order) != sorted(conics[k].fibers):
-            raise InternalError(f"fiber table row {i + 1} does not match conic {k}")
-        entries.append(dp4.AlignmentEntry(i, k, tuple(order), 2))
-    if len({e.conic for e in entries}) != len(conics):
-        raise InternalError("integrals do not exhaust the conic classes")
-    return tuple(entries)
-
-
 def aligned_certificate(
     r: int, alignment: Sequence[dp4.AlignmentEntry]
 ) -> tuple[HlogCertificate, tuple[int, ...]]:
@@ -411,17 +333,15 @@ def _web(r: int, data: dp4.DP4Data | None):
     if r == 4:
         if data is not None:
             raise ValueError("the five-integral web has no parameters")
-        maps = [_RationalMap(n, d) for n, d in BOL_INTEGRALS]
-        letters = [(0j, 1 + 0j) for _ in maps]
-        alignment = bol_alignment()
-        return None, maps, letters, alignment, 2
-    if r == 5:
+        data = dp4.five_term_web()
+    elif r == 5:
         if data is None:
             data = dp4.dp4_data(*dp4.DEFAULT_PARAMETERS)
-        maps = [_RationalMap(n, d) for n, d in data.integrals]
-        letters = [tuple(complex(c) for c in row) for row in data.spectra]
-        return data, maps, letters, dp4.conic_alignment(), 3
-    raise ValueError("numeric verification covers ranks 4 and 5 only")
+    else:
+        raise ValueError("numeric verification covers ranks 4 and 5 only")
+    maps = [_RationalMap(n, d) for n, d in data.integrals]
+    letters = [tuple(complex(c) for c in row) for row in data.spectra]
+    return data, maps, letters, data.alignment, r - 2
 
 
 def _path_clear(
@@ -579,8 +499,8 @@ def verify_identity_numeric(
         samples=samples,
         tol=tol,
         seed=seed,
-        gamma=None if data is None else data.gamma,
-        pi=None if data is None else data.pi,
+        gamma=data.gamma,
+        pi=data.pi,
         signs=signs,
         residuals=tuple(residuals),
         error_budgets=tuple(budgets),

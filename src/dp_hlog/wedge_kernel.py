@@ -35,7 +35,6 @@ from .incidence import (
     UnsupportedRank,
     enumerate_conics,
     enumerate_lines,
-    rank_for_line_count,
 )
 from .lattice import DelPezzoLattice
 
@@ -176,12 +175,6 @@ def wedge_vector(m: FiberDifferenceMatrix) -> WedgeVector:
                     nxt.pop(new_key, None)
         acc = nxt
     return WedgeVector(m.conic, width, acc)
-
-
-def quotient_by_exceptional(v: Sequence[int]) -> tuple[int, ...]:
-    """Drop the coordinates sitting at exceptional line classes."""
-    keep = _quotient_columns(enumerate_lines(rank_for_line_count(len(v))))
-    return tuple(v[c] for c in keep)
 
 
 def _quotient_columns(lt: LineTable) -> tuple[int, ...]:

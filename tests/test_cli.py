@@ -1,5 +1,6 @@
 """Exit-code families, artifact shapes and byte-level determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -189,6 +190,14 @@ def test_all_rank_four(tmp_path):
         "numeric",
     }
     assert artifact["routes"]["numeric"]["passed"] is True
+
+
+def test_route_table_covers_every_subcommand(capsys):
+    actions = cli._build_parser()._actions
+    sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli.ROUTES)
+    assert cli.run(cli.RunConfig("bogus")) == cli.EXIT_USAGE
+    assert "unknown subcommand" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rank", ["4", "5"])

@@ -1,7 +1,14 @@
-"""Exact checks of the embedded ten-integral web data."""
+"""Exact checks of the derived ten-integral web against hand-written tables.
+
+The tables below (the integrals U_i, the affine factors L_j with their line
+classes, the spectra and the residue rows) are the web as written down by
+hand. The package derives the same web from a point configuration and a
+fiber spec; these tests are the independent oracle for that derivation.
+"""
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +16,151 @@ import pytest
 import sympy
 
 from dp_hlog import wedge_kernel
+from dp_hlog.errors import InternalError
 from dp_hlog.hyperlog import dp4
 from dp_hlog.incidence import enumerate_conics, enumerate_lines
+from dp_hlog.lattice import DelPezzoLattice
+
+
+def _u_expressions(g, p, x, y) -> tuple:
+    return (
+        x,
+        1 / y,
+        y / x,
+        (x - y) / (x - 1),
+        g * (p - x) / (p * y - g * x),
+        ((1 - x) * g + x + (p - 1) * y - p) / ((x - 1) * (y - g)),
+        (x - y) * (y - g) / (y * (p * y - g * x - p + g + x - y)),
+        -x * (x * (g - 1) + (1 - y) * p - g + y) / ((x - y) * (x - p)),
+        y * (x - p) / (x * (y - g)),
+        x * (y - 1) / (y * (x - 1)),
+    )
+
+
+def _l_expressions(g, p, x, y) -> tuple:
+    return (
+        x,
+        y,
+        y - g,
+        x - 1,
+        x - p,
+        x - y,
+        y - 1,
+        g * ((x - y) * p + x * (y - 1)) - p * y * (x - 1),
+        g * (x - 1) - p * (y - 1) + y - x,
+        g * x - p * y,
+    )
+
+
+def _r_values(g, p) -> tuple:
+    return (
+        p,
+        1 / g,
+        g / p,
+        (p - g) / (p - 1),
+        g * (p - 1) / (p - g),
+        (g - p) / g,
+        1 / (1 - p),
+        1 - g,
+        (p - 1) / (g - 1),
+        p * (g - 1) / (g * (p - 1)),
+    )
+
+
+def _hv(entries):
+    """A vector over L_1..L_10 from 1-based index -> coefficient."""
+    return tuple(entries.get(j, 0) for j in range(1, 11))
+
+
+# d log(U_i - c) over d log L_1 .. d log L_10 for c = 0, 1, r_i.
+RESIDUE_VECTORS = (
+    (_hv({1: 1}), _hv({4: 1}), _hv({5: 1})),
+    (_hv({2: -1}), _hv({7: 1, 2: -1}), _hv({3: 1, 2: -1})),
+    (_hv({1: -1, 2: 1}), _hv({1: -1, 6: 1}), _hv({1: -1, 10: 1})),
+    (_hv({4: -1, 6: 1}), _hv({7: 1, 4: -1}), _hv({9: 1, 4: -1})),
+    (_hv({10: -1, 5: 1}), _hv({3: 1, 10: -1}), _hv({9: 1, 10: -1})),
+    (
+        _hv({3: -1, 9: 1, 4: -1}),
+        _hv({7: 1, 3: -1, 4: -1, 5: 1}),
+        _hv({3: -1, 4: -1, 8: 1}),
+    ),
+    (
+        _hv({3: 1, 9: -1, 6: 1, 2: -1}),
+        _hv({7: 1, 9: -1, 10: 1, 2: -1}),
+        _hv({9: -1, 2: -1, 8: 1}),
+    ),
+    (
+        _hv({9: 1, 1: 1, 5: -1, 6: -1}),
+        _hv({4: 1, 5: -1, 6: -1, 10: 1}),
+        _hv({5: -1, 6: -1, 8: 1}),
+    ),
+    (
+        _hv({3: -1, 1: -1, 5: 1, 2: 1}),
+        _hv({3: -1, 1: -1, 10: 1}),
+        _hv({3: -1, 1: -1, 8: 1}),
+    ),
+    (
+        _hv({7: 1, 1: 1, 4: -1, 2: -1}),
+        _hv({4: -1, 6: 1, 2: -1}),
+        _hv({4: -1, 2: -1, 8: 1}),
+    ),
+)
+
+
+def _factor_classes():
+    """Divisor classes of the affine factors L_1..L_10, in order."""
+    lat = DelPezzoLattice(5)
+    h = lat.h
+    e = [None] + [lat.exceptional(i) for i in range(1, 6)]
+    return (
+        h - e[2] - e[3],
+        h - e[1] - e[3],
+        h - e[1] - e[5],
+        h - e[2] - e[4],
+        h - e[2] - e[5],
+        h - e[3] - e[4],
+        h - e[1] - e[4],
+        2 * h - e[1] - e[2] - e[3] - e[4] - e[5],
+        h - e[4] - e[5],
+        h - e[3] - e[5],
+    )
+
+
+FACTOR_CLASSES = _factor_classes()
+
+
+def _alignment_oracle():
+    """Match each U_i to its conic by the supports of its residue rows.
+
+    The positive support of each residue row lists the affine curves in the
+    fiber over that spectrum value; the (common) negative support lists the
+    affine curves in the infinity fiber. A fiber component that is not an
+    affine factor class is an exceptional line or the line at infinity, so
+    the visible classes of each fiber must equal the support exactly. The
+    assignment must be unique, and across the ten integrals it must exhaust
+    the ten conic classes.
+    """
+    lt = enumerate_lines(5)
+    conics = enumerate_conics(5, lt)
+    visible = set(FACTOR_CLASSES)
+    entries = []
+    for i, rows in enumerate(RESIDUE_VECTORS):
+        neg = {j for j, v in enumerate(rows[0]) if v < 0}
+        assert all({j for j, v in enumerate(row) if v < 0} == neg for row in rows)
+        slots = [
+            {FACTOR_CLASSES[j] for j, v in enumerate(row) if v > 0} for row in rows
+        ] + [{FACTOR_CLASSES[j] for j in neg}]
+        matches = []
+        for k, f in enumerate(conics):
+            seen = [{lt.lines[a], lt.lines[b]} & visible for a, b in f.fibers]
+            for assign in itertools.permutations(range(4)):
+                if all(slots[t] == seen[assign[t]] for t in range(4)):
+                    matches.append((k, tuple(f.fibers[a] for a in assign)))
+        assert len(matches) == 1, f"integral {i + 1}: {len(matches)} assignments"
+        k, order = matches[0]
+        entries.append(dp4.AlignmentEntry(i, k, order, 3))
+    assert sorted(e.conic for e in entries) == list(range(len(conics)))
+    return tuple(entries)
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +168,25 @@ def data():
     return dp4.dp4_data(Fraction(1, 3), Fraction(5, 2))
 
 
+def _by_class(classes, row):
+    return {c: v for c, v in zip(classes, row) if v}
+
+
+def _primitive(poly):
+    """poly over its rational content, its lowest monomial made positive."""
+    content = Fraction(
+        math.gcd(*(c.numerator for c in poly.values())),
+        math.lcm(*(c.denominator for c in poly.values())),
+    )
+    if poly[min(poly)] < 0:
+        content = -content
+    return {k: c / content for k, c in poly.items()}
+
+
 def _sympy_web(g, p):
-    """Reference expansion: sympy's together/fraction/expand of the same table."""
+    """Reference expansion: sympy's together/fraction/expand of the tables,
+    numerator and denominator negated together when the denominator's lowest
+    monomial is negative; factors as primitive polynomials, by class."""
     x, y = sympy.symbols("x y")
     gs = sympy.Rational(g.numerator, g.denominator)
     ps = sympy.Rational(p.numerator, p.denominator)
@@ -28,12 +195,17 @@ def _sympy_web(g, p):
         terms = sympy.Poly(sympy.expand(expr), x, y).terms()
         return {(int(i), int(j)): Fraction(c.p, c.q) for (i, j), c in terms}
 
-    integrals = tuple(
-        tuple(poly(e) for e in sympy.fraction(sympy.together(u)))
-        for u in dp4._u_expressions(gs, ps, x, y)
-    )
-    factors = tuple(poly(e) for e in dp4._l_expressions(gs, ps, x, y))
-    return integrals, factors
+    integrals = []
+    for u in _u_expressions(gs, ps, x, y):
+        num, den = (poly(e) for e in sympy.fraction(sympy.together(u)))
+        if den[min(den)] < 0:
+            num, den = {k: -c for k, c in num.items()}, {k: -c for k, c in den.items()}
+        integrals.append((num, den))
+    factors = {
+        c: _primitive(poly(e))
+        for c, e in zip(FACTOR_CLASSES, _l_expressions(gs, ps, x, y))
+    }
+    return tuple(integrals), factors
 
 
 def _random_admissible_pairs(n, seed):
@@ -63,13 +235,24 @@ def test_web_matches_sympy_expansion(g, p):
     data = dp4.dp4_data(g, p)
     integrals, factors = _sympy_web(g, p)
     assert data.integrals == integrals
-    assert data.factors == factors
+    assert dict(zip(data.lines, data.factors)) == factors
+    assert data.spectra == tuple((0, 1, r) for r in _r_values(g, p))
+    for derived, rows in zip(data.residues, RESIDUE_VECTORS):
+        assert [_by_class(data.lines, row) for row in derived] == [
+            _by_class(FACTOR_CLASSES, row) for row in rows
+        ]
 
 
-def test_embedded_residue_rows():
-    assert dp4.RESIDUE_VECTORS[0][0] == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    assert dp4.RESIDUE_VECTORS[5][2] == (0, 0, -1, -1, 0, 0, 0, 1, 0, 0)
-    assert dp4.RESIDUE_VECTORS[9][1] == (0, -1, 0, -1, 0, 1, 0, 0, 0, 0)
+def test_embedded_residue_rows(data):
+    def row(i, s):
+        return _by_class(data.lines, data.residues[i][s])
+
+    def hand(entries):
+        return {FACTOR_CLASSES[j - 1]: v for j, v in entries.items()}
+
+    assert row(0, 0) == hand({1: 1})
+    assert row(5, 2) == hand({3: -1, 4: -1, 8: 1})
+    assert row(9, 1) == hand({2: -1, 4: -1, 6: 1})
 
 
 def test_spectra_formulas(data):
@@ -84,8 +267,9 @@ def test_spectra_formulas(data):
 
 
 def test_factor_degrees(data):
-    degrees = [max(i + j for i, j in f) for f in data.factors]
-    assert degrees == [1, 1, 1, 1, 1, 1, 1, 2, 1, 1]
+    degrees = {c: max(i + j for i, j in f) for c, f in zip(data.lines, data.factors)}
+    assert [degrees[c] for c in FACTOR_CLASSES] == [1, 1, 1, 1, 1, 1, 1, 2, 1, 1]
+    assert all(degrees[c] == c.coeffs[0] for c in data.lines)
 
 
 @pytest.mark.parametrize(
@@ -109,9 +293,24 @@ def test_residue_check_other_parameters():
     assert report.identities_checked == 30
 
 
+def test_residue_check_rank_four():
+    web = dp4.five_term_web()
+    report = dp4.dp4_residue_check(web, trials=5, seed=3)
+    assert report.identities_checked == 10
+    assert (report.gamma, report.pi) == (None, None)
+    rows = [list(map(list, pair)) for pair in web.residues]
+    rows[2][1] = [-v for v in rows[2][1]]
+    tampered = dataclasses.replace(
+        web, residues=tuple(tuple(tuple(r) for r in pair) for pair in rows)
+    )
+    with pytest.raises(dp4.ResidueMismatch):
+        dp4.dp4_residue_check(tampered, trials=3, seed=0)
+
+
 def test_residue_check_detects_tampering(data):
     rows = [list(map(list, triple)) for triple in data.residues]
-    rows[3][1][6] = -rows[3][1][6]
+    j = data.lines.index(FACTOR_CLASSES[6])  # L_7, in the row at U_4 = 1
+    rows[3][1][j] = -rows[3][1][j]
     tampered = dataclasses.replace(
         data,
         residues=tuple(tuple(tuple(r) for r in triple) for triple in rows),
@@ -160,34 +359,37 @@ def test_relabeling_equivariance(data):
     assert not any(total.values())
 
 
-def test_alignment_is_bijective():
-    align = dp4.conic_alignment()
+def test_alignment_is_bijective(data):
+    align = data.alignment
     assert len(align) == 10
     assert sorted(e.conic for e in align) == list(range(10))
     assert [e.integral for e in align] == list(range(10))
     assert all(e.base == 3 for e in align)
 
 
-def test_alignment_orders_are_fiber_permutations():
+def test_alignment_matches_residue_support_oracle(data):
+    assert data.alignment == _alignment_oracle()
+
+
+def test_alignment_orders_are_fiber_permutations(data):
     lt = enumerate_lines(5)
     conics = enumerate_conics(5, lt)
-    for e in dp4.conic_alignment():
+    for e in data.alignment:
         assert sorted(e.fiber_order) == sorted(conics[e.conic].fibers)
 
 
-def test_alignment_base_fiber_matches_poles():
+def test_alignment_base_fiber_matches_poles(data):
     lt = enumerate_lines(5)
-    lclasses = dp4.factor_classes()
-    visible = set(lclasses)
-    for e in dp4.conic_alignment():
-        rows = dp4.RESIDUE_VECTORS[e.integral]
-        pole = {lclasses[j] for j, v in enumerate(rows[0]) if v < 0}
+    visible = set(FACTOR_CLASSES)
+    for e in data.alignment:
+        rows = RESIDUE_VECTORS[e.integral]
+        pole = {FACTOR_CLASSES[j] for j, v in enumerate(rows[0]) if v < 0}
         a, b = e.fiber_order[e.base]
         assert {lt.lines[a], lt.lines[b]} & visible == pole
 
 
-def test_aligned_kernel_signs_all_plus():
-    align = dp4.conic_alignment()
+def test_aligned_kernel_signs_all_plus(data):
+    align = data.alignment
     fiber_orders = [None] * len(align)
     bases = [None] * len(align)
     for e in align:
@@ -206,6 +408,53 @@ def test_poly_eval_and_diff(data):
         (xv - yv) * (xv - p)
     )
     assert dp4._peval(num, xv, yv) / dp4._peval(den, xv, yv) == expected
-    d = dp4._pdiff(data.factors[7], 0)
-    # d/dx of the conic factor: gamma*(pi + y - 1) - pi*y.
-    assert dp4._peval(d, xv, yv) == g * (p + yv - 1) - p * yv
+    # The conic factor is a rational multiple of L_8, whose x-derivative is
+    # gamma*(pi + y - 1) - pi*y.
+    conic = dict(zip(data.lines, data.factors))[FACTOR_CLASSES[7]]
+    l8 = _l_expressions(g, p, xv, yv)[7]
+    d = dp4._pdiff(conic, 0)
+    assert dp4._peval(d, xv, yv) * l8 == (g * (p + yv - 1) - p * yv) * dp4._peval(
+        conic, xv, yv
+    )
+
+
+def _ten_term_points(g, p):
+    return ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (p, g, 1))
+
+
+def _with_row(row, new):
+    spec = list(dp4.TEN_TERM_SPEC)
+    spec[row] = new
+    return spec
+
+
+def test_spec_line_outside_the_conic_fails():
+    # h - l1 - l2 lies in no fiber of the pencil of lines through p_5.
+    conic, slots = dp4.TEN_TERM_SPEC[4]
+    spec = _with_row(4, (conic, ("h-l1-l2", *slots[1:])))
+    with pytest.raises(InternalError, match="in no fiber"):
+        dp4.conic_web(_ten_term_points(Fraction(1, 3), Fraction(5, 2)), spec)
+
+
+def test_spec_naming_one_fiber_twice_fails():
+    # h - l2 - l5 and l2 are the two lines of one fiber of h - l5.
+    conic, slots = dp4.TEN_TERM_SPEC[4]
+    assert slots[0] == "h-l2-l5"
+    spec = _with_row(4, (conic, (slots[0], "l2", *slots[2:])))
+    with pytest.raises(InternalError, match="each of the 4 fibers once"):
+        dp4.conic_web(_ten_term_points(Fraction(1, 3), Fraction(5, 2)), spec)
+
+
+def test_spec_rows_must_exhaust_the_conics():
+    spec = _with_row(1, dp4.TEN_TERM_SPEC[0])
+    with pytest.raises(InternalError, match="exhaust"):
+        dp4.conic_web(_ten_term_points(Fraction(1, 3), Fraction(5, 2)), spec)
+    with pytest.raises(InternalError, match="exhaust"):
+        dp4.conic_web(dp4.FIVE_TERM_POINTS, dp4.FIVE_TERM_SPEC[:-1])
+
+
+def test_coincident_points_fail_the_nullspace():
+    # With p_5 = p_3, the lines through both points form a pencil.
+    points = _ten_term_points(Fraction(0), Fraction(0))
+    with pytest.raises(InternalError, match="nullspace of dimension 2"):
+        dp4.conic_web(points, dp4.TEN_TERM_SPEC)

@@ -9,6 +9,7 @@ from dp_hlog.incidence import (
     UnsupportedRank,
     enumerate_conics,
     enumerate_lines,
+    rank_for_line_count,
     reducible_fibers,
 )
 from dp_hlog.lattice import DelPezzoLattice, DivisorClass, pair
@@ -117,6 +118,12 @@ def test_unsupported_rank() -> None:
         enumerate_lines(9)
     with pytest.raises(UnsupportedRank):
         enumerate_conics(2)
+
+
+def test_rank_for_line_count() -> None:
+    assert [rank_for_line_count(c.lines) for c in COUNTS.values()] == list(COUNTS)
+    with pytest.raises(ValueError):
+        rank_for_line_count(17)
 
 
 def test_orbit_independent_of_generator_order() -> None:

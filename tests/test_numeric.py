@@ -8,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from dp_hlog.hyperlog import numeric
+from dp_hlog.hyperlog import dp4, numeric
 from dp_hlog.hyperlog.words import asym, shuffle, word
+from dp_hlog.incidence import enumerate_conics, enumerate_lines
+from dp_hlog.lattice import DivisorClass
 
 
 def test_log_oracle():
@@ -127,8 +129,88 @@ def test_ai3_cross_check():
         numeric.ai3_cross_check(numeric.LogFormBasis((0.0, 1.0)), 2.0j, 3.0j)
 
 
+# The five-integral planar web as written down by hand: numerator and
+# denominator coefficient tables over (x, y) and, for each integral, its
+# conic class with the reducible fibers over 0, 1, infinity as pairs of line
+# classes. The tests hold the derived rank-4 web to these tables.
+BOL_INTEGRALS = (
+    ({(1, 0): 1}, {(0, 0): 1}),
+    ({(0, 1): 1}, {(0, 0): 1}),
+    ({(1, 0): 1}, {(0, 1): 1}),
+    ({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): -1}),
+    ({(1, 0): 1, (1, 1): -1}, {(0, 1): 1, (1, 1): -1}),
+)
+
+BOL_FIBER_TABLE = (
+    (
+        (1, 0, 0, 0, -1),
+        (
+            ((1, -1, 0, 0, -1), (0, 1, 0, 0, 0)),
+            ((1, 0, -1, 0, -1), (0, 0, 1, 0, 0)),
+            ((1, 0, 0, -1, -1), (0, 0, 0, 1, 0)),
+        ),
+    ),
+    (
+        (1, 0, 0, -1, 0),
+        (
+            ((1, -1, 0, -1, 0), (0, 1, 0, 0, 0)),
+            ((1, 0, -1, -1, 0), (0, 0, 1, 0, 0)),
+            ((1, 0, 0, -1, -1), (0, 0, 0, 0, 1)),
+        ),
+    ),
+    (
+        (1, -1, 0, 0, 0),
+        (
+            ((1, -1, 0, 0, -1), (0, 0, 0, 0, 1)),
+            ((1, -1, -1, 0, 0), (0, 0, 1, 0, 0)),
+            ((1, -1, 0, -1, 0), (0, 0, 0, 1, 0)),
+        ),
+    ),
+    (
+        (1, 0, -1, 0, 0),
+        (
+            ((1, 0, -1, 0, -1), (0, 0, 0, 0, 1)),
+            ((1, -1, -1, 0, 0), (0, 1, 0, 0, 0)),
+            ((1, 0, -1, -1, 0), (0, 0, 0, 1, 0)),
+        ),
+    ),
+    (
+        (2, -1, -1, -1, -1),
+        (
+            ((1, -1, 0, 0, -1), (1, 0, -1, -1, 0)),
+            ((1, -1, -1, 0, 0), (1, 0, 0, -1, -1)),
+            ((1, -1, 0, -1, 0), (1, 0, -1, 0, -1)),
+        ),
+    ),
+)
+
+
+def _bol_alignment():
+    """The alignment the fiber table spells out, resolved to indices."""
+    lt = enumerate_lines(4)
+    conics = enumerate_conics(4, lt)
+    cls_index = {c.cls: k for k, c in enumerate(conics)}
+    entries = []
+    for i, (cls, fibers) in enumerate(BOL_FIBER_TABLE):
+        k = cls_index[DivisorClass(cls)]
+        order = tuple(
+            tuple(sorted(lt.index[DivisorClass(p)] for p in pair)) for pair in fibers
+        )
+        assert sorted(order) == sorted(conics[k].fibers)
+        entries.append(dp4.AlignmentEntry(i, k, order, 2))
+    return tuple(entries)
+
+
+def test_five_term_web_matches_hand_tables():
+    web = dp4.five_term_web()
+    assert web.integrals == BOL_INTEGRALS
+    assert web.spectra == ((0, 1),) * 5
+    assert web.alignment == _bol_alignment()
+    assert (web.gamma, web.pi) == (None, None)
+
+
 def test_bol_alignment_bijective():
-    entries = numeric.bol_alignment()
+    entries = dp4.five_term_web().alignment
     assert sorted(e.conic for e in entries) == list(range(5))
     assert all(e.base == 2 for e in entries)
     cert, signs = numeric.aligned_certificate(4, entries)

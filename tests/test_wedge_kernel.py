@@ -8,7 +8,6 @@ import pytest
 
 from dp_hlog import wedge_kernel as wk
 from dp_hlog.incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
-from dp_hlog.lattice import DelPezzoLattice
 
 
 def _minor(rows, cols):
@@ -115,19 +114,6 @@ def test_kernel_signs_explicit_orderings():
 def test_quotient_matches_unreduced():
     for r in (4, 5, 6):
         assert wk.kernel_signs(r, quotient=True).epsilon == wk.kernel_signs(r).epsilon
-
-
-def test_quotient_by_exceptional_shapes():
-    lt = enumerate_lines(5)
-    lat = DelPezzoLattice(5)
-    v = [0] * 16
-    v[lt.index[lat.exceptional(1)]] = 7
-    reduced = wk.quotient_by_exceptional(v)
-    assert len(reduced) == 11
-    assert reduced == (0,) * 11
-    assert wk.quotient_by_exceptional([0] * 16) == (0,) * 11
-    with pytest.raises(ValueError):
-        wk.quotient_by_exceptional([0] * 17)
 
 
 def test_certificate_roundtrip_and_replay_failures():

@@ -7,14 +7,19 @@ word-indexed system along straight segments (or along pullbacks of planar
 segments under the first integrals of a web) with a fixed-step fourth-order
 scheme, doubling the step count until the values stabilize; the reported
 error estimate is never below the observed halving discrepancy. All paths of
-one call (every sample times every first integral) advance together in one
-RK4 loop over a (paths, words) array. Each path keeps its own step doubling
-and leaves the batch once it has converged. Coefficients come from one
-vectorised evaluation per first integral over its active paths, on one grid
-of dyadic nodes that each doubling extends by its midpoints instead of
-rebuilding. The per-element arithmetic is that of a lone path on fresh
-nodes, so values and error estimates are bit-identical to transporting each
-path alone.
+one call (every sample times every first integral) are transported in one
+batch. Each path keeps its own step doubling and leaves the batch once it has
+converged. A run of n steps goes over blocks of steps and, within a block,
+weight by weight: the RK4 stages of every word of one weight at every step of
+the block are outer products of the letter coefficients with the stage
+inputs of the weight below, and the values at the step starts are a running
+sum of the increments. Coefficients come from one vectorised evaluation per
+first integral over its active paths, on one grid of dyadic nodes that each
+doubling extends by its midpoints instead of rebuilding; an integral's
+numerator, denominator and gradients share one table of powers. Every
+element goes through the float operations of a lone path transported step
+by step on fresh nodes, in the same order, so values and error estimates are
+bit-identical to that route whatever the block width.
 
 The first integrals come from the webs the dp4 module derives from a point
 configuration: the five-term web for the weight-2 identity at rank 4, and
@@ -41,6 +46,13 @@ from .words import Word, WordCombination, asym
 _MAX_WEIGHT = 5
 _STEP_CAP = 1 << 17
 _CLEARANCE_GRID = 1025
+# Elements (words x paths x steps) of the top weight in one block of steps
+# of a transport run; each lower weight holds 1/alphabet of the one above.
+_BLOCK = 1 << 13
+# A running sum over fewer steps than rows / _FOLD_ROWS goes step by step:
+# np.add.accumulate costs about 35 ns per row and one np.add call about 1 us,
+# and a full-width rank-5 batch has 2,700 rows of three steps per block.
+_FOLD_ROWS = 32
 
 
 class PathTooClose(RuntimeError):
@@ -87,29 +99,25 @@ class PathEvaluation:
         return total
 
 
-def _word_system(alphabet: int, max_weight: int):
-    """Index of every word of weight <= max_weight, with first-letter and
-    suffix indices of the nonempty ones.
+def _word_system(alphabet: int, max_weight: int) -> dict[Word, int]:
+    """Index of every word of weight <= max_weight.
 
-    Index 0 is the empty word. Suffixes are one letter shorter, so they
-    always precede the words that extend them.
+    Index 0 is the empty word; the words of each weight follow in
+    itertools.product order. So the a**w words of weight w form a contiguous
+    run that reshapes to (alphabet, a**(w - 1)): first letter times suffix.
     """
     index: dict[Word, int] = {(): 0}
-    letters: list[int] = []
-    parents: list[int] = []
     for weight in range(1, max_weight + 1):
         for w in itertools.product(range(alphabet), repeat=weight):
             index[w] = len(index)
-            letters.append(w[0])
-            parents.append(index[w[1:]])
-    return index, np.asarray(letters), np.asarray(parents)
+    return index
 
 
 def _rk4_batch(
     coef: Callable[[np.ndarray, np.ndarray], np.ndarray],
     count: int,
-    letters: np.ndarray,
-    parents: np.ndarray,
+    alphabet: int,
+    max_weight: int,
     tol: float,
     max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,25 +132,77 @@ def _rk4_batch(
     and 2::2 of one array, and the 2n-step run reuses them as its even rows,
     evaluating only the odd ones. Returns the values, one row per path
     indexed as in _word_system, and the error estimates.
+
+    A run goes over blocks of steps, and within a block weight by weight,
+    with the steps on the innermost axis. The RK4 stages of a word
+    (l, rest) are a letter-l coefficient times a stage input of rest, so one
+    weight's stages are outer products (letter times suffix) of the stage
+    inputs of the weight below, over every step of the block at once; weight
+    w at step i needs only weight w - 1 at step i. Its values at the step
+    starts are a running sum of its increments, carried from block to block.
+
+    Bits: every element goes through the operations of the step-by-step
+    loop v += (h/6)·(((k0 + 2·k1) + 2·k2) + k3) with k1 = a·(v + (h/2)·k0)
+    and so on, associated the same way. Operands of an addition, or of a
+    product with a real scalar, may swap, since those commute exactly; a
+    complex product keeps the coefficient on the left, because numpy's
+    fused multiply-add kernels make it commute only up to rounding. The
+    running sum is a sequential fold, each value the previous one plus the
+    increment, so block boundaries change no bit.
     """
 
     def run(c: np.ndarray, n_steps: int) -> np.ndarray:
         h = 1.0 / n_steps
-        v = np.zeros((c.shape[1], len(letters) + 1), dtype=complex)
-        v[:, 0] = 1.0
-        k = np.zeros((4,) + v.shape, dtype=complex)
-        for i in range(n_steps):
-            a0 = c[2 * i][:, letters]
-            ah = c[2 * i + 1][:, letters]
-            a1 = c[2 * i + 2][:, letters]
-            k[0, :, 1:] = a0 * v[:, parents]
-            k[1, :, 1:] = ah * (v + (h / 2) * k[0])[:, parents]
-            k[2, :, 1:] = ah * (v + (h / 2) * k[1])[:, parents]
-            k[3, :, 1:] = a1 * (v + h * k[2])[:, parents]
-            v = v + (h / 6) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-        return v
+        paths = c.shape[1]
+        width = max(1, _BLOCK // (paths * alphabet**max_weight))
+        # Values at the current step start, weight by weight, as
+        # (words, paths); the empty word is 1 throughout.
+        carry = [np.ones((1, paths), dtype=complex)] + [
+            np.zeros((alphabet**w, paths), dtype=complex)
+            for w in range(1, max_weight + 1)
+        ]
+        for i in range(0, n_steps, width):
+            b = min(width, n_steps - i)
+            nodes = c[2 * i : 2 * (i + b) + 1].transpose(2, 1, 0)
+            a0, ah, a1 = (
+                np.ascontiguousarray(nodes[:, None, :, j : j + 2 * b : 2])
+                for j in range(3)
+            )
+            # Stage inputs of the empty word: 1 + (h/2)·0 and 1 + h·0 are 1.
+            stages = (np.ones((1, paths, b), dtype=complex),) * 4
+            for w in range(1, max_weight + 1):
+                low = w < max_weight
+                # inc = (h/6)·(((k0 + 2·k1) + 2·k2) + k3). Below the top
+                # weight, (h/2)·k0, (h/2)·k1 and h·k2 are kept: each plus the
+                # value at the step start is a stage input one weight up.
+                inc = np.multiply(a0, stages[0])
+                if low:
+                    p1 = inc * (h / 2)
+                tmp = np.multiply(ah, stages[1])
+                if low:
+                    p2 = tmp * (h / 2)
+                tmp *= 2
+                inc += tmp
+                np.multiply(ah, stages[2], out=tmp)
+                if low:
+                    p3 = tmp * h
+                tmp *= 2
+                inc += tmp
+                np.multiply(a1, stages[3], out=tmp)
+                inc += tmp
+                inc *= h / 6
+                acc = _running_sum(carry[w], inc.reshape(-1, paths, b))
+                carry[w] = acc[..., b]
+                if low:
+                    v = np.ascontiguousarray(acc[..., :b])
+                    stages = (v,) + tuple(
+                        np.add(p.reshape(v.shape), v, out=p.reshape(v.shape))
+                        for p in (p1, p2, p3)
+                    )
+        return np.concatenate(carry).T
 
-    values = np.empty((count, len(letters) + 1), dtype=complex)
+    words = sum(alphabet**w for w in range(max_weight + 1))
+    values = np.empty((count, words), dtype=complex)
     errors = np.empty(count)
     active = np.arange(count)
     n = 64
@@ -170,6 +230,22 @@ def _rk4_batch(
         errors[active[done]] = np.maximum(diff[done], 3e-14 * (1.0 + scale))
         active, prev, c = active[~done], cur[~done], c[:, ~done]
     return values, errors
+
+
+def _running_sum(first: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """The sequential fold first, first + inc[..., 0], ... along the last
+    axis, shaped (..., steps + 1): each entry is the one before it plus the
+    next increment, by np.add.accumulate or, for many rows of few steps,
+    one step at a time."""
+    acc = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,), dtype=complex)
+    acc[..., 0] = first
+    if inc.shape[-1] * _FOLD_ROWS < first.size:
+        for j in range(inc.shape[-1]):
+            np.add(acc[..., j], inc[..., j], out=acc[..., j + 1])
+    else:
+        acc[..., 1:] = inc
+        np.add.accumulate(acc, axis=-1, out=acc)
+    return acc
 
 
 def _segment_clearance(
@@ -220,8 +296,8 @@ def evaluate_words(
         z = base + t[:, None] * seg
         return (seg / (z - pts[None, :]))[:, None]
 
-    index, letters, parents = _word_system(len(basis), max_weight)
-    v, err = _rk4_batch(coef, 1, letters, parents, tol, max_steps)
+    index = _word_system(len(basis), max_weight)
+    v, err = _rk4_batch(coef, 1, len(basis), max_weight, tol, max_steps)
     values = {w: complex(v[0, i]) for w, i in index.items()}
     return PathEvaluation(base, end, values, float(err[0]))
 
@@ -263,9 +339,13 @@ def aligned_certificate(
 
 
 class _RationalMap:
-    """Vectorized evaluation of one first integral along a planar segment."""
+    """Vectorized evaluation of one first integral along a planar segment.
 
-    __slots__ = ("num", "den", "grads")
+    The numerator, the denominator and their four partial derivatives all
+    read one table of the powers x**i and y**j per evaluation.
+    """
+
+    __slots__ = ("num", "den", "grads", "degrees")
 
     def __init__(self, num: dict, den: dict) -> None:
         self.num = _PolyEval(num)
@@ -273,6 +353,16 @@ class _RationalMap:
         self.grads = (
             (_PolyEval(dp4._pdiff(num, 0)), _PolyEval(dp4._pdiff(num, 1))),
             (_PolyEval(dp4._pdiff(den, 0)), _PolyEval(dp4._pdiff(den, 1))),
+        )
+        self.degrees = tuple(
+            max(k[axis] for k in (*num, *den)) for axis in (0, 1)
+        )
+
+    def powers(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x**i and y**j on a new last axis, up to the degrees in x and y."""
+        return (
+            x[..., None] ** np.arange(self.degrees[0] + 1),
+            y[..., None] ** np.arange(self.degrees[1] + 1),
         )
 
     def forms(
@@ -283,13 +373,14 @@ class _RationalMap:
         (len(t), segments, len(pts))."""
         dx = stop[:, 0] - start[:, 0]
         dy = stop[:, 1] - start[:, 1]
-        x = start[:, 0] + t[:, None] * dx
-        y = start[:, 1] + t[:, None] * dy
-        n = self.num(x, y)
-        d = self.den(x, y)
+        xy = self.powers(
+            start[:, 0] + t[:, None] * dx, start[:, 1] + t[:, None] * dy
+        )
+        n = self.num(*xy)
+        d = self.den(*xy)
         (nx, ny), (dxp, dyp) = self.grads
-        dn = nx(x, y) * dx + ny(x, y) * dy
-        dd = dxp(x, y) * dx + dyp(x, y) * dy
+        dn = nx(*xy) * dx + ny(*xy) * dy
+        dd = dxp(*xy) * dx + dyp(*xy) * dy
         u = n / d
         du = (dn * d - n * dd) / (d * d)
         return du[..., None] / (u[..., None] - pts)
@@ -304,12 +395,19 @@ class _PolyEval:
         self.ej = np.asarray([k[1] for k, _ in items], dtype=np.int64)
         self.c = np.asarray([complex(v) for _, v in items], dtype=complex)
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if len(self.c) == 0:
-            return np.zeros_like(x, dtype=complex)
-        return (
-            self.c * x[..., None] ** self.ei * y[..., None] ** self.ej
-        ).sum(axis=-1)
+    def __call__(self, xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
+        """The polynomial at the points whose power tables are xp and yp.
+
+        The monomial terms c * x**i * y**j go into one C-contiguous buffer
+        with the monomials on its last axis, so the sum runs over a
+        contiguous axis in the same (pairwise) order as for x**ei * y**ej
+        computed per monomial; a gathered table has its monomial axis
+        outermost, and numpy would sum it in another order.
+        """
+        terms = np.empty(xp.shape[:-1] + self.c.shape, dtype=complex)
+        np.multiply(self.c, xp[..., self.ei], out=terms)
+        terms *= yp[..., self.ej]
+        return terms.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -352,10 +450,11 @@ def _path_clear(
     delta: float,
 ) -> bool:
     t = np.linspace(0.0, 1.0, _CLEARANCE_GRID)
-    x = start[0] + t * (stop[0] - start[0])
-    y = start[1] + t * (stop[1] - start[1])
-    n = m.num(x, y)
-    d = m.den(x, y)
+    xy = m.powers(
+        start[0] + t * (stop[0] - start[0]), start[1] + t * (stop[1] - start[1])
+    )
+    n = m.num(*xy)
+    d = m.den(*xy)
     if np.min(np.abs(d)) <= 1e-12:
         return False
     u = n / d
@@ -442,8 +541,9 @@ def _plan_terms(
     All (segment, integral) paths are transported in one batch.
     """
     coef, count = _plan_coef(maps, letters, plan)
-    index, larr, parr = _word_system(len(letters[0]), weight)
-    values, errors = _rk4_batch(coef, count, larr, parr, quad_tol, max_steps)
+    alphabet = len(letters[0])
+    index = _word_system(alphabet, weight)
+    values, errors = _rk4_batch(coef, count, alphabet, weight, quad_tol, max_steps)
     combination = [(index[w], float(c)) for w, c in asym(tuple(range(weight)))]
     terms: list[complex] = []
     for row in values:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InternalError
 from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass, pair_matrix
 
 
@@ -95,22 +96,51 @@ def _check_rank(r: int) -> None:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
 
 
+# Orbit rows are keyed as mixed-radix int64 numbers, _KEY_BITS bits per
+# coefficient after an offset (54 bits at r = 8), so the keys sort as the
+# rows do lexicographically.
+_KEY_BITS = 6
+_KEY_OFFSET = 1 << (_KEY_BITS - 1)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Order-preserving int64 keys of (n, r + 1) coefficient rows."""
+    digits = rows + _KEY_OFFSET
+    if digits.size and (digits.min() < 0 or digits.max() >= 1 << _KEY_BITS):
+        raise InternalError(
+            f"a coefficient leaves the key range [{-_KEY_OFFSET}, {_KEY_OFFSET})"
+        )
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for column in digits.T:
+        keys = (keys << _KEY_BITS) | column
+    return keys
+
+
+def _rows(keys: np.ndarray, r: int) -> np.ndarray:
+    """The coefficient rows of keys made by _keys."""
+    shifts = _KEY_BITS * np.arange(r, -1, -1)
+    return ((keys[:, None] >> shifts) & ((1 << _KEY_BITS) - 1)) - _KEY_OFFSET
+
+
 def _orbit(lat: DelPezzoLattice, seed: DivisorClass) -> np.ndarray:
-    """Closure of seed under the fundamental reflections, rows sorted.
+    """Closure of seed under the fundamental reflections, as sorted keys.
 
     Each step reflects a whole frontier at once, d -> d + pair(d, rho) rho,
-    and keeps the images not seen before.
+    and keeps the images whose keys are not seen yet; they are merged into
+    the sorted key array.
     """
     roots = np.array([rho.coeffs for rho in lat.roots], dtype=np.int64)
-    orbit = frontier = np.array([seed.coeffs], dtype=np.int64)
+    frontier = np.array([seed.coeffs], dtype=np.int64)
+    seen = _keys(frontier)
     while len(frontier):
         images = frontier[:, None, :] + pair_matrix(frontier, roots)[:, :, None] * roots
-        merged, first = np.unique(
-            np.concatenate([orbit, images.reshape(-1, lat.r + 1)]), axis=0, return_index=True
-        )
-        frontier = merged[first >= len(orbit)]
-        orbit = merged
-    return orbit
+        images = images.reshape(-1, lat.r + 1)
+        fresh, first = np.unique(_keys(images), return_index=True)
+        pos = np.searchsorted(seen, fresh)
+        new = seen[np.minimum(pos, len(seen) - 1)] != fresh
+        frontier = images[first[new]]
+        seen = np.insert(seen, pos[new], fresh[new])
+    return seen
 
 
 def enumerate_lines(r: int) -> LineTable:
@@ -120,7 +150,7 @@ def enumerate_lines(r: int) -> LineTable:
     orbit = _orbit(lat, lat.exceptional(r))
     if len(orbit) != COUNTS[r].lines:
         raise RuntimeError(f"line orbit has size {len(orbit)}, expected {COUNTS[r].lines}")
-    return LineTable(r, tuple(DivisorClass(tuple(row)) for row in orbit.tolist()))
+    return LineTable(r, tuple(DivisorClass(tuple(row)) for row in _rows(orbit, r).tolist()))
 
 
 def _meeting_pairs(lt: LineTable) -> tuple[np.ndarray, np.ndarray]:
@@ -158,14 +188,18 @@ def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration
     if len(orbit) != COUNTS[r].conics:
         raise RuntimeError(f"conic orbit has size {len(orbit)}, expected {COUNTS[r].conics}")
     pairs, sums = _meeting_pairs(lt)
-    classes, owner, counts = np.unique(sums, axis=0, return_inverse=True, return_counts=True)
-    if not np.array_equal(classes, orbit):
+    keys = _keys(sums)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    counts = np.searchsorted(ranked, orbit, side="right") - np.searchsorted(ranked, orbit)
+    if counts.sum() != len(ranked) or not counts.all():
         raise RuntimeError("the sums of meeting line pairs are not the conic orbit")
-    for c, n in zip(classes.tolist(), counts.tolist()):
+    rows = _rows(orbit, r).tolist()
+    for c, n in zip(rows, counts.tolist()):
         if n != r - 1:
             raise FiberCountViolation(f"conic {c} has {n} reducible fibers, expected {r - 1}")
-    grouped = pairs[np.argsort(owner.ravel(), kind="stable")].reshape(len(orbit), r - 1, 2)
+    grouped = pairs[order].reshape(len(orbit), r - 1, 2)
     return [
         ConicFibration(DivisorClass(tuple(c)), tuple((i, j) for i, j in fibers))
-        for c, fibers in zip(orbit.tolist(), grouped.tolist())
+        for c, fibers in zip(rows, grouped.tolist())
     ]

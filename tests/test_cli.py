@@ -203,13 +203,15 @@ def test_route_table_covers_every_subcommand(capsys):
 @pytest.mark.parametrize("rank", ["4", "5"])
 def test_all_matches_the_reference_artifact(tmp_path, rank):
     # The benchmark's recorded SHA-256 pins every byte of the artifact, the
-    # numeric residuals and error budgets included.
+    # numeric residuals and error budgets included. At r = 5, seed 2 runs six
+    # paths on to 2,048 steps.
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    key = f"all --rank {rank} --seed 1"
-    expected = json.loads(reference.read_text(encoding="utf-8"))[key]
-    out = tmp_path / "all.json"
-    assert cli.main(key.split() + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+    hashes = json.loads(reference.read_text(encoding="utf-8"))
+    for seed in (1, 2):
+        key = f"all --rank {rank} --seed {seed}"
+        out = tmp_path / f"all{seed}.json"
+        assert cli.main(key.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == hashes[key]
 
 
 def test_stdout_used_without_out_flag(capsys):

@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 
+from dp_hlog import incidence
+from dp_hlog.errors import InternalError
 from dp_hlog.incidence import (
     COUNTS,
     FiberCountViolation,
@@ -167,3 +169,37 @@ def test_fibers_match_brute_force_pairs_and_orbit() -> None:
         assert orbit == set(by_sum)
         conics = enumerate_conics(r, lt)
         assert {f.cls: list(f.fibers) for f in conics} == by_sum
+
+
+def _closure(lat: DelPezzoLattice, seed: DivisorClass) -> list[DivisorClass]:
+    # One reflection at a time on DivisorClass values, sorted at the end.
+    orbit, frontier = {seed}, [seed]
+    while frontier:
+        images = {lat.reflect(rho, d) for d in frontier for rho in lat.roots}
+        frontier = list(images - orbit)
+        orbit |= images
+    return sorted(orbit)
+
+
+def test_tables_are_the_sorted_brute_force_closures() -> None:
+    for r in range(3, 9):
+        lat = DelPezzoLattice(r)
+        lt = enumerate_lines(r)
+        assert list(lt.lines) == _closure(lat, lat.exceptional(r))
+        conics = enumerate_conics(r, lt)
+        assert [f.cls for f in conics] == _closure(lat, lat.h - lat.exceptional(1))
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_orbit_key_range_guard(k: int) -> None:
+    # The orbit of h at r = 6 has coefficients in [-2, 5], so that of 6h
+    # fits the keys' [-32, 32) and that of 7h does not.
+    lat = DelPezzoLattice(6)
+    seed = DivisorClass(tuple(k * c for c in lat.h.coeffs))
+    closure = _closure(lat, seed)
+    if max(max(d.coeffs) for d in closure) < 32:
+        rows = incidence._rows(incidence._orbit(lat, seed), 6).tolist()
+        assert [DivisorClass(tuple(row)) for row in rows] == closure
+    else:
+        with pytest.raises(InternalError, match="key range"):
+            incidence._orbit(lat, seed)

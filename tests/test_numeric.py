@@ -264,13 +264,12 @@ def _plan_batch(r, seed):
     data, maps, letters, alignment, weight = numeric._web(r, None)
     plan = numeric._draw_plan(random.Random(seed), maps, letters, 1, 1e-3)
     coef, count = numeric._plan_coef(maps, letters, plan)
-    _, larr, parr = numeric._word_system(len(letters[0]), weight)
-    return coef, count, larr, parr
+    return coef, count, len(letters[0]), weight
 
 
 def test_mixed_batch_matches_single_paths():
     # The ten paths of this rank-5 sample stop at 128, 256 and 512 steps.
-    coef, count, larr, parr = _plan_batch(5, 3)
+    coef, count, alphabet, weight = _plan_batch(5, 3)
     steps = [0] * count
 
     def counted(paths, t):
@@ -278,21 +277,29 @@ def test_mixed_batch_matches_single_paths():
             steps[p] = max(steps[p], len(t))
         return coef(paths, t)
 
-    values, errors = numeric._rk4_batch(counted, count, larr, parr, 1e-9, 1 << 17)
+    values, errors = numeric._rk4_batch(
+        counted, count, alphabet, weight, 1e-9, 1 << 17
+    )
     assert len(set(steps)) > 2
     for j in range(count):
 
         def single(paths, t, j=j):
             return coef(paths + j, t)
 
-        alone, error = numeric._rk4_batch(single, 1, larr, parr, 1e-9, 1 << 17)
+        alone, error = numeric._rk4_batch(single, 1, alphabet, weight, 1e-9, 1 << 17)
         assert np.array_equal(values[j], alone[0])
         assert errors[j] == error[0]
 
 
-def _fresh_node_transport(coef, path, letters, parents, tol):
-    # One path alone, with fresh step-start, midpoint and step-end nodes for
-    # every run, sharing no node or row bookkeeping with _rk4_batch.
+def _fresh_node_transport(coef, path, alphabet, weight, tol):
+    # One path alone, step by step over the word list with first-letter and
+    # suffix indices, with fresh step-start, midpoint and step-end nodes for
+    # every run, sharing no node, row or block bookkeeping with _rk4_batch.
+    index = numeric._word_system(alphabet, weight)
+    words = sorted(index, key=index.get)[1:]
+    letters = np.array([w[0] for w in words])
+    parents = np.array([index[w[1:]] for w in words])
+
     def run(n):
         h = 1.0 / n
         grid = np.arange(n) * h
@@ -326,11 +333,11 @@ def test_node_reuse_matches_fresh_nodes(r, seed, tol):
     # Paths of these samples stop at 128, 256 and 512 steps, so the batch
     # reuses nodes across two doublings and drops the rows of paths that
     # have converged.
-    coef, count, larr, parr = _plan_batch(r, seed)
-    values, errors = numeric._rk4_batch(coef, count, larr, parr, tol, 1 << 17)
+    coef, count, alphabet, weight = _plan_batch(r, seed)
+    values, errors = numeric._rk4_batch(coef, count, alphabet, weight, tol, 1 << 17)
     stops = set()
     for j in range(count):
-        alone, error, n = _fresh_node_transport(coef, j, larr, parr, tol)
+        alone, error, n = _fresh_node_transport(coef, j, alphabet, weight, tol)
         assert np.array_equal(values[j], alone)
         assert errors[j] == error
         stops.add(n)
@@ -338,19 +345,101 @@ def test_node_reuse_matches_fresh_nodes(r, seed, tol):
 
 
 def test_batch_fails_if_any_path_fails():
-    _, larr, parr = numeric._word_system(1, 2)
     easy = (1.0, 2.0 + 1.0j, (0.0,))  # converges at 256 steps
     slow = (-1.0 + 0.01j, 1.0 + 0.01j, (0.0,))  # needs 2048
-    numeric._rk4_batch(*_segments(easy), larr, parr, 1e-10, 1024)
+    numeric._rk4_batch(*_segments(easy), 1, 2, 1e-10, 1024)
     with pytest.raises(numeric.QuadratureFailure, match="no convergence"):
-        numeric._rk4_batch(*_segments(easy, slow), larr, parr, 1e-10, 1024)
+        numeric._rk4_batch(*_segments(easy, slow), 1, 2, 1e-10, 1024)
     # A segment through the branch point gives non-finite values.
     through = (-1.0, 1.0, (0.0,))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(numeric.QuadratureFailure, match="diverged"):
-            numeric._rk4_batch(
-                *_segments(easy, through), larr, parr, 1e-10, 1 << 17
-            )
+            numeric._rk4_batch(*_segments(easy, through), 1, 2, 1e-10, 1 << 17)
+
+
+def test_top_weight_matches_step_by_step_transport():
+    # Five weights over three letters: 363 words, the deepest suffix chain
+    # evaluate_words allows.
+    basis = numeric.LogFormBasis((0.0, 1.0, 3.0 + 1.0j))
+    base, end = -0.5 - 1.0j, 1.5 - 2.0j
+    pe = numeric.evaluate_words(basis, base, end, 5)
+    coef, _ = _segments((base, end, basis.points))
+    alone, error, _ = _fresh_node_transport(coef, 0, 3, 5, 1e-12)
+    index = numeric._word_system(3, 5)
+    assert len(index) == 364
+    assert all(pe.values[w] == alone[i] for w, i in index.items())
+    assert pe.error == error
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3, 4, 5])
+def test_word_system_is_letter_times_suffix(alphabet):
+    # _rk4_batch relies on this layout: the words of weight w are one run of
+    # alphabet**w indices in itertools.product order, so word (l, rest) sits
+    # at l * alphabet**(w - 1) plus the offset of rest within weight w - 1.
+    index = numeric._word_system(alphabet, 4)
+    assert index[()] == 0
+    start = 1
+    for w in range(1, 5):
+        run = [
+            word for word, i in sorted(index.items(), key=lambda e: e[1])
+            if len(word) == w
+        ]
+        assert [index[word] for word in run] == list(range(start, start + alphabet**w))
+        lower = start - alphabet ** (w - 1)
+        for word in run:
+            offset = index[word[1:]] - lower if w > 1 else 0
+            assert index[word] - start == word[0] * alphabet ** (w - 1) + offset
+        start += alphabet**w
+    assert len(index) == start
+
+
+@pytest.mark.parametrize("block", [1, numeric._BLOCK, 10**9])
+@pytest.mark.parametrize("fold_rows", [0, numeric._FOLD_ROWS, 10**9])
+def test_block_width_does_not_change_bits(monkeypatch, block, fold_rows):
+    # One step per block, the default, and a whole run per block; each with
+    # every running sum taken step by step, by the default rule, and by
+    # np.add.accumulate.
+    reference = {}
+    for r, seed in ((4, 1), (5, 3)):
+        coef, count, alphabet, weight = _plan_batch(r, seed)
+        reference[r] = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9, 1 << 17)
+    monkeypatch.setattr(numeric, "_BLOCK", block)
+    monkeypatch.setattr(numeric, "_FOLD_ROWS", fold_rows)
+    for r, seed in ((4, 1), (5, 3)):
+        coef, count, alphabet, weight = _plan_batch(r, seed)
+        values, errors = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9, 1 << 17)
+        assert np.array_equal(values, reference[r][0])
+        assert np.array_equal(errors, reference[r][1])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_power_tables_match_per_monomial_powers():
+    # Every numerator, denominator and gradient of both webs, evaluated from
+    # the shared power tables, has the bits of c * x**ei * y**ej summed over
+    # the monomials, on a (times, segments) grid and on a clearance line.
+    rng = np.random.default_rng(0)
+    grids = [
+        rng.normal(size=(2, 9, 4)) + 1j * rng.normal(size=(2, 9, 4)),
+        rng.normal(size=(2, 33)) + 1j * rng.normal(size=(2, 33)),
+    ]
+    maps = [numeric._RationalMap(*nd) for nd in dp4.five_term_web().integrals]
+    maps += [
+        numeric._RationalMap(*nd)
+        for nd in dp4.dp4_data(*dp4.DEFAULT_PARAMETERS).integrals
+    ]
+    checked = 0
+    for m in maps:
+        (nx, ny), (dx, dy) = m.grads
+        for x, y in grids:
+            xy = m.powers(x, y)
+            for p in (m.num, m.den, nx, ny, dx, dy):
+                old = (p.c * x[..., None] ** p.ei * y[..., None] ** p.ej).sum(axis=-1)
+                assert np.array_equal(_bits(p(*xy)), _bits(old))
+                checked += 1
+    assert checked == 2 * 6 * 15
 
 
 def test_tolerance_ladder_monotone():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp_hlog import d5_data, rep_theory as rt
 from dp_hlog.lattice import RankMismatch
@@ -45,6 +47,32 @@ def test_exterior_power_value_errors():
     with pytest.raises(rt.InternalError):
         # (p1^2 - p2)/2 is not an integer for these fake inputs.
         rt.exterior_power_value((1, 2), 2)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.permutations(range(n))), st.integers(0, 8))
+def test_newton_recurrences_agree_on_permutation_power_sums(perm, m):
+    # p_k = tr(P^k) counts the points perm^k fixes. Independently, e_m of the
+    # eigenvalues of P is the t^m coefficient of det(1 + tP), the product
+    # over the cycles of perm of 1 - (-t)^length.
+    cycles, seen = [], set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        if length:
+            cycles.append(length)
+    det = [1]
+    for length in cycles:
+        shifted = [0] * length + [-((-1) ** length) * c for c in det]
+        det = [a + b for a, b in itertools.zip_longest(det, shifted, fillvalue=0)]
+    expected = det[m] if m < len(det) else 0
+    powersums = [sum(c for c in cycles if k % c == 0) for k in range(1, m + 1)]
+    scalar = rt.exterior_power_value(powersums, m)
+    vector = rt._elementary_from_powers(np.array([powersums], dtype=np.int64))
+    assert type(scalar) is int and scalar == expected
+    assert vector.dtype == np.int64 and vector.tolist() == [expected]
 
 
 def test_samples_are_class_functions():

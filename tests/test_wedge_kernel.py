@@ -1,10 +1,13 @@
 """Wedge construction and the one-dimensional +-1 kernel."""
 
 import json
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp_hlog import wedge_kernel as wk
 from dp_hlog.incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
@@ -55,15 +58,28 @@ def test_wedge_vector_entries_are_minors():
             assert outside not in w.entries
 
 
-def test_wedge_vector_degenerate_and_antisymmetric():
-    f = enumerate_conics(4)[0]
-    m = wk.fiber_differences(f, 2)
-    repeated = wk.FiberDifferenceMatrix(0, (m.rows[0], m.rows[0]), m.support)
-    assert wk.wedge_vector(repeated).entries == {}
-    swapped = wk.FiberDifferenceMatrix(0, (m.rows[1], m.rows[0]), m.support)
+@lru_cache(maxsize=None)
+def _conics(r):
+    return enumerate_conics(r)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(4, 7), st.data())
+def test_wedge_vector_degenerate_and_antisymmetric(r, data):
+    # Any conic, base fiber and pair of rows: swapping the two rows negates
+    # every entry, and a repeated row leaves the empty wedge.
+    f = data.draw(st.sampled_from(_conics(r)))
+    m = wk.fiber_differences(f, data.draw(st.integers(0, r - 2)))
+    i, j = data.draw(st.lists(st.integers(0, r - 3), min_size=2, max_size=2, unique=True))
+    rows = list(m.rows)
+    rows[i], rows[j] = rows[j], rows[i]
     w = wk.wedge_vector(m)
-    ws = wk.wedge_vector(swapped)
+    ws = wk.wedge_vector(wk.FiberDifferenceMatrix(0, tuple(rows), m.support))
+    assert w.entries
     assert ws.entries == {cols: -val for cols, val in w.entries.items()}
+    rows[i] = rows[j]
+    repeated = wk.FiberDifferenceMatrix(0, tuple(rows), m.support)
+    assert wk.wedge_vector(repeated).entries == {}
 
 
 def test_kernel_signs_small_ranks():

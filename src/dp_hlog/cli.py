@@ -16,9 +16,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ EXIT_NUMERIC = 6
 EXPECTED_NORMS = {4: (3, 2), 5: (3, 3), 6: (3, 3), 7: (4, 5)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved CLI invocation; the seed fixes every randomized choice."""
 
     subcommand: str
@@ -371,8 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         print("--tol must be a finite positive number", file=sys.stderr)
         return EXIT_USAGE
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    config = RunConfig(**{k: v for k, v in values.items() if k in known})
+    config = RunConfig(**{k: v for k, v in values.items() if k in RunConfig._fields})
     return run(config)
 
 

@@ -35,9 +35,8 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import InternalError
 from ..incidence import enumerate_conics, enumerate_lines
@@ -209,8 +208,7 @@ def _pencil_coordinates(f0: Poly, finf: Poly, fs: Poly) -> tuple[Fraction, Fract
     return -a / c, -b / c
 
 
-@dataclass(frozen=True)
-class AlignmentEntry:
+class AlignmentEntry(NamedTuple):
     """Which conic a first integral cuts out, with fibers in spectrum order."""
 
     integral: int
@@ -219,10 +217,14 @@ class AlignmentEntry:
     base: int  # position of the infinity fiber in fiber_order
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DP4Data:
     """Exact web data: the rank-5 web at an admissible parameter pair
-    (gamma, pi), or the rank-4 web with gamma = pi = None."""
+    (gamma, pi), or the rank-4 web with gamma = pi = None.
+
+    The one dataclass of the package: dp4_data and the tests that tamper
+    with a web derive new instances with dataclasses.replace.
+    """
 
     gamma: Fraction | None
     pi: Fraction | None
@@ -315,8 +317,7 @@ def dp4_data(gamma, pi) -> DP4Data:
     return dataclasses.replace(conic_web(points, TEN_TERM_SPEC), gamma=g, pi=p)
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(NamedTuple):
     gamma: Fraction
     pi: Fraction
     identities_checked: int
@@ -402,8 +403,7 @@ def asym3_residue_tensor(
     return out
 
 
-@dataclass(frozen=True)
-class SymbolicReport:
+class SymbolicReport(NamedTuple):
     terms_per_integral: tuple[int, ...]
     ambient_dimension: int
 

@@ -33,12 +33,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ..records import Record
 from ..wedge_kernel import HlogCertificate, kernel_signs
 from . import dp4
 from .words import Word, WordCombination, asym
@@ -67,26 +67,35 @@ class QuadratureFailure(RuntimeError):
     """Step doubling hit the cap without meeting the tolerance."""
 
 
-@dataclass(frozen=True)
-class LogFormBasis:
-    """Branch points b_1..b_s of the forms dz/(z - b_k); infinity implicit."""
+class LogFormBasis(Record):
+    """Branch points b_1..b_s of the forms dz/(z - b_k); infinity implicit.
 
+    len() is the number of branch points.
+    """
+
+    __slots__ = ("points",)
     points: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        pts = tuple(complex(p) for p in self.points)
+    def __init__(self, points: Sequence[complex]) -> None:
+        pts = tuple(complex(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("branch points must be pairwise distinct")
-        object.__setattr__(self, "points", pts)
+        super().__init__(pts)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True, eq=False)
-class PathEvaluation:
+class PathEvaluation(Record):
     """Values of every word along one path, with a shared error estimate."""
 
+    __slots__ = ("base", "end", "values", "error")
     base: complex
     end: complex
     values: dict[Word, complex]
@@ -410,8 +419,7 @@ class _PolyEval:
         return terms.sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class NumericReport:
+class NumericReport(NamedTuple):
     """Per-sample residuals of the functional identity, with error budgets."""
 
     r: int

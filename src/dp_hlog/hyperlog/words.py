@@ -9,25 +9,31 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from ..records import Record
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class WordCombination:
-    """Finite rational linear combination of words; zero terms are dropped."""
+class WordCombination(Record):
+    """Finite rational linear combination of words; zero terms are dropped.
 
-    terms: dict[Word, Fraction] = field(default_factory=dict)
+    Combinations are equal when their terms are, and are not hashable.
+    """
 
-    def __post_init__(self) -> None:
-        clean = {
-            tuple(w): Fraction(c)
-            for w, c in self.terms.items()
-            if Fraction(c) != 0
-        }
+    __slots__ = ("terms",)
+    terms: dict[Word, Fraction]
+
+    def __init__(self, terms: dict | None = None) -> None:
+        clean = {}
+        for w, c in (terms or {}).items():
+            # The sums and products of combinations are Fractions already.
+            if c.__class__ is not Fraction:
+                c = Fraction(c)
+            if c:
+                clean[tuple(w)] = c
         object.__setattr__(self, "terms", clean)
 
     def __bool__(self) -> bool:
@@ -103,8 +109,7 @@ def asym(w: Word) -> WordCombination:
     return WordCombination(out)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     passed: bool
     difference: WordCombination

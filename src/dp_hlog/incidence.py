@@ -16,13 +16,13 @@ for the returned tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InternalError
 from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass, pair_matrix
+from .records import Record
 
 
 class RankCounts(NamedTuple):
@@ -58,29 +58,40 @@ def rank_for_line_count(n: int) -> int:
     raise ValueError(f"no rank has {n} lines")
 
 
-@dataclass(frozen=True)
-class LineTable:
+class LineTable(Record):
     """The lines of X_r in canonical (lexicographic) order, with index map.
 
-    coeffs holds them as the rows of an (n, r + 1) int64 array.
+    coeffs holds them as the rows of an (n, r + 1) int64 array. Tables are
+    equal when their rank and lines are.
     """
 
+    __slots__ = ("r", "lines", "index", "coeffs")
     r: int
     lines: tuple[DivisorClass, ...]
-    index: dict[DivisorClass, int] = field(init=False, repr=False, compare=False)
-    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    index: dict[DivisorClass, int]
+    coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {l: i for i, l in enumerate(self.lines)})
-        coeffs = np.array([l.coeffs for l in self.lines], dtype=np.int64)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, r: int, lines: tuple[DivisorClass, ...]) -> None:
+        super().__init__(
+            r,
+            lines,
+            {l: i for i, l in enumerate(lines)},
+            np.array([l.coeffs for l in lines], dtype=np.int64),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.lines) == (other.r, other.lines)
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.lines))
 
     def __len__(self) -> int:
         return len(self.lines)
 
 
-@dataclass(frozen=True)
-class ConicFibration:
+class ConicFibration(NamedTuple):
     """A conic class together with its r - 1 reducible fibers.
 
     Fibers are unordered pairs (i, j) of line-table indices with

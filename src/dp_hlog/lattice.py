@@ -12,11 +12,13 @@ int64 arrays whose rows are coefficient vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from functools import cached_property, total_ordering
 from typing import Iterable
 
 import numpy as np
+
+from .records import Record
 
 SUPPORTED_RANKS = range(3, 9)
 
@@ -29,22 +31,36 @@ class NotARoot(ValueError):
     """A reflection was requested in a class that is not a root."""
 
 
-@dataclass(frozen=True, order=True)
-class DivisorClass:
+@total_ordering
+class DivisorClass(Record):
     """Integer divisor class in the basis (h, l_1, ..., l_r).
 
     coeffs has length r + 1 with r in {3..8}; entry 0 is the h coefficient.
-    Instances are immutable, hashable and ordered lexicographically by
-    coefficient tuple (the canonical ordering used for line tables).
+    Each coefficient must be an integer (numpy integers included); anything
+    else raises TypeError. Instances are immutable, hashable and ordered
+    lexicographically by coefficient tuple (the canonical ordering used for
+    line tables).
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(map(operator.index, coeffs))
         if len(coeffs) - 1 not in SUPPORTED_RANKS:
             raise ValueError(f"need r+1 coefficients with r in 3..8, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.coeffs == other.coeffs
+
+    def __lt__(self, other: DivisorClass) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs < other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def rank(self) -> int:
@@ -94,8 +110,7 @@ def pair_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :1] @ b[:, :1].T - a[:, 1:] @ b[:, 1:].T
 
 
-@dataclass(frozen=True)
-class DelPezzoLattice:
+class DelPezzoLattice(Record):
     """Pic of the blow-up of the plane at r general points, 3 <= r <= 8.
 
     Carries the canonical class K = -3h + sum l_i (so pair(K, K) = 9 - r)
@@ -107,11 +122,19 @@ class DelPezzoLattice:
     whose reflections generate the Weyl group W(E_r).
     """
 
+    __slots__ = ("r", "__dict__")
     r: int
 
-    def __post_init__(self) -> None:
-        if self.r not in SUPPORTED_RANKS:
-            raise ValueError(f"rank must be in 3..8, got {self.r}")
+    def __init__(self, r: int) -> None:
+        if r not in SUPPORTED_RANKS:
+            raise ValueError(f"rank must be in 3..8, got {r}")
+        object.__setattr__(self, "r", r)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.r == other.r
+
+    def __hash__(self) -> int:
+        return hash(self.r)
 
     @property
     def d(self) -> int:

@@ -13,7 +13,6 @@ exactly what the kernel certificate needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -24,6 +23,7 @@ from . import d5_data
 from .errors import InternalError
 from .incidence import enumerate_conics, enumerate_lines, rank_for_line_count
 from .lattice import RankMismatch
+from .records import Record
 from .weyl import (
     _CHUNK,
     GroupTooLarge,
@@ -40,18 +40,18 @@ class NotACharacter(ValueError):
     """Decomposition against the character table gave a non-integer."""
 
 
-@dataclass(frozen=True)
-class ClassFunctionSample:
+class ClassFunctionSample(Record):
     """A class function sampled over the whole group.
 
     values[i] is the value at the i-th element of the canonical enumeration
     stream (a map keyed by stream position); constancy on conjugacy classes
-    is a property of the construction, spot-checked in tests.
+    is a property of the construction, spot-checked in tests. len() is the
+    group order.
     """
 
+    __slots__ = ("values", "r")
     values: np.ndarray
     r: int
-    action: str
 
     def __len__(self) -> int:
         return len(self.values)
@@ -188,21 +188,21 @@ def _reflection_values(r: int) -> np.ndarray:
 
 def line_character(r: int) -> ClassFunctionSample:
     """g -> number of fixed lines."""
-    return ClassFunctionSample(_line_values(r), r, "lines")
+    return ClassFunctionSample(_line_values(r), r)
 
 
 def conic_character(r: int) -> ClassFunctionSample:
     """g -> number of fixed conic classes; degree kappa_r at the identity."""
-    return ClassFunctionSample(_conic_values(r), r, "conics")
+    return ClassFunctionSample(_conic_values(r), r)
 
 
 def reflection_character(r: int) -> ClassFunctionSample:
     """g -> trace of g on Pic minus 1 (the canonical class splits off)."""
-    return ClassFunctionSample(_reflection_values(r), r, "reflection")
+    return ClassFunctionSample(_reflection_values(r), r)
 
 
 def trivial_character(r: int) -> ClassFunctionSample:
-    return ClassFunctionSample(np.ones(len(group_data(r)), dtype=np.int64), r, "trivial")
+    return ClassFunctionSample(np.ones(len(group_data(r)), dtype=np.int64), r)
 
 
 def reflection_character_value(g: WeylElement) -> int:

@@ -18,14 +18,12 @@ graphs", 1982). The solve checks that structure and raises when it fails.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError
 from .incidence import (
@@ -37,6 +35,7 @@ from .incidence import (
     enumerate_lines,
 )
 from .lattice import DelPezzoLattice
+from .records import Record
 
 
 class KernelDimensionViolation(RuntimeError):
@@ -55,8 +54,7 @@ class ReplayFailure(RuntimeError):
     """A stored certificate failed re-verification."""
 
 
-@dataclass(frozen=True)
-class FiberDifferenceMatrix:
+class FiberDifferenceMatrix(NamedTuple):
     """Rows are (fiber s) - (base fiber) as vectors over line indices."""
 
     conic: int
@@ -64,20 +62,21 @@ class FiberDifferenceMatrix:
     support: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class WedgeVector:
-    """Sparse exact wedge: sorted index tuple -> minor determinant."""
+class WedgeVector(Record):
+    """Sparse exact wedge: sorted index tuple -> minor determinant.
 
+    len() is the number of entries; wedges compare by identity.
+    """
+
+    __slots__ = ("conic", "entries")
     conic: int
-    width: int
     entries: dict[tuple[int, ...], int]
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class HlogCertificate:
+class HlogCertificate(NamedTuple):
     """Everything needed to replay sum_k epsilon_k wedge_k = 0 exactly."""
 
     r: int
@@ -155,10 +154,8 @@ def fiber_differences(
 
 def wedge_vector(m: FiberDifferenceMatrix) -> WedgeVector:
     """Iterated sparse wedge of the rows; entries are exact minors."""
-    width = 0
     acc: dict[tuple[int, ...], int] = {(): 1}
     for row in m.rows:
-        width += 1
         items = [(c, v) for c, v in enumerate(row) if v]
         nxt: dict[tuple[int, ...], int] = {}
         for key, coeff in acc.items():
@@ -174,7 +171,7 @@ def wedge_vector(m: FiberDifferenceMatrix) -> WedgeVector:
                 else:
                     nxt.pop(new_key, None)
         acc = nxt
-    return WedgeVector(m.conic, width, acc)
+    return WedgeVector(m.conic, acc)
 
 
 def _quotient_columns(lt: LineTable) -> tuple[int, ...]:
@@ -321,7 +318,7 @@ def kernel_signs(
         content_hash="",
     )
     digest = _content_hash(payload_cert.payload())
-    return dataclasses.replace(payload_cert, content_hash=digest)
+    return payload_cert._replace(content_hash=digest)
 
 
 def _verify_zero(wedges: Sequence[WedgeVector], epsilon: Sequence[int]) -> None:

@@ -14,9 +14,8 @@ uint8 rows; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from . import d5_data
 from .errors import InternalError
 from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_lines, reducible_fibers
 from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass
+from .records import Record
 
 # Group elements per block when a sum runs over the whole group.
 _CHUNK = 1 << 18
@@ -33,8 +33,7 @@ class GroupTooLarge(ValueError):
     """Raised for r = 8: the full W(E_8) is out of enumeration scope."""
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A group element as a permutation of the canonical line list.
 
     perm[i] is the line-table index of the image of line i. word is a witness
@@ -78,10 +77,13 @@ def _pack_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-@dataclass(frozen=True)
-class _GroupData:
-    """Cached bulk arrays for one enumerated group, in BFS discovery order."""
+class _GroupData(Record):
+    """Cached bulk arrays for one enumerated group, in BFS discovery order.
 
+    len() is the group order.
+    """
+
+    __slots__ = ("r", "lt", "perms", "levels", "parents", "gens")
     r: int
     lt: LineTable
     perms: np.ndarray  # (N, l) uint8
@@ -109,7 +111,7 @@ class _GroupData:
 
 @lru_cache(maxsize=None)
 def group_data(r: int) -> _GroupData:
-    """Enumerate W(E_r) for r in 3..7 (cached; r=7 takes a couple of minutes)."""
+    """Enumerate W(E_r) for r in 3..7 (cached; r = 7 takes 5 to 6 s)."""
     if r == 8:
         raise GroupTooLarge("W(E_8) has ~6.96e8 elements; enumeration refused")
     if r not in COUNTS:

@@ -200,6 +200,16 @@ def test_route_table_covers_every_subcommand(capsys):
     assert "unknown subcommand" in capsys.readouterr().err
 
 
+def test_run_config_fields_cover_every_parser_dest():
+    # main keeps only the parsed values that are RunConfig fields.
+    actions = cli._build_parser()._actions
+    sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    dests = {sub.dest}
+    for parser in sub.choices.values():
+        dests.update(a.dest for a in parser._actions if a.dest != "help")
+    assert dests <= set(cli.RunConfig._fields)
+
+
 @pytest.mark.parametrize("rank", ["4", "5"])
 def test_all_matches_the_reference_artifact(tmp_path, rank):
     # The benchmark's recorded SHA-256 pins every byte of the artifact, the
@@ -237,3 +247,32 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["0", "False", "False"]
+
+
+def test_cli_import_generates_one_dataclass():
+    # Records are NamedTuples or plain classes, which generate no code when
+    # a process imports them; DP4Data alone stays a dataclass.
+    src = str(Path(dp_hlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import dataclasses, inspect, json, sys\n"
+        "made = []\n"
+        "process = dataclasses._process_class\n"
+        "def record(cls, *args, **kwargs):\n"
+        "    made.append(f'{cls.__module__}.{cls.__qualname__}')\n"
+        "    return process(cls, *args, **kwargs)\n"
+        "dataclasses._process_class = record\n"
+        "import dp_hlog.cli\n"
+        "defined = sorted(\n"
+        "    f'{name}.{cls.__qualname__}'\n"
+        "    for name, module in list(sys.modules.items()) if name.startswith('dp_hlog')\n"
+        "    for cls in vars(module).values()\n"
+        "    if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls)\n"
+        ")\n"
+        "print(json.dumps([made, defined]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    expected = ["dp_hlog.hyperlog.dp4.DP4Data"]
+    assert json.loads(out.stdout) == [expected, expected]

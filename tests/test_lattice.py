@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from dp_hlog.lattice import DelPezzoLattice, DivisorClass, NotARoot, RankMismatch, pair
@@ -124,7 +125,37 @@ def test_divisor_class_validation_and_ordering() -> None:
         DivisorClass((1, 0))  # r=1 unsupported
     with pytest.raises(ValueError):
         DivisorClass(tuple([0] * 11))
-    assert cls(0, 1, 0, 0) < cls(1, -1, 0, 0)
+    # Coefficients must be integers: nothing is truncated.
+    with pytest.raises(TypeError):
+        DivisorClass((1.5, 0, 0, -0.9))
+    with pytest.raises(TypeError):
+        cls(2, 0, 0, -2) * 0.5
+    numpy_made = DivisorClass(np.array([1, 0, 0, -1], dtype=np.int64))
+    assert numpy_made == cls(1, 0, 0, -1)
+    assert all(type(c) is int for c in numpy_made.coeffs)
+    a, b = cls(0, 1, 0, 0), cls(1, -1, 0, 0)
+    assert a < b and a <= b and b > a and b >= a and a <= a
+    assert sorted([b, cls(0, 0, 0, 1), a]) == [cls(0, 0, 0, 1), a, b]
+
+
+def test_divisor_class_is_an_immutable_hashable_value() -> None:
+    a = cls(2, -1, -1, 0)
+    assert a == cls(2, -1, -1, 0) and a != cls(2, -1, 0, -1)
+    assert hash(a) == hash(cls(2, -1, -1, 0))
+    assert len({a, cls(2, -1, -1, 0), cls(2, -1, 0, -1)}) == 2
+    # A class is no tuple: it neither equals nor orders against one.
+    assert a != (2, -1, -1, 0)
+    with pytest.raises(TypeError):
+        a < (3, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        a.coeffs = (1, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        del a.coeffs
+    lat = DelPezzoLattice(4)
+    assert lat == DelPezzoLattice(4) != DelPezzoLattice(5)
+    assert hash(lat) == hash(DelPezzoLattice(4))
+    with pytest.raises(AttributeError):
+        lat.r = 5
 
 
 def test_serialization_roundtrip() -> None:

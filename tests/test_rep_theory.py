@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp_hlog import d5_data, rep_theory as rt
+from dp_hlog.incidence import COUNTS
 from dp_hlog.lattice import RankMismatch
 from dp_hlog.weyl import GroupTooLarge, enumerate_group, generators, group_data
 
@@ -93,6 +94,8 @@ def test_samples_are_class_functions():
 
 def test_degrees_at_identity():
     for r, (l, kappa) in {4: (10, 5), 5: (16, 10), 6: (27, 27)}.items():
+        # len() of a sample and of the group data is the group order.
+        assert len(rt.line_character(r)) == len(group_data(r)) == COUNTS[r].group_order
         assert rt.line_character(r).values[0] == l
         assert rt.conic_character(r).values[0] == kappa
         assert rt.reflection_character(r).values[0] == r

@@ -47,7 +47,7 @@ def test_wedge_vector_entries_are_minors():
         f = enumerate_conics(r)[0]
         m = wk.fiber_differences(f, r - 2)
         w = wk.wedge_vector(m)
-        assert len(w) <= comb(2 * (r - 1), r - 2)
+        assert len(w) == len(w.entries) <= comb(2 * (r - 1), r - 2)
         for cols, val in w.entries.items():
             assert list(cols) == sorted(cols)
             assert val == _minor(m.rows, list(cols))
@@ -137,6 +137,8 @@ def test_certificate_roundtrip_and_replay_failures():
     data = json.loads(json.dumps(cert.to_json()))
     back = wk.HlogCertificate.from_json(data)
     assert back == cert
+    assert back.to_json() == data
+    assert back.content_hash == wk._content_hash(back.payload())
     wk.replay(back)
 
     tampered = dict(data)
@@ -180,7 +182,7 @@ def test_base_choice_flips_are_absorbed():
 
 
 def _wedges(*entries):
-    return [wk.WedgeVector(k, 1, dict(e)) for k, e in enumerate(entries)]
+    return [wk.WedgeVector(k, dict(e)) for k, e in enumerate(entries)]
 
 
 # Three conics pairwise joined by a -1 edge: a cycle of sign -1.

@@ -7,11 +7,18 @@ seed reproduces the output byte for byte. Runtime notes go to stderr only.
 
 Exit codes: 0 all checks pass, 2 usage, 3 enumeration mismatch, 4 kernel or
 replay failure, 5 character mismatch, 6 numeric or symbol failure.
+
+The layers a route may not need (the Weyl group, characters, hyperlogarithms
+and numpy behind them) are bound as deferred modules: each is in
+``sys.modules`` from the import of this module on, but its code first runs
+when one of its attributes is read. So `certify`, `replay`, `enumerate` and
+`symbols` never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
@@ -20,12 +27,29 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
+from . import incidence, wedge_kernel
 
-from . import d5_data, incidence, rep_theory, wedge_kernel, weyl
-from .hyperlog import dp4
-from .hyperlog import numeric as hnumeric
-from .hyperlog import words as hwords
+
+def _deferred(name: str):
+    """The module `name`, run on the first read of one of its attributes."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    return module
+
+
+d5_data = _deferred(__package__ + ".d5_data")
+weyl = _deferred(__package__ + ".weyl")
+rep_theory = _deferred(__package__ + ".rep_theory")
+hwords = _deferred(__package__ + ".hyperlog.words")
+dp4 = _deferred(__package__ + ".hyperlog.dp4")
+hnumeric = _deferred(__package__ + ".hyperlog.numeric")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,7 +120,7 @@ def _route_group(config: RunConfig) -> tuple[dict, int]:
     ok = order == expected
     artifact = {"rank": rank, "order": order, "expected": expected}
     if not config.count_only:
-        artifact["length_distribution"] = np.bincount(gd.levels).tolist()
+        artifact["length_distribution"] = gd.length_distribution()
     if config.orbit:
         orbit_size = len(incidence.enumerate_lines(rank))
         artifact["line_orbit"] = orbit_size

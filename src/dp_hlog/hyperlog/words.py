@@ -67,7 +67,7 @@ def word(w: Iterable[int]) -> WordCombination:
 
 def shuffle(u: Word, v: Word) -> WordCombination:
     """All interleavings of u and v, with multiplicity."""
-    out: dict[Word, Fraction] = {}
+    counts: dict[Word, int] = {}
     for positions in itertools.combinations(range(len(u) + len(v)), len(u)):
         merged = [0] * (len(u) + len(v))
         pos_set = set(positions)
@@ -76,8 +76,8 @@ def shuffle(u: Word, v: Word) -> WordCombination:
         for i in range(len(merged)):
             merged[i] = next(iu) if i in pos_set else next(iv)
         key = tuple(merged)
-        out[key] = out.get(key, Fraction(0)) + 1
-    return WordCombination(out)
+        counts[key] = counts.get(key, 0) + 1
+    return WordCombination(counts)
 
 
 def shuffle_combinations(a: WordCombination, b: WordCombination) -> WordCombination:
@@ -85,8 +85,9 @@ def shuffle_combinations(a: WordCombination, b: WordCombination) -> WordCombinat
     total: dict[Word, Fraction] = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
+            cuv = cu * cv
             for w, c in shuffle(u, v).terms.items():
-                total[w] = total.get(w, Fraction(0)) + cu * cv * c
+                total[w] = total.get(w, Fraction(0)) + cuv * c
     return WordCombination(total)
 
 
@@ -101,12 +102,12 @@ def _signed_permutations(n: int):
 def asym(w: Word) -> WordCombination:
     """(1/|w|!) sum of signed letter permutations of w."""
     n = len(w)
-    norm = Fraction(1, math.factorial(n))
-    out: dict[Word, Fraction] = {}
+    counts: dict[Word, int] = {}
     for perm, sign in _signed_permutations(n):
         key = tuple(w[p] for p in perm)
-        out[key] = out.get(key, Fraction(0)) + sign * norm
-    return WordCombination(out)
+        counts[key] = counts.get(key, 0) + sign
+    norm = math.factorial(n)
+    return WordCombination({key: Fraction(c, norm) for key, c in counts.items()})
 
 
 class IdentityReport(NamedTuple):

@@ -3,25 +3,27 @@
 A degree 9 - r del Pezzo surface carries finitely many lines and finitely
 many conic fibration classes; the Weyl group W(E_r) acts transitively on
 both sets, so each is enumerated here as the orbit closure of one seed
-(l_r for lines, h - l_1 for conics) under the fundamental reflections.
+(l_r for lines, h - l_1 for conics) under the fundamental reflections: a
+breadth-first search over coefficient tuples, where the reflection in
+l_i - l_{i+1} swaps two coefficients and the Cremona reflection in
+h - l_1 - l_2 - l_3 adds (d_0 + d_1 + d_2 + d_3) times that root.
 
 Each conic fibration has exactly r - 1 reducible fibers, and every
 reducible fiber is a pair of lines meeting transversely in one point:
-from l + l' = c, expanding (c, c) = 0 gives pair(l, l') = 1. Conversely two
-lines meeting once sum to a conic class, so the fibers are read off the Gram
-matrix of the lines, and their sums must be exactly the conic orbit. The
-work runs on int64 coefficient arrays; DivisorClass objects are built only
-for the returned tables.
+from l + l' = c, expanding (c, c) = 0 gives pair(l, l') = 1. The seed
+h - l_1 gets its fibers by lookup (l is in a fiber when h - l_1 - l is a
+line too). A reflection maps the fibers of a conic onto those of its image,
+so every other conic takes its BFS parent's fibers through the generator's
+line permutation, and each fiber is checked to sum to its conic. All of it
+is plain integer arithmetic.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import InternalError
-from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass, pair_matrix
+from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass
 from .records import Record
 
 
@@ -61,23 +63,23 @@ def rank_for_line_count(n: int) -> int:
 class LineTable(Record):
     """The lines of X_r in canonical (lexicographic) order, with index map.
 
-    coeffs holds them as the rows of an (n, r + 1) int64 array. Tables are
-    equal when their rank and lines are.
+    generators[g][i] is the index of the image of line i under the
+    reflection in the fundamental root rho_(g+1): the one table of generator
+    line permutations. Tables are equal when their rank and lines are.
     """
 
-    __slots__ = ("r", "lines", "index", "coeffs")
+    __slots__ = ("r", "lines", "index", "generators")
     r: int
     lines: tuple[DivisorClass, ...]
     index: dict[DivisorClass, int]
-    coeffs: np.ndarray
+    generators: tuple[tuple[int, ...], ...]
 
     def __init__(self, r: int, lines: tuple[DivisorClass, ...]) -> None:
-        super().__init__(
-            r,
-            lines,
-            {l: i for i, l in enumerate(lines)},
-            np.array([l.coeffs for l in lines], dtype=np.int64),
+        position = {l.coeffs: i for i, l in enumerate(lines)}
+        generators = tuple(
+            tuple(position[_reflect(l.coeffs, g)] for l in lines) for g in range(r)
         )
+        super().__init__(r, lines, {l: i for i, l in enumerate(lines)}, generators)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -107,67 +109,42 @@ def _check_rank(r: int) -> None:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
 
 
-# Orbit rows are keyed as mixed-radix int64 numbers, _KEY_BITS bits per
-# coefficient after an offset (54 bits at r = 8), so the keys sort as the
-# rows do lexicographically.
-_KEY_BITS = 6
-_KEY_OFFSET = 1 << (_KEY_BITS - 1)
+def _reflect(d: tuple[int, ...], g: int) -> tuple[int, ...]:
+    """d reflected in rho_(g+1): a swap of d_(g+1) and d_(g+2), or Cremona for g = r - 1."""
+    if g < len(d) - 2:
+        return d[: g + 1] + (d[g + 2], d[g + 1]) + d[g + 3 :]
+    k = d[0] + d[1] + d[2] + d[3]
+    return (d[0] + k, d[1] - k, d[2] - k, d[3] - k) + d[4:]
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Order-preserving int64 keys of (n, r + 1) coefficient rows."""
-    digits = rows + _KEY_OFFSET
-    if digits.size and (digits.min() < 0 or digits.max() >= 1 << _KEY_BITS):
-        raise InternalError(
-            f"a coefficient leaves the key range [{-_KEY_OFFSET}, {_KEY_OFFSET})"
-        )
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for column in digits.T:
-        keys = (keys << _KEY_BITS) | column
-    return keys
+def _orbit(seed: tuple[int, ...]) -> dict[tuple[int, ...], tuple | None]:
+    """Closure of seed under the fundamental reflections, in BFS order.
 
-
-def _rows(keys: np.ndarray, r: int) -> np.ndarray:
-    """The coefficient rows of keys made by _keys."""
-    shifts = _KEY_BITS * np.arange(r, -1, -1)
-    return ((keys[:, None] >> shifts) & ((1 << _KEY_BITS) - 1)) - _KEY_OFFSET
-
-
-def _orbit(lat: DelPezzoLattice, seed: DivisorClass) -> np.ndarray:
-    """Closure of seed under the fundamental reflections, as sorted keys.
-
-    Each step reflects a whole frontier at once, d -> d + pair(d, rho) rho,
-    and keeps the images whose keys are not seen yet; they are merged into
-    the sorted key array.
+    Maps each class to the (parent, g) whose reflection reached it first;
+    the seed maps to None.
     """
-    roots = np.array([rho.coeffs for rho in lat.roots], dtype=np.int64)
-    frontier = np.array([seed.coeffs], dtype=np.int64)
-    seen = _keys(frontier)
-    while len(frontier):
-        images = frontier[:, None, :] + pair_matrix(frontier, roots)[:, :, None] * roots
-        images = images.reshape(-1, lat.r + 1)
-        fresh, first = np.unique(_keys(images), return_index=True)
-        pos = np.searchsorted(seen, fresh)
-        new = seen[np.minimum(pos, len(seen) - 1)] != fresh
-        frontier = images[first[new]]
-        seen = np.insert(seen, pos[new], fresh[new])
-    return seen
+    r = len(seed) - 1
+    reached: dict[tuple[int, ...], tuple | None] = {seed: None}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for g in range(r):
+                image = _reflect(d, g)
+                if image not in reached:
+                    reached[image] = (d, g)
+                    nxt.append(image)
+        frontier = nxt
+    return reached
 
 
 def enumerate_lines(r: int) -> LineTable:
     """All lines of X_r, as the Weyl orbit of l_r, in canonical order."""
     _check_rank(r)
-    lat = DelPezzoLattice(r)
-    orbit = _orbit(lat, lat.exceptional(r))
-    if len(orbit) != COUNTS[r].lines:
-        raise RuntimeError(f"line orbit has size {len(orbit)}, expected {COUNTS[r].lines}")
-    return LineTable(r, tuple(DivisorClass(tuple(row)) for row in _rows(orbit, r).tolist()))
-
-
-def _meeting_pairs(lt: LineTable) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair i < j of lines with pair = 1, row-major, and its sum."""
-    i, j = np.nonzero(np.triu(pair_matrix(lt.coeffs, lt.coeffs) == 1, 1))
-    return np.stack([i, j], axis=1), lt.coeffs[i] + lt.coeffs[j]
+    lines = sorted(_orbit(DelPezzoLattice(r).exceptional(r).coeffs))
+    if len(lines) != COUNTS[r].lines:
+        raise RuntimeError(f"line orbit has size {len(lines)}, expected {COUNTS[r].lines}")
+    return LineTable(r, tuple(map(DivisorClass, lines)))
 
 
 def reducible_fibers(c: DivisorClass, lt: LineTable) -> list[tuple[int, int]]:
@@ -176,13 +153,16 @@ def reducible_fibers(c: DivisorClass, lt: LineTable) -> list[tuple[int, int]]:
     Exactly r - 1 pairs must exist for a conic class; anything else signals
     a broken enumeration.
     """
-    pairs, sums = _meeting_pairs(lt)
-    found = pairs[(sums == np.array(c.coeffs)).all(axis=1)].tolist()
+    found = []
+    for i, line in enumerate(lt.lines):
+        j = lt.index.get(c - line, -1)
+        if i < j:
+            found.append((i, j))
     if len(found) != lt.r - 1:
         raise FiberCountViolation(
             f"conic {c.coeffs} has {len(found)} reducible fibers, expected {lt.r - 1}"
         )
-    return [(i, j) for i, j in found]
+    return found
 
 
 def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration]:
@@ -195,22 +175,29 @@ def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration
     lat = DelPezzoLattice(r)
     if lt is None:
         lt = enumerate_lines(r)
-    orbit = _orbit(lat, lat.h - lat.exceptional(1))
-    if len(orbit) != COUNTS[r].conics:
-        raise RuntimeError(f"conic orbit has size {len(orbit)}, expected {COUNTS[r].conics}")
-    pairs, sums = _meeting_pairs(lt)
-    keys = _keys(sums)
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    counts = np.searchsorted(ranked, orbit, side="right") - np.searchsorted(ranked, orbit)
-    if counts.sum() != len(ranked) or not counts.all():
-        raise RuntimeError("the sums of meeting line pairs are not the conic orbit")
-    rows = _rows(orbit, r).tolist()
-    for c, n in zip(rows, counts.tolist()):
-        if n != r - 1:
-            raise FiberCountViolation(f"conic {c} has {n} reducible fibers, expected {r - 1}")
-    grouped = pairs[order].reshape(len(orbit), r - 1, 2)
-    return [
-        ConicFibration(DivisorClass(tuple(c)), tuple((i, j) for i, j in fibers))
-        for c, fibers in zip(rows, grouped.tolist())
-    ]
+    seed = lat.h - lat.exceptional(1)
+    reached = _orbit(seed.coeffs)
+    if len(reached) != COUNTS[r].conics:
+        raise RuntimeError(f"conic orbit has size {len(reached)}, expected {COUNTS[r].conics}")
+    fibers = {seed.coeffs: tuple(reducible_fibers(seed, lt))}
+    for c, step in reached.items():
+        if step is not None:
+            parent, g = step
+            perm = lt.generators[g]
+            carried = set()
+            for i, j in fibers[parent]:
+                a, b = perm[i], perm[j]
+                carried.add((a, b) if a < b else (b, a))
+            fibers[c] = tuple(sorted(carried))
+    lines = [l.coeffs for l in lt.lines]
+    out = []
+    for c in sorted(reached):
+        if len(fibers[c]) != r - 1:
+            raise FiberCountViolation(
+                f"conic {c} has {len(fibers[c])} reducible fibers, expected {r - 1}"
+            )
+        for i, j in fibers[c]:
+            if tuple(map(add, lines[i], lines[j])) != c:
+                raise FiberCountViolation(f"fiber {lines[i]} + {lines[j]} is not the conic {c}")
+        out.append(ConicFibration(DivisorClass(c), fibers[c]))
+    return out

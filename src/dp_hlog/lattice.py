@@ -6,8 +6,11 @@ intersection form is diagonal of signature (1, r):
 
     pair(a, b) = a_0*b_0 - sum_{i>=1} a_i*b_i.
 
-Everything here is exact integer arithmetic, on immutable values or on
-int64 arrays whose rows are coefficient vectors.
+The Weyl group W(E_r) is generated by the reflections in the r fundamental
+roots. In coefficients, the reflection in rho_i = l_i - l_{i+1} swaps d_i
+and d_{i+1}, and the Cremona reflection in rho_r = h - l_1 - l_2 - l_3 adds
+(d_0 + d_1 + d_2 + d_3) * rho_r. Everything here is exact integer
+arithmetic on immutable values.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import operator
 from functools import cached_property, total_ordering
 from typing import Iterable
-
-import numpy as np
 
 from .records import Record
 
@@ -103,11 +104,6 @@ def pair(a: DivisorClass, b: DivisorClass) -> int:
     for x, y in zip(a.coeffs[1:], b.coeffs[1:]):
         total -= x * y
     return total
-
-
-def pair_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """pair() of every coefficient row of a with every row of b, as a matrix."""
-    return a[:, :1] @ b[:, :1].T - a[:, 1:] @ b[:, 1:].T
 
 
 class DelPezzoLattice(Record):

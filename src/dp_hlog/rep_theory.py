@@ -32,6 +32,7 @@ from .weyl import (
     generators,
     group_data,
     induced_matrix,
+    line_coeffs,
     _spanning_inverse,
 )
 
@@ -173,7 +174,7 @@ def _conic_values(r: int) -> np.ndarray:
 def _trace_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     """T[c, m] with trace(g on Pic) = sum_c T[c, perm_g[kcols[c]]]."""
     inv, kcols = _spanning_inverse(r)
-    return inv @ group_data(r).lt.coeffs.T, kcols
+    return inv @ line_coeffs(group_data(r).lt).T, kcols
 
 
 @lru_cache(maxsize=None)

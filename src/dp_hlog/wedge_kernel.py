@@ -106,22 +106,38 @@ class HlogCertificate(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict) -> "HlogCertificate":
+        """Read a stored certificate strictly; nothing is coerced.
+
+        Integers must be JSON integers (not a bool, a float or a quoted
+        number), quotient a JSON boolean and content_hash a string. Anything
+        else, or a missing field, raises ValueError.
+        """
         try:
             return cls(
-                r=int(data["r"]),
-                conics=tuple(tuple(int(x) for x in c) for c in data["conics"]),
+                r=_json_int(data["r"]),
+                conics=tuple(tuple(map(_json_int, c)) for c in data["conics"]),
                 fiber_orders=tuple(
-                    tuple((int(p[0]), int(p[1])) for p in fo)
+                    tuple((_json_int(p[0]), _json_int(p[1])) for p in fo)
                     for fo in data["fiber_orders"]
                 ),
-                bases=tuple(int(b) for b in data["bases"]),
-                epsilon=tuple(int(e) for e in data["epsilon"]),
-                kernel_dimension=int(data["kernel_dimension"]),
-                quotient=bool(data["quotient"]),
-                content_hash=str(data["content_hash"]),
+                bases=tuple(map(_json_int, data["bases"])),
+                epsilon=tuple(map(_json_int, data["epsilon"])),
+                kernel_dimension=_json_int(data["kernel_dimension"]),
+                quotient=_json_typed(data["quotient"], bool),
+                content_hash=_json_typed(data["content_hash"], str),
             )
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
+
+
+def _json_typed(value, kind: type):
+    if value.__class__ is not kind:
+        raise ValueError(f"malformed certificate: {value!r} is not a JSON {kind.__name__}")
+    return value
+
+
+def _json_int(value) -> int:
+    return _json_typed(value, int)
 
 
 def _content_hash(payload: dict) -> str:

@@ -51,14 +51,9 @@ class WeylElement(NamedTuple):
         return sum(1 for i, img in enumerate(self.perm) if i == img)
 
 
-def _generator_rows(r: int, lt: LineTable) -> np.ndarray:
-    """(r, l) array: row g maps line index i to its image under s_{rho_g}."""
-    lat = DelPezzoLattice(r)
-    rows = np.empty((r, len(lt)), dtype=np.uint8)
-    for g, rho in enumerate(lat.roots):
-        for i, line in enumerate(lt.lines):
-            rows[g, i] = lt.index[lat.reflect(rho, line)]
-    return rows
+def line_coeffs(lt: LineTable) -> np.ndarray:
+    """The lines of lt as the rows of an (l, r + 1) int64 array."""
+    return np.array([l.coeffs for l in lt.lines], dtype=np.int64)
 
 
 def spanning_line_indices(r: int, lt: LineTable) -> np.ndarray:
@@ -108,6 +103,10 @@ class _GroupData(Record):
     def signs(self) -> np.ndarray:
         return np.where(self.levels & 1, -1, 1).astype(np.int64)
 
+    def length_distribution(self) -> list[int]:
+        """Number of elements at each BFS level (word length)."""
+        return np.bincount(self.levels).tolist()
+
 
 @lru_cache(maxsize=None)
 def group_data(r: int) -> _GroupData:
@@ -118,7 +117,7 @@ def group_data(r: int) -> _GroupData:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     lt = enumerate_lines(r)
     l = len(lt)
-    gen_rows = _generator_rows(r, lt)
+    gen_rows = np.array(lt.generators, dtype=np.uint8)
     kcols = spanning_line_indices(r, lt)
     # key-gather columns per generator: child[kcols] = parent[gen_rows[g][kcols]]
     key_cols = [gen_rows[g][kcols] for g in range(r)]
@@ -179,8 +178,7 @@ def generators(r: int, lt: LineTable | None = None) -> list[WeylElement]:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     canonical = enumerate_lines(r)
     _check_line_table(lt, canonical)
-    rows = _generator_rows(r, canonical)
-    return [WeylElement(tuple(rows[g].tolist()), -1, (g,)) for g in range(r)]
+    return [WeylElement(perm, -1, (g,)) for g, perm in enumerate(canonical.generators)]
 
 
 def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement]:
@@ -209,7 +207,7 @@ def stabilizer_order(r: int, target: DivisorClass) -> int:
         return int(np.count_nonzero(gd.perms[:, idx] == idx))
     if lat.is_conic_class(target):
         i, j = reducible_fibers(target, gd.lt)[0]
-        coeffs = gd.lt.coeffs
+        coeffs = line_coeffs(gd.lt)
         total = 0
         for lo in range(0, len(gd), _CHUNK):
             pi = gd.perms[lo : lo + _CHUNK, i]
@@ -230,14 +228,13 @@ def d5_class_representatives(lt: LineTable | None = None) -> list[WeylElement]:
     """
     canonical = enumerate_lines(5)
     _check_line_table(lt, canonical)
-    rows = _generator_rows(5, canonical)
     out = []
     for zeta_word in d5_data.CLASS_WORDS:
         word = tuple(d5_data.ZETA_TO_S[z] - 1 for z in zeta_word)
-        perm = np.arange(len(canonical), dtype=np.uint8)
+        perm = tuple(range(len(canonical)))
         for g in word:
-            perm = perm[rows[g]]
-        out.append(WeylElement(tuple(perm.tolist()), -1 if len(word) % 2 else 1, word))
+            perm = tuple(perm[k] for k in canonical.generators[g])
+        out.append(WeylElement(perm, -1 if len(word) % 2 else 1, word))
     return out
 
 
@@ -250,7 +247,7 @@ def _spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
     """
     lt = enumerate_lines(r)
     kcols = spanning_line_indices(r, lt)
-    basis = lt.coeffs[kcols].T
+    basis = line_coeffs(lt)[kcols].T
     inv = np.rint(np.linalg.inv(basis)).astype(np.int64)
     if not np.array_equal(basis @ inv, np.eye(r + 1, dtype=np.int64)):
         raise InternalError("spanning lines are not a unimodular basis")
@@ -264,5 +261,5 @@ def induced_matrix(e: WeylElement, lt: LineTable) -> tuple[tuple[int, ...], ...]
     their images; V is unimodular so A is exact.
     """
     inv, kcols = _spanning_inverse(lt.r)
-    images = lt.coeffs[np.asarray(e.perm)[kcols]].T
+    images = np.array([lt.lines[e.perm[k]].coeffs for k in kcols.tolist()], dtype=np.int64).T
     return tuple(tuple(row) for row in (images @ inv).tolist())

@@ -78,6 +78,46 @@ def test_replay_rejects_tampering(tmp_path):
     assert "error" in replay_artifact
 
 
+def _set(path, value):
+    def mutate(cert):
+        *keys, last = path
+        target = cert
+        for key in keys:
+            target = target[key]
+        target[last] = value
+
+    return mutate
+
+
+# Each mutant coerces back to the stored value under int() or bool(), so
+# only a strict reader refuses it.
+STRICT_MUTANTS = {
+    "r": _set(["r"], "4"),
+    "conics": _set(["conics", 0, 0], 1.0),
+    "fiber_orders": _set(["fiber_orders", 0, 0, 0], "0"),
+    "bases": _set(["bases", 0], 2.5),
+    "epsilon": _set(["epsilon", 0], 1.7),
+    "kernel_dimension": _set(["kernel_dimension"], True),
+    "quotient": _set(["quotient"], 0),
+    "content_hash": _set(["content_hash"], None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(STRICT_MUTANTS))
+def test_replay_reads_each_field_strictly(tmp_path, field):
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--rank", "4", "--seed", "1", "--out", str(out)]) == 0
+    artifact = json.loads(out.read_text(encoding="utf-8"))
+    cert = artifact["certificate"]
+    assert (cert["bases"][0], cert["epsilon"][0], cert["conics"][0][0]) == (2, 1, 1)
+    assert cert["fiber_orders"][0][0][0] == 0
+    STRICT_MUTANTS[field](cert)
+    out.write_text(json.dumps(artifact), encoding="utf-8")
+    code, replay_artifact = run_json(tmp_path, "r.json", ["replay", str(out)])
+    assert code == 2
+    assert replay_artifact["error"].startswith("unreadable certificate: malformed certificate")
+
+
 def test_replay_missing_file(tmp_path):
     code, artifact = run_json(
         tmp_path, "r.json", ["replay", str(tmp_path / "absent.json")]
@@ -249,9 +289,38 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
     assert out.stdout.split() == ["0", "False", "False"]
 
 
-def test_cli_import_generates_one_dataclass():
+def test_certificate_routes_never_load_numpy(tmp_path):
+    # The Weyl group, characters and numerics are deferred modules, so routes
+    # that read none of their attributes run without numpy; `all` reads them
+    # and loads it. The route code is the same at every rank; r = 8 certify
+    # is left to the acceptance gate for its run time.
+    src = str(Path(dp_hlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = str(tmp_path / "out.json")
+    free = [["enumerate", "--rank", str(r), "--out", out] for r in range(3, 9)]
+    free.append(["symbols", "--out", out])
+    for r in range(4, 8):
+        cert = str(tmp_path / f"c{r}.json")
+        free.append(["certify", "--rank", str(r), "--quotient", "--out", cert])
+        free.append(["replay", cert, "--out", out])
+    every = [["all", "--rank", "4", "--samples", "1", "--out", out]]
+    for calls, loaded in ((free, "False"), (every, "True")):
+        probe = (
+            "import sys, dp_hlog.cli; "
+            f"codes = [dp_hlog.cli.main(args) for args in {calls!r}]; "
+            "print(set(codes), 'numpy' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == ["{0}", loaded]
+
+
+def test_cli_import_generates_no_dataclass():
     # Records are NamedTuples or plain classes, which generate no code when
-    # a process imports them; DP4Data alone stays a dataclass.
+    # a process imports them. DP4Data alone stays a dataclass; its module is
+    # deferred, so it is generated once hyperlog.dp4 is used. (Listing the
+    # defined classes reads every module's namespace, which runs them all.)
     src = str(Path(dp_hlog.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
@@ -262,17 +331,21 @@ def test_cli_import_generates_one_dataclass():
         "    made.append(f'{cls.__module__}.{cls.__qualname__}')\n"
         "    return process(cls, *args, **kwargs)\n"
         "dataclasses._process_class = record\n"
+        "def defined():\n"
+        "    return sorted(\n"
+        "        f'{name}.{cls.__qualname__}'\n"
+        "        for name, module in list(sys.modules.items()) if name.startswith('dp_hlog')\n"
+        "        for cls in vars(module).values()\n"
+        "        if inspect.isclass(cls) and cls.__module__ == name\n"
+        "        and dataclasses.is_dataclass(cls)\n"
+        "    )\n"
         "import dp_hlog.cli\n"
-        "defined = sorted(\n"
-        "    f'{name}.{cls.__qualname__}'\n"
-        "    for name, module in list(sys.modules.items()) if name.startswith('dp_hlog')\n"
-        "    for cls in vars(module).values()\n"
-        "    if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls)\n"
-        ")\n"
-        "print(json.dumps([made, defined]))\n"
+        "at_import = list(made)\n"
+        "dp_hlog.cli.dp4.DEFAULT_PARAMETERS\n"
+        "print(json.dumps([at_import, made, defined()]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     expected = ["dp_hlog.hyperlog.dp4.DP4Data"]
-    assert json.loads(out.stdout) == [expected, expected]
+    assert json.loads(out.stdout) == [[], expected, expected]

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from dp_hlog import incidence
-from dp_hlog.errors import InternalError
 from dp_hlog.incidence import (
     COUNTS,
     FiberCountViolation,
@@ -190,16 +189,30 @@ def test_tables_are_the_sorted_brute_force_closures() -> None:
         assert [f.cls for f in conics] == _closure(lat, lat.h - lat.exceptional(1))
 
 
-@pytest.mark.parametrize("k", [6, 7])
-def test_orbit_key_range_guard(k: int) -> None:
-    # The orbit of h at r = 6 has coefficients in [-2, 5], so that of 6h
-    # fits the keys' [-32, 32) and that of 7h does not.
-    lat = DelPezzoLattice(6)
-    seed = DivisorClass(tuple(k * c for c in lat.h.coeffs))
-    closure = _closure(lat, seed)
-    if max(max(d.coeffs) for d in closure) < 32:
-        rows = incidence._rows(incidence._orbit(lat, seed), 6).tolist()
-        assert [DivisorClass(tuple(row)) for row in rows] == closure
-    else:
-        with pytest.raises(InternalError, match="key range"):
-            incidence._orbit(lat, seed)
+def test_coefficient_reflections_and_generator_table_match_lattice_reflect() -> None:
+    # The swap and Cremona formulas against d + pair(d, rho) rho, on every
+    # line and conic; the table against a lookup of lat.reflect's images.
+    for r in range(3, 9):
+        lat = DelPezzoLattice(r)
+        lt = enumerate_lines(r)
+        classes = list(lt.lines) + [f.cls for f in enumerate_conics(r, lt)]
+        for g, rho in enumerate(lat.roots):
+            for d in classes:
+                assert DivisorClass(incidence._reflect(d.coeffs, g)) == lat.reflect(rho, d)
+            assert lt.generators[g] == tuple(lt.index[lat.reflect(rho, l)] for l in lt.lines)
+
+
+@pytest.mark.parametrize("swap", [True, False])
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_corrupted_generator_permutation_is_caught(r: int, swap: bool) -> None:
+    # The reflection in l1 - l2 carries the fibers {l_j, h - l1 - l_j} of the
+    # seed h - l1 onto those of h - l2. Swapping the images of l2 and l3, or
+    # sending both to one line, breaks a carried fiber.
+    lat = DelPezzoLattice(r)
+    lt = enumerate_lines(r)
+    i, k = lt.index[lat.exceptional(2)], lt.index[lat.exceptional(3)]
+    row = list(lt.generators[0])
+    row[i], row[k] = (row[k], row[i]) if swap else (row[k], row[k])
+    object.__setattr__(lt, "generators", (tuple(row),) + lt.generators[1:])
+    with pytest.raises(FiberCountViolation):
+        enumerate_conics(r, lt)

@@ -6,7 +6,10 @@ writes a JSON artifact with stable key order and no timestamps, so a fixed
 seed reproduces the output byte for byte. Runtime notes go to stderr only.
 
 Exit codes: 0 all checks pass, 2 usage, 3 enumeration mismatch, 4 kernel or
-replay failure, 5 character mismatch, 6 numeric or symbol failure.
+replay failure, 5 character mismatch, 6 numeric or symbol failure. A failed
+invariant inside a route (every layer raises a RuntimeError subclass for
+one: InternalError, FiberCountViolation, the wedge-structure violations, the
+group closure checks) exits with that route's code, not a traceback.
 
 The layers a route may not need (the Weyl group, characters, hyperlogarithms
 and numpy behind them) are bound as deferred modules: each is in
@@ -84,7 +87,7 @@ def _route_enumerate(config: RunConfig) -> tuple[dict, int]:
     try:
         lt = incidence.enumerate_lines(rank)
         conics = incidence.enumerate_conics(rank, lt)
-    except (incidence.UnsupportedRank, incidence.FiberCountViolation) as exc:
+    except incidence.UnsupportedRank as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_ENUM
     covered = set()
     fibers_ok = True
@@ -130,19 +133,8 @@ def _route_group(config: RunConfig) -> tuple[dict, int]:
 
 
 def _route_certify(config: RunConfig) -> tuple[dict, int]:
-    rank = config.rank
-    try:
-        cert = wedge_kernel.kernel_signs(
-            rank, seed=config.seed, quotient=config.quotient
-        )
-    except (
-        wedge_kernel.KernelDimensionViolation,
-        wedge_kernel.SignViolation,
-        wedge_kernel.WedgeStructureViolation,
-    ) as exc:
-        return {"rank": rank, "error": str(exc)}, EXIT_KERNEL
-    artifact = {"rank": rank, "seed": config.seed, "certificate": cert.to_json()}
-    return artifact, EXIT_OK
+    cert = wedge_kernel.kernel_signs(config.rank, seed=config.seed, quotient=config.quotient)
+    return {"rank": config.rank, "seed": config.seed, "certificate": cert.to_json()}, EXIT_OK
 
 
 def _route_replay(config: RunConfig) -> tuple[dict, int]:
@@ -246,12 +238,7 @@ def _route_numeric(config: RunConfig) -> tuple[dict, int]:
             )
         except ValueError as exc:
             return {"rank": rank, "error": str(exc)}, EXIT_USAGE
-    try:
-        report = hnumeric.verify_identity_numeric(
-            rank, samples, tol, data=data, seed=config.seed
-        )
-    except (hnumeric.PathTooClose, hnumeric.QuadratureFailure) as exc:
-        return {"rank": rank, "error": str(exc)}, EXIT_NUMERIC
+    report = hnumeric.verify_identity_numeric(rank, samples, tol, data=data, seed=config.seed)
     artifact = {
         "rank": report.r,
         "samples": report.samples,
@@ -271,27 +258,40 @@ def _route_numeric(config: RunConfig) -> tuple[dict, int]:
 def _route_all(config: RunConfig) -> tuple[dict, int]:
     routes: dict[str, dict] = {}
     code = EXIT_OK
-    for name, (handler, ranks) in ROUTES.items():
+    for name, (_, ranks, _) in ROUTES.items():
         if config.rank in ranks:
-            routes[name], route_code = handler(config)
+            routes[name], route_code = _run_route(name, config)
             if code == EXIT_OK:
                 code = route_code
     artifact = {"rank": config.rank, "routes": routes, "passed": code == EXIT_OK}
     return artifact, code
 
 
-# Subcommand -> (route, ranks at which `all` runs it). `all` reads no option
-# of the other routes, so each gets its RunConfig defaults there.
+# Subcommand -> (route, ranks at which `all` runs it, exit code of a failed
+# invariant). `all` reads no option of the other routes, so each gets its
+# RunConfig defaults there; it runs each route through the same guard, so
+# nothing escapes `all` itself.
 ROUTES = {
-    "enumerate": (_route_enumerate, range(3, 9)),
-    "group": (_route_group, range(3, 8)),
-    "certify": (_route_certify, range(4, 9)),
-    "replay": (_route_replay, ()),
-    "characters": (_route_characters, range(4, 8)),
-    "symbols": (_route_symbols, range(3, 9)),
-    "numeric": (_route_numeric, (4, 5)),
-    "all": (_route_all, ()),
+    "enumerate": (_route_enumerate, range(3, 9), EXIT_ENUM),
+    "group": (_route_group, range(3, 8), EXIT_ENUM),
+    "certify": (_route_certify, range(4, 9), EXIT_KERNEL),
+    "replay": (_route_replay, (), EXIT_KERNEL),
+    "characters": (_route_characters, range(4, 8), EXIT_CHARACTER),
+    "symbols": (_route_symbols, range(3, 9), EXIT_NUMERIC),
+    "numeric": (_route_numeric, (4, 5), EXIT_NUMERIC),
+    "all": (_route_all, (), None),
 }
+
+
+def _run_route(name: str, config: RunConfig) -> tuple[dict, int]:
+    """Run one route; a failed invariant exits with the route's code."""
+    handler, _, failure = ROUTES[name]
+    if failure is None:
+        return handler(config)
+    try:
+        return handler(config)
+    except RuntimeError as exc:
+        return {"rank": config.rank, "error": str(exc)}, failure
 
 
 def run(config: RunConfig) -> int:
@@ -300,7 +300,7 @@ def run(config: RunConfig) -> int:
     if config.subcommand not in ROUTES:
         print(f"unknown subcommand {config.subcommand!r}", file=sys.stderr)
         return EXIT_USAGE
-    artifact, code = ROUTES[config.subcommand][0](config)
+    artifact, code = _run_route(config.subcommand, config)
     _write_artifact(artifact, config.out)
     elapsed = time.monotonic() - started
     print(f"{config.subcommand}: {elapsed:.2f}s", file=sys.stderr)

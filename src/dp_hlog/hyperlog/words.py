@@ -45,10 +45,12 @@ class WordCombination(Record):
         return self.terms == other.terms
 
     def __add__(self, other: "WordCombination") -> "WordCombination":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return WordCombination(out)
+        d = _common_denominator(self.terms, other.terms)
+        out: dict[Word, int] = {}
+        for terms in (self.terms, other.terms):
+            for w, c in terms.items():
+                out[w] = out.get(w, 0) + c.numerator * (d // c.denominator)
+        return _from_numerators(out, d)
 
     def __sub__(self, other: "WordCombination") -> "WordCombination":
         return self + (-1) * other
@@ -61,12 +63,25 @@ class WordCombination(Record):
         return iter(sorted(self.terms.items()))
 
 
+def _common_denominator(*parts: dict[Word, Fraction]) -> int:
+    return math.lcm(*(c.denominator for terms in parts for c in terms.values()))
+
+
+def _from_numerators(counts: dict[Word, int], denominator: int) -> WordCombination:
+    """The combination of the words w with coefficients counts[w] / denominator."""
+    return WordCombination({w: Fraction(n, denominator) for w, n in counts.items() if n})
+
+
 def word(w: Iterable[int]) -> WordCombination:
     return WordCombination({tuple(w): Fraction(1)})
 
 
 def shuffle(u: Word, v: Word) -> WordCombination:
     """All interleavings of u and v, with multiplicity."""
+    return WordCombination(_shuffle_counts(u, v))
+
+
+def _shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
     counts: dict[Word, int] = {}
     for positions in itertools.combinations(range(len(u) + len(v)), len(u)):
         merged = [0] * (len(u) + len(v))
@@ -77,18 +92,20 @@ def shuffle(u: Word, v: Word) -> WordCombination:
             merged[i] = next(iu) if i in pos_set else next(iv)
         key = tuple(merged)
         counts[key] = counts.get(key, 0) + 1
-    return WordCombination(counts)
+    return counts
 
 
 def shuffle_combinations(a: WordCombination, b: WordCombination) -> WordCombination:
-    """Bilinear extension of the shuffle product."""
-    total: dict[Word, Fraction] = {}
+    """Bilinear extension of the shuffle product, summed in integer numerators."""
+    da, db = _common_denominator(a.terms), _common_denominator(b.terms)
+    total: dict[Word, int] = {}
     for u, cu in a.terms.items():
+        nu = cu.numerator * (da // cu.denominator)
         for v, cv in b.terms.items():
-            cuv = cu * cv
-            for w, c in shuffle(u, v).terms.items():
-                total[w] = total.get(w, Fraction(0)) + cuv * c
-    return WordCombination(total)
+            nuv = nu * cv.numerator * (db // cv.denominator)
+            for w, k in _shuffle_counts(u, v).items():
+                total[w] = total.get(w, 0) + nuv * k
+    return _from_numerators(total, da * db)
 
 
 def _signed_permutations(n: int):
@@ -154,15 +171,16 @@ def verify_asym_shuffle_identities() -> tuple[IdentityReport, ...]:
     rhs5 = Fraction(1, 5) * shuffle_combinations(
         word((a1,)), asym((a2, a3, a4, a5))
     )
-    correction = WordCombination()
+    correction: dict[Word, int] = {}
     for perm, sign in _signed_permutations(4):
         sigma = (0,) + tuple(p + 1 for p in perm)
-        term = shuffle(
+        term = _shuffle_counts(
             (letters[sigma[0]], letters[sigma[1]]),
             (letters[sigma[2]], letters[sigma[3]], letters[sigma[4]]),
         )
-        correction = correction + sign * term
-    rhs5 = rhs5 + Fraction(2, 120) * correction
+        for w, k in term.items():
+            correction[w] = correction.get(w, 0) + sign * k
+    rhs5 = rhs5 + _from_numerators(correction, math.factorial(5) // 2)
     diff5 = lhs5 - rhs5
     reports.append(IdentityReport("weight5", not diff5, diff5))
 

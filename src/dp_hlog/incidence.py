@@ -52,14 +52,6 @@ class FiberCountViolation(RuntimeError):
     """A conic fibration did not decompose into exactly r - 1 line pairs."""
 
 
-def rank_for_line_count(n: int) -> int:
-    """The rank r whose surface has n lines."""
-    for r, counts in COUNTS.items():
-        if counts.lines == n:
-            return r
-    raise ValueError(f"no rank has {n} lines")
-
-
 class LineTable(Record):
     """The lines of X_r in canonical (lexicographic) order, with index map.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import d5_data
 from .errors import InternalError
-from .incidence import enumerate_conics, enumerate_lines, rank_for_line_count
+from .incidence import enumerate_conics
 from .lattice import RankMismatch
 from .records import Record
 from .weyl import (
@@ -31,7 +31,6 @@ from .weyl import (
     d5_class_representatives,
     generators,
     group_data,
-    induced_matrix,
     line_coeffs,
     _spanning_inverse,
 )
@@ -206,13 +205,6 @@ def trivial_character(r: int) -> ClassFunctionSample:
     return ClassFunctionSample(np.ones(len(group_data(r)), dtype=np.int64), r)
 
 
-def reflection_character_value(g: WeylElement) -> int:
-    """Trace on Pic minus 1 for a single element, exactly (any rank)."""
-    lt = enumerate_lines(rank_for_line_count(len(g.perm)))
-    mat = induced_matrix(g, lt)
-    return sum(mat[k][k] for k in range(len(mat))) - 1
-
-
 def inner_product(chi: ClassFunctionSample, psi: ClassFunctionSample) -> Fraction:
     """(1/|W|) sum_g chi(g) psi(g), exact."""
     if chi.r != psi.r or len(chi) != len(psi):
@@ -310,18 +302,4 @@ def d5_wedge3_values() -> tuple[int, ...]:
     for e in d5_class_representatives():
         powers = tuple(fixed_points(e, k) for k in (1, 2, 3))
         out.append(exterior_power_value(powers, 3))
-    return tuple(out)
-
-
-def d5_conic_values() -> tuple[int, ...]:
-    """The conic-action character on the 18 classes."""
-    gd = group_data(5)
-    conics = enumerate_conics(5, gd.lt)
-    out = []
-    for e in d5_class_representatives():
-        fixed = 0
-        for fib in conics:
-            i, j = fib.fibers[0]
-            fixed += gd.lt.lines[e.perm[i]] + gd.lt.lines[e.perm[j]] == fib.cls
-        out.append(fixed)
     return tuple(out)

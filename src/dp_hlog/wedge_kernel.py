@@ -2,18 +2,24 @@
 
 For each conic class the r-2 differences of reducible-fiber indicator
 vectors span a rank r-2 module; their wedge is a sparse integer vector of
-minors indexed by sorted (r-2)-tuples of line indices. The kernel of the
-resulting linear system (one equation per occupied tuple, one unknown per
-conic) is expected to be one-dimensional with all coefficients +-1; the
-certificate records the orderings that produced it so the identity can be
-replayed bit-exactly.
+minors indexed by (r-2)-sets of line indices, keyed as bitmasks (bit c is
+line c). The kernel of the resulting linear system (one equation per
+occupied set, one unknown per conic) is expected to be one-dimensional with
+all coefficients +-1; the certificate records the orderings that produced it
+so the identity can be replayed bit-exactly.
 
-Every occupied tuple sits in exactly two wedges, both times with value +-1,
-so the system is a signed graph on the conics: tuple t joins conics a and b
+The wedge is computed twice, by independent routes: the producer writes
+it in closed form (`wedge_vector`), a signed sum of (r-1) 2^(r-2) unit
+entries since the fibers are disjoint line pairs; replay multiplies out the
+rebuilt difference rows one at a time (`iterated_wedge`).
+
+Every occupied set sits in exactly two wedges, both times with value +-1,
+so the system is a signed graph on the conics: set t joins conics a and b
 with sign -v_a v_b, and a kernel vector is a sign assignment that every edge
 respects. Its left kernel is one-dimensional with +-1 entries exactly when
 the graph is connected and balanced (Harary 1953; Zaslavsky, "Signed
-graphs", 1982). The solve checks that structure and raises when it fails.
+graphs", 1982). The solve checks that structure and raises when it fails;
+the coefficients are then checked on every edge.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from bisect import bisect_left
+from array import array
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InternalError
 from .incidence import (
@@ -55,7 +61,7 @@ class ReplayFailure(RuntimeError):
 
 
 class FiberDifferenceMatrix(NamedTuple):
-    """Rows are (fiber s) - (base fiber) as vectors over line indices."""
+    """Rows (fiber s) - (base fiber) over line indices; support: the fibers' lines."""
 
     conic: int
     rows: tuple[tuple[int, ...], ...]
@@ -63,14 +69,14 @@ class FiberDifferenceMatrix(NamedTuple):
 
 
 class WedgeVector(Record):
-    """Sparse exact wedge: sorted index tuple -> minor determinant.
+    """Sparse exact wedge: bitmask of line indices -> minor determinant.
 
     len() is the number of entries; wedges compare by identity.
     """
 
     __slots__ = ("conic", "entries")
     conic: int
-    entries: dict[tuple[int, ...], int]
+    entries: dict[int, int]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -145,9 +151,7 @@ def _content_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def fiber_differences(
-    f: ConicFibration, base: int, conic: int = -1
-) -> FiberDifferenceMatrix:
+def fiber_differences(f: ConicFibration, base: int, conic: int = -1) -> FiberDifferenceMatrix:
     """Difference rows (fiber s) - (fiber base), s != base, in fiber order."""
     nf = len(f.fibers)
     if not 0 <= base < nf:
@@ -164,24 +168,65 @@ def fiber_differences(
         row[bi] -= 1
         row[bj] -= 1
         rows.append(tuple(row))
-    support = sorted({c for row in rows for c, v in enumerate(row) if v})
-    return FiberDifferenceMatrix(conic, tuple(rows), tuple(support))
+    support = tuple(sorted({c for pair in f.fibers for c in pair}))
+    return FiberDifferenceMatrix(conic, tuple(rows), support)
 
 
-def wedge_vector(m: FiberDifferenceMatrix) -> WedgeVector:
-    """Iterated sparse wedge of the rows; entries are exact minors."""
-    acc: dict[tuple[int, ...], int] = {(): 1}
+def wedge_vector(f: ConicFibration, base: int, conic: int = -1, drop: int = 0) -> WedgeVector:
+    """The wedge of the rows (F_s - F_b), s != b, in closed form.
+
+    F_s is the sum of fiber s's two lines, in stored order, and b the base.
+    The wedge is the term that drops the base (sign +1) plus, for t != b,
+    the term that drops F_t and puts the base in its slot (sign -1); moving
+    the base back past the |t - b| - 1 fibers between makes that the sum
+    over d of (-1)^(d - b) times the wedge of every fiber but F_d. Each
+    term picks one line per fiber, signed by the parity of the sort; the
+    fibers are disjoint, so the (r-1) 2^(r-2) picks are distinct unit
+    entries. A pick that hits a line of the bitmask `drop` drops out.
+    """
+    fibers = f.fibers
+    if not 0 <= base < len(fibers):
+        raise IndexError(f"base fiber index {base} out of range 0..{len(fibers) - 1}")
+    whole = [(0, 1)]  # a pick from every fiber so far
+    short: list[tuple[int, int]] = []  # a pick from all but one fiber so far
+    last = len(fibers) - 1
+    for d, pair in enumerate(fibers):
+        lines = [c for c in pair if not drop >> c & 1]
+        skipped = whole if (d - base) % 2 == 0 else [(m, -v) for m, v in whole]
+        short = _extend(short, lines) + skipped
+        if d < last:
+            whole = _extend(whole, lines)
+    return WedgeVector(conic, dict(short))
+
+
+def _extend(picks: list[tuple[int, int]], lines: list[int]) -> list[tuple[int, int]]:
+    """Append each of `lines` to each pick: inserting line c into a sorted
+    pick flips its sign when an odd number of set bits lie above c."""
+    return [
+        (m | 1 << c, -v if (m >> c).bit_count() & 1 else v)
+        for m, v in picks
+        for c in lines
+    ]
+
+
+def iterated_wedge(m: FiberDifferenceMatrix, drop: int = 0) -> WedgeVector:
+    """Iterated sparse wedge of any rows; entries are exact minors.
+
+    Reads each row's nonzero entries on the support, skips the columns in
+    the bitmask `drop`, and keys entries by bitmask as `wedge_vector` does.
+    """
+    acc = {0: 1}
     for row in m.rows:
-        items = [(c, v) for c, v in enumerate(row) if v]
-        nxt: dict[tuple[int, ...], int] = {}
+        items = [(c, 1 << c, row[c]) for c in m.support if row[c] and not drop >> c & 1]
+        nxt: dict[int, int] = {}
         for key, coeff in acc.items():
-            for col, val in items:
-                pos = bisect_left(key, col)
-                if pos < len(key) and key[pos] == col:
+            for col, bit, val in items:
+                above = key >> col
+                if above & 1:
                     continue
-                sign = -1 if (len(key) - pos) & 1 else 1
-                new_key = key[:pos] + (col,) + key[pos:]
-                total = nxt.get(new_key, 0) + sign * coeff * val
+                new_key = key | bit
+                term = -coeff * val if above.bit_count() & 1 else coeff * val
+                total = nxt.get(new_key, 0) + term
                 if total:
                     nxt[new_key] = total
                 else:
@@ -190,24 +235,73 @@ def wedge_vector(m: FiberDifferenceMatrix) -> WedgeVector:
     return WedgeVector(m.conic, acc)
 
 
-def _quotient_columns(lt: LineTable) -> tuple[int, ...]:
+def _replayed_wedge(f: ConicFibration, base: int, conic: int, drop: int) -> WedgeVector:
+    """The replay route: the iterated wedge of the rebuilt difference rows."""
+    return iterated_wedge(fiber_differences(f, base, conic), drop)
+
+
+def _exceptional_lines(lt: LineTable) -> int:
+    """Bitmask of the exceptional lines l_1..l_r in lt."""
     lat = DelPezzoLattice(lt.r)
-    exceptional = {lat.exceptional(i) for i in range(1, lt.r + 1)}
-    return tuple(m for m, line in enumerate(lt.lines) if line not in exceptional)
+    return sum(1 << lt.index[lat.exceptional(i)] for i in range(1, lt.r + 1))
 
 
-def _signed_graph_kernel(wedges: Sequence[WedgeVector]) -> tuple[int, ...]:
-    """The +-1 left kernel vector of the wedges, normalized to epsilon_0 = +1.
+def _wedges(
+    producer, lt: LineTable, conics, fiber_orders, bases, quotient: bool
+) -> Iterator[WedgeVector]:
+    """One wedge per conic, `producer(fibration, base, conic, drop)`."""
+    drop = _exceptional_lines(lt) if quotient else 0
+    bound = comb(2 * (lt.r - 1), lt.r - 2)
+    for k, f in enumerate(conics):
+        w = producer(ConicFibration(f.cls, tuple(fiber_orders[k])), bases[k], k, drop)
+        if len(w) > bound:
+            raise InternalError("wedge sparsity bound violated")
+        yield w
 
-    One pass pairs the two occurrences of each tuple into an edge and merges
-    it into a spanning forest whose nodes carry their sign relative to the
-    root (union-find with parity); an edge that closes a cycle of sign -1
-    marks its component unbalanced. The kernel dimension is the number of
-    balanced components, and an unbalanced component forces zeros.
+
+def _signed_graph(wedges: Iterable[WedgeVector]) -> tuple[int, array]:
+    """Pair the two occurrences of each tuple into an edge of the signed graph.
+
+    Returns the number of wedges and the edges as a flat array of triples
+    (a, b, s): the tuple has entry u in wedge a and v in wedge b, and
+    eps_a u + eps_b v = 0 reads eps_b = s eps_a with s = -u v. Raises
+    WedgeStructureViolation unless every entry is +-1 and every tuple lies
+    in exactly two wedges.
     """
-    parent = list(range(len(wedges)))
-    sign = [1] * len(wedges)  # sign of a node relative to its parent
-    balanced = [True] * len(wedges)
+    first: dict = {}  # tuple -> b or ~b (entry +1 or -1 in wedge b); None once paired
+    edges = array("i")
+    n = 0
+    for b, w in enumerate(wedges):
+        n, neg = b + 1, ~b
+        for t, v in w.entries.items():
+            if v != 1 and v != -1:
+                raise WedgeStructureViolation(f"wedge {b} has entry {v}")
+            mark = b if v == 1 else neg
+            seen = first.setdefault(t, mark)
+            if seen == mark:
+                continue
+            if seen is None:
+                raise WedgeStructureViolation(f"a tuple of wedge {b} is in three or more wedges")
+            first[t] = None
+            edges.extend((~seen, b, v) if seen < 0 else (seen, b, -v))
+    if len(first) != len(edges) // 3:
+        raise WedgeStructureViolation("a tuple occurs in only one wedge")
+    return n, edges
+
+
+def signed_components(
+    n: int, edges: Iterable[tuple[int, int, int]]
+) -> tuple[list[int], list[int], list[bool]]:
+    """Union-find with parity on the nodes 0..n-1 of a signed graph.
+
+    Each edge (a, b, s) says x_b = s x_a. Returns (roots, signs, balanced):
+    node k lies in the component rooted at roots[k] with x_k = signs[k]
+    x_root, and balanced[root] is False once an edge closes a cycle of sign
+    -1 in that component.
+    """
+    parent = list(range(n))
+    sign = [1] * n  # sign of a node relative to its parent
+    balanced = [True] * n
 
     def find(x: int) -> int:
         path = []
@@ -220,61 +314,45 @@ def _signed_graph_kernel(wedges: Sequence[WedgeVector]) -> tuple[int, ...]:
             sign[y], parent[y] = s, x
         return x
 
-    first: dict[tuple[int, ...], tuple[int, int] | None] = {}
-    for b, w in enumerate(wedges):
-        for t, v in w.entries.items():
-            if v not in (1, -1):
-                raise WedgeStructureViolation(f"wedge entry {v} at tuple {t}")
-            entry = (b, v)
-            seen = first.setdefault(t, entry)
-            if seen is entry:
-                continue
-            if seen is None:
-                raise WedgeStructureViolation(f"tuple {t} occurs in three or more wedges")
-            first[t] = None
-            a, u = seen
-            ra, rb = find(a), find(b)
-            # eps_b = -u v eps_a, restated between the two roots
-            edge = -u * v * sign[a] * sign[b]
-            if ra == rb:
-                balanced[ra] = balanced[ra] and edge == 1
-            else:
-                parent[rb], sign[rb] = ra, edge
-                balanced[ra] = balanced[ra] and balanced[rb]
-    if any(seen is not None for seen in first.values()):
-        raise WedgeStructureViolation("a tuple occurs in only one wedge")
+    for a, b, s in edges:
+        # Once compressed, a node's parent is its root: skip the call then.
+        ra, rb = parent[a], parent[b]
+        if parent[ra] != ra:
+            ra = find(a)
+        if parent[rb] != rb:
+            rb = find(b)
+        # x_b = s x_a, restated between the two roots
+        rel = s * sign[a] * sign[b]
+        if ra == rb:
+            balanced[ra] = balanced[ra] and rel == 1
+        else:
+            parent[rb], sign[rb] = ra, rel
+            balanced[ra] = balanced[ra] and balanced[rb]
     # After a find on every node, each sign is relative to the node's root.
-    roots = {find(k) for k in range(len(wedges))}
-    dimension = sum(balanced[x] for x in roots)
+    return [find(k) for k in range(n)], sign, balanced
+
+
+def _signed_graph_kernel(n: int, edges: array) -> tuple[int, ...]:
+    """The +-1 left kernel vector of the wedges, normalized to epsilon_0 = +1.
+
+    The kernel dimension is the number of balanced components, and an
+    unbalanced component forces zeros.
+    """
+    roots, signs, balanced = signed_components(n, zip(edges[::3], edges[1::3], edges[2::3]))
+    components = set(roots)
+    dimension = sum(balanced[x] for x in components)
     if dimension != 1:
         raise KernelDimensionViolation(f"kernel dimension {dimension}, expected 1")
-    if len(roots) != 1:
+    if len(components) != 1:
         raise SignViolation("kernel coefficients not all +-1: an unbalanced component is 0")
-    return tuple(s * sign[0] for s in sign)
+    return tuple(s * signs[0] for s in signs)
 
 
-def _build_wedges(
-    lt: LineTable,
-    fiber_orders: Sequence[Sequence[tuple[int, int]]],
-    bases: Sequence[int],
-    quotient: bool,
-    conics,
-) -> list[WedgeVector]:
-    r = lt.r
-    keep = _quotient_columns(lt) if quotient else None
-    out = []
-    for k, f in enumerate(conics):
-        ordered = ConicFibration(f.cls, tuple(fiber_orders[k]))
-        m = fiber_differences(ordered, bases[k], conic=k)
-        if keep is not None:
-            rows = tuple(tuple(row[c] for c in keep) for row in m.rows)
-            support = sorted({c for row in rows for c, v in enumerate(row) if v})
-            m = FiberDifferenceMatrix(k, rows, tuple(support))
-        w = wedge_vector(m)
-        if len(w) > comb(2 * (r - 1), r - 2):
-            raise InternalError("wedge sparsity bound violated")
-        out.append(w)
-    return out
+def _check_annihilation(edges: array, epsilon: Sequence[int]) -> None:
+    """eps_a u + eps_b v = 0 on every edge, i.e. eps_b = s eps_a."""
+    heads, tails, signs = edges[::3], edges[1::3], edges[2::3]
+    if any(epsilon[b] != s * epsilon[a] for a, b, s in zip(heads, tails, signs)):
+        raise InternalError("claimed kernel vector does not annihilate the system")
 
 
 def kernel_signs(
@@ -301,28 +379,23 @@ def kernel_signs(
     rng = random.Random(seed) if seed is not None else None
 
     if fiber_orders is None:
-        if rng is None:
-            fiber_orders = [f.fibers for f in conics]
-        else:
-            fiber_orders = [
-                tuple(rng.sample(f.fibers, len(f.fibers))) for f in conics
-            ]
+        fiber_orders = [
+            f.fibers if rng is None else tuple(rng.sample(f.fibers, len(f.fibers)))
+            for f in conics
+        ]
     else:
         fiber_orders = [tuple(tuple(p) for p in fo) for fo in fiber_orders]
         for f, fo in zip(conics, fiber_orders):
             if sorted(fo) != sorted(f.fibers):
                 raise ValueError("fiber_orders must permute the canonical fibers")
     if bases is None:
-        if rng is None:
-            bases = [r - 2] * len(conics)
-        else:
-            bases = [rng.randrange(r - 1) for _ in conics]
+        bases = [r - 2 if rng is None else rng.randrange(r - 1) for _ in conics]
     else:
         bases = [int(b) for b in bases]
 
-    wedges = _build_wedges(lt, fiber_orders, bases, quotient, conics)
-    epsilon = _signed_graph_kernel(wedges)
-    _verify_zero(wedges, epsilon)
+    n, edges = _signed_graph(_wedges(wedge_vector, lt, conics, fiber_orders, bases, quotient))
+    epsilon = _signed_graph_kernel(n, edges)
+    _check_annihilation(edges, epsilon)
     payload_cert = HlogCertificate(
         r=r,
         conics=tuple(c.cls.coeffs for c in conics),
@@ -337,25 +410,13 @@ def kernel_signs(
     return payload_cert._replace(content_hash=digest)
 
 
-def _verify_zero(wedges: Sequence[WedgeVector], epsilon: Sequence[int]) -> None:
-    total: dict[tuple[int, ...], int] = {}
-    for w, e in zip(wedges, epsilon):
-        for t, v in w.entries.items():
-            s = total.get(t, 0) + e * v
-            if s:
-                total[t] = s
-            else:
-                total.pop(t, None)
-    if total:
-        raise InternalError("claimed kernel vector does not annihilate the system")
-
-
 def replay(cert: HlogCertificate) -> None:
     """Re-prove a certificate from its stored orderings; raise on failure.
 
-    The wedges are rebuilt and the signed-graph solve runs again, so the
-    kernel dimension is proved rather than read from the certificate; then
-    the stored coefficients must annihilate every wedge.
+    The wedges are rebuilt by the iterated route, not the producer's closed
+    form, and the signed-graph solve runs again, so the kernel dimension is
+    proved rather than read from the certificate; then the stored
+    coefficients must annihilate every wedge.
     """
     if cert.r not in (4, 5, 6, 7, 8):
         raise ReplayFailure(f"unsupported rank {cert.r}")
@@ -378,10 +439,12 @@ def replay(cert: HlogCertificate) -> None:
             raise ReplayFailure("stored fiber order is not a permutation of the fibers")
         if not 0 <= b < len(f.fibers):
             raise ReplayFailure("stored base index out of range")
-    wedges = _build_wedges(lt, cert.fiber_orders, cert.bases, cert.quotient, conics)
     try:
-        _signed_graph_kernel(wedges)
-        _verify_zero(wedges, cert.epsilon)
+        n, edges = _signed_graph(
+            _wedges(_replayed_wedge, lt, conics, cert.fiber_orders, cert.bases, cert.quotient)
+        )
+        _signed_graph_kernel(n, edges)
+        _check_annihilation(edges, cert.epsilon)
     except (
         WedgeStructureViolation,
         KernelDimensionViolation,

@@ -15,14 +15,14 @@ uint8 rows; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import d5_data
 from .errors import InternalError
-from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_lines, reducible_fibers
-from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass
+from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_lines
+from .lattice import SUPPORTED_RANKS, DelPezzoLattice
 from .records import Record
 
 # Group elements per block when a sum runs over the whole group.
@@ -88,17 +88,6 @@ class _GroupData(Record):
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    def sign_of(self, i: int) -> int:
-        return -1 if self.levels[i] & 1 else 1
-
-    def word_of(self, i: int) -> tuple[int, ...]:
-        out = []
-        while i != 0:
-            out.append(int(self.gens[i]))
-            i = int(self.parents[i])
-        out.reverse()
-        return tuple(out)
 
     def signs(self) -> np.ndarray:
         return np.where(self.levels & 1, -1, 1).astype(np.int64)
@@ -181,41 +170,9 @@ def generators(r: int, lt: LineTable | None = None) -> list[WeylElement]:
     return [WeylElement(perm, -1, (g,)) for g, perm in enumerate(canonical.generators)]
 
 
-def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement]:
-    """Stream every element of W(E_r) exactly once, r in 3..7.
-
-    Discovery order is deterministic (BFS level, then packed-key order), so
-    positions in this stream are a stable element key.
-    """
-    gd = group_data(r)
-    _check_line_table(lt, gd.lt)
-    for i in range(len(gd)):
-        yield WeylElement(tuple(gd.perms[i].tolist()), gd.sign_of(i), gd.word_of(i))
-
-
 def group_order(r: int) -> int:
     """Order of W(E_r) by actual enumeration (r in 3..7)."""
     return len(group_data(r))
-
-
-def stabilizer_order(r: int, target: DivisorClass) -> int:
-    """Number of group elements fixing a line or conic class."""
-    gd = group_data(r)
-    lat = DelPezzoLattice(r)
-    if lat.is_line(target):
-        idx = gd.lt.index[target]
-        return int(np.count_nonzero(gd.perms[:, idx] == idx))
-    if lat.is_conic_class(target):
-        i, j = reducible_fibers(target, gd.lt)[0]
-        coeffs = line_coeffs(gd.lt)
-        total = 0
-        for lo in range(0, len(gd), _CHUNK):
-            pi = gd.perms[lo : lo + _CHUNK, i]
-            pj = gd.perms[lo : lo + _CHUNK, j]
-            sums = coeffs[pi] + coeffs[pj]
-            total += int(np.count_nonzero(np.all(sums == target.coeffs, axis=1)))
-        return total
-    raise ValueError("target must be a line or a conic class")
 
 
 def d5_class_representatives(lt: LineTable | None = None) -> list[WeylElement]:
@@ -252,14 +209,3 @@ def _spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.array_equal(basis @ inv, np.eye(r + 1, dtype=np.int64)):
         raise InternalError("spanning lines are not a unimodular basis")
     return inv, kcols
-
-
-def induced_matrix(e: WeylElement, lt: LineTable) -> tuple[tuple[int, ...], ...]:
-    """The (r+1) x (r+1) integer matrix of e on Pic, from the permutation.
-
-    Solves A * V = V' where V holds the spanning lines as columns and V'
-    their images; V is unimodular so A is exact.
-    """
-    inv, kcols = _spanning_inverse(lt.r)
-    images = np.array([lt.lines[e.perm[k]].coeffs for k in kcols.tolist()], dtype=np.int64).T
-    return tuple(tuple(row) for row in (images @ inv).tolist())

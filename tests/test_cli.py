@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import dp_hlog
-from dp_hlog import cli, d5_data
+from dp_hlog import cli, d5_data, wedge_kernel
+from dp_hlog.errors import InternalError
+from dp_hlog.incidence import FiberCountViolation
 
 
 def run_json(tmp_path, name, args):
@@ -123,6 +125,135 @@ def test_replay_missing_file(tmp_path):
         tmp_path, "r.json", ["replay", str(tmp_path / "absent.json")]
     )
     assert code == 2
+
+
+def _swap(path, i, j):
+    def mutate(cert):
+        target = cert
+        for key in path:
+            target = target[key]
+        target[i], target[j] = target[j], target[i]
+
+    return mutate
+
+
+def _bump(path, delta=1):
+    def mutate(cert):
+        *keys, last = path
+        target = cert
+        for key in keys:
+            target = target[key]
+        target[last] += delta
+
+    return mutate
+
+
+def _proof_mutants():
+    """Every value of a stored r = 4 certificate changed in turn, or two
+    fibers of one conic swapped (which negates that conic's wedge)."""
+    out = {"r up": _bump(["r"]), "r down": _bump(["r"], -1)}
+    out["kernel_dimension 2"] = _set(["kernel_dimension"], 2)
+    out["kernel_dimension 0"] = _set(["kernel_dimension"], 0)
+    for k in range(5):
+        out[f"epsilon {k} zero"] = _set(["epsilon", k], 0)
+        out[f"epsilon {k} negated"] = lambda c, k=k: c["epsilon"].__setitem__(k, -c["epsilon"][k])
+        out[f"base {k}"] = _bump(["bases", k], -1)
+        out[f"base {k} out of range"] = _set(["bases", k], 3)
+        for i in range(5):
+            out[f"conic {k} coefficient {i}"] = _bump(["conics", k, i])
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            out[f"conic {k} fibers {i} {j}"] = _swap(["fiber_orders", k], i, j)
+        out[f"conic {k} lines of fiber 0"] = _swap(["fiber_orders", k, 0], 0, 1)
+        out[f"conic {k} fiber line"] = _bump(["fiber_orders", k, 0, 1])
+    return out
+
+
+def test_replay_refuses_every_mutant_that_reaches_the_proof(tmp_path):
+    # The content hash is recomputed, so each mutant reaches the re-proof.
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--rank", "4", "--out", str(out)]) == 0
+    stored = json.loads(out.read_text(encoding="utf-8"))["certificate"]
+    mutants = _proof_mutants()
+    assert len(mutants) == 74
+    for name, mutate in mutants.items():
+        cert = json.loads(json.dumps(stored))
+        mutate(cert)
+        assert cert != stored, name
+        cert["content_hash"] = wedge_kernel._content_hash(
+            {k: v for k, v in cert.items() if k != "content_hash"}
+        )
+        out.write_text(json.dumps(cert), encoding="utf-8")
+        code, artifact = run_json(tmp_path, "r.json", ["replay", str(out)])
+        assert code in (2, 4), name
+        assert "error" in artifact, name
+    # A hash that no longer matches, and a flipped quotient flag. Every
+    # kernel vector of the full system also annihilates the quotient system,
+    # whose kernel replay proves one-dimensional too: that mutant is a true
+    # certificate and must replay.
+    for field, value, expected in (
+        ("content_hash", "0" * 64, 4),
+        ("quotient", not stored["quotient"], 0),
+    ):
+        cert = dict(stored, **{field: value})
+        if field == "quotient":
+            cert["content_hash"] = wedge_kernel._content_hash(
+                {k: v for k, v in cert.items() if k != "content_hash"}
+            )
+        out.write_text(json.dumps(cert), encoding="utf-8")
+        assert cli.main(["replay", str(out), "--out", str(tmp_path / "r.json")]) == expected
+
+
+class _Raises:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def __call__(self, *args, **kwargs):
+        raise self.exc
+
+
+_CLOSURE = RuntimeError("group closure found 1 elements, expected 120")
+_FIBERS = FiberCountViolation("conic has 2 reducible fibers, expected 3")
+_BROKEN = InternalError("broken invariant")
+
+# Route -> (module attribute to break, its failure, arguments, documented code).
+BROKEN_INVARIANTS = {
+    "enumerate": ("incidence.enumerate_conics", _FIBERS, ["enumerate", "--rank", "4"], 3),
+    "group": ("weyl.group_data", _CLOSURE, ["group", "--rank", "4"], 3),
+    "certify": ("wedge_kernel._check_annihilation", _BROKEN, ["certify", "--rank", "4"], 4),
+    "certify fibers": ("wedge_kernel.enumerate_conics", _FIBERS, ["certify", "--rank", "4"], 4),
+    "characters": ("rep_theory.line_character", _BROKEN, ["characters", "--rank", "4"], 5),
+    "symbols": ("hwords.verify_asym_shuffle_identities", _BROKEN, ["symbols"], 6),
+    "numeric": ("dp4.dp4_data", _BROKEN, ["numeric", "--rank", "5", "--samples", "1"], 6),
+    "all": ("weyl.group_data", _CLOSURE, ["all", "--rank", "4", "--samples", "1"], 3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BROKEN_INVARIANTS))
+def test_failed_invariants_exit_with_the_route_code(tmp_path, monkeypatch, route):
+    target, exc, args, expected = BROKEN_INVARIANTS[route]
+    module, attr = target.split(".")
+    # Run every deferred module first, so none binds the broken attribute.
+    for deferred in ("d5_data", "weyl", "rep_theory", "hwords", "dp4", "hnumeric"):
+        getattr(cli, deferred).__name__
+    monkeypatch.setattr(getattr(cli, module), attr, _Raises(exc))
+    code, artifact = run_json(tmp_path, "a.json", args)
+    assert code == expected
+    if route == "all":
+        # The group route fails first; the others still run.
+        assert artifact["passed"] is False
+        assert artifact["routes"]["group"]["error"] == str(exc)
+        assert artifact["routes"]["certify"]["certificate"]["r"] == 4
+    else:
+        assert artifact["error"] == str(exc)
+
+
+def test_replay_exits_4_on_a_failed_invariant(tmp_path, monkeypatch):
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--rank", "4", "--out", str(out)]) == 0
+    monkeypatch.setattr(wedge_kernel, "enumerate_conics", _Raises(_FIBERS))
+    code, artifact = run_json(tmp_path, "r.json", ["replay", str(out)])
+    assert code == 4
+    assert artifact["error"] == str(_FIBERS)
 
 
 def test_certify_rank_eight_needs_stretch():

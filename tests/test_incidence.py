@@ -10,10 +10,11 @@ from dp_hlog.incidence import (
     UnsupportedRank,
     enumerate_conics,
     enumerate_lines,
-    rank_for_line_count,
     reducible_fibers,
 )
 from dp_hlog.lattice import DelPezzoLattice, DivisorClass, pair
+
+from oracles import rank_for_line_count
 
 
 def test_line_counts() -> None:

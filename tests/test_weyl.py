@@ -9,12 +9,11 @@ from dp_hlog.weyl import (
     GroupTooLarge,
     WeylElement,
     d5_class_representatives,
-    enumerate_group,
     generators,
     group_order,
-    induced_matrix,
-    stabilizer_order,
 )
+
+from oracles import enumerate_group, induced_matrix, stabilizer_order
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

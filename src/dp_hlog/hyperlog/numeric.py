@@ -46,6 +46,7 @@ from .words import Word, WordCombination, asym
 _MAX_WEIGHT = 5
 _STEP_CAP = 1 << 17
 _CLEARANCE_GRID = 1025
+_CANDIDATES = 8  # endpoints checked per batch while drawing a plan
 # Elements (words x paths x steps) of the top weight in one block of steps
 # of a transport run; each lower weight holds 1/alphabet of the one above.
 _BLOCK = 1 << 13
@@ -450,28 +451,26 @@ def _web(r: int, data: dp4.DP4Data | None):
     return data, maps, letters, data.alignment, r - 2
 
 
-def _path_clear(
+def _clear(
     m: _RationalMap,
     pts: Sequence[complex],
-    start: tuple[complex, complex],
-    stop: tuple[complex, complex],
+    starts: np.ndarray,
+    stops: np.ndarray,
     delta: float,
-) -> bool:
+) -> np.ndarray:
+    """Which planar segments starts[s] -> stops[s] (rows of (x, y)) keep the
+    denominator off zero, |u| below 1/delta and u further than delta from
+    every letter, on _CLEARANCE_GRID points each."""
     t = np.linspace(0.0, 1.0, _CLEARANCE_GRID)
-    xy = m.powers(
-        start[0] + t * (stop[0] - start[0]), start[1] + t * (stop[1] - start[1])
-    )
-    n = m.num(*xy)
+    x, y = (starts[:, i, None] + t * (stops[:, i, None] - starts[:, i, None]) for i in (0, 1))
+    xy = m.powers(x, y)
     d = m.den(*xy)
-    if np.min(np.abs(d)) <= 1e-12:
-        return False
-    u = n / d
-    if np.max(np.abs(u)) >= 1.0 / delta:
-        return False
-    for b in pts:
-        if np.min(np.abs(u - b)) <= delta:
-            return False
-    return True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = m.num(*xy) / d
+        ok = (np.abs(d).min(axis=1) > 1e-12) & (np.abs(u).max(axis=1) < 1.0 / delta)
+        for b in pts:
+            ok &= np.abs(u - b).min(axis=1) > delta
+    return ok
 
 
 def _draw_plan(
@@ -481,33 +480,42 @@ def _draw_plan(
     samples: int,
     delta: float,
 ):
+    """A base point and `samples` clear endpoints around it, drawn from rng.
+
+    Endpoints are drawn in batches of the ones still missing (at most
+    _CANDIDATES), each integral checked once per batch; the plan and the
+    candidate that exhausts the 200 * samples attempts are those of drawing
+    and checking the candidates one at a time.
+    """
+
     def cpx(lo: float, hi: float, im_lo: float, im_hi: float) -> complex:
         return complex(rng.uniform(lo, hi), rng.uniform(im_lo, im_hi))
 
+    def clear(starts: list, stops: list) -> np.ndarray:
+        ok = np.ones(len(stops), dtype=bool)
+        starts, stops = np.asarray(starts), np.asarray(stops)
+        for m, pts in zip(maps, letters):
+            ok[ok] = _clear(m, pts, starts[ok], stops[ok], delta)
+        return ok
+
     for _ in range(100):
         xi = (cpx(-1.2, 1.2, 0.1, 0.9), cpx(-1.2, 1.2, -0.9, -0.1))
-        probe = (xi[0] + 1e-6, xi[1] + 1e-6j)
-        if all(
-            _path_clear(m, pts, xi, probe, delta)
-            for m, pts in zip(maps, letters)
-        ):
+        if clear([xi], [(xi[0] + 1e-6, xi[1] + 1e-6j)])[0]:
             break
     else:
         raise PathTooClose(delta, "no admissible base point found")
     plan = []
-    attempts = 0
+    attempts, limit = 0, 200 * samples
     while len(plan) < samples:
-        attempts += 1
-        if attempts > 200 * samples:
+        if attempts == limit:
             raise PathTooClose(delta, "could not sample enough clear endpoints")
-        p = (
-            xi[0] + cpx(-0.7, 0.7, -0.7, 0.7),
-            xi[1] + cpx(-0.7, 0.7, -0.7, 0.7),
-        )
-        if all(
-            _path_clear(m, pts, xi, p, delta) for m, pts in zip(maps, letters)
-        ):
-            plan.append((xi, p))
+        batch = min(samples - len(plan), _CANDIDATES, limit - attempts)
+        stops = [
+            (xi[0] + cpx(-0.7, 0.7, -0.7, 0.7), xi[1] + cpx(-0.7, 0.7, -0.7, 0.7))
+            for _ in range(batch)
+        ]
+        plan.extend((xi, p) for p, ok in zip(stops, clear([xi] * batch, stops)) if ok)
+        attempts += batch
     return plan
 
 

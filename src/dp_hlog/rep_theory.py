@@ -1,9 +1,11 @@
 """Character theory of W(E_r) acting on lines and conic fibrations.
 
-Permutation characters are sampled over the full enumerated group (r <= 7),
-in chunks of the cached permutation arrays; power sums always come from
-cycle data or iterated in-chunk composition, and every reduction is an exact
-integer. Exterior powers use the Newton recurrence on power sums.
+Permutation characters are sampled over the whole group (r <= 7), one block
+t o W_(r-1) of the transversal chain of :mod:`dp_hlog.weyl` at a time. Each
+element permutes the lines and the conic classes, so fixed lines and fixed
+conics are fixed-point counts; power sums come from iterated composition.
+Every reduction is an exact integer; exterior powers use the Newton
+recurrence on power sums.
 
 The type D5 character table (r = 5) is embedded in :mod:`dp_hlog.d5_data`,
 so that case decomposes completely. For r = 6, 7 no tables are embedded;
@@ -15,17 +17,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import d5_data
 from .errors import InternalError
-from .incidence import enumerate_conics
+from .incidence import enumerate_lines
 from .lattice import RankMismatch
 from .records import Record
 from .weyl import (
-    _CHUNK,
     GroupTooLarge,
     WeylElement,
     d5_class_representatives,
@@ -36,6 +37,12 @@ from .weyl import (
 )
 
 
+# Elements per chunk of an inner product over the whole group, and rows per
+# piece of a block whose powers are composed (a few MB of gather indices).
+_CHUNK = 1 << 18
+_PIECE = 1 << 12
+
+
 class NotACharacter(ValueError):
     """Decomposition against the character table gave a non-integer."""
 
@@ -43,10 +50,10 @@ class NotACharacter(ValueError):
 class ClassFunctionSample(Record):
     """A class function sampled over the whole group.
 
-    values[i] is the value at the i-th element of the canonical enumeration
-    stream (a map keyed by stream position); constancy on conjugacy classes
-    is a property of the construction, spot-checked in tests. len() is the
-    group order.
+    values[i] is the value at element i of the chain order of
+    weyl.group_data, one byte each; constancy on conjugacy classes is a
+    property of the construction, spot-checked in tests. len() is the group
+    order.
     """
 
     __slots__ = ("values", "r")
@@ -58,45 +65,20 @@ class ClassFunctionSample(Record):
 
 
 def fixed_points(g: WeylElement, power: int = 1) -> int:
-    """Fixed lines of g**power, from the cycle type of g (no composition)."""
+    """Fixed lines of g**power, composing g power times."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    seen = [False] * len(g.perm)
-    total = 0
-    for start in range(len(g.perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = g.perm[i]
-            length += 1
-        if power % length == 0:
-            total += length
-    return total
+    images = g.perm
+    for _ in range(power - 1):
+        images = [g.perm[i] for i in images]
+    return sum(i == j for i, j in enumerate(images))
 
 
 def exterior_power_value(powersums: Sequence[int], m: int) -> int:
-    """e_m from p_1..p_m via m*e_m = sum_k (-1)^(k-1) p_k e_{m-k}.
-
-    For permutation power sums the recurrence divides exactly at every step;
-    a non-integer would mean corrupted input.
-    """
+    """e_m from the power sums p_1..p_m (see _elementary_from_powers)."""
     if m < 0 or len(powersums) < m:
         raise ValueError(f"need {m} power sums, got {len(powersums)}")
-    e = [1] + [0] * m
-    for mm in range(1, m + 1):
-        acc = 0
-        sign = 1
-        for k in range(1, mm + 1):
-            acc += sign * powersums[k - 1] * e[mm - k]
-            sign = -sign
-        q, rem = divmod(acc, mm)
-        if rem:
-            raise InternalError(f"Newton recurrence non-integer at step {mm}")
-        e[mm] = q
-    return e[m]
+    return int(_elementary_from_powers(np.array(powersums[:m], dtype=np.int64).reshape(1, m))[0])
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -112,20 +94,25 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _power_fixed_counts(chunk: np.ndarray, s: int) -> np.ndarray:
-    """(n, s) fixed-point counts of g^1..g^s for each permutation row."""
+    """(n, s) fixed-point counts of g^1..g^s for each permutation row, in
+    pieces of _PIECE rows: g o g^k is a gather from the flattened piece."""
     n, l = chunk.shape
     idx = np.arange(l, dtype=chunk.dtype)
     out = np.empty((n, s), dtype=np.int64)
-    cur = chunk
-    out[:, 0] = (cur == idx).sum(axis=1)
-    for k in range(1, s):
-        cur = np.take_along_axis(chunk, cur, axis=1)
-        out[:, k] = (cur == idx).sum(axis=1)
+    for lo in range(0, n, _PIECE):
+        cur = piece = np.ascontiguousarray(chunk[lo : lo + _PIECE])
+        rows = np.arange(0, piece.size, l)[:, None]
+        for k in range(s):
+            if k:
+                cur = piece.ravel()[cur + rows]
+            out[lo : lo + len(piece), k] = (cur == idx).sum(axis=1, dtype=np.int16)
     return out
 
 
 def _elementary_from_powers(p: np.ndarray) -> np.ndarray:
-    """Vectorized Newton recurrence: e_s per row of power sums p (n, s)."""
+    """e_s per row of power sums p (n, s), by the Newton recurrence
+    m e_m = sum_k (-1)^(k-1) p_k e_(m-k). For permutation power sums it
+    divides exactly at every step; a non-integer means corrupted input."""
     n, s = p.shape
     e = [np.ones(n, dtype=np.int64)]
     for m in range(1, s + 1):
@@ -135,81 +122,72 @@ def _elementary_from_powers(p: np.ndarray) -> np.ndarray:
             acc += sign * p[:, k - 1] * e[m - k]
             sign = -sign
         if (acc % m).any():
-            raise InternalError(f"vector Newton recurrence non-integer at step {m}")
+            raise InternalError(f"Newton recurrence non-integer at step {m}")
         e.append(acc // m)
     return e[s]
-
-
-@lru_cache(maxsize=None)
-def _line_values(r: int) -> np.ndarray:
-    gd = group_data(r)
-    idx = np.arange(gd.perms.shape[1], dtype=gd.perms.dtype)
-    return (gd.perms == idx).sum(axis=1).astype(np.int64)
-
-
-@lru_cache(maxsize=None)
-def _conic_values(r: int) -> np.ndarray:
-    gd = group_data(r)
-    conics = enumerate_conics(r, gd.lt)
-    l = len(gd.lt)
-    pair_to_conic = np.full((l, l), -1, dtype=np.int16)
-    rep_pairs = np.empty((len(conics), 2), dtype=np.int64)
-    for k, fib in enumerate(conics):
-        rep_pairs[k] = fib.fibers[0]
-        for i, j in fib.fibers:
-            pair_to_conic[i, j] = pair_to_conic[j, i] = k
-    out = np.empty(len(gd), dtype=np.int64)
-    for lo in range(0, len(gd), _CHUNK):
-        block = gd.perms[lo : lo + _CHUNK]
-        counts = np.zeros(len(block), dtype=np.int64)
-        for k in range(len(conics)):
-            i, j = rep_pairs[k]
-            counts += pair_to_conic[block[:, i], block[:, j]] == k
-        out[lo : lo + _CHUNK] = counts
-    return out
 
 
 @lru_cache(maxsize=None)
 def _trace_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     """T[c, m] with trace(g on Pic) = sum_c T[c, perm_g[kcols[c]]]."""
     inv, kcols = _spanning_inverse(r)
-    return inv @ line_coeffs(group_data(r).lt).T, kcols
+    return inv @ line_coeffs(enumerate_lines(r)).T, kcols
+
+
+class _Values(NamedTuple):
+    """Per-element values of the permutation-type characters, chain order."""
+
+    line: np.ndarray  # fixed lines
+    conic: np.ndarray  # fixed conic classes
+    reflection: np.ndarray  # trace on Pic minus 1
 
 
 @lru_cache(maxsize=None)
-def _reflection_values(r: int) -> np.ndarray:
+def _values(r: int) -> _Values:
+    """The three characters one block t o W_(r-1) at a time, no block
+    composed: t o w fixes x where w(x) = t^-1(x), and the trace reads the
+    images t(w(k)) of the spanning lines k alone."""
     gd = group_data(r)
+    l, step = len(gd.lt), len(gd.lower)
     table, kcols = _trace_table(r)
-    traces = np.zeros(len(gd), dtype=np.int64)
-    for c in range(r + 1):
-        traces += table[c][gd.perms[:, int(kcols[c])]]
-    return traces - 1
+    rows, spans = np.arange(len(kcols)), gd.lower[:, kcols]
+    out = _Values(*(np.empty(len(gd), dtype=np.int8) for _ in range(3)))
+    for lo, t in zip(range(0, len(gd), step), gd.top):
+        fixed = gd.lower == np.argsort(t).astype(np.uint8)
+        out.line[lo : lo + step] = fixed[:, :l].sum(axis=1, dtype=np.int16)
+        out.conic[lo : lo + step] = fixed[:, l:].sum(axis=1, dtype=np.int16)
+        out.reflection[lo : lo + step] = table[rows, t[spans]].sum(axis=1) - 1
+    return out
 
 
 def line_character(r: int) -> ClassFunctionSample:
     """g -> number of fixed lines."""
-    return ClassFunctionSample(_line_values(r), r)
+    return ClassFunctionSample(_values(r).line, r)
 
 
 def conic_character(r: int) -> ClassFunctionSample:
     """g -> number of fixed conic classes; degree kappa_r at the identity."""
-    return ClassFunctionSample(_conic_values(r), r)
+    return ClassFunctionSample(_values(r).conic, r)
 
 
 def reflection_character(r: int) -> ClassFunctionSample:
     """g -> trace of g on Pic minus 1 (the canonical class splits off)."""
-    return ClassFunctionSample(_reflection_values(r), r)
+    return ClassFunctionSample(_values(r).reflection, r)
 
 
 def trivial_character(r: int) -> ClassFunctionSample:
-    return ClassFunctionSample(np.ones(len(group_data(r)), dtype=np.int64), r)
+    return ClassFunctionSample(np.ones(len(group_data(r)), dtype=np.int8), r)
 
 
 def inner_product(chi: ClassFunctionSample, psi: ClassFunctionSample) -> Fraction:
-    """(1/|W|) sum_g chi(g) psi(g), exact."""
+    """(1/|W|) sum_g chi(g) psi(g), exact, summed in chunks."""
     if chi.r != psi.r or len(chi) != len(psi):
         raise RankMismatch(f"rank {chi.r} vs rank {psi.r}")
-    return Fraction(_exact_dot(chi.values, psi.values), len(chi))
+    total = sum(
+        _exact_dot(chi.values[lo : lo + _CHUNK], psi.values[lo : lo + _CHUNK])
+        for lo in range(0, len(chi), _CHUNK)
+    )
+    return Fraction(total, len(chi))
 
 
 def signature_multiplicity(r: int) -> int:
@@ -224,13 +202,11 @@ def signature_multiplicity(r: int) -> int:
     if r not in (4, 5, 6, 7):
         raise ValueError(f"rank must be in 4..7, got {r}")
     gd = group_data(r)
-    s = r - 2
-    signs = gd.signs()
+    l, step = len(gd.lt), len(gd.lower)
     total = 0
-    for lo in range(0, len(gd), _CHUNK):
-        powers = _power_fixed_counts(gd.perms[lo : lo + _CHUNK], s)
-        wedge = _elementary_from_powers(powers)
-        total += _exact_dot(signs[lo : lo + _CHUNK], wedge)
+    for lo, t in zip(range(0, len(gd), step), gd.top):
+        wedge = _elementary_from_powers(_power_fixed_counts(t[gd.lower[:, :l]], r - 2))
+        total += _exact_dot(1 - 2 * (gd.levels[lo : lo + step] & 1).astype(np.int64), wedge)
     mult = Fraction(total, len(gd))
     if mult.denominator != 1:
         raise InternalError(f"signature multiplicity is not an integer: {mult}")
@@ -249,17 +225,13 @@ def d5_class_sizes() -> tuple[int, ...]:
     sizes = []
     covered: set[tuple[int, ...]] = set()
     for e in reps:
-        orbit = {e.perm}
-        frontier = [e.perm]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for s in gens:
-                    q = tuple(s[p[s[i]]] for i in range(len(p)))
-                    if q not in orbit:
-                        orbit.add(q)
-                        nxt.append(q)
-            frontier = nxt
+        orbit, frontier = {e.perm}, [e.perm]
+        for p in frontier:  # grows while the loop runs
+            for s in gens:
+                q = tuple(s[p[s[i]]] for i in range(len(p)))
+                if q not in orbit:
+                    orbit.add(q)
+                    frontier.append(q)
         if orbit & covered:
             raise InternalError("representatives do not hit distinct classes")
         covered |= orbit

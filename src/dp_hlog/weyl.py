@@ -1,32 +1,36 @@
-"""W(E_r) materialized as a permutation group on the canonical line list.
+"""W(E_r) as a chain of coset transversals on the lines and conic classes.
 
-The group is generated by the r fundamental reflections. Elements are stored
-as permutations of line indices: the images of a spanning set of r + 1 lines
-determine the whole lattice map, so a 48-bit packed key over that set
-deduplicates elements exactly. Enumeration is a breadth-first closure under
-right multiplication by the generators, vectorized with numpy; signs ride
-along as the parity of the BFS level (every word for a fixed element has the
-same parity, since the determinant on Pic is well defined).
+Elements act on the points of X_r: the lines in canonical order, then the
+conic classes (offset by the line count), as uint8 permutations. W_k
+(k = 2..r) is generated by the swaps with generator indices 0..k-2 and, for
+k >= 3, by the Cremona reflection (index r - 1). Its transversal T_k is a
+BFS of the orbit of l_k under W_k: one t with t(l_k) = m per line m of the
+orbit, with its BFS depth. Every element is t_r o ... o t_2 exactly once
+(Sims 1970). A BFS word is a shortest coset representative, and lengths add
+across the parabolic factorization W_k = T_k W_(k-1) (Humphreys, Reflection
+Groups and Coxeter Groups, 1.10), so the length of an element is the sum of
+its depths and its sign, the determinant on Pic, the parity of that sum.
 
-The r = 7 group (2 903 040 elements on 56 lines) fits in roughly 170 MB of
-uint8 rows; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
+The chain is proved, not assumed: the generators of W_(k-1) must fix l_k,
+and every Schreier generator g o t (t in T_k, g a generator of W_k) must sift
+through T_k, ..., T_2 to the identity, else RuntimeError. Then W_(k-1) is the
+stabilizer of l_k and |W_k| = |T_k| |W_(k-1)|. Only the transversal T_r, the
+product of the lower levels (|W(E_6)| x 182 bytes at r = 7) and a byte of
+length per element are kept; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import d5_data
 from .errors import InternalError
-from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_lines
+from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_conics, enumerate_lines
 from .lattice import SUPPORTED_RANKS, DelPezzoLattice
 from .records import Record
-
-# Group elements per block when a sum runs over the whole group.
-_CHUNK = 1 << 18
 
 
 class GroupTooLarge(ValueError):
@@ -64,96 +68,111 @@ def spanning_line_indices(r: int, lt: LineTable) -> np.ndarray:
     return np.array(cols, dtype=np.int64)
 
 
-def _pack_keys(rows: np.ndarray) -> np.ndarray:
-    """Pack (n, r+1) image tuples into uint64 keys, 6 bits per image."""
-    keys = np.zeros(rows.shape[0], dtype=np.uint64)
-    for j in range(rows.shape[1]):
-        keys = (keys << np.uint64(6)) | rows[:, j].astype(np.uint64)
-    return keys
-
-
 class _GroupData(Record):
-    """Cached bulk arrays for one enumerated group, in BFS discovery order.
+    """W(E_r) as T_r o W_(r-1), in chain order with the identity first.
 
-    len() is the group order.
+    top holds T_r and lower every element of W_(r-1), as permutations of the
+    lines and then the conic classes; element j * len(lower) + i is
+    top[j] o lower[i], and levels[k] is the length of element k. len() is
+    the group order.
     """
 
-    __slots__ = ("r", "lt", "perms", "levels", "parents", "gens")
+    __slots__ = ("r", "lt", "top", "lower", "levels")
     r: int
     lt: LineTable
-    perms: np.ndarray  # (N, l) uint8
-    levels: np.ndarray  # (N,) uint8, word length parity carrier
-    parents: np.ndarray  # (N,) int32, BFS predecessor
-    gens: np.ndarray  # (N,) int8, generator applied last
+    top: np.ndarray  # (|T_r|, points) uint8
+    lower: np.ndarray  # (|W_(r-1)|, points) uint8
+    levels: np.ndarray  # (N,) uint8, word length
 
     def __len__(self) -> int:
         return len(self.levels)
 
-    def signs(self) -> np.ndarray:
-        return np.where(self.levels & 1, -1, 1).astype(np.int64)
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The elements in order, one (len(lower), points) block per line of T_r."""
+        for t in self.top:
+            yield t[self.lower]
 
     def length_distribution(self) -> list[int]:
-        """Number of elements at each BFS level (word length)."""
-        return np.bincount(self.levels).tolist()
+        """Number of elements of each length. Lengths add across T_r o W_(r-1),
+        whose first elements are the identity, so the counts of T_r (levels
+        of top[j] o 1) and of W_(r-1) (levels of 1 o lower[i]) convolve. A
+        bincount of all |W| levels would copy them to int64 (23 MB at r = 7)."""
+        n = len(self.lower)
+        return np.convolve(np.bincount(self.levels[::n]), np.bincount(self.levels[:n])).tolist()
+
+
+def point_generators(lt: LineTable) -> np.ndarray:
+    """(r, lines + conics) uint8: each generator on the lines, then on the
+    conic classes, a conic going where its first fiber goes."""
+    conics = enumerate_conics(lt.r, lt)
+    where = {f.cls: len(lt) + k for k, f in enumerate(conics)}
+    rows = []
+    for perm in lt.generators:
+        images = [lt.lines[perm[i]] + lt.lines[perm[j]] for i, j in (f.fibers[0] for f in conics)]
+        if not all(c in where for c in images):
+            raise RuntimeError("a generator maps a conic class off the conic classes")
+        rows.append(list(perm) + [where[c] for c in images])
+    return np.array(rows, dtype=np.uint8)
+
+
+def _transversal(gens: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """BFS of the orbit of base under gens by left multiplication: one t
+    with t(base) = m per orbit point m, identity first, and its depth."""
+    perms, depths, reached = [np.arange(gens.shape[1], dtype=np.uint8)], [0], {base}
+    for t, depth in zip(perms, depths):  # both grow while the loop runs
+        for g in gens:
+            child = g[t]
+            if int(child[base]) not in reached:
+                reached.add(int(child[base]))
+                perms.append(child)
+                depths.append(depth + 1)
+    return np.array(perms), np.array(depths, dtype=np.uint8)
+
+
+def chain(gens: np.ndarray, bases: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T_r, the product W_(r-1) of the lower transversals and the lengths of
+    T_r o W_(r-1), for the point generators gens and bases l_2..l_r.
+
+    Raises RuntimeError unless the generators of W_(k-1) fix l_k and every
+    Schreier generator of W_k sifts to the identity.
+    """
+    r, n = gens.shape
+    transversals = []  # (base, where, inverses) of T_k, ..., T_2
+    lower, lengths = np.arange(n, dtype=np.uint8)[None], np.zeros(1, dtype=np.uint8)
+    sub = gens[:0]
+    for k, base in enumerate(bases, start=2):
+        if (sub[:, base] != base).any():
+            raise RuntimeError(f"a generator of W_{k - 1} moves l_{k}")
+        sub = gens[list(range(k - 1)) + ([r - 1] if k >= 3 else [])]
+        perms, depths = _transversal(sub, base)
+        where = np.full(n, -1)
+        where[perms[:, base]] = np.arange(len(perms))
+        transversals.insert(0, (base, where, np.argsort(perms, axis=1).astype(np.uint8)))
+        x = sub[:, perms].reshape(-1, n)  # the Schreier generators g o t
+        for b, w, inverse in transversals:
+            at = w[x[:, b]]
+            if (at < 0).any():
+                raise RuntimeError(f"a Schreier generator of W_{k} leaves a lower orbit")
+            x = np.take_along_axis(inverse[at], x, axis=1)
+        if (x != np.arange(n)).any():
+            raise RuntimeError(f"a Schreier generator of W_{k} does not sift to the identity")
+        if k < r:
+            lower = perms[:, lower].reshape(-1, n)
+            lengths = (depths[:, None] + lengths).ravel()
+    return perms, lower, (depths[:, None] + lengths).ravel()
 
 
 @lru_cache(maxsize=None)
 def group_data(r: int) -> _GroupData:
-    """Enumerate W(E_r) for r in 3..7 (cached; r = 7 takes 5 to 6 s)."""
+    """W(E_r) for r in 3..7 as a proved chain of coset transversals (cached)."""
     if r == 8:
         raise GroupTooLarge("W(E_8) has ~6.96e8 elements; enumeration refused")
     if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     lt = enumerate_lines(r)
-    l = len(lt)
-    gen_rows = np.array(lt.generators, dtype=np.uint8)
-    kcols = spanning_line_indices(r, lt)
-    # key-gather columns per generator: child[kcols] = parent[gen_rows[g][kcols]]
-    key_cols = [gen_rows[g][kcols] for g in range(r)]
-
-    cap = COUNTS[r].group_order
-    perms = np.empty((cap, l), dtype=np.uint8)
-    levels = np.empty(cap, dtype=np.uint8)
-    parents = np.empty(cap, dtype=np.int32)
-    gens = np.empty(cap, dtype=np.int8)
-    perms[0] = np.arange(l, dtype=np.uint8)
-    levels[0], parents[0], gens[0] = 0, -1, -1
-    seen = _pack_keys(perms[0:1][:, kcols])
-    count, front_lo, level = 1, 0, 0
-
-    while True:
-        front = perms[front_lo:count]
-        n_front = count - front_lo
-        if n_front == 0:
-            break
-        cand_keys = np.concatenate([_pack_keys(front[:, cols]) for cols in key_cols])
-        pos = np.minimum(np.searchsorted(seen, cand_keys), len(seen) - 1)
-        fresh = np.nonzero(seen[pos] != cand_keys)[0]
-        if fresh.size == 0:
-            break
-        uniq, first = np.unique(cand_keys[fresh], return_index=True)
-        sel = fresh[first]
-        g_sel = (sel // n_front).astype(np.int8)
-        p_sel = (sel % n_front + front_lo).astype(np.int32)
-        n_new = len(sel)
-        if count + n_new > cap:
-            raise RuntimeError(f"group closure exceeds expected order {cap}")
-        block = slice(count, count + n_new)
-        for g in range(r):
-            m = g_sel == g
-            if m.any():
-                perms[block][m] = perms[np.ix_(p_sel[m], gen_rows[g])]
-        levels[block] = level + 1
-        parents[block] = p_sel
-        gens[block] = g_sel
-        # uniq is sorted and disjoint from seen, so a sorted merge keeps seen sorted.
-        seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
-        front_lo, count = count, count + n_new
-        level += 1
-
-    if count != cap:
-        raise RuntimeError(f"group closure found {count} elements, expected {cap}")
-    return _GroupData(r, lt, perms, levels, parents, gens)
+    lat = DelPezzoLattice(r)
+    bases = [lt.index[lat.exceptional(k)] for k in range(2, r + 1)]
+    return _GroupData(r, lt, *chain(point_generators(lt), bases))
 
 
 def _check_line_table(lt: LineTable | None, canonical: LineTable) -> None:
@@ -171,7 +190,7 @@ def generators(r: int, lt: LineTable | None = None) -> list[WeylElement]:
 
 
 def group_order(r: int) -> int:
-    """Order of W(E_r) by actual enumeration (r in 3..7)."""
+    """Order of W(E_r) as the size of the proved chain (r in 3..7)."""
     return len(group_data(r))
 
 

@@ -1,12 +1,16 @@
 """Group-level oracles that only the tests call.
 
 Each works element by element (or class by class) on the enumerated group,
-independently of the bulk character and kernel routes it cross-checks.
+independently of the bulk character and kernel routes it cross-checks. The
+group itself is enumerated a second way, by a breadth-first closure with
+generator-word witnesses, apart from the transversal chain of
+weyl.group_data.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -19,13 +23,13 @@ from dp_hlog.incidence import (
 )
 from dp_hlog.lattice import DelPezzoLattice, DivisorClass
 from dp_hlog.weyl import (
-    _CHUNK,
     WeylElement,
     _check_line_table,
     _spanning_inverse,
     d5_class_representatives,
     group_data,
     line_coeffs,
+    spanning_line_indices,
 )
 
 
@@ -37,22 +41,122 @@ def rank_for_line_count(n: int) -> int:
     raise ValueError(f"no rank has {n} lines")
 
 
+class Closure(NamedTuple):
+    """W(E_r) by breadth-first closure, in discovery order.
+
+    perms[i] permutes the lines; levels[i] is its BFS level (the word
+    length), parents[i] its BFS predecessor and gens[i] the generator that
+    reached it from there (-1 for the identity).
+    """
+
+    perms: np.ndarray  # (N, l) uint8
+    levels: np.ndarray  # (N,) uint8
+    parents: np.ndarray  # (N,) int32
+    gens: np.ndarray  # (N,) int8
+
+    def word(self, i: int) -> tuple[int, ...]:
+        """A shortest generator word of element i, read off the parents."""
+        word = []
+        while i != 0:
+            word.append(int(self.gens[i]))
+            i = int(self.parents[i])
+        return tuple(reversed(word))
+
+
+def _pack_keys(rows: np.ndarray) -> np.ndarray:
+    """Pack (n, r+1) image tuples into uint64 keys, 6 bits per image."""
+    keys = np.zeros(rows.shape[0], dtype=np.uint64)
+    for j in range(rows.shape[1]):
+        keys = (keys << np.uint64(6)) | rows[:, j].astype(np.uint64)
+    return keys
+
+
+@lru_cache(maxsize=None)
+def bfs_closure(r: int) -> Closure:
+    """Close the identity under right multiplication by the r generators.
+
+    The images of a spanning set of r + 1 lines determine an element, so a
+    48-bit packed key over that set deduplicates elements exactly. Raises
+    RuntimeError unless the closure has the expected order (r in 3..7).
+    """
+    lt = enumerate_lines(r)
+    l = len(lt)
+    gen_rows = np.array(lt.generators, dtype=np.uint8)
+    kcols = spanning_line_indices(r, lt)
+    # key-gather columns per generator: child[kcols] = parent[gen_rows[g][kcols]]
+    key_cols = [gen_rows[g][kcols] for g in range(r)]
+
+    cap = COUNTS[r].group_order
+    perms = np.empty((cap, l), dtype=np.uint8)
+    levels = np.empty(cap, dtype=np.uint8)
+    parents = np.empty(cap, dtype=np.int32)
+    gens = np.empty(cap, dtype=np.int8)
+    perms[0] = np.arange(l, dtype=np.uint8)
+    levels[0], parents[0], gens[0] = 0, -1, -1
+    seen = _pack_keys(perms[0:1][:, kcols])
+    count, front_lo, level = 1, 0, 0
+
+    while True:
+        front = perms[front_lo:count]
+        n_front = count - front_lo
+        if n_front == 0:
+            break
+        cand_keys = np.concatenate([_pack_keys(front[:, cols]) for cols in key_cols])
+        pos = np.minimum(np.searchsorted(seen, cand_keys), len(seen) - 1)
+        fresh = np.nonzero(seen[pos] != cand_keys)[0]
+        if fresh.size == 0:
+            break
+        uniq, first = np.unique(cand_keys[fresh], return_index=True)
+        sel = fresh[first]
+        g_sel = (sel // n_front).astype(np.int8)
+        p_sel = (sel % n_front + front_lo).astype(np.int32)
+        n_new = len(sel)
+        if count + n_new > cap:
+            raise RuntimeError(f"group closure exceeds expected order {cap}")
+        block = slice(count, count + n_new)
+        for g in range(r):
+            m = g_sel == g
+            if m.any():
+                perms[block][m] = perms[np.ix_(p_sel[m], gen_rows[g])]
+        levels[block] = level + 1
+        parents[block] = p_sel
+        gens[block] = g_sel
+        # uniq is sorted and disjoint from seen, so a sorted merge keeps seen sorted.
+        seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
+        front_lo, count = count, count + n_new
+        level += 1
+
+    if count != cap:
+        raise RuntimeError(f"group closure found {count} elements, expected {cap}")
+    return Closure(perms, levels, parents, gens)
+
+
+def chain_elements(r: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Each element of the chain as (line permutation, length), in chain order."""
+    gd = group_data(r)
+    l = len(gd.lt)
+    k = 0
+    for block in gd.blocks():
+        for row in block[:, :l]:
+            yield row, int(gd.levels[k])
+            k += 1
+
+
 def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement]:
     """Stream every element of W(E_r) exactly once, r in 3..7.
 
-    Discovery order is deterministic (BFS level, then packed-key order), so
-    positions in this stream are a stable element key.
+    The order is the chain order of group_data (the order of the character
+    samples), so positions in this stream are a stable element key. Each
+    word is the BFS closure's witness for that permutation; each sign is the
+    parity of the chain length.
     """
     gd = group_data(r)
     _check_line_table(lt, gd.lt)
-    for i in range(len(gd)):
-        word = []
-        k = i
-        while k != 0:
-            word.append(int(gd.gens[k]))
-            k = int(gd.parents[k])
-        sign = -1 if gd.levels[i] & 1 else 1
-        yield WeylElement(tuple(gd.perms[i].tolist()), sign, tuple(reversed(word)))
+    closure = bfs_closure(r)
+    where = {row.tobytes(): i for i, row in enumerate(closure.perms)}
+    for perm, length in chain_elements(r):
+        word = closure.word(where[perm.tobytes()])
+        yield WeylElement(tuple(perm.tolist()), -1 if length & 1 else 1, word)
 
 
 def stabilizer_order(r: int, target: DivisorClass) -> int:
@@ -61,15 +165,13 @@ def stabilizer_order(r: int, target: DivisorClass) -> int:
     lat = DelPezzoLattice(r)
     if lat.is_line(target):
         idx = gd.lt.index[target]
-        return int(np.count_nonzero(gd.perms[:, idx] == idx))
+        return sum(int(np.count_nonzero(b[:, idx] == idx)) for b in gd.blocks())
     if lat.is_conic_class(target):
         i, j = reducible_fibers(target, gd.lt)[0]
         coeffs = line_coeffs(gd.lt)
         total = 0
-        for lo in range(0, len(gd), _CHUNK):
-            pi = gd.perms[lo : lo + _CHUNK, i]
-            pj = gd.perms[lo : lo + _CHUNK, j]
-            sums = coeffs[pi] + coeffs[pj]
+        for block in gd.blocks():
+            sums = coeffs[block[:, i]] + coeffs[block[:, j]]
             total += int(np.count_nonzero(np.all(sums == target.coeffs, axis=1)))
         return total
     raise ValueError("target must be a line or a conic class")

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import dp_hlog
-from dp_hlog import cli, d5_data, wedge_kernel
+from dp_hlog import cli, d5_data, incidence, wedge_kernel
 from dp_hlog.errors import InternalError
 from dp_hlog.incidence import FiberCountViolation
+from dp_hlog.lattice import DelPezzoLattice
 
 
 def run_json(tmp_path, name, args):
@@ -211,7 +212,7 @@ class _Raises:
         raise self.exc
 
 
-_CLOSURE = RuntimeError("group closure found 1 elements, expected 120")
+_CLOSURE = RuntimeError("a Schreier generator of W_4 does not sift to the identity")
 _FIBERS = FiberCountViolation("conic has 2 reducible fibers, expected 3")
 _BROKEN = InternalError("broken invariant")
 
@@ -245,6 +246,33 @@ def test_failed_invariants_exit_with_the_route_code(tmp_path, monkeypatch, route
         assert artifact["routes"]["certify"]["certificate"]["r"] == 4
     else:
         assert artifact["error"] == str(exc)
+
+
+@pytest.fixture
+def broken_generator(monkeypatch):
+    """weyl reads the r = 4 line table with two images of generator 0 swapped:
+    those of l_1 and of h - l_2 - l_3."""
+    lt = incidence.enumerate_lines(4)
+    lat = DelPezzoLattice(4)
+    a, b = lt.index[lat.exceptional(1)], lt.index[lat.h - lat.exceptional(2) - lat.exceptional(3)]
+    perm = list(lt.generators[0])
+    perm[a], perm[b] = perm[b], perm[a]
+    broken = incidence.LineTable(4, lt.lines)
+    object.__setattr__(broken, "generators", (tuple(perm),) + lt.generators[1:])
+    cached = (cli.weyl.group_data, cli.rep_theory._values)
+    for fn in cached:
+        fn.cache_clear()
+    monkeypatch.setattr(cli.weyl, "enumerate_lines", lambda r: broken)
+    yield
+    for fn in cached:
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("route, expected", [("group", 3), ("characters", 5)])
+def test_a_broken_generator_exits_with_the_route_code(tmp_path, broken_generator, route, expected):
+    code, artifact = run_json(tmp_path, "b.json", [route, "--rank", "4"])
+    assert code == expected
+    assert artifact["error"] == "a Schreier generator of W_3 does not sift to the identity"
 
 
 def test_replay_exits_4_on_a_failed_invariant(tmp_path, monkeypatch):

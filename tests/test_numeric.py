@@ -462,3 +462,77 @@ def test_draw_plan_gives_up_cleanly():
     data, maps, letters, alignment, weight = numeric._web(4, None)
     with pytest.raises(numeric.PathTooClose):
         numeric._draw_plan(random.Random(0), maps, letters, 1, 10.0)
+
+
+def _path_clear_one(m, pts, start, stop, delta):
+    """Clearance of one segment, evaluated on its own grid (the oracle)."""
+    t = np.linspace(0.0, 1.0, numeric._CLEARANCE_GRID)
+    xy = m.powers(
+        start[0] + t * (stop[0] - start[0]), start[1] + t * (stop[1] - start[1])
+    )
+    n = m.num(*xy)
+    d = m.den(*xy)
+    if np.min(np.abs(d)) <= 1e-12:
+        return False
+    u = n / d
+    if np.max(np.abs(u)) >= 1.0 / delta:
+        return False
+    return all(np.min(np.abs(u - b)) > delta for b in pts)
+
+
+def _draw_plan_one_by_one(rng, maps, letters, samples, delta):
+    """The sample plan, drawing and checking one candidate at a time."""
+
+    def cpx(lo, hi, im_lo, im_hi):
+        return complex(rng.uniform(lo, hi), rng.uniform(im_lo, im_hi))
+
+    def clear(start, stop):
+        return all(_path_clear_one(m, pts, start, stop, delta) for m, pts in zip(maps, letters))
+
+    for _ in range(100):
+        xi = (cpx(-1.2, 1.2, 0.1, 0.9), cpx(-1.2, 1.2, -0.9, -0.1))
+        if clear(xi, (xi[0] + 1e-6, xi[1] + 1e-6j)):
+            break
+    else:
+        raise numeric.PathTooClose(delta, "no admissible base point found")
+    plan, attempts = [], 0
+    while len(plan) < samples:
+        attempts += 1
+        if attempts > 200 * samples:
+            raise numeric.PathTooClose(delta, "could not sample enough clear endpoints")
+        p = (xi[0] + cpx(-0.7, 0.7, -0.7, 0.7), xi[1] + cpx(-0.7, 0.7, -0.7, 0.7))
+        if clear(xi, p):
+            plan.append((xi, p))
+    return plan
+
+
+def _plan_or_failure(draw, seed, maps, letters, samples, delta):
+    try:
+        return draw(random.Random(seed), maps, letters, samples, delta)
+    except numeric.PathTooClose as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_batched_plan_equals_the_one_by_one_plan(r):
+    data, maps, letters, alignment, weight = numeric._web(r, None)
+    samples = 20 if r == 4 else 10
+    for seed in range(32):
+        args = (seed, maps, letters, samples, 1e-3)
+        assert _plan_or_failure(numeric._draw_plan, *args) == _plan_or_failure(
+            _draw_plan_one_by_one, *args
+        )
+
+
+def test_batched_plan_gives_up_at_the_same_candidate():
+    # At this delta most base points and endpoints are rejected: some plans
+    # run out of their 200 * samples attempts, others just make it.
+    data, maps, letters, alignment, weight = numeric._web(4, None)
+    outcomes = set()
+    for samples in (1, 4):
+        for seed in (2, 9, 13):
+            args = (seed, maps, letters, samples, 0.85)
+            batched = _plan_or_failure(numeric._draw_plan, *args)
+            assert batched == _plan_or_failure(_draw_plan_one_by_one, *args)
+            outcomes.add(batched if isinstance(batched, str) else len(batched))
+    assert outcomes == {1, 4, "could not sample enough clear endpoints"}

@@ -1,5 +1,8 @@
+import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 
@@ -8,12 +11,21 @@ from dp_hlog.lattice import DelPezzoLattice
 from dp_hlog.weyl import (
     GroupTooLarge,
     WeylElement,
+    chain,
     d5_class_representatives,
     generators,
+    group_data,
     group_order,
+    point_generators,
 )
 
-from oracles import enumerate_group, induced_matrix, stabilizer_order
+from oracles import (
+    bfs_closure,
+    chain_elements,
+    enumerate_group,
+    induced_matrix,
+    stabilizer_order,
+)
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -63,6 +75,63 @@ def test_group_orders_small() -> None:
         assert count == COUNTS[r].group_order
         assert len(seen) == count
         assert group_order(r) == count
+
+
+def test_chain_equals_the_bfs_closure() -> None:
+    for r in (3, 4, 5, 6):
+        closure = bfs_closure(r)
+        level_of = {p.tobytes(): int(v) for p, v in zip(closure.perms, closure.levels)}
+        elements = list(chain_elements(r))
+        assert len(elements) == len(level_of) == COUNTS[r].group_order
+        # the same permutations, each with its BFS level as its chain length
+        assert {perm.tobytes(): length for perm, length in elements} == level_of
+        identity, length = elements[0]
+        assert identity.tolist() == list(range(len(identity))) and length == 0
+
+
+def test_length_distribution_is_the_bfs_level_count() -> None:
+    for r in (3, 4, 5, 6):
+        expected = np.bincount(bfs_closure(r).levels).tolist()
+        assert group_data(r).length_distribution() == expected
+
+
+def _bases(r: int, lt) -> list[int]:
+    lat = DelPezzoLattice(r)
+    return [lt.index[lat.exceptional(k)] for k in range(2, r + 1)]
+
+
+def test_a_generator_with_two_images_swapped_fails_the_chain() -> None:
+    rng = random.Random(13)
+    for r in (4, 6):
+        lt = enumerate_lines(r)
+        gens = point_generators(lt)
+        top, lower, levels = chain(gens, _bases(r, lt))
+        assert len(top) * len(lower) == len(levels) == COUNTS[r].group_order
+        swaps = list(itertools.product(range(r), itertools.combinations(range(gens.shape[1]), 2)))
+        for g, (a, b) in swaps if r == 4 else rng.sample(swaps, 60):
+            broken = gens.copy()
+            broken[g, [a, b]] = broken[g, [b, a]]
+            with pytest.raises(RuntimeError):
+                chain(broken, _bases(r, lt))
+
+
+def test_group_data_holds_no_array_larger_than_one_block() -> None:
+    # At r = 7 one block is |W(E_6)| = 51,840 elements on 56 lines and 126
+    # conic classes; the group itself (|W| x 56 bytes) is never materialized.
+    lt = enumerate_lines(7)
+    gens, bases = point_generators(lt), _bases(7, lt)
+    tracemalloc.start()
+    try:
+        chain(gens, bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 51840 * 182
+    gd = group_data(7)
+    held = [getattr(gd, name) for name in gd.__slots__]
+    sizes = [a.size for a in held if isinstance(a, np.ndarray)]
+    assert len(sizes) == 3 and max(sizes) <= 51840 * 182
+    assert len(gd) == COUNTS[7].group_order
 
 
 def test_enumerate_group_refuses_r8() -> None:

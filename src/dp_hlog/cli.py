@@ -26,11 +26,13 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import incidence, wedge_kernel
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _deferred(name: str):
@@ -316,6 +318,8 @@ def _write_artifact(artifact: dict, out: str | None) -> None:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -6,20 +6,23 @@ value of the word with that letter removed. This module integrates the full
 word-indexed system along straight segments (or along pullbacks of planar
 segments under the first integrals of a web) with a fixed-step fourth-order
 scheme, doubling the step count until the values stabilize; the reported
-error estimate is never below the observed halving discrepancy. All paths of
-one call (every sample times every first integral) are transported in one
-batch. Each path keeps its own step doubling and leaves the batch once it has
-converged. A run of n steps goes over blocks of steps and, within a block,
-weight by weight: the RK4 stages of every word of one weight at every step of
-the block are outer products of the letter coefficients with the stage
-inputs of the weight below, and the values at the step starts are a running
-sum of the increments. Coefficients come from one vectorised evaluation per
-first integral over its active paths, on one grid of dyadic nodes that each
-doubling extends by its midpoints instead of rebuilding; an integral's
-numerator, denominator and gradients share one table of powers. Every
-element goes through the float operations of a lone path transported step
-by step on fresh nodes, in the same order, so values and error estimates are
-bit-identical to that route whatever the block width.
+error estimate is never below the observed halving discrepancy. The paths of
+one call (every first integral times every sample) are transported integral
+by integral in groups of a fixed number of paths, one batch per group, so
+memory follows the group, not samples times integrals. Each path keeps its
+own step doubling and leaves its batch once it has converged. A run of n
+steps goes over blocks of steps and, within a block, weight by weight: the
+RK4 stages of every word of one weight at every step of the block are outer
+products of the letter coefficients with the stage inputs of the weight
+below, and the values at the step starts are a running sum of the
+increments. Coefficients come from vectorised evaluations per first integral
+over its active paths, each over a bounded number of nodes, on one grid of
+dyadic nodes that each doubling extends by its midpoints instead of
+rebuilding; an integral's numerator, denominator and gradients share one
+table of powers. Every element goes through the float operations of a lone
+path transported step by step on fresh nodes, in the same order, so values
+and error estimates are bit-identical to that route whatever the group size,
+evaluation size or block width.
 
 The first integrals come from the webs the dp4 module derives from a point
 configuration: the five-term web for the weight-2 identity at rank 4, and
@@ -46,10 +49,18 @@ from .words import Word, WordCombination, asym
 _MAX_WEIGHT = 5
 _STEP_CAP = 1 << 17
 _CLEARANCE_GRID = 1025
-_CANDIDATES = 8  # endpoints checked per batch while drawing a plan
+_CANDIDATES = 4  # endpoints checked per batch while drawing a plan
 # Elements (words x paths x steps) of the top weight in one block of steps
 # of a transport run; each lower weight holds 1/alphabet of the one above.
 _BLOCK = 1 << 13
+# Paths of one transport batch when a sample plan is transported; each
+# coefficient table of the batch holds (2n + 1) x paths x letters values.
+# Smaller groups lower the peak a little more but free and map memory more
+# often: at 20 paths, `all --rank 4/5` took 11-15% more page faults.
+_GROUP = 40
+# (node, path) pairs of one evaluation of a first integral's coefficients;
+# its temporaries take 100-350 bytes per pair.
+_NODES = 1 << 12
 # A running sum over fewer steps than rows / _FOLD_ROWS goes step by step:
 # np.add.accumulate costs about 35 ns per row and one np.add call about 1 us,
 # and a full-width rank-5 batch has 2,700 rows of three steps per block.
@@ -524,20 +535,27 @@ def _plan_coef(
     letters: Sequence[tuple[complex, ...]],
     plan: Sequence[tuple[tuple[complex, complex], tuple[complex, complex]]],
 ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
-    """Batched letter coefficients of every (segment, integral) path of the
-    plan, path s * len(maps) + i being integral i on segment s, and the path
-    count. Paths are grouped by integral, one evaluation per integral."""
+    """Batched letter coefficients of every (integral, segment) path of the
+    plan, path i * len(plan) + s being integral i on segment s, and the path
+    count. The paths asked for come in ascending order, so those of one
+    integral are one slice. It is filled in pieces of about _NODES (node,
+    path) pairs and at least two nodes: numpy sums a polynomial's monomials
+    in another order when it evaluates it at one point alone."""
     starts = np.asarray([xi for xi, _ in plan])
     stops = np.asarray([p for _, p in plan])
     pts = [np.asarray(row) for row in letters]
+    firsts = np.arange(len(maps) + 1) * len(plan)
 
     def coef(paths: np.ndarray, t: np.ndarray) -> np.ndarray:
-        segment, integral = np.divmod(paths, len(maps))
         out = np.empty((len(t), len(paths), len(pts[0])), dtype=complex)
-        for i, m in enumerate(maps):
-            sel = integral == i
-            s = segment[sel]
-            out[:, sel] = m.forms(starts[s], stops[s], t, pts[i])
+        bounds = np.searchsorted(paths, firsts)
+        for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            lo, hi = bounds[i], bounds[i + 1]
+            s = paths[lo:hi] - firsts[i]
+            pieces = max(1, min(len(t) // 2, len(t) * (hi - lo) // _NODES))
+            edges = [len(t) * k // pieces for k in range(pieces + 1)]
+            for a, b in zip(edges, edges[1:]):
+                out[a:b, lo:hi] = maps[i].forms(starts[s], stops[s], t[a:b], pts[i])
         return out
 
     return coef, len(plan) * len(maps)
@@ -554,20 +572,31 @@ def _plan_terms(
     """Antisymmetric values and error estimates of every integral on every
     planar segment of the plan, segment by segment.
 
-    All (segment, integral) paths are transported in one batch.
+    The (integral, segment) paths go integral by integral, in groups of
+    _GROUP consecutive paths, one transport batch per group; so a batch's
+    coefficient tables grow with the group, not with the plan. A path's
+    values and error are those of a lone transport, whatever the group. A
+    failure raises from the first group that fails.
     """
     coef, count = _plan_coef(maps, letters, plan)
     alphabet = len(letters[0])
     index = _word_system(alphabet, weight)
-    values, errors = _rk4_batch(coef, count, alphabet, weight, quad_tol, max_steps)
     combination = [(index[w], float(c)) for w, c in asym(tuple(range(weight)))]
-    terms: list[complex] = []
-    for row in values:
-        total = 0j
-        for i, c in combination:
-            total += c * complex(row[i])
-        terms.append(total)
-    return terms, errors.tolist()
+    terms = [0j] * count
+    errors = [0.0] * count
+    for lo in range(0, count, _GROUP):
+        size = min(_GROUP, count - lo)
+        values, errs = _rk4_batch(
+            lambda paths, t, lo=lo: coef(paths + lo, t),
+            size, alphabet, weight, quad_tol, max_steps,
+        )
+        for p, row, err in zip(range(lo, lo + size), values, errs.tolist()):
+            integral, segment = divmod(p, len(plan))
+            k = segment * len(maps) + integral
+            for i, c in combination:
+                terms[k] += c * complex(row[i])
+            errors[k] = err
+    return terms, errors
 
 
 def verify_identity_numeric(

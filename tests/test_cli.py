@@ -475,6 +475,32 @@ def test_certificate_routes_never_load_numpy(tmp_path):
         assert run.stdout.split() == ["{0}", loaded]
 
 
+def test_certificate_routes_never_load_fractions(tmp_path):
+    # Only --gamma/--pi parse rationals, so enumerate, certify and replay
+    # import neither fractions nor decimal; RunConfig names Fraction only in
+    # annotations, which stay unevaluated.
+    src = str(Path(dp_hlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = str(tmp_path / "out.json")
+    cert = str(tmp_path / "c.json")
+    calls = [
+        ["enumerate", "--rank", "5", "--out", out],
+        ["certify", "--rank", "5", "--out", cert],
+        ["replay", cert, "--out", out],
+    ]
+    probe = (
+        "import sys, typing, dp_hlog.cli; "
+        f"codes = [dp_hlog.cli.main(args) for args in {calls!r}]; "
+        "hints = dp_hlog.cli.RunConfig.__annotations__; "
+        "print(set(codes), sorted({'fractions', 'decimal'} & set(sys.modules)), "
+        "all(isinstance(hints[k], (str, typing.ForwardRef)) for k in ('gamma', 'pi')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["{0}", "[]", "True"]
+
+
 def test_cli_import_generates_no_dataclass():
     # Records are NamedTuples or plain classes, which generate no code when
     # a process imports them. DP4Data alone stays a dataclass; its module is

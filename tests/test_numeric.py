@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -410,6 +411,58 @@ def test_block_width_does_not_change_bits(monkeypatch, block, fold_rows):
         values, errors = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9, 1 << 17)
         assert np.array_equal(values, reference[r][0])
         assert np.array_equal(errors, reference[r][1])
+
+
+@pytest.mark.parametrize(
+    "group, nodes",
+    [
+        (1, numeric._NODES),
+        (numeric._GROUP, numeric._NODES),
+        (10**9, numeric._NODES),
+        (numeric._GROUP, 1),
+        (numeric._GROUP, 10**9),
+    ],
+)
+def test_group_size_does_not_change_bits(monkeypatch, group, nodes):
+    # One path per batch, the default, and the whole plan in one batch; with
+    # the default group, coefficients one node row at a time and all nodes
+    # at once. Ten r = 4 samples and five r = 5 samples make 50 paths each,
+    # so the default group splits both plans. The reference transports
+    # each sample as a plan of its own, so it also pins the segment-major
+    # order of the terms.
+    plans = {}
+    reference = {}
+    for r, seed, samples in ((4, 1, 10), (5, 3, 5)):
+        data, maps, letters, alignment, weight = numeric._web(r, None)
+        plan = numeric._draw_plan(random.Random(seed), maps, letters, samples, 1e-3)
+        plans[r] = (maps, letters, plan, weight)
+        terms, errors = [], []
+        for sample in plan:
+            t, e = numeric._plan_terms(maps, letters, [sample], weight, 1e-9, 1 << 17)
+            terms += t
+            errors += e
+        reference[r] = terms, errors
+    monkeypatch.setattr(numeric, "_GROUP", group)
+    monkeypatch.setattr(numeric, "_NODES", nodes)
+    for r, (maps, letters, plan, weight) in plans.items():
+        terms, errors = numeric._plan_terms(maps, letters, plan, weight, 1e-9, 1 << 17)
+        assert terms == reference[r][0]
+        assert errors == reference[r][1]
+
+
+def test_transport_memory_is_bounded_by_the_group():
+    # 40 rank-5 samples are 400 paths. Transported in one batch, their
+    # coefficient tables and the doubling copies peaked at 14.3 MiB; in
+    # groups of 40 paths the route peaks near 3.3 MiB (2.4 MiB at 10
+    # samples).
+    tracemalloc.start()
+    try:
+        report = numeric.verify_identity_numeric(5, samples=40, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * 2**20
 
 
 def _bits(a):

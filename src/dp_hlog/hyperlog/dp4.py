@@ -21,8 +21,8 @@ two-parameter ten-integral web; at r = 4 the points (0,0), (1,1), [1:0:0],
 A fiber spec names, for each first integral, its conic class and one line
 of the fiber at each spectrum value 0, 1, [r_i,] infinity. That is also the
 conic alignment: feeding those fiber orders to the wedge-kernel engine
-produces the sign vector used by the numeric verification, so signs are
-never hard-coded. The tests check the derived webs against hand-written
+produces the sign vector used by the symbolic identity and the numeric
+verification, so signs are never hard-coded. The tests check the derived webs against hand-written
 tables of the integrals, factors, residues and fibers, and against a sympy
 expansion of those tables.
 """
@@ -41,6 +41,8 @@ from typing import NamedTuple, Sequence
 from ..errors import InternalError
 from ..incidence import enumerate_conics, enumerate_lines
 from ..lattice import DivisorClass
+from ..wedge_kernel import HlogCertificate, kernel_signs
+from .words import _signed_permutations
 
 Poly = dict  # {(x_degree, y_degree): Fraction}
 
@@ -373,34 +375,17 @@ def _sample_point(rng: random.Random, data: DP4Data, n_c: Poly, den: Poly):
     raise InternalError("could not sample a point off the arrangement")
 
 
-_PERMS3 = (
-    ((0, 1, 2), 1),
-    ((0, 2, 1), -1),
-    ((1, 0, 2), -1),
-    ((1, 2, 0), 1),
-    ((2, 0, 1), 1),
-    ((2, 1, 0), -1),
-)
-
-
-def asym3_residue_tensor(
-    rows: Sequence[Sequence[int]],
-) -> dict[tuple[int, int, int], Fraction]:
-    """Asym^3(row_1 (x) row_2 (x) row_3) expanded over ordered h-triples."""
+def asym_residue_tensor(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], Fraction]:
+    """Asym^w(row_1 (x) ... (x) row_w), w = len(rows), expanded over ordered
+    w-tuples of factor indices."""
     nz = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for perm, sign in _PERMS3:
-        coeff = Fraction(sign, 6)
-        for (j1, v1), (j2, v2), (j3, v3) in itertools.product(
-            nz[perm[0]], nz[perm[1]], nz[perm[2]]
-        ):
-            key = (j1, j2, j3)
-            total = out.get(key, Fraction(0)) + coeff * v1 * v2 * v3
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return out
+    counts: dict[tuple[int, ...], int] = {}
+    for perm, sign in _signed_permutations(len(rows)):
+        for picks in itertools.product(*(nz[p] for p in perm)):
+            key = tuple(j for j, _ in picks)
+            counts[key] = counts.get(key, 0) + sign * math.prod(v for _, v in picks)
+    norm = math.factorial(len(rows))
+    return {key: Fraction(c, norm) for key, c in counts.items() if c}
 
 
 class SymbolicReport(NamedTuple):
@@ -409,14 +394,22 @@ class SymbolicReport(NamedTuple):
 
 
 def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
-    """Verify sum_i Asym^3(R_i1 (x) R_i2 (x) R_i3) = 0 exactly."""
-    total: dict[tuple[int, int, int], Fraction] = {}
+    """Verify sum_i eps_i Asym^(r-2)(R_i1 (x) ... (x) R_i(r-2)) = 0 exactly,
+    with eps the aligned kernel signs; R_is is integral i's residue row at
+    its s-th finite spectrum value."""
+    r = data.lines[0].rank
+    if len(data.residues) != len(data.alignment):
+        raise SymbolicIdentityViolation(
+            f"{len(data.residues)} residue tables for {len(data.alignment)} integrals"
+        )
+    _, signs = aligned_certificate(r, data.alignment)
+    total: dict[tuple[int, ...], Fraction] = {}
     sizes = []
-    for rows in data.residues:
-        tensor = asym3_residue_tensor(rows)
+    for eps, rows in zip(signs, data.residues):
+        tensor = asym_residue_tensor(rows)
         sizes.append(len(tensor))
         for key, v in tensor.items():
-            s = total.get(key, Fraction(0)) + v
+            s = total.get(key, 0) + eps * v
             if s:
                 total[key] = s
             else:
@@ -425,4 +418,19 @@ def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
         raise SymbolicIdentityViolation(
             f"{len(total)} nonzero tensor entries remain"
         )
-    return SymbolicReport(tuple(sizes), len(data.factors) ** 3)
+    return SymbolicReport(tuple(sizes), len(data.factors) ** (r - 2))
+
+
+def aligned_certificate(
+    r: int, alignment: Sequence[AlignmentEntry]
+) -> tuple[HlogCertificate, tuple[int, ...]]:
+    """Kernel certificate with fibers in spectrum order; signs per integral."""
+    count = len(alignment)
+    fiber_orders: list = [None] * count
+    bases: list = [None] * count
+    for e in alignment:
+        fiber_orders[e.conic] = e.fiber_order
+        bases[e.conic] = e.base
+    cert = kernel_signs(r, fiber_orders=fiber_orders, bases=bases)
+    by_integral = sorted(alignment, key=lambda e: e.integral)
+    return cert, tuple(cert.epsilon[e.conic] for e in by_integral)

@@ -42,7 +42,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ..records import Record
-from ..wedge_kernel import HlogCertificate, kernel_signs
 from . import dp4
 from .words import Word, WordCombination, asym
 
@@ -292,13 +291,12 @@ def evaluate_words(
     end: complex,
     max_weight: int,
     *,
-    delta: float = 1e-3,
     tol: float = 1e-12,
     max_steps: int = _STEP_CAP,
 ) -> PathEvaluation:
     """Transport all words of weight <= max_weight along the segment.
 
-    The segment must keep distance > delta from every branch point; `tol`
+    The segment must keep distance > 1e-3 from every branch point; `tol`
     is the step-halving stabilization target.
     """
     if not 1 <= max_weight <= _MAX_WEIGHT:
@@ -306,10 +304,8 @@ def evaluate_words(
     base = complex(base)
     end = complex(end)
     clearance = _segment_clearance(base, end, basis.points)
-    if clearance <= delta:
-        raise PathTooClose(
-            delta, f"segment clearance {clearance:.3e} is not above {delta:.3e}"
-        )
+    if clearance <= 1e-3:
+        raise PathTooClose(1e-3, f"segment clearance {clearance:.3e} is not above 1e-3")
     pts = np.asarray(basis.points)
     seg = end - base
 
@@ -323,40 +319,18 @@ def evaluate_words(
     return PathEvaluation(base, end, values, float(err[0]))
 
 
-def ai3_cross_check(
-    basis: LogFormBasis,
-    base: complex,
-    end: complex,
-    *,
-    delta: float = 1e-3,
-    tol: float = 1e-12,
-) -> float:
+def ai3_cross_check(basis: LogFormBasis, base: complex, end: complex) -> float:
     """Discrepancy of the weight-3 antisymmetric value against its
     logarithm-times-weight-2 decomposition (must be at quadrature level)."""
     if len(basis) != 3:
         raise ValueError("the decomposition needs exactly three finite letters")
-    pe = evaluate_words(basis, base, end, 3, delta=delta, tol=tol)
+    pe = evaluate_words(basis, base, end, 3)
     lhs = pe.value_of(asym((0, 1, 2)))
     rhs = 0j
     for i in range(3):
         rest = tuple(k for k in range(3) if k != i)
         rhs += (-1) ** i * pe.values[(i,)] * pe.value_of(asym(rest))
     return abs(lhs - rhs / 3)
-
-
-def aligned_certificate(
-    r: int, alignment: Sequence[dp4.AlignmentEntry]
-) -> tuple[HlogCertificate, tuple[int, ...]]:
-    """Kernel certificate with fibers in spectrum order; signs per integral."""
-    count = len(alignment)
-    fiber_orders: list = [None] * count
-    bases: list = [None] * count
-    for e in alignment:
-        fiber_orders[e.conic] = e.fiber_order
-        bases[e.conic] = e.base
-    cert = kernel_signs(r, fiber_orders=fiber_orders, bases=bases)
-    by_integral = sorted(alignment, key=lambda e: e.integral)
-    return cert, tuple(cert.epsilon[e.conic] for e in by_integral)
 
 
 class _RationalMap:
@@ -606,9 +580,6 @@ def verify_identity_numeric(
     *,
     data: dp4.DP4Data | None = None,
     seed: int | None = None,
-    delta: float = 1e-3,
-    quad_tol: float | None = None,
-    max_steps: int = _STEP_CAP,
 ) -> NumericReport:
     """Check the rank-4 or rank-5 functional identity on random samples.
 
@@ -617,19 +588,18 @@ def verify_identity_numeric(
     the pullback of the planar segment under that first integral. The report
     carries per-sample residuals max|sum_i eps_i AI_i| / max_i|AI_i| and the
     propagated quadrature budgets; it passes iff the worst residual is below
-    tol. Signs come from the aligned kernel certificate.
+    tol. Paths keep a clearance of 1e-3 and each transport stabilizes to
+    min(1e-11, tol / 1000). Signs come from the aligned kernel certificate.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
     data, maps, letters, alignment, weight = _web(r, data)
-    if quad_tol is None:
-        quad_tol = min(1e-11, tol * 1e-3)
-    _, signs = aligned_certificate(r, alignment)
-    rng = random.Random(seed)
-    plan = _draw_plan(rng, maps, letters, samples, delta)
-    terms, errors = _plan_terms(maps, letters, plan, weight, quad_tol, max_steps)
+    _, signs = dp4.aligned_certificate(r, alignment)
+    plan = _draw_plan(random.Random(seed), maps, letters, samples, 1e-3)
+    quad_tol = min(1e-11, tol * 1e-3)
+    terms, errors = _plan_terms(maps, letters, plan, weight, quad_tol, _STEP_CAP)
     residuals = []
     budgets = []
     for j in range(0, len(terms), len(maps)):

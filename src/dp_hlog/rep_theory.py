@@ -33,13 +33,12 @@ from .weyl import (
     generators,
     group_data,
     line_coeffs,
-    _spanning_inverse,
+    spanning_line_indices,
 )
 
 
-# Elements per chunk of an inner product over the whole group, and rows per
-# piece of a block whose powers are composed (a few MB of gather indices).
-_CHUNK = 1 << 18
+# Rows per piece of a block whose powers are composed (a few MB of gather
+# indices).
 _PIECE = 1 << 12
 
 
@@ -81,18 +80,6 @@ def exterior_power_value(powersums: Sequence[int], m: int) -> int:
     return int(_elementary_from_powers(np.array(powersums[:m], dtype=np.int64).reshape(1, m))[0])
 
 
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact integer dot product with an int64 overflow guard."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    if len(a) == 0:
-        return 0
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    if bound and bound > (1 << 62) // len(a):
-        return sum(int(x) * int(y) for x, y in zip(a.tolist(), b.tolist()))
-    return int(np.dot(a.astype(np.int64), b.astype(np.int64)))
-
-
 def _power_fixed_counts(chunk: np.ndarray, s: int) -> np.ndarray:
     """(n, s) fixed-point counts of g^1..g^s for each permutation row, in
     pieces of _PIECE rows: g o g^k is a gather from the flattened piece."""
@@ -129,9 +116,17 @@ def _elementary_from_powers(p: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _trace_table(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """T[c, m] with trace(g on Pic) = sum_c T[c, perm_g[kcols[c]]]."""
-    inv, kcols = _spanning_inverse(r)
-    return inv @ line_coeffs(enumerate_lines(r)).T, kcols
+    """T[c, m] with trace(g on Pic) = sum_c T[c, perm_g[kcols[c]]].
+
+    Column m holds line m's coordinates in the spanning basis l_1..l_r,
+    h - l_1 - l_2: the line d0 h + sum d_i l_i is d0 (h - l_1 - l_2) plus
+    (d_1 + d0) l_1 + (d_2 + d0) l_2 + sum_(i >= 3) d_i l_i.
+    """
+    lt = enumerate_lines(r)
+    coeffs = line_coeffs(lt).T
+    table = np.concatenate([coeffs[1:], coeffs[:1]])
+    table[:2] += coeffs[0]
+    return table, spanning_line_indices(r, lt)
 
 
 class _Values(NamedTuple):
@@ -180,14 +175,15 @@ def trivial_character(r: int) -> ClassFunctionSample:
 
 
 def inner_product(chi: ClassFunctionSample, psi: ClassFunctionSample) -> Fraction:
-    """(1/|W|) sum_g chi(g) psi(g), exact, summed in chunks."""
+    """(1/|W|) sum_g chi(g) psi(g), exact.
+
+    einsum casts the int8 values to int64 inside its buffer, so no int64
+    copy of a sample is made; |values| <= 126 and |W| <= 2,903,040 keep the
+    sum far below 2^63.
+    """
     if chi.r != psi.r or len(chi) != len(psi):
         raise RankMismatch(f"rank {chi.r} vs rank {psi.r}")
-    total = sum(
-        _exact_dot(chi.values[lo : lo + _CHUNK], psi.values[lo : lo + _CHUNK])
-        for lo in range(0, len(chi), _CHUNK)
-    )
-    return Fraction(total, len(chi))
+    return Fraction(int(np.einsum("i,i->", chi.values, psi.values, dtype=np.int64)), len(chi))
 
 
 def signature_multiplicity(r: int) -> int:
@@ -206,7 +202,8 @@ def signature_multiplicity(r: int) -> int:
     total = 0
     for lo, t in zip(range(0, len(gd), step), gd.top):
         wedge = _elementary_from_powers(_power_fixed_counts(t[gd.lower[:, :l]], r - 2))
-        total += _exact_dot(1 - 2 * (gd.levels[lo : lo + step] & 1).astype(np.int64), wedge)
+        signs = 1 - 2 * (gd.levels[lo : lo + step] & 1).astype(np.int64)
+        total += int(np.einsum("i,i->", signs, wedge, dtype=np.int64))
     mult = Fraction(total, len(gd))
     if mult.denominator != 1:
         raise InternalError(f"signature multiplicity is not an integer: {mult}")

@@ -63,7 +63,6 @@ class ReplayFailure(RuntimeError):
 class FiberDifferenceMatrix(NamedTuple):
     """Rows (fiber s) - (base fiber) over line indices; support: the fibers' lines."""
 
-    conic: int
     rows: tuple[tuple[int, ...], ...]
     support: tuple[int, ...]
 
@@ -74,8 +73,7 @@ class WedgeVector(Record):
     len() is the number of entries; wedges compare by identity.
     """
 
-    __slots__ = ("conic", "entries")
-    conic: int
+    __slots__ = ("entries",)
     entries: dict[int, int]
 
     def __len__(self) -> int:
@@ -151,7 +149,7 @@ def _content_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def fiber_differences(f: ConicFibration, base: int, conic: int = -1) -> FiberDifferenceMatrix:
+def fiber_differences(f: ConicFibration, base: int) -> FiberDifferenceMatrix:
     """Difference rows (fiber s) - (fiber base), s != base, in fiber order."""
     nf = len(f.fibers)
     if not 0 <= base < nf:
@@ -169,10 +167,10 @@ def fiber_differences(f: ConicFibration, base: int, conic: int = -1) -> FiberDif
         row[bj] -= 1
         rows.append(tuple(row))
     support = tuple(sorted({c for pair in f.fibers for c in pair}))
-    return FiberDifferenceMatrix(conic, tuple(rows), support)
+    return FiberDifferenceMatrix(tuple(rows), support)
 
 
-def wedge_vector(f: ConicFibration, base: int, conic: int = -1, drop: int = 0) -> WedgeVector:
+def wedge_vector(f: ConicFibration, base: int, drop: int = 0) -> WedgeVector:
     """The wedge of the rows (F_s - F_b), s != b, in closed form.
 
     F_s is the sum of fiber s's two lines, in stored order, and b the base.
@@ -196,7 +194,7 @@ def wedge_vector(f: ConicFibration, base: int, conic: int = -1, drop: int = 0) -
         short = _extend(short, lines) + skipped
         if d < last:
             whole = _extend(whole, lines)
-    return WedgeVector(conic, dict(short))
+    return WedgeVector(dict(short))
 
 
 def _extend(picks: list[tuple[int, int]], lines: list[int]) -> list[tuple[int, int]]:
@@ -232,12 +230,12 @@ def iterated_wedge(m: FiberDifferenceMatrix, drop: int = 0) -> WedgeVector:
                 else:
                     nxt.pop(new_key, None)
         acc = nxt
-    return WedgeVector(m.conic, acc)
+    return WedgeVector(acc)
 
 
-def _replayed_wedge(f: ConicFibration, base: int, conic: int, drop: int) -> WedgeVector:
+def _replayed_wedge(f: ConicFibration, base: int, drop: int) -> WedgeVector:
     """The replay route: the iterated wedge of the rebuilt difference rows."""
-    return iterated_wedge(fiber_differences(f, base, conic), drop)
+    return iterated_wedge(fiber_differences(f, base), drop)
 
 
 def _exceptional_lines(lt: LineTable) -> int:
@@ -249,11 +247,11 @@ def _exceptional_lines(lt: LineTable) -> int:
 def _wedges(
     producer, lt: LineTable, conics, fiber_orders, bases, quotient: bool
 ) -> Iterator[WedgeVector]:
-    """One wedge per conic, `producer(fibration, base, conic, drop)`."""
+    """One wedge per conic, `producer(fibration, base, drop)`."""
     drop = _exceptional_lines(lt) if quotient else 0
     bound = comb(2 * (lt.r - 1), lt.r - 2)
-    for k, f in enumerate(conics):
-        w = producer(ConicFibration(f.cls, tuple(fiber_orders[k])), bases[k], k, drop)
+    for f, order, base in zip(conics, fiber_orders, bases):
+        w = producer(ConicFibration(f.cls, tuple(order)), base, drop)
         if len(w) > bound:
             raise InternalError("wedge sparsity bound violated")
         yield w

@@ -22,12 +22,11 @@ length per element are kept; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import d5_data
-from .errors import InternalError
 from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_conics, enumerate_lines
 from .lattice import SUPPORTED_RANKS, DelPezzoLattice
 from .records import Record
@@ -50,9 +49,6 @@ class WeylElement(NamedTuple):
     perm: tuple[int, ...]
     sign: int
     word: tuple[int, ...]
-
-    def fixed_lines(self) -> int:
-        return sum(1 for i, img in enumerate(self.perm) if i == img)
 
 
 def line_coeffs(lt: LineTable) -> np.ndarray:
@@ -86,11 +82,6 @@ class _GroupData(Record):
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The elements in order, one (len(lower), points) block per line of T_r."""
-        for t in self.top:
-            yield t[self.lower]
 
     def length_distribution(self) -> list[int]:
         """Number of elements of each length. Lengths add across T_r o W_(r-1),
@@ -175,18 +166,11 @@ def group_data(r: int) -> _GroupData:
     return _GroupData(r, lt, *chain(point_generators(lt), bases))
 
 
-def _check_line_table(lt: LineTable | None, canonical: LineTable) -> None:
-    if lt is not None and lt.lines != canonical.lines:
-        raise ValueError("line table does not match the canonical ordering")
-
-
-def generators(r: int, lt: LineTable | None = None) -> list[WeylElement]:
+def generators(r: int) -> list[WeylElement]:
     """The r fundamental reflections as line permutations (sign -1, order 2)."""
     if r not in SUPPORTED_RANKS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
-    canonical = enumerate_lines(r)
-    _check_line_table(lt, canonical)
-    return [WeylElement(perm, -1, (g,)) for g, perm in enumerate(canonical.generators)]
+    return [WeylElement(perm, -1, (g,)) for g, perm in enumerate(enumerate_lines(r).generators)]
 
 
 def group_order(r: int) -> int:
@@ -194,7 +178,7 @@ def group_order(r: int) -> int:
     return len(group_data(r))
 
 
-def d5_class_representatives(lt: LineTable | None = None) -> list[WeylElement]:
+def d5_class_representatives() -> list[WeylElement]:
     """Representatives of the 18 conjugacy classes of W(D_5) = W(E_5).
 
     Words come from GAP's CoxeterWord output, translated generator by
@@ -203,7 +187,6 @@ def d5_class_representatives(lt: LineTable | None = None) -> list[WeylElement]:
     the k-th column of the embedded character table.
     """
     canonical = enumerate_lines(5)
-    _check_line_table(lt, canonical)
     out = []
     for zeta_word in d5_data.CLASS_WORDS:
         word = tuple(d5_data.ZETA_TO_S[z] - 1 for z in zeta_word)
@@ -212,19 +195,3 @@ def d5_class_representatives(lt: LineTable | None = None) -> list[WeylElement]:
             perm = tuple(perm[k] for k in canonical.generators[g])
         out.append(WeylElement(perm, -1 if len(word) % 2 else 1, word))
     return out
-
-
-@lru_cache(maxsize=None)
-def _spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the spanning-line coefficient matrix, exact over Z.
-
-    The basis is unimodular, so its inverse is an integer matrix: the
-    rounded float inverse is kept only once A * A^-1 = I holds exactly.
-    """
-    lt = enumerate_lines(r)
-    kcols = spanning_line_indices(r, lt)
-    basis = line_coeffs(lt)[kcols].T
-    inv = np.rint(np.linalg.inv(basis)).astype(np.int64)
-    if not np.array_equal(basis @ inv, np.eye(r + 1, dtype=np.int64)):
-        raise InternalError("spanning lines are not a unimodular basis")
-    return inv, kcols

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
+import sympy
 
 from dp_hlog.incidence import (
     COUNTS,
@@ -24,8 +25,6 @@ from dp_hlog.incidence import (
 from dp_hlog.lattice import DelPezzoLattice, DivisorClass
 from dp_hlog.weyl import (
     WeylElement,
-    _check_line_table,
-    _spanning_inverse,
     d5_class_representatives,
     group_data,
     line_coeffs,
@@ -134,10 +133,10 @@ def bfs_closure(r: int) -> Closure:
 def chain_elements(r: int) -> Iterator[tuple[np.ndarray, int]]:
     """Each element of the chain as (line permutation, length), in chain order."""
     gd = group_data(r)
-    l = len(gd.lt)
+    lines = gd.lower[:, : len(gd.lt)]
     k = 0
-    for block in gd.blocks():
-        for row in block[:, :l]:
+    for t in gd.top:
+        for row in t[lines]:
             yield row, int(gd.levels[k])
             k += 1
 
@@ -151,7 +150,8 @@ def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement
     parity of the chain length.
     """
     gd = group_data(r)
-    _check_line_table(lt, gd.lt)
+    if lt is not None and lt.lines != gd.lt.lines:
+        raise ValueError("line table does not match the canonical ordering")
     closure = bfs_closure(r)
     where = {row.tobytes(): i for i, row in enumerate(closure.perms)}
     for perm, length in chain_elements(r):
@@ -165,25 +165,40 @@ def stabilizer_order(r: int, target: DivisorClass) -> int:
     lat = DelPezzoLattice(r)
     if lat.is_line(target):
         idx = gd.lt.index[target]
-        return sum(int(np.count_nonzero(b[:, idx] == idx)) for b in gd.blocks())
+        return sum(int(np.count_nonzero(t[gd.lower[:, idx]] == idx)) for t in gd.top)
     if lat.is_conic_class(target):
         i, j = reducible_fibers(target, gd.lt)[0]
         coeffs = line_coeffs(gd.lt)
         total = 0
-        for block in gd.blocks():
-            sums = coeffs[block[:, i]] + coeffs[block[:, j]]
+        for t in gd.top:
+            sums = coeffs[t[gd.lower[:, i]]] + coeffs[t[gd.lower[:, j]]]
             total += int(np.count_nonzero(np.all(sums == target.coeffs, axis=1)))
         return total
     raise ValueError("target must be a line or a conic class")
+
+
+@lru_cache(maxsize=None)
+def spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of the matrix V whose columns are the spanning lines,
+    by exact rational inversion, and the spanning line indices.
+
+    V is unimodular, so the inverse must come out integral.
+    """
+    lt = enumerate_lines(r)
+    kcols = spanning_line_indices(r, lt)
+    inv = sympy.Matrix([lt.lines[k].coeffs for k in kcols.tolist()]).T.inv()
+    if not all(v.is_integer for v in inv):
+        raise RuntimeError("spanning lines are not a unimodular basis")
+    return np.array(inv.tolist(), dtype=np.int64), kcols
 
 
 def induced_matrix(e: WeylElement, lt: LineTable) -> tuple[tuple[int, ...], ...]:
     """The (r+1) x (r+1) integer matrix of e on Pic, from the permutation.
 
     Solves A * V = V' where V holds the spanning lines as columns and V'
-    their images; V is unimodular so A is exact.
+    their images, with V^-1 from spanning_inverse.
     """
-    inv, kcols = _spanning_inverse(lt.r)
+    inv, kcols = spanning_inverse(lt.r)
     images = np.array([lt.lines[e.perm[k]].coeffs for k in kcols.tolist()], dtype=np.int64).T
     return tuple(tuple(row) for row in (images @ inv).tolist())
 

@@ -327,7 +327,48 @@ def test_symbolic_identity_zero(data):
 
 def test_single_tensor_nonzero(data):
     for rows in data.residues:
-        assert dp4.asym3_residue_tensor(rows)
+        assert dp4.asym_residue_tensor(rows)
+
+
+# The six signed permutations of three tensor slots, written out.
+_PERMS3 = (
+    ((0, 1, 2), 1),
+    ((0, 2, 1), -1),
+    ((1, 0, 2), -1),
+    ((1, 2, 0), 1),
+    ((2, 0, 1), 1),
+    ((2, 1, 0), -1),
+)
+
+
+def test_weight_three_tensor_matches_written_out_permutations(data):
+    for rows in data.residues:
+        expected = {}
+        for perm, sign in _PERMS3:
+            for j1, j2, j3 in itertools.product(range(len(rows[0])), repeat=3):
+                v = rows[perm[0]][j1] * rows[perm[1]][j2] * rows[perm[2]][j3]
+                expected[j1, j2, j3] = expected.get((j1, j2, j3), 0) + Fraction(sign * v, 6)
+        assert dp4.asym_residue_tensor(rows) == {k: v for k, v in expected.items() if v}
+
+
+def test_five_term_symbolic_identity_needs_the_kernel_signs(monkeypatch):
+    # At weight 2 the aligned signs are (-1, 1, 1, -1, -1); summed without
+    # them, 8 tensor entries remain.
+    web = dp4.five_term_web()
+    report = dp4.dp4_symbolic_identity(web)
+    assert report.terms_per_integral == (2, 2, 6, 6, 16)
+    assert report.ambient_dimension == 25
+    aligned = dp4.aligned_certificate
+    assert aligned(4, web.alignment)[1] == (-1, 1, 1, -1, -1)
+    for k in range(5):
+
+        def flipped(r, alignment, k=k):
+            cert, signs = aligned(r, alignment)
+            return cert, signs[:k] + (-signs[k],) + signs[k + 1 :]
+
+        monkeypatch.setattr(dp4, "aligned_certificate", flipped)
+        with pytest.raises(dp4.SymbolicIdentityViolation):
+            dp4.dp4_symbolic_identity(web)
 
 
 def test_symbolic_identity_sign_sensitive(data):
@@ -353,7 +394,7 @@ def test_relabeling_equivariance(data):
     perm = (3, 1, 4, 0, 9, 2, 6, 8, 7, 5)
     total = {}
     for rows in data.residues:
-        for key, v in dp4.asym3_residue_tensor(rows).items():
+        for key, v in dp4.asym_residue_tensor(rows).items():
             new = tuple(perm[j] for j in key)
             total[new] = total.get(new, Fraction(0)) + v
     assert not any(total.values())

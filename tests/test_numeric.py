@@ -214,7 +214,7 @@ def test_bol_alignment_bijective():
     entries = dp4.five_term_web().alignment
     assert sorted(e.conic for e in entries) == list(range(5))
     assert all(e.base == 2 for e in entries)
-    cert, signs = numeric.aligned_certificate(4, entries)
+    cert, signs = dp4.aligned_certificate(4, entries)
     assert cert.kernel_dimension == 1
     assert sorted(abs(s) for s in signs) == [1] * 5
 
@@ -237,7 +237,7 @@ def test_ten_term_identity():
 def test_identity_is_nonvacuous():
     # Dropping one term leaves a residual comparable to that term.
     data, maps, letters, alignment, weight = numeric._web(4, None)
-    _, signs = numeric.aligned_certificate(4, alignment)
+    _, signs = dp4.aligned_certificate(4, alignment)
     plan = numeric._draw_plan(random.Random(2), maps, letters, 1, 1e-3)
     terms, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-11, 1 << 17)
     scale = max(abs(t) for t in terms)
@@ -448,6 +448,53 @@ def test_group_size_does_not_change_bits(monkeypatch, group, nodes):
         terms, errors = numeric._plan_terms(maps, letters, plan, weight, 1e-9, 1 << 17)
         assert terms == reference[r][0]
         assert errors == reference[r][1]
+
+
+def _node_batches(n, size):
+    # Consecutive slices of about `size` nodes, the last taking the remainder,
+    # so that none holds a single node.
+    edges = list(range(0, n - size, size)) + [n]
+    return list(zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_forms_bits_do_not_depend_on_the_batch(r):
+    # On one segment, each node of a forms call gets the bits it gets in a
+    # call over all 257 nodes, in batches of 2 and 3 nodes alike. A call over
+    # one (node, segment) element alone differs in the last bit at up to 176
+    # of the nodes, since numpy then sums a polynomial's monomials in another
+    # order; the transport never makes one.
+    data, maps, letters, alignment, weight = numeric._web(r, None)
+    plan = numeric._draw_plan(random.Random(1), maps, letters, 1, 1e-3)
+    starts = np.asarray([xi for xi, _ in plan])
+    stops = np.asarray([p for _, p in plan])
+    t = np.arange(257) / 256
+    for m, row in zip(maps, letters):
+        pts = np.asarray(row)
+        whole = m.forms(starts, stops, t, pts)
+        for size in (2, 3):
+            parts = [m.forms(starts, stops, t[a:b], pts) for a, b in _node_batches(len(t), size)]
+            assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole))
+
+
+@pytest.mark.parametrize("r, seed", [(4, 1), (5, 3)])
+def test_plan_terms_never_evaluate_one_element(monkeypatch, r, seed):
+    # With one path per batch and one (node, path) pair per piece, every
+    # forms call still holds at least two elements.
+    data, maps, letters, alignment, weight = numeric._web(r, None)
+    plan = numeric._draw_plan(random.Random(seed), maps, letters, 1, 1e-3)
+    sizes = []
+    forms = numeric._RationalMap.forms
+
+    def counted(self, start, stop, t, pts):
+        sizes.append(len(start) * len(t))
+        return forms(self, start, stop, t, pts)
+
+    monkeypatch.setattr(numeric._RationalMap, "forms", counted)
+    monkeypatch.setattr(numeric, "_GROUP", 1)
+    monkeypatch.setattr(numeric, "_NODES", 1)
+    numeric._plan_terms(maps, letters, plan, weight, 1e-9, 1 << 17)
+    assert sizes and min(sizes) >= 2
 
 
 def test_transport_memory_is_bounded_by_the_group():

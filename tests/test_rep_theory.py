@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp_hlog import d5_data, rep_theory as rt
-from dp_hlog.incidence import COUNTS
+from dp_hlog.incidence import COUNTS, enumerate_lines
 from dp_hlog.lattice import RankMismatch
-from dp_hlog.weyl import GroupTooLarge, generators, group_data
+from dp_hlog.weyl import GroupTooLarge, generators, group_data, line_coeffs
 
-from oracles import d5_conic_values, enumerate_group, reflection_character_value
+from oracles import (
+    d5_conic_values,
+    enumerate_group,
+    reflection_character_value,
+    spanning_inverse,
+)
 
 # Frozen independently computed values.
 D5_CLASS_SIZES = (1, 10, 5, 20, 60, 60, 20, 60, 60, 120, 80, 160, 80, 160, 160, 240, 240, 384)
@@ -221,7 +227,29 @@ def test_class_values_consistent_with_full_group_sums():
     assert via_classes == rt.inner_product(chi, chi)
 
 
-def test_exact_dot_overflow_fallback():
-    a = np.array([1 << 40, -(1 << 40), 7], dtype=np.int64)
-    b = np.array([1 << 40, 1 << 40, 3], dtype=np.int64)
-    assert rt._exact_dot(a, b) == (1 << 80) - (1 << 80) + 21
+def test_trace_table_is_the_exact_inverse_table():
+    # The closed-form coordinates against V^-1 times every line, with V^-1
+    # from an exact rational inversion.
+    for r in range(3, 9):
+        inv, kcols = spanning_inverse(r)
+        table, cols = rt._trace_table(r)
+        assert np.array_equal(cols, kcols)
+        assert np.array_equal(table, inv @ line_coeffs(enumerate_lines(r)).T)
+
+
+def test_inner_product_sums_in_place():
+    # Two |W(E_7)|-element int8 samples: an int64 copy of either would take
+    # 22 MiB, and 2^18-element chunks of both about 4 MiB.
+    n = COUNTS[7].group_order
+    chi, psi = (rt.ClassFunctionSample(np.full(n, 127, dtype=np.int8), 7) for _ in range(2))
+    tracemalloc.start()
+    try:
+        value = rt.inner_product(chi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 16129
+    assert peak < 2**20
+    # Alternating signs: half the products are 127 * -126.
+    mixed = rt.ClassFunctionSample(np.where(np.arange(n) % 2, -126, 127).astype(np.int8), 7)
+    assert rt.inner_product(chi, mixed) == Fraction(127, 2)

@@ -27,7 +27,7 @@ def _minor(rows, cols):
 def test_fiber_differences_shape_and_row_sums():
     for r in (4, 7):
         conics = enumerate_conics(r)
-        m = wk.fiber_differences(conics[0], r - 2, conic=0)
+        m = wk.fiber_differences(conics[0], r - 2)
         assert len(m.rows) == r - 2
         assert len(m.support) == 2 * (r - 1)
         for row in m.rows:
@@ -80,11 +80,11 @@ def test_wedge_vector_degenerate_and_antisymmetric(r, data):
     rows = list(m.rows)
     rows[i], rows[j] = rows[j], rows[i]
     w = wk.iterated_wedge(m)
-    ws = wk.iterated_wedge(wk.FiberDifferenceMatrix(0, tuple(rows), m.support))
+    ws = wk.iterated_wedge(wk.FiberDifferenceMatrix(tuple(rows), m.support))
     assert w.entries
     assert ws.entries == {cols: -val for cols, val in w.entries.items()}
     rows[i] = rows[j]
-    repeated = wk.FiberDifferenceMatrix(0, tuple(rows), m.support)
+    repeated = wk.FiberDifferenceMatrix(tuple(rows), m.support)
     assert wk.iterated_wedge(repeated).entries == {}
 
 
@@ -121,8 +121,7 @@ def test_closed_form_matches_iterated_wedge(r, seed, quotient):
     args = (enumerate_lines(r), enumerate_conics(r), cert.fiber_orders, cert.bases, quotient)
     closed = wk._wedges(wk.wedge_vector, *args)
     iterated = wk._wedges(wk._replayed_wedge, *args)
-    for k, (a, b) in enumerate(zip(closed, iterated, strict=True)):
-        assert a.conic == b.conic == k
+    for a, b in zip(closed, iterated, strict=True):
         assert a.entries == b.entries
 
 
@@ -226,7 +225,7 @@ def test_base_choice_flips_are_absorbed():
 
 
 def _graph(*entries):
-    return wk._signed_graph(wk.WedgeVector(k, dict(e)) for k, e in enumerate(entries))
+    return wk._signed_graph(wk.WedgeVector(dict(e)) for e in entries)
 
 
 def _kernel(*entries):
@@ -284,7 +283,7 @@ def test_signed_components_reports_each_component():
 
 def test_replay_reproves_the_wedge_structure(monkeypatch):
     cert = wk.kernel_signs(4)
-    monkeypatch.setattr(wk, "_wedges", lambda *args: iter([wk.WedgeVector(0, {1: 1})]))
+    monkeypatch.setattr(wk, "_wedges", lambda *args: iter([wk.WedgeVector({1: 1})]))
     with pytest.raises(wk.ReplayFailure, match="only one wedge"):
         wk.replay(cert)
 

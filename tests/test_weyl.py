@@ -8,6 +8,7 @@ import sympy
 
 from dp_hlog.incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import DelPezzoLattice
+from dp_hlog.rep_theory import fixed_points
 from dp_hlog.weyl import (
     GroupTooLarge,
     WeylElement,
@@ -56,13 +57,13 @@ def test_r5_single_reflection_fixes_eight_lines() -> None:
     # chi_5 on the class of one reflection is 8; all fundamental
     # reflections are conjugate (simply laced diagram), so each fixes 8.
     for g in generators(5):
-        assert g.fixed_lines() == 8
+        assert fixed_points(g) == 8
 
 
 def test_r7_generator_fixed_counts() -> None:
     for g in generators(7):
         two_cycles = sum(1 for i, img in enumerate(g.perm) if img > i)
-        assert g.fixed_lines() == 56 - 2 * two_cycles
+        assert fixed_points(g) == 56 - 2 * two_cycles
 
 
 def test_group_orders_small() -> None:
@@ -220,9 +221,9 @@ def conjugacy_class(r: int, perm: tuple[int, ...]) -> frozenset[tuple[int, ...]]
 def test_d5_class_representatives() -> None:
     reps = d5_class_representatives()
     assert len(reps) == 18
-    assert reps[0].fixed_lines() == 16  # identity
-    assert reps[7].fixed_lines() == 4  # class 8
-    assert reps[17].fixed_lines() == 1  # class 18
+    assert fixed_points(reps[0]) == 16  # identity
+    assert fixed_points(reps[7]) == 4  # class 8
+    assert fixed_points(reps[17]) == 1  # class 18
     # 18 distinct classes: conjugation orbits are pairwise disjoint and
     # exhaust the group. (Fixed-point counts of powers plus sign would
     # separate only 14 of the 18, so the honest check is the orbits.)
@@ -249,5 +250,5 @@ def test_enumerate_group_rejects_foreign_line_table() -> None:
 
 def test_weyl_element_is_hashable_record() -> None:
     e = WeylElement((1, 0, 2, 3, 4, 5), -1, (0,))
-    assert e.fixed_lines() == 4
+    assert fixed_points(e) == 4
     assert hash(e) == hash(WeylElement((1, 0, 2, 3, 4, 5), -1, (0,)))

@@ -30,8 +30,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import incidence, wedge_kernel
+from .lattice import SUPPORTED_RANKS
 
 if TYPE_CHECKING:
+    from collections.abc import Collection
     from fractions import Fraction
 
 
@@ -63,7 +65,10 @@ EXIT_KERNEL = 4
 EXIT_CHARACTER = 5
 EXIT_NUMERIC = 6
 
+# Rank -> (line_norm, conic_norm); its keys are the ranks `characters` runs at.
 EXPECTED_NORMS = {4: (3, 2), 5: (3, 3), 6: (3, 3), 7: (4, 5)}
+# Rank -> default (samples, tol) of the numeric route; its keys are its ranks.
+NUMERIC_DEFAULTS = {4: (20, 1e-8), 5: (10, 1e-6)}
 
 
 class RunConfig(NamedTuple):
@@ -85,30 +90,17 @@ class RunConfig(NamedTuple):
 
 
 def _route_enumerate(config: RunConfig) -> tuple[dict, int]:
+    # Both enumerations raise on a wrong count or a conic without r - 1 fibers.
     rank = config.rank
-    try:
-        lt = incidence.enumerate_lines(rank)
-        conics = incidence.enumerate_conics(rank, lt)
-    except incidence.UnsupportedRank as exc:
-        return {"rank": rank, "error": str(exc)}, EXIT_ENUM
-    covered = set()
-    fibers_ok = True
-    for c in conics:
-        fibers_ok = fibers_ok and len(c.fibers) == rank - 1
-        for a, b in c.fibers:
-            covered.update((a, b))
-    ok = (
-        len(lt) == incidence.COUNTS[rank].lines
-        and len(conics) == incidence.COUNTS[rank].conics
-        and fibers_ok
-        and len(covered) == len(lt)
-    )
+    lt = incidence.enumerate_lines(rank)
+    conics = incidence.enumerate_conics(rank, lt)
+    ok = len({line for c in conics for pair in c.fibers for line in pair}) == len(lt)
     artifact = {
         "rank": rank,
         "lines": len(lt),
         "conics": len(conics),
         "fibers_per_conic": rank - 1,
-        "every_line_in_a_fiber": len(covered) == len(lt),
+        "every_line_in_a_fiber": ok,
         "matches_expected": ok,
     }
     return artifact, EXIT_OK if ok else EXIT_ENUM
@@ -126,10 +118,8 @@ def _route_group(config: RunConfig) -> tuple[dict, int]:
     artifact = {"rank": rank, "order": order, "expected": expected}
     if not config.count_only:
         artifact["length_distribution"] = gd.length_distribution()
-    if config.orbit:
-        orbit_size = len(incidence.enumerate_lines(rank))
-        artifact["line_orbit"] = orbit_size
-        ok = ok and orbit_size == incidence.COUNTS[rank].lines
+    if config.orbit:  # enumerate_lines raises on a wrong orbit size
+        artifact["line_orbit"] = len(incidence.enumerate_lines(rank))
     artifact["matches_expected"] = ok
     return artifact, EXIT_OK if ok else EXIT_ENUM
 
@@ -161,24 +151,21 @@ def _route_replay(config: RunConfig) -> tuple[dict, int]:
 
 def _route_characters(config: RunConfig) -> tuple[dict, int]:
     rank = config.rank
-    try:
-        line = rep_theory.line_character(rank)
-        conic = rep_theory.conic_character(rank)
-        refl = rep_theory.reflection_character(rank)
-        triv = rep_theory.trivial_character(rank)
-        values = {
-            "line_norm": rep_theory.inner_product(line, line),
-            "conic_norm": rep_theory.inner_product(conic, conic),
-            "trivial_in_line": rep_theory.inner_product(line, triv),
-            "reflection_in_line": rep_theory.inner_product(line, refl),
-        }
-        if any(v.denominator != 1 for v in values.values()):
-            return {"rank": rank, "error": "non-integer inner product"}, EXIT_CHARACTER
-        artifact = {"rank": rank}
-        artifact.update({k: int(v) for k, v in values.items()})
-        artifact["signature_multiplicity"] = rep_theory.signature_multiplicity(rank)
-    except (weyl.GroupTooLarge, rep_theory.NotACharacter, ValueError) as exc:
-        return {"rank": rank, "error": str(exc)}, EXIT_CHARACTER
+    line = rep_theory.line_character(rank)
+    conic = rep_theory.conic_character(rank)
+    refl = rep_theory.reflection_character(rank)
+    triv = rep_theory.trivial_character(rank)
+    values = {
+        "line_norm": rep_theory.inner_product(line, line),
+        "conic_norm": rep_theory.inner_product(conic, conic),
+        "trivial_in_line": rep_theory.inner_product(line, triv),
+        "reflection_in_line": rep_theory.inner_product(line, refl),
+    }
+    if any(v.denominator != 1 for v in values.values()):
+        return {"rank": rank, "error": "non-integer inner product"}, EXIT_CHARACTER
+    artifact = {"rank": rank}
+    artifact.update({k: int(v) for k, v in values.items()})
+    artifact["signature_multiplicity"] = rep_theory.signature_multiplicity(rank)
     ok = (
         (artifact["line_norm"], artifact["conic_norm"]) == EXPECTED_NORMS[rank]
         and artifact["trivial_in_line"] == 1
@@ -228,8 +215,9 @@ def _route_symbols(config: RunConfig) -> tuple[dict, int]:
 
 def _route_numeric(config: RunConfig) -> tuple[dict, int]:
     rank = config.rank
-    samples = (20 if rank == 4 else 10) if config.samples is None else config.samples
-    tol = (1e-8 if rank == 4 else 1e-6) if config.tol is None else config.tol
+    samples, tol = NUMERIC_DEFAULTS[rank]
+    samples = samples if config.samples is None else config.samples
+    tol = tol if config.tol is None else config.tol
     data = None
     if rank == 5:
         gamma, pi = dp4.DEFAULT_PARAMETERS
@@ -274,13 +262,13 @@ def _route_all(config: RunConfig) -> tuple[dict, int]:
 # RunConfig defaults there; it runs each route through the same guard, so
 # nothing escapes `all` itself.
 ROUTES = {
-    "enumerate": (_route_enumerate, range(3, 9), EXIT_ENUM),
-    "group": (_route_group, range(3, 8), EXIT_ENUM),
-    "certify": (_route_certify, range(4, 9), EXIT_KERNEL),
+    "enumerate": (_route_enumerate, SUPPORTED_RANKS, EXIT_ENUM),
+    "group": (_route_group, range(3, 8), EXIT_ENUM),  # not 8: `group --rank 8` exits 2
+    "certify": (_route_certify, wedge_kernel.RANKS, EXIT_KERNEL),
     "replay": (_route_replay, (), EXIT_KERNEL),
-    "characters": (_route_characters, range(4, 8), EXIT_CHARACTER),
-    "symbols": (_route_symbols, range(3, 9), EXIT_NUMERIC),
-    "numeric": (_route_numeric, (4, 5), EXIT_NUMERIC),
+    "characters": (_route_characters, EXPECTED_NORMS.keys(), EXIT_CHARACTER),
+    "symbols": (_route_symbols, SUPPORTED_RANKS, EXIT_NUMERIC),
+    "numeric": (_route_numeric, NUMERIC_DEFAULTS.keys(), EXIT_NUMERIC),
     "all": (_route_all, (), None),
 }
 
@@ -333,20 +321,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, ranks: range) -> None:
+    def add_common(p: argparse.ArgumentParser, ranks: Collection[int]) -> None:
         p.add_argument("--rank", type=int, required=True, choices=ranks)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("enumerate", help="line/conic counts and fiber structure")
-    add_common(p, range(3, 9))
+    add_common(p, SUPPORTED_RANKS)
 
     p = sub.add_parser("group", help="Weyl group order by enumeration")
-    add_common(p, range(3, 9))
+    add_common(p, SUPPORTED_RANKS)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--orbit", action="store_true")
 
     p = sub.add_parser("certify", help="wedge-kernel sign certificate")
-    add_common(p, range(4, 9))
+    add_common(p, wedge_kernel.RANKS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quotient", action="store_true")
 
@@ -355,14 +343,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("characters", help="character norms and multiplicities")
-    add_common(p, range(4, 8))
+    add_common(p, EXPECTED_NORMS.keys())
     p.add_argument("--d5-full", action="store_true")
 
     p = sub.add_parser("symbols", help="exact antisymmetrization identities")
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("numeric", help="numerical functional identities")
-    add_common(p, range(4, 6))
+    add_common(p, NUMERIC_DEFAULTS.keys())
     p.add_argument("--gamma", type=_fraction_arg, default=None)
     p.add_argument("--pi", type=_fraction_arg, default=None)
     p.add_argument("--samples", type=int, default=None)
@@ -370,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("all", help="every route that applies to the rank")
-    add_common(p, range(3, 9))
+    add_common(p, SUPPORTED_RANKS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)

@@ -319,20 +319,6 @@ def evaluate_words(
     return PathEvaluation(base, end, values, float(err[0]))
 
 
-def ai3_cross_check(basis: LogFormBasis, base: complex, end: complex) -> float:
-    """Discrepancy of the weight-3 antisymmetric value against its
-    logarithm-times-weight-2 decomposition (must be at quadrature level)."""
-    if len(basis) != 3:
-        raise ValueError("the decomposition needs exactly three finite letters")
-    pe = evaluate_words(basis, base, end, 3)
-    lhs = pe.value_of(asym((0, 1, 2)))
-    rhs = 0j
-    for i in range(3):
-        rest = tuple(k for k in range(3) if k != i)
-        rhs += (-1) ** i * pe.values[(i,)] * pe.value_of(asym(rest))
-    return abs(lhs - rhs / 3)
-
-
 class _RationalMap:
     """Vectorized evaluation of one first integral along a planar segment.
 

@@ -4,8 +4,10 @@ Permutation characters are sampled over the whole group (r <= 7), one block
 t o W_(r-1) of the transversal chain of :mod:`dp_hlog.weyl` at a time. Each
 element permutes the lines and the conic classes, so fixed lines and fixed
 conics are fixed-point counts; power sums come from iterated composition.
-Every reduction is an exact integer; exterior powers use the Newton
-recurrence on power sums.
+The signature multiplicity needs only the sum of a class function, so it
+reads one block per double coset W_(r-1) t W_(r-1), weighted by the number
+of blocks in it. Every reduction is an exact integer; exterior powers use the
+Newton recurrence on power sums.
 
 The type D5 character table (r = 5) is embedded in :mod:`dp_hlog.d5_data`,
 so that case decomposes completely. For r = 6, 7 no tables are embedded;
@@ -24,7 +26,7 @@ import numpy as np
 from . import d5_data
 from .errors import InternalError
 from .incidence import enumerate_lines
-from .lattice import RankMismatch
+from .lattice import DelPezzoLattice, RankMismatch
 from .records import Record
 from .weyl import (
     GroupTooLarge,
@@ -186,12 +188,30 @@ def inner_product(chi: ClassFunctionSample, psi: ClassFunctionSample) -> Fractio
     return Fraction(int(np.einsum("i,i->", chi.values, psi.values, dtype=np.int64)), len(chi))
 
 
+def _double_coset_blocks(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, count): block first[k], top[first[k]] o W_(r-1), stands for
+    the count[k] blocks of its double coset W_(r-1) t W_(r-1).
+
+    The block t o W_(r-1) holds the elements that map l_r to t(l_r). For u
+    in W_(r-1) a class function f has the same sum over u t W_(r-1) as over
+    t W_(r-1), since f(u t w) = f(t w u); so the sum depends only on the
+    W_(r-1)-orbit of t(l_r). lower holds all of W_(r-1), so the least image
+    of a line under it labels the line's orbit.
+    """
+    gd = group_data(r)
+    orbit = gd.lower[:, : len(gd.lt)].min(axis=0)
+    l_r = gd.lt.index[DelPezzoLattice(r).exceptional(r)]
+    _, first, count = np.unique(orbit[gd.top[:, l_r]], return_index=True, return_counts=True)
+    return first, count
+
+
 def signature_multiplicity(r: int) -> int:
     """Multiplicity of the sign character in wedge^(r-2) of the line action.
 
-    Full-group summation, exact integers throughout. r = 8 is refused
-    (|W(E_8)| ~ 6.96e8; the known value there is 5, recorded but not
-    computed here).
+    An exact integer sum over the whole group, one block per double coset
+    (`_double_coset_blocks`): 4 blocks of 51,840 elements at r = 7, not 56.
+    r = 8 is refused (|W(E_8)| ~ 6.96e8; the known value there is 5,
+    recorded but not computed here).
     """
     if r == 8:
         raise GroupTooLarge("signature multiplicity for r=8 needs the full W(E_8) sum")
@@ -200,10 +220,10 @@ def signature_multiplicity(r: int) -> int:
     gd = group_data(r)
     l, step = len(gd.lt), len(gd.lower)
     total = 0
-    for lo, t in zip(range(0, len(gd), step), gd.top):
-        wedge = _elementary_from_powers(_power_fixed_counts(t[gd.lower[:, :l]], r - 2))
-        signs = 1 - 2 * (gd.levels[lo : lo + step] & 1).astype(np.int64)
-        total += int(np.einsum("i,i->", signs, wedge, dtype=np.int64))
+    for j, count in zip(*_double_coset_blocks(r)):
+        wedge = _elementary_from_powers(_power_fixed_counts(gd.top[j][gd.lower[:, :l]], r - 2))
+        signs = 1 - 2 * (gd.levels[j * step : (j + 1) * step] & 1).astype(np.int64)
+        total += int(count) * int(np.einsum("i,i->", signs, wedge, dtype=np.int64))
     mult = Fraction(total, len(gd))
     if mult.denominator != 1:
         raise InternalError(f"signature multiplicity is not an integer: {mult}")

@@ -24,11 +24,9 @@ the coefficients are then checked on every edge.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from array import array
-from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InternalError
@@ -42,6 +40,8 @@ from .incidence import (
 )
 from .lattice import DelPezzoLattice
 from .records import Record
+
+RANKS = range(4, 9)  # ranks with a kernel certificate
 
 
 class KernelDimensionViolation(RuntimeError):
@@ -113,17 +113,15 @@ class HlogCertificate(NamedTuple):
         """Read a stored certificate strictly; nothing is coerced.
 
         Integers must be JSON integers (not a bool, a float or a quoted
-        number), quotient a JSON boolean and content_hash a string. Anything
-        else, or a missing field, raises ValueError.
+        number), each fiber an array of exactly two of them, quotient a JSON
+        boolean and content_hash a string. Anything else, or a missing
+        field, raises ValueError.
         """
         try:
             return cls(
                 r=_json_int(data["r"]),
                 conics=tuple(tuple(map(_json_int, c)) for c in data["conics"]),
-                fiber_orders=tuple(
-                    tuple((_json_int(p[0]), _json_int(p[1])) for p in fo)
-                    for fo in data["fiber_orders"]
-                ),
+                fiber_orders=tuple(tuple(map(_json_pair, fo)) for fo in data["fiber_orders"]),
                 bases=tuple(map(_json_int, data["bases"])),
                 epsilon=tuple(map(_json_int, data["epsilon"])),
                 kernel_dimension=_json_int(data["kernel_dimension"]),
@@ -144,7 +142,15 @@ def _json_int(value) -> int:
     return _json_typed(value, int)
 
 
+def _json_pair(value) -> tuple[int, int]:
+    if len(_json_typed(value, list)) != 2:
+        raise ValueError(f"malformed certificate: fiber {value!r} is not a pair")
+    return _json_int(value[0]), _json_int(value[1])
+
+
 def _content_hash(payload: dict) -> str:
+    import hashlib  # loads OpenSSL, which only certify and replay need
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -249,12 +255,8 @@ def _wedges(
 ) -> Iterator[WedgeVector]:
     """One wedge per conic, `producer(fibration, base, drop)`."""
     drop = _exceptional_lines(lt) if quotient else 0
-    bound = comb(2 * (lt.r - 1), lt.r - 2)
     for f, order, base in zip(conics, fiber_orders, bases):
-        w = producer(ConicFibration(f.cls, tuple(order)), base, drop)
-        if len(w) > bound:
-            raise InternalError("wedge sparsity bound violated")
-        yield w
+        yield producer(ConicFibration(f.cls, tuple(order)), base, drop)
 
 
 def _signed_graph(wedges: Iterable[WedgeVector]) -> tuple[int, array]:
@@ -370,7 +372,7 @@ def kernel_signs(
     then checked to annihilate every wedge; a broken structure raises
     WedgeStructureViolation, KernelDimensionViolation or SignViolation.
     """
-    if r not in (4, 5, 6, 7, 8):
+    if r not in RANKS:
         raise UnsupportedRank(f"rank must be in 4..8, got {r}")
     lt = enumerate_lines(r)
     conics = enumerate_conics(r, lt)
@@ -416,7 +418,7 @@ def replay(cert: HlogCertificate) -> None:
     proved rather than read from the certificate; then the stored
     coefficients must annihilate every wedge.
     """
-    if cert.r not in (4, 5, 6, 7, 8):
+    if cert.r not in RANKS:
         raise ReplayFailure(f"unsupported rank {cert.r}")
     if _content_hash(cert.payload()) != cert.content_hash:
         raise ReplayFailure("content hash mismatch")
@@ -430,7 +432,7 @@ def replay(cert: HlogCertificate) -> None:
         f.cls.coeffs != stored for f, stored in zip(conics, cert.conics)
     ):
         raise ReplayFailure("conic ordering does not match the canonical enumeration")
-    if len(cert.epsilon) != len(conics) or len(cert.bases) != len(conics):
+    if not len(cert.epsilon) == len(cert.bases) == len(cert.fiber_orders) == len(conics):
         raise ReplayFailure("certificate length mismatch")
     for f, fo, b in zip(conics, cert.fiber_orders, cert.bases):
         if sorted(fo) != sorted(f.fibers):

@@ -1,10 +1,11 @@
-"""Group-level oracles that only the tests call.
+"""Oracles that only the tests call.
 
-Each works element by element (or class by class) on the enumerated group,
-independently of the bulk character and kernel routes it cross-checks. The
-group itself is enumerated a second way, by a breadth-first closure with
-generator-word witnesses, apart from the transversal chain of
-weyl.group_data.
+The group-level ones work element by element (or class by class) on the
+enumerated group, independently of the bulk character and kernel routes
+they cross-check. The group itself is enumerated a second way, by a
+breadth-first closure with generator-word witnesses, apart from the
+transversal chain of weyl.group_data. The numeric one decomposes a
+transported weight-3 value into transported values of lower weight.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import sympy
 
+from dp_hlog.hyperlog.numeric import LogFormBasis, evaluate_words
+from dp_hlog.hyperlog.words import asym
 from dp_hlog.incidence import (
     COUNTS,
     LineTable,
@@ -222,3 +225,17 @@ def d5_conic_values() -> tuple[int, ...]:
             fixed += gd.lt.lines[e.perm[i]] + gd.lt.lines[e.perm[j]] == fib.cls
         out.append(fixed)
     return tuple(out)
+
+
+def ai3_cross_check(basis: LogFormBasis, base: complex, end: complex) -> float:
+    """Discrepancy of the weight-3 antisymmetric value against its
+    logarithm-times-weight-2 decomposition (must be at quadrature level)."""
+    if len(basis) != 3:
+        raise ValueError("the decomposition needs exactly three finite letters")
+    pe = evaluate_words(basis, base, end, 3)
+    lhs = pe.value_of(asym((0, 1, 2)))
+    rhs = 0j
+    for i in range(3):
+        rest = tuple(k for k in range(3) if k != i)
+        rhs += (-1) ** i * pe.values[(i,)] * pe.value_of(asym(rest))
+    return abs(lhs - rhs / 3)

@@ -150,8 +150,9 @@ def _bump(path, delta=1):
 
 
 def _proof_mutants():
-    """Every value of a stored r = 4 certificate changed in turn, or two
-    fibers of one conic swapped (which negates that conic's wedge)."""
+    """Every value of a stored r = 4 certificate changed in turn, two fibers
+    of one conic swapped (which negates that conic's wedge), a third line
+    in a fiber, or a fiber order appended."""
     out = {"r up": _bump(["r"]), "r down": _bump(["r"], -1)}
     out["kernel_dimension 2"] = _set(["kernel_dimension"], 2)
     out["kernel_dimension 0"] = _set(["kernel_dimension"], 0)
@@ -166,6 +167,8 @@ def _proof_mutants():
             out[f"conic {k} fibers {i} {j}"] = _swap(["fiber_orders", k], i, j)
         out[f"conic {k} lines of fiber 0"] = _swap(["fiber_orders", k, 0], 0, 1)
         out[f"conic {k} fiber line"] = _bump(["fiber_orders", k, 0, 1])
+    out["fiber with three lines"] = lambda c: c["fiber_orders"][0][0].append(5)
+    out["fiber order appended"] = lambda c: c["fiber_orders"].append(c["fiber_orders"][0])
     return out
 
 
@@ -175,7 +178,7 @@ def test_replay_refuses_every_mutant_that_reaches_the_proof(tmp_path):
     assert cli.main(["certify", "--rank", "4", "--out", str(out)]) == 0
     stored = json.loads(out.read_text(encoding="utf-8"))["certificate"]
     mutants = _proof_mutants()
-    assert len(mutants) == 74
+    assert len(mutants) == 76
     for name, mutate in mutants.items():
         cert = json.loads(json.dumps(stored))
         mutate(cert)
@@ -187,12 +190,16 @@ def test_replay_refuses_every_mutant_that_reaches_the_proof(tmp_path):
         code, artifact = run_json(tmp_path, "r.json", ["replay", str(out)])
         assert code in (2, 4), name
         assert "error" in artifact, name
-    # A hash that no longer matches, and a flipped quotient flag. Every
-    # kernel vector of the full system also annihilates the quotient system,
-    # whose kernel replay proves one-dimensional too: that mutant is a true
-    # certificate and must replay.
+    # A hash that no longer matches; a third line in a fiber under the stored
+    # hash, which hashes the pairs a reader dropping that line would see; and
+    # a flipped quotient flag. Every kernel vector of the full system also
+    # annihilates the quotient system, whose kernel replay proves
+    # one-dimensional too: that mutant is a true certificate and must replay.
+    three = json.loads(json.dumps(stored["fiber_orders"]))
+    three[0][0].append(5)
     for field, value, expected in (
         ("content_hash", "0" * 64, 4),
+        ("fiber_orders", three, 2),
         ("quotient", not stored["quotient"], 0),
     ):
         cert = dict(stored, **{field: value})
@@ -473,6 +480,19 @@ def test_certificate_routes_never_load_numpy(tmp_path):
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.split() == ["{0}", loaded]
+    # hashlib loads OpenSSL's _hashlib, which only the certificate hash needs.
+    calls = [["enumerate", "--rank", "4", "--out", out], ["symbols", "--out", out]]
+    probe = (
+        "import sys, dp_hlog.cli; "
+        f"codes = [dp_hlog.cli.main(args) for args in {calls!r}]; "
+        "before = '_hashlib' in sys.modules; "
+        f"codes.append(dp_hlog.cli.main(['certify', '--rank', '4', '--out', {out!r}])); "
+        "print(set(codes), before, '_hashlib' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["{0}", "False", "True"]
 
 
 def test_certificate_routes_never_load_fractions(tmp_path):

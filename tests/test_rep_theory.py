@@ -156,6 +156,25 @@ def test_signature_multiplicity_matches_elementwise_route():
     assert Fraction(total, 120) == rt.signature_multiplicity(4)
 
 
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_double_coset_blocks_weigh_to_the_full_sum(r):
+    # Per block t o W_(r-1): the signed e_(r-2) and the power sums
+    # p_1..p_(r-2), which do not vanish; one block per double coset, times
+    # its weight, must give the sum over every block.
+    gd = group_data(r)
+    l, step = len(gd.lt), len(gd.lower)
+    sums = []
+    for j, t in enumerate(gd.top):
+        powers = rt._power_fixed_counts(t[gd.lower[:, :l]], r - 2)
+        signs = 1 - 2 * (gd.levels[j * step : (j + 1) * step] & 1).astype(np.int64)
+        sums.append([int(signs @ rt._elementary_from_powers(powers)), *powers.sum(axis=0)])
+    sums = np.array(sums, dtype=np.int64)
+    blocks, counts = rt._double_coset_blocks(r)
+    assert len(blocks) < counts.sum() == len(gd.top)
+    assert (counts @ sums[blocks]).tolist() == sums.sum(axis=0).tolist()
+    assert sums[:, 1:].sum(axis=0).all()
+
+
 def test_signature_multiplicity_rejections():
     with pytest.raises(GroupTooLarge):
         rt.signature_multiplicity(8)

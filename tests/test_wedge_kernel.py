@@ -116,13 +116,18 @@ def _ordering_cases():
 
 @pytest.mark.parametrize("r, seed, quotient", list(_ordering_cases()))
 def test_closed_form_matches_iterated_wedge(r, seed, quotient):
-    # Entry for entry, on the orderings the certificates store.
+    # Entry for entry, on the orderings the certificates store. Every key is
+    # an (r - 2)-subset of its conic's 2(r - 1) fiber lines, so no wedge has
+    # more than C(2(r - 1), r - 2) entries.
     cert = wk.kernel_signs(r, seed=seed, quotient=quotient)
-    args = (enumerate_lines(r), enumerate_conics(r), cert.fiber_orders, cert.bases, quotient)
+    conics = enumerate_conics(r)
+    args = (enumerate_lines(r), conics, cert.fiber_orders, cert.bases, quotient)
     closed = wk._wedges(wk.wedge_vector, *args)
     iterated = wk._wedges(wk._replayed_wedge, *args)
-    for a, b in zip(closed, iterated, strict=True):
+    for f, a, b in zip(conics, closed, iterated, strict=True):
         assert a.entries == b.entries
+        lines = sum(1 << c for pair in f.fibers for c in pair)
+        assert all(key.bit_count() == r - 2 and not key & ~lines for key in a.entries)
 
 
 def test_kernel_signs_small_ranks():

@@ -73,8 +73,6 @@ CLASS_WORDS: tuple[tuple[int, ...], ...] = (
 # matching the two Dynkin labelings of D5 node by node.
 ZETA_TO_S: dict[int, int] = {1: 4, 2: 5, 3: 3, 4: 2, 5: 1}
 
-GROUP_ORDER = 1920
-
 # Class values expected of the line character chi (16 lines) and of its
 # alternating cube, the multiplicities of the irreducibles in that cube, and
 # the irreducibles in chi.

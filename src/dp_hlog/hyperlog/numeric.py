@@ -93,12 +93,6 @@ class LogFormBasis(Record):
             raise ValueError("branch points must be pairwise distinct")
         super().__init__(pts)
 
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -397,7 +391,7 @@ class NumericReport(NamedTuple):
     r: int
     samples: int
     tol: float
-    seed: int | None
+    seed: int
     gamma: Fraction | None
     pi: Fraction | None
     signs: tuple[int, ...]
@@ -561,11 +555,11 @@ def _plan_terms(
 
 def verify_identity_numeric(
     r: int,
-    samples: int = 5,
-    tol: float = 1e-6,
+    samples: int,
+    tol: float,
     *,
     data: dp4.DP4Data | None = None,
-    seed: int | None = None,
+    seed: int,
 ) -> NumericReport:
     """Check the rank-4 or rank-5 functional identity on random samples.
 
@@ -575,7 +569,8 @@ def verify_identity_numeric(
     carries per-sample residuals max|sum_i eps_i AI_i| / max_i|AI_i| and the
     propagated quadrature budgets; it passes iff the worst residual is below
     tol. Paths keep a clearance of 1e-3 and each transport stabilizes to
-    min(1e-11, tol / 1000). Signs come from the aligned kernel certificate.
+    min(1e-11, tol / 1000). Signs come from the aligned kernel certificate,
+    and the plan is drawn from random.Random(seed).
     """
     if samples < 1:
         raise ValueError("need at least one sample")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .lattice import SUPPORTED_RANKS, DelPezzoLattice, DivisorClass
+from .lattice import SUPPORTED_RANKS, DivisorClass, exceptional, hyperplane
 from .records import Record
 
 
@@ -57,29 +57,23 @@ class LineTable(Record):
 
     generators[g][i] is the index of the image of line i under the
     reflection in the fundamental root rho_(g+1): the one table of generator
-    line permutations. Tables are equal when their rank and lines are.
+    line permutations. exceptional[i - 1] is the index of l_i.
     """
 
-    __slots__ = ("r", "lines", "index", "generators")
+    __slots__ = ("r", "lines", "index", "generators", "exceptional")
     r: int
     lines: tuple[DivisorClass, ...]
     index: dict[DivisorClass, int]
     generators: tuple[tuple[int, ...], ...]
+    exceptional: tuple[int, ...]
 
     def __init__(self, r: int, lines: tuple[DivisorClass, ...]) -> None:
         position = {l.coeffs: i for i, l in enumerate(lines)}
         generators = tuple(
             tuple(position[_reflect(l.coeffs, g)] for l in lines) for g in range(r)
         )
-        super().__init__(r, lines, {l: i for i, l in enumerate(lines)}, generators)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.lines) == (other.r, other.lines)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.lines))
+        exc = tuple(position[exceptional(r, i).coeffs] for i in range(1, r + 1))
+        super().__init__(r, lines, {l: i for i, l in enumerate(lines)}, generators, exc)
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -133,7 +127,7 @@ def _orbit(seed: tuple[int, ...]) -> dict[tuple[int, ...], tuple | None]:
 def enumerate_lines(r: int) -> LineTable:
     """All lines of X_r, as the Weyl orbit of l_r, in canonical order."""
     _check_rank(r)
-    lines = sorted(_orbit(DelPezzoLattice(r).exceptional(r).coeffs))
+    lines = sorted(_orbit(exceptional(r, r).coeffs))
     if len(lines) != COUNTS[r].lines:
         raise RuntimeError(f"line orbit has size {len(lines)}, expected {COUNTS[r].lines}")
     return LineTable(r, tuple(map(DivisorClass, lines)))
@@ -164,10 +158,9 @@ def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration
     reducible fibers resolved against the canonical line table.
     """
     _check_rank(r)
-    lat = DelPezzoLattice(r)
     if lt is None:
         lt = enumerate_lines(r)
-    seed = lat.h - lat.exceptional(1)
+    seed = hyperplane(r) - exceptional(r, 1)
     reached = _orbit(seed.coeffs)
     if len(reached) != COUNTS[r].conics:
         raise RuntimeError(f"conic orbit has size {len(reached)}, expected {COUNTS[r].conics}")

@@ -13,11 +13,11 @@ from __future__ import annotations
 class Record:
     """Base of the immutable plain records.
 
-    The fields are the names in ``__slots__`` (a ``__dict__`` slot only holds
-    cached properties). ``__init__`` sets them once, in slot order; a subclass
-    that validates or derives fields sets them with ``object.__setattr__``.
-    Assignment and deletion raise AttributeError. Equality and hashing are
-    by identity unless a subclass defines them.
+    The fields are the names in ``__slots__``. ``__init__`` sets them once,
+    in slot order; a subclass that validates or derives fields sets them
+    with ``object.__setattr__``. Assignment and deletion raise
+    AttributeError. Equality and hashing are by identity unless a subclass
+    defines them.
     """
 
     __slots__ = ()
@@ -38,7 +38,5 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name != "__dict__"
-        )
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"

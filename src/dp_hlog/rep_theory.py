@@ -25,14 +25,12 @@ import numpy as np
 
 from . import d5_data
 from .errors import InternalError
-from .incidence import enumerate_lines
-from .lattice import DelPezzoLattice, RankMismatch
+from .incidence import COUNTS, enumerate_lines
+from .lattice import RankMismatch
 from .records import Record
 from .weyl import (
-    GroupTooLarge,
     WeylElement,
     d5_class_representatives,
-    generators,
     group_data,
     line_coeffs,
     spanning_line_indices,
@@ -128,7 +126,7 @@ def _trace_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     coeffs = line_coeffs(lt).T
     table = np.concatenate([coeffs[1:], coeffs[:1]])
     table[:2] += coeffs[0]
-    return table, spanning_line_indices(r, lt)
+    return table, spanning_line_indices(lt)
 
 
 class _Values(NamedTuple):
@@ -200,7 +198,7 @@ def _double_coset_blocks(r: int) -> tuple[np.ndarray, np.ndarray]:
     """
     gd = group_data(r)
     orbit = gd.lower[:, : len(gd.lt)].min(axis=0)
-    l_r = gd.lt.index[DelPezzoLattice(r).exceptional(r)]
+    l_r = gd.lt.exceptional[-1]
     _, first, count = np.unique(orbit[gd.top[:, l_r]], return_index=True, return_counts=True)
     return first, count
 
@@ -210,12 +208,10 @@ def signature_multiplicity(r: int) -> int:
 
     An exact integer sum over the whole group, one block per double coset
     (`_double_coset_blocks`): 4 blocks of 51,840 elements at r = 7, not 56.
-    r = 8 is refused (|W(E_8)| ~ 6.96e8; the known value there is 5,
-    recorded but not computed here).
+    r = 3 is refused, and `group_data` refuses r = 8 (|W(E_8)| ~ 6.96e8;
+    the known value there is 5, recorded but not computed here).
     """
-    if r == 8:
-        raise GroupTooLarge("signature multiplicity for r=8 needs the full W(E_8) sum")
-    if r not in (4, 5, 6, 7):
+    if r < 4:
         raise ValueError(f"rank must be in 4..7, got {r}")
     gd = group_data(r)
     l, step = len(gd.lt), len(gd.lower)
@@ -238,7 +234,7 @@ def d5_class_sizes() -> tuple[int, ...]:
     row orthogonality of the embedded table (a transcription checksum).
     """
     reps = d5_class_representatives()
-    gens = [g.perm for g in generators(5)]
+    gens = enumerate_lines(5).generators
     sizes = []
     covered: set[tuple[int, ...]] = set()
     for e in reps:
@@ -253,13 +249,13 @@ def d5_class_sizes() -> tuple[int, ...]:
             raise InternalError("representatives do not hit distinct classes")
         covered |= orbit
         sizes.append(len(orbit))
-    if sum(sizes) != d5_data.GROUP_ORDER:
+    if sum(sizes) != COUNTS[5].group_order:
         raise InternalError("class sizes do not partition the group")
     table = d5_data.CHARACTER_TABLE
     for s in range(18):
         for t in range(s, 18):
             acc = sum(sizes[c] * table[s][c] * table[t][c] for c in range(18))
-            if acc != (d5_data.GROUP_ORDER if s == t else 0):
+            if acc != (COUNTS[5].group_order if s == t else 0):
                 raise InternalError("embedded table fails row orthogonality")
     return tuple(sizes)
 
@@ -273,9 +269,9 @@ def d5_decompose(values18: Sequence[int]) -> tuple[int, ...]:
     out = []
     for row in d5_data.CHARACTER_TABLE:
         num = sum(sizes[c] * row[c] * values[c] for c in range(18))
-        q, rem = divmod(num, d5_data.GROUP_ORDER)
+        q, rem = divmod(num, COUNTS[5].group_order)
         if rem:
-            raise NotACharacter(f"non-integer multiplicity {Fraction(num, d5_data.GROUP_ORDER)}")
+            raise NotACharacter(f"non-integer multiplicity {Fraction(num, COUNTS[5].group_order)}")
         out.append(q)
     return tuple(out)
 

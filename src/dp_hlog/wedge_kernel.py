@@ -38,7 +38,6 @@ from .incidence import (
     enumerate_conics,
     enumerate_lines,
 )
-from .lattice import DelPezzoLattice
 from .records import Record
 
 RANKS = range(4, 9)  # ranks with a kernel certificate
@@ -244,17 +243,11 @@ def _replayed_wedge(f: ConicFibration, base: int, drop: int) -> WedgeVector:
     return iterated_wedge(fiber_differences(f, base), drop)
 
 
-def _exceptional_lines(lt: LineTable) -> int:
-    """Bitmask of the exceptional lines l_1..l_r in lt."""
-    lat = DelPezzoLattice(lt.r)
-    return sum(1 << lt.index[lat.exceptional(i)] for i in range(1, lt.r + 1))
-
-
 def _wedges(
     producer, lt: LineTable, conics, fiber_orders, bases, quotient: bool
 ) -> Iterator[WedgeVector]:
     """One wedge per conic, `producer(fibration, base, drop)`."""
-    drop = _exceptional_lines(lt) if quotient else 0
+    drop = sum(1 << i for i in lt.exceptional) if quotient else 0
     for f, order, base in zip(conics, fiber_orders, bases):
         yield producer(ConicFibration(f.cls, tuple(order)), base, drop)
 

@@ -22,13 +22,13 @@ length per element are kept; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import d5_data
 from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_conics, enumerate_lines
-from .lattice import SUPPORTED_RANKS, DelPezzoLattice
+from .lattice import SUPPORTED_RANKS
 from .records import Record
 
 
@@ -56,12 +56,11 @@ def line_coeffs(lt: LineTable) -> np.ndarray:
     return np.array([l.coeffs for l in lt.lines], dtype=np.int64)
 
 
-def spanning_line_indices(r: int, lt: LineTable) -> np.ndarray:
-    """Indices of l_1..l_r and h - l_1 - l_2: a unimodular basis of Pic."""
-    lat = DelPezzoLattice(r)
-    cols = [lt.index[lat.exceptional(i)] for i in range(1, r + 1)]
-    cols.append(lt.index[lat.h - lat.exceptional(1) - lat.exceptional(2)])
-    return np.array(cols, dtype=np.int64)
+def spanning_line_indices(lt: LineTable) -> np.ndarray:
+    """Indices of l_1..l_r and h - l_1 - l_2: a unimodular basis of Pic.
+
+    The Cremona reflection maps l_3 to l_3 + (h - l_1 - l_2 - l_3)."""
+    return np.array(lt.exceptional + (lt.generators[-1][lt.exceptional[2]],), dtype=np.int64)
 
 
 class _GroupData(Record):
@@ -120,7 +119,7 @@ def _transversal(gens: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(perms), np.array(depths, dtype=np.uint8)
 
 
-def chain(gens: np.ndarray, bases: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def chain(gens: np.ndarray, bases: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T_r, the product W_(r-1) of the lower transversals and the lengths of
     T_r o W_(r-1), for the point generators gens and bases l_2..l_r.
 
@@ -161,9 +160,7 @@ def group_data(r: int) -> _GroupData:
     if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     lt = enumerate_lines(r)
-    lat = DelPezzoLattice(r)
-    bases = [lt.index[lat.exceptional(k)] for k in range(2, r + 1)]
-    return _GroupData(r, lt, *chain(point_generators(lt), bases))
+    return _GroupData(r, lt, *chain(point_generators(lt), lt.exceptional[1:]))
 
 
 def generators(r: int) -> list[WeylElement]:

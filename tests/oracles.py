@@ -25,7 +25,7 @@ from dp_hlog.incidence import (
     enumerate_lines,
     reducible_fibers,
 )
-from dp_hlog.lattice import DelPezzoLattice, DivisorClass
+from dp_hlog.lattice import DivisorClass, is_conic_class, is_line
 from dp_hlog.weyl import (
     WeylElement,
     d5_class_representatives,
@@ -84,7 +84,7 @@ def bfs_closure(r: int) -> Closure:
     lt = enumerate_lines(r)
     l = len(lt)
     gen_rows = np.array(lt.generators, dtype=np.uint8)
-    kcols = spanning_line_indices(r, lt)
+    kcols = spanning_line_indices(lt)
     # key-gather columns per generator: child[kcols] = parent[gen_rows[g][kcols]]
     key_cols = [gen_rows[g][kcols] for g in range(r)]
 
@@ -165,11 +165,10 @@ def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement
 def stabilizer_order(r: int, target: DivisorClass) -> int:
     """Number of group elements fixing a line or conic class."""
     gd = group_data(r)
-    lat = DelPezzoLattice(r)
-    if lat.is_line(target):
+    if is_line(target):
         idx = gd.lt.index[target]
         return sum(int(np.count_nonzero(t[gd.lower[:, idx]] == idx)) for t in gd.top)
-    if lat.is_conic_class(target):
+    if is_conic_class(target):
         i, j = reducible_fibers(target, gd.lt)[0]
         coeffs = line_coeffs(gd.lt)
         total = 0
@@ -188,7 +187,7 @@ def spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
     V is unimodular, so the inverse must come out integral.
     """
     lt = enumerate_lines(r)
-    kcols = spanning_line_indices(r, lt)
+    kcols = spanning_line_indices(lt)
     inv = sympy.Matrix([lt.lines[k].coeffs for k in kcols.tolist()]).T.inv()
     if not all(v.is_integer for v in inv):
         raise RuntimeError("spanning lines are not a unimodular basis")

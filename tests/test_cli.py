@@ -14,7 +14,7 @@ import dp_hlog
 from dp_hlog import cli, d5_data, incidence, wedge_kernel
 from dp_hlog.errors import InternalError
 from dp_hlog.incidence import FiberCountViolation
-from dp_hlog.lattice import DelPezzoLattice
+from dp_hlog.lattice import exceptional, hyperplane
 
 
 def run_json(tmp_path, name, args):
@@ -260,8 +260,8 @@ def broken_generator(monkeypatch):
     """weyl reads the r = 4 line table with two images of generator 0 swapped:
     those of l_1 and of h - l_2 - l_3."""
     lt = incidence.enumerate_lines(4)
-    lat = DelPezzoLattice(4)
-    a, b = lt.index[lat.exceptional(1)], lt.index[lat.h - lat.exceptional(2) - lat.exceptional(3)]
+    l1, l2, l3 = (exceptional(4, i) for i in (1, 2, 3))
+    a, b = lt.index[l1], lt.index[hyperplane(4) - l2 - l3]
     perm = list(lt.generators[0])
     perm[a], perm[b] = perm[b], perm[a]
     broken = incidence.LineTable(4, lt.lines)
@@ -371,6 +371,25 @@ def test_numeric_runs_are_byte_identical(tmp_path):
     assert cli.main(args + ["--out", str(first)]) == 0
     assert cli.main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_unseeded_numeric_draws_the_seed_zero_plan(tmp_path):
+    # An unseeded run records seed 0 and writes the bytes of --seed 0; so
+    # do repeated unseeded `all` runs, whose certificate keeps the
+    # canonical order.
+    def written(name, args):
+        out = tmp_path / name
+        assert cli.main(args + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    numeric = ["numeric", "--rank", "4", "--samples", "2"]
+    first = written("n1.json", numeric)
+    assert json.loads(first)["seed"] == 0
+    assert written("n2.json", numeric) == first == written("n0.json", numeric + ["--seed", "0"])
+    every = ["all", "--rank", "4", "--samples", "1"]
+    first = written("a1.json", every)
+    assert json.loads(first)["routes"]["certify"]["seed"] is None
+    assert written("a2.json", every) == first
 
 
 def test_all_rank_three(tmp_path):

@@ -19,7 +19,7 @@ from dp_hlog import wedge_kernel
 from dp_hlog.errors import InternalError
 from dp_hlog.hyperlog import dp4
 from dp_hlog.incidence import enumerate_conics, enumerate_lines
-from dp_hlog.lattice import DelPezzoLattice
+from dp_hlog.lattice import exceptional, hyperplane
 
 
 def _u_expressions(g, p, x, y) -> tuple:
@@ -109,9 +109,8 @@ RESIDUE_VECTORS = (
 
 def _factor_classes():
     """Divisor classes of the affine factors L_1..L_10, in order."""
-    lat = DelPezzoLattice(5)
-    h = lat.h
-    e = [None] + [lat.exceptional(i) for i in range(1, 6)]
+    h = hyperplane(5)
+    e = [None] + [exceptional(5, i) for i in range(1, 6)]
     return (
         h - e[2] - e[3],
         h - e[1] - e[3],

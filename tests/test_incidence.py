@@ -12,7 +12,16 @@ from dp_hlog.incidence import (
     enumerate_lines,
     reducible_fibers,
 )
-from dp_hlog.lattice import DelPezzoLattice, DivisorClass, pair
+from dp_hlog.lattice import (
+    DivisorClass,
+    exceptional,
+    hyperplane,
+    is_conic_class,
+    is_line,
+    pair,
+    reflect,
+    roots,
+)
 
 from oracles import rank_for_line_count
 
@@ -27,9 +36,8 @@ def test_line_counts() -> None:
 
 def test_lines_pass_predicate_and_are_sorted() -> None:
     for r in (3, 5, 8):
-        lat = DelPezzoLattice(r)
         lt = enumerate_lines(r)
-        assert all(lat.is_line(l) for l in lt.lines)
+        assert all(is_line(l) for l in lt.lines)
         assert list(lt.lines) == sorted(lt.lines)
         assert all(lt.index[l] == i for i, l in enumerate(lt.lines))
 
@@ -58,9 +66,8 @@ def test_r7_conic_shapes() -> None:
 
 
 def test_conics_pass_predicate_in_canonical_order() -> None:
-    lat = DelPezzoLattice(5)
     conics = enumerate_conics(5)
-    assert all(lat.is_conic_class(f.cls) for f in conics)
+    assert all(is_conic_class(f.cls) for f in conics)
     assert [f.cls for f in conics] == sorted(f.cls for f in conics)
 
 
@@ -84,14 +91,12 @@ def test_fiber_structure_all_ranks() -> None:
 def test_fibers_of_h_minus_l1() -> None:
     # For c = h - l1 the fibers are {h - l1 - lj, lj}, j = 2..r.
     for r in (4, 7):
-        lat = DelPezzoLattice(r)
         lt = enumerate_lines(r)
-        c = lat.h - lat.exceptional(1)
+        c = hyperplane(r) - exceptional(r, 1)
         fibers = reducible_fibers(c, lt)
         assert len(fibers) == r - 1
         expected = {
-            frozenset((lat.exceptional(j), lat.h - lat.exceptional(1) - lat.exceptional(j)))
-            for j in range(2, r + 1)
+            frozenset((exceptional(r, j), c - exceptional(r, j))) for j in range(2, r + 1)
         }
         got = {frozenset((lt.lines[i], lt.lines[j])) for i, j in fibers}
         assert got == expected
@@ -112,7 +117,7 @@ def test_r7_degree_two_conic_fiber_shapes() -> None:
 def test_non_conic_class_raises_fiber_count() -> None:
     lt = enumerate_lines(4)
     with pytest.raises(FiberCountViolation):
-        reducible_fibers(DelPezzoLattice(4).h, lt)
+        reducible_fibers(hyperplane(4), lt)
 
 
 def test_unsupported_rank() -> None:
@@ -130,18 +135,17 @@ def test_rank_for_line_count() -> None:
 
 def test_orbit_independent_of_generator_order() -> None:
     rng = random.Random(11)
-    lat = DelPezzoLattice(5)
     reference = set(enumerate_lines(5).lines)
     for _ in range(3):
-        roots = list(lat.roots)
-        rng.shuffle(roots)
-        seen = {lat.exceptional(5)}
-        frontier = [lat.exceptional(5)]
+        shuffled = list(roots(5))
+        rng.shuffle(shuffled)
+        seen = {exceptional(5, 5)}
+        frontier = [exceptional(5, 5)]
         while frontier:
             nxt = []
             for d in frontier:
-                for rho in roots:
-                    image = lat.reflect(rho, d)
+                for rho in shuffled:
+                    image = reflect(rho, d)
                     if image not in seen:
                         seen.add(image)
                         nxt.append(image)
@@ -153,17 +157,16 @@ def test_fibers_match_brute_force_pairs_and_orbit() -> None:
     # Oracle: every pair of lines meeting once, found with pair(), grouped
     # by its sum; and the conic orbit closed one reflection at a time.
     for r in range(3, 9):
-        lat = DelPezzoLattice(r)
         lt = enumerate_lines(r)
         by_sum: dict = {}
         for i, a in enumerate(lt.lines):
             for j in range(i + 1, len(lt)):
                 if pair(a, lt.lines[j]) == 1:
                     by_sum.setdefault(a + lt.lines[j], []).append((i, j))
-        seed = lat.h - lat.exceptional(1)
+        seed = hyperplane(r) - exceptional(r, 1)
         orbit, frontier = {seed}, [seed]
         while frontier:
-            images = {lat.reflect(rho, d) for d in frontier for rho in lat.roots}
+            images = {reflect(rho, d) for d in frontier for rho in roots(r)}
             frontier = list(images - orbit)
             orbit |= images
         assert orbit == set(by_sum)
@@ -171,11 +174,11 @@ def test_fibers_match_brute_force_pairs_and_orbit() -> None:
         assert {f.cls: list(f.fibers) for f in conics} == by_sum
 
 
-def _closure(lat: DelPezzoLattice, seed: DivisorClass) -> list[DivisorClass]:
+def _closure(seed: DivisorClass) -> list[DivisorClass]:
     # One reflection at a time on DivisorClass values, sorted at the end.
     orbit, frontier = {seed}, [seed]
     while frontier:
-        images = {lat.reflect(rho, d) for d in frontier for rho in lat.roots}
+        images = {reflect(rho, d) for d in frontier for rho in roots(seed.rank)}
         frontier = list(images - orbit)
         orbit |= images
     return sorted(orbit)
@@ -183,24 +186,22 @@ def _closure(lat: DelPezzoLattice, seed: DivisorClass) -> list[DivisorClass]:
 
 def test_tables_are_the_sorted_brute_force_closures() -> None:
     for r in range(3, 9):
-        lat = DelPezzoLattice(r)
         lt = enumerate_lines(r)
-        assert list(lt.lines) == _closure(lat, lat.exceptional(r))
+        assert list(lt.lines) == _closure(exceptional(r, r))
         conics = enumerate_conics(r, lt)
-        assert [f.cls for f in conics] == _closure(lat, lat.h - lat.exceptional(1))
+        assert [f.cls for f in conics] == _closure(hyperplane(r) - exceptional(r, 1))
 
 
 def test_coefficient_reflections_and_generator_table_match_lattice_reflect() -> None:
     # The swap and Cremona formulas against d + pair(d, rho) rho, on every
-    # line and conic; the table against a lookup of lat.reflect's images.
+    # line and conic; the table against a lookup of reflect's images.
     for r in range(3, 9):
-        lat = DelPezzoLattice(r)
         lt = enumerate_lines(r)
         classes = list(lt.lines) + [f.cls for f in enumerate_conics(r, lt)]
-        for g, rho in enumerate(lat.roots):
+        for g, rho in enumerate(roots(r)):
             for d in classes:
-                assert DivisorClass(incidence._reflect(d.coeffs, g)) == lat.reflect(rho, d)
-            assert lt.generators[g] == tuple(lt.index[lat.reflect(rho, l)] for l in lt.lines)
+                assert DivisorClass(incidence._reflect(d.coeffs, g)) == reflect(rho, d)
+            assert lt.generators[g] == tuple(lt.index[reflect(rho, l)] for l in lt.lines)
 
 
 @pytest.mark.parametrize("swap", [True, False])
@@ -209,9 +210,8 @@ def test_corrupted_generator_permutation_is_caught(r: int, swap: bool) -> None:
     # The reflection in l1 - l2 carries the fibers {l_j, h - l1 - l_j} of the
     # seed h - l1 onto those of h - l2. Swapping the images of l2 and l3, or
     # sending both to one line, breaks a carried fiber.
-    lat = DelPezzoLattice(r)
     lt = enumerate_lines(r)
-    i, k = lt.index[lat.exceptional(2)], lt.index[lat.exceptional(3)]
+    i, k = lt.index[exceptional(r, 2)], lt.index[exceptional(r, 3)]
     row = list(lt.generators[0])
     row[i], row[k] = (row[k], row[i]) if swap else (row[k], row[k])
     object.__setattr__(lt, "generators", (tuple(row),) + lt.generators[1:])

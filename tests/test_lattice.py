@@ -3,7 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from dp_hlog.lattice import DelPezzoLattice, DivisorClass, NotARoot, RankMismatch, pair
+from dp_hlog.lattice import (
+    DivisorClass,
+    NotARoot,
+    RankMismatch,
+    canonical,
+    exceptional,
+    hyperplane,
+    is_conic_class,
+    is_line,
+    pair,
+    reflect,
+    roots,
+)
 
 
 def cls(*coeffs: int) -> DivisorClass:
@@ -15,21 +27,19 @@ def random_class(rng: random.Random, r: int) -> DivisorClass:
 
 
 def test_pair_diagonal_form() -> None:
-    lat = DelPezzoLattice(4)
-    assert pair(lat.h, lat.h) == 1
+    assert pair(hyperplane(4), hyperplane(4)) == 1
     for i in range(1, 5):
+        assert pair(hyperplane(4), exceptional(4, i)) == 0
         for j in range(1, 5):
             expected = -1 if i == j else 0
-            assert pair(lat.exceptional(i), lat.exceptional(j)) == expected
+            assert pair(exceptional(4, i), exceptional(4, j)) == expected
 
 
 def test_canonical_self_pairing_is_degree() -> None:
     # K^2 = 9 - r; the r=5 value 4 is the quoted one.
-    assert pair(DelPezzoLattice(5).canonical, DelPezzoLattice(5).canonical) == 4
+    assert pair(canonical(5), canonical(5)) == 4
     for r in range(3, 9):
-        lat = DelPezzoLattice(r)
-        assert lat.d == 9 - r
-        assert pair(lat.canonical, lat.canonical) == lat.d
+        assert pair(canonical(r), canonical(r)) == 9 - r
 
 
 def test_pair_symmetric_bilinear() -> None:
@@ -49,23 +59,22 @@ def test_pair_rank_mismatch() -> None:
 
 def test_fundamental_roots() -> None:
     for r in range(3, 9):
-        lat = DelPezzoLattice(r)
-        assert len(lat.roots) == r
-        for rho in lat.roots:
+        assert len(roots(r)) == r
+        for rho in roots(r):
             assert pair(rho, rho) == -2
-            assert pair(rho, lat.canonical) == 0
+            assert pair(rho, canonical(r)) == 0
 
 
 def test_root_gram_matches_dynkin_diagram() -> None:
     # Chain rho_1 .. rho_{r-1}, with rho_r attached to rho_3 (for r >= 4).
     for r in range(3, 9):
-        lat = DelPezzoLattice(r)
+        rho = roots(r)
         edges = {(i, i + 1) for i in range(1, r - 1)}
         if r >= 4:
             edges.add((3, r))
         for i in range(1, r + 1):
             for j in range(1, r + 1):
-                g = -pair(lat.roots[i - 1], lat.roots[j - 1])
+                g = -pair(rho[i - 1], rho[j - 1])
                 if i == j:
                     assert g == 2
                 elif (min(i, j), max(i, j)) in edges:
@@ -75,49 +84,48 @@ def test_root_gram_matches_dynkin_diagram() -> None:
 
 
 def test_reflect_examples() -> None:
-    lat = DelPezzoLattice(4)
-    rho = lat.roots[3]  # h - l1 - l2 - l3
-    assert lat.reflect(rho, rho) == -1 * rho
-    assert lat.reflect(rho, lat.canonical) == lat.canonical
+    rho = roots(4)[3]  # h - l1 - l2 - l3
+    assert reflect(rho, rho) == -1 * rho
+    assert reflect(rho, canonical(4)) == canonical(4)
     # Hand arithmetic: pair(l1, rho) = 1, so l1 -> l1 + rho = h - l2 - l3.
-    assert lat.reflect(rho, lat.exceptional(1)) == cls(1, 0, -1, -1, 0)
+    assert reflect(rho, exceptional(4, 1)) == cls(1, 0, -1, -1, 0)
 
 
 def test_reflect_involution_preserves_pair() -> None:
     rng = random.Random(7)
     for r in (4, 6, 8):
-        lat = DelPezzoLattice(r)
-        for rho in lat.roots:
+        for rho in roots(r):
             for _ in range(20):
                 a, b = random_class(rng, r), random_class(rng, r)
-                assert lat.reflect(rho, lat.reflect(rho, a)) == a
-                assert pair(lat.reflect(rho, a), lat.reflect(rho, b)) == pair(a, b)
+                assert reflect(rho, reflect(rho, a)) == a
+                assert pair(reflect(rho, a), reflect(rho, b)) == pair(a, b)
 
 
 def test_reflect_rejects_non_roots() -> None:
-    lat = DelPezzoLattice(4)
     with pytest.raises(NotARoot):
-        lat.reflect(lat.exceptional(1), lat.h)  # l1 has self-pairing -1
+        reflect(exceptional(4, 1), hyperplane(4))  # l1 has self-pairing -1
     with pytest.raises(NotARoot):
-        lat.reflect(lat.canonical, lat.h)  # K is not in K-perp
+        reflect(canonical(4), hyperplane(4))  # K is not in K-perp
+    with pytest.raises(RankMismatch):
+        reflect(roots(4)[0], hyperplane(5))
+    with pytest.raises(ValueError):
+        exceptional(4, 5)
 
 
 def test_is_line() -> None:
-    lat = DelPezzoLattice(7)
-    assert lat.is_line(lat.exceptional(1))
-    assert not lat.is_line(lat.h)
-    assert not lat.is_line(lat.canonical)
+    assert is_line(exceptional(7, 1))
+    assert not is_line(hyperplane(7))
+    assert not is_line(canonical(7))
     # 3h - sum(l) - l1: a quoted line shape for r=7.
-    assert lat.is_line(cls(3, -2, -1, -1, -1, -1, -1, -1))
+    assert is_line(cls(3, -2, -1, -1, -1, -1, -1, -1))
 
 
 def test_is_conic_class() -> None:
-    lat = DelPezzoLattice(7)
-    assert lat.is_conic_class(cls(1, -1, 0, 0, 0, 0, 0, 0))  # h - l1
-    assert not lat.is_conic_class(lat.h)
-    assert not lat.is_conic_class(lat.exceptional(2))
+    assert is_conic_class(cls(1, -1, 0, 0, 0, 0, 0, 0))  # h - l1
+    assert not is_conic_class(hyperplane(7))
+    assert not is_conic_class(exceptional(7, 2))
     # 5h - 2*sum(l) + l3: a quoted conic shape for r=7.
-    assert lat.is_conic_class(cls(5, -2, -2, -1, -2, -2, -2, -2))
+    assert is_conic_class(cls(5, -2, -2, -1, -2, -2, -2, -2))
 
 
 def test_divisor_class_validation_and_ordering() -> None:
@@ -151,15 +159,3 @@ def test_divisor_class_is_an_immutable_hashable_value() -> None:
         a.coeffs = (1, 0, 0, 0)
     with pytest.raises(AttributeError):
         del a.coeffs
-    lat = DelPezzoLattice(4)
-    assert lat == DelPezzoLattice(4) != DelPezzoLattice(5)
-    assert hash(lat) == hash(DelPezzoLattice(4))
-    with pytest.raises(AttributeError):
-        lat.r = 5
-
-
-def test_serialization_roundtrip() -> None:
-    d = cls(5, -2, -2, -1, -2, -2, -2, -2)
-    as_json = d.to_json()
-    assert as_json == ["5", "-2", "-2", "-1", "-2", "-2", "-2", "-2"]
-    assert DivisorClass.from_json(as_json) == d

@@ -1,8 +1,9 @@
 """Wedge construction and the one-dimensional +-1 kernel."""
 
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import or_
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from dp_hlog import wedge_kernel as wk
 from dp_hlog.errors import InternalError
 from dp_hlog.incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
+from dp_hlog.lattice import exceptional
 
 
 def _minor(rows, cols):
@@ -95,7 +97,7 @@ def test_closed_form_equals_iterated_wedge_and_minors(r, data):
     f = data.draw(st.sampled_from(_conics(r)))
     f = ConicFibration(f.cls, tuple(data.draw(st.permutations(f.fibers))))
     base = data.draw(st.integers(0, r - 2))
-    drop = wk._exceptional_lines(enumerate_lines(r)) if data.draw(st.booleans()) else 0
+    drop = sum(1 << k for k in enumerate_lines(r).exceptional) if data.draw(st.booleans()) else 0
     w = wk.wedge_vector(f, base, drop=drop)
     m = wk.fiber_differences(f, base)
     assert w.entries == wk.iterated_wedge(m, drop).entries
@@ -104,6 +106,21 @@ def test_closed_form_equals_iterated_wedge_and_minors(r, data):
     for key, val in w.entries.items():
         assert not key & drop
         assert val == _minor(m.rows, _columns(key)) in (1, -1)
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_line_table_locates_the_exceptional_lines(r):
+    # lt.exceptional[i - 1] indexes l_i, and the quotient drops exactly
+    # those lines: the mask is the OR of their bits.
+    lt = enumerate_lines(r)
+    ls = [exceptional(r, i) for i in range(1, r + 1)]
+    assert [lt.lines[k] for k in lt.exceptional] == ls
+    conic = enumerate_conics(r, lt)[:1]
+    masks = [
+        list(wk._wedges(lambda f, base, drop: drop, lt, conic, [conic[0].fibers], [0], q))
+        for q in (False, True)
+    ]
+    assert masks == [[0], [reduce(or_, (1 << lt.index[l] for l in ls))]]
 
 
 def _ordering_cases():

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from dp_hlog.incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
-from dp_hlog.lattice import DelPezzoLattice
+from dp_hlog.lattice import exceptional, hyperplane
 from dp_hlog.rep_theory import fixed_points
 from dp_hlog.weyl import (
     GroupTooLarge,
@@ -97,8 +97,7 @@ def test_length_distribution_is_the_bfs_level_count() -> None:
 
 
 def _bases(r: int, lt) -> list[int]:
-    lat = DelPezzoLattice(r)
-    return [lt.index[lat.exceptional(k)] for k in range(2, r + 1)]
+    return [lt.index[exceptional(r, k)] for k in range(2, r + 1)]
 
 
 def test_a_generator_with_two_images_swapped_fails_the_chain() -> None:
@@ -164,8 +163,7 @@ def test_sign_is_a_homomorphism_and_group_is_closed() -> None:
 def test_group_acts_transitively_on_lines_and_conics() -> None:
     r = 4
     lt = enumerate_lines(r)
-    lat = DelPezzoLattice(r)
-    seed_line = lt.index[lat.exceptional(r)]
+    seed_line = lt.index[exceptional(r, r)]
     line_orbit = {e.perm[seed_line] for e in enumerate_group(r)}
     assert line_orbit == set(range(len(lt)))
     conics = enumerate_conics(r, lt)
@@ -175,16 +173,15 @@ def test_group_acts_transitively_on_lines_and_conics() -> None:
 
 
 def test_stabilizer_orders() -> None:
-    lat4, lat5 = DelPezzoLattice(4), DelPezzoLattice(5)
     # orbit-stabilizer: 120/5 = 24 and 1920/10 = 192 for the conic seeds
-    assert stabilizer_order(4, lat4.h - lat4.exceptional(1)) == 24
-    assert stabilizer_order(5, lat5.h - lat5.exceptional(1)) == 192
+    assert stabilizer_order(4, hyperplane(4) - exceptional(4, 1)) == 24
+    assert stabilizer_order(5, hyperplane(5) - exceptional(5, 1)) == 192
     # 1920/16 = 120 for a line
-    assert stabilizer_order(5, lat5.exceptional(5)) == 120
+    assert stabilizer_order(5, exceptional(5, 5)) == 120
     with pytest.raises(ValueError):
-        stabilizer_order(4, lat4.h)
+        stabilizer_order(4, hyperplane(4))
     with pytest.raises(GroupTooLarge):
-        stabilizer_order(8, DelPezzoLattice(8).exceptional(1))
+        stabilizer_order(8, exceptional(8, 1))
 
 
 def test_induced_matrix_determinant_is_sign() -> None:

@@ -118,8 +118,8 @@ def _route_group(config: RunConfig) -> tuple[dict, int]:
     artifact = {"rank": rank, "order": order, "expected": expected}
     if not config.count_only:
         artifact["length_distribution"] = gd.length_distribution()
-    if config.orbit:  # enumerate_lines raises on a wrong orbit size
-        artifact["line_orbit"] = len(incidence.enumerate_lines(rank))
+    if config.orbit:  # enumerate_lines raised on a wrong orbit size
+        artifact["line_orbit"] = len(gd.lt)
     artifact["matches_expected"] = ok
     return artifact, EXIT_OK if ok else EXIT_ENUM
 

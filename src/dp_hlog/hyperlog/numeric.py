@@ -521,7 +521,6 @@ def _plan_terms(
     plan: Sequence[tuple[tuple[complex, complex], tuple[complex, complex]]],
     weight: int,
     quad_tol: float,
-    max_steps: int,
 ) -> tuple[list[complex], list[float]]:
     """Antisymmetric values and error estimates of every integral on every
     planar segment of the plan, segment by segment.
@@ -542,7 +541,7 @@ def _plan_terms(
         size = min(_GROUP, count - lo)
         values, errs = _rk4_batch(
             lambda paths, t, lo=lo: coef(paths + lo, t),
-            size, alphabet, weight, quad_tol, max_steps,
+            size, alphabet, weight, quad_tol, _STEP_CAP,
         )
         for p, row, err in zip(range(lo, lo + size), values, errs.tolist()):
             integral, segment = divmod(p, len(plan))
@@ -580,7 +579,7 @@ def verify_identity_numeric(
     _, signs = dp4.aligned_certificate(r, alignment)
     plan = _draw_plan(random.Random(seed), maps, letters, samples, 1e-3)
     quad_tol = min(1e-11, tol * 1e-3)
-    terms, errors = _plan_terms(maps, letters, plan, weight, quad_tol, _STEP_CAP)
+    terms, errors = _plan_terms(maps, letters, plan, weight, quad_tol)
     residuals = []
     budgets = []
     for j in range(0, len(terms), len(maps)):

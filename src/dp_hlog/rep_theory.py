@@ -10,7 +10,9 @@ of blocks in it. Every reduction is an exact integer; exterior powers use the
 Newton recurrence on power sums.
 
 The type D5 character table (r = 5) is embedded in :mod:`dp_hlog.d5_data`,
-so that case decomposes completely. For r = 6, 7 no tables are embedded;
+so that case decomposes completely: its 18 class representatives are rows
+composed from GAP's class words, and their values go through the same
+power-sum kernel as the group sums. For r = 6, 7 no tables are embedded;
 only norms and the trivial/reflection projections are certified, which is
 exactly what the kernel certificate needs.
 """
@@ -28,13 +30,7 @@ from .errors import InternalError
 from .incidence import COUNTS, enumerate_lines
 from .lattice import RankMismatch
 from .records import Record
-from .weyl import (
-    WeylElement,
-    d5_class_representatives,
-    group_data,
-    line_coeffs,
-    spanning_line_indices,
-)
+from .weyl import group_data
 
 
 # Rows per piece of a block whose powers are composed (a few MB of gather
@@ -61,23 +57,6 @@ class ClassFunctionSample(Record):
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def fixed_points(g: WeylElement, power: int = 1) -> int:
-    """Fixed lines of g**power, composing g power times."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    images = g.perm
-    for _ in range(power - 1):
-        images = [g.perm[i] for i in images]
-    return sum(i == j for i, j in enumerate(images))
-
-
-def exterior_power_value(powersums: Sequence[int], m: int) -> int:
-    """e_m from the power sums p_1..p_m (see _elementary_from_powers)."""
-    if m < 0 or len(powersums) < m:
-        raise ValueError(f"need {m} power sums, got {len(powersums)}")
-    return int(_elementary_from_powers(np.array(powersums[:m], dtype=np.int64).reshape(1, m))[0])
 
 
 def _power_fixed_counts(chunk: np.ndarray, s: int) -> np.ndarray:
@@ -118,15 +97,16 @@ def _elementary_from_powers(p: np.ndarray) -> np.ndarray:
 def _trace_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     """T[c, m] with trace(g on Pic) = sum_c T[c, perm_g[kcols[c]]].
 
-    Column m holds line m's coordinates in the spanning basis l_1..l_r,
-    h - l_1 - l_2: the line d0 h + sum d_i l_i is d0 (h - l_1 - l_2) plus
+    kcols indexes the basis l_1..l_r, h - l_1 - l_2 of Pic, the last read as
+    the Cremona image l_3 + (h - l_1 - l_2 - l_3) of l_3. Column m holds line
+    m's coordinates in it: d0 h + sum d_i l_i is d0 (h - l_1 - l_2) plus
     (d_1 + d0) l_1 + (d_2 + d0) l_2 + sum_(i >= 3) d_i l_i.
     """
     lt = enumerate_lines(r)
-    coeffs = line_coeffs(lt).T
+    coeffs = np.array([l.coeffs for l in lt.lines], dtype=np.int64).T
     table = np.concatenate([coeffs[1:], coeffs[:1]])
     table[:2] += coeffs[0]
-    return table, spanning_line_indices(lt)
+    return table, np.array(lt.exceptional + (lt.generators[-1][lt.exceptional[2]],))
 
 
 class _Values(NamedTuple):
@@ -226,6 +206,24 @@ def signature_multiplicity(r: int) -> int:
     return int(mult)
 
 
+def d5_class_representatives() -> np.ndarray:
+    """(18, 16) uint8: row k represents the class of the k-th column of the
+    embedded character table of W(D_5) = W(E_5).
+
+    Row k composes the line permutations s_(w_1) o ... o s_(w_n) of GAP's
+    CoxeterWord for class k, translated generator by generator through the
+    Dynkin relabeling d5_data.ZETA_TO_S into the fundamental-root indexing.
+    """
+    gens = np.array(enumerate_lines(5).generators, dtype=np.uint8)
+    reps = np.empty((18, gens.shape[1]), dtype=np.uint8)
+    for k, zeta_word in enumerate(d5_data.CLASS_WORDS):
+        perm = np.arange(gens.shape[1], dtype=np.uint8)
+        for z in zeta_word:
+            perm = perm[gens[d5_data.ZETA_TO_S[z] - 1]]
+        reps[k] = perm
+    return reps
+
+
 @lru_cache(maxsize=None)
 def d5_class_sizes() -> tuple[int, ...]:
     """Conjugacy class sizes for the 18 embedded representatives.
@@ -233,12 +231,11 @@ def d5_class_sizes() -> tuple[int, ...]:
     Computed as conjugation orbits under the generators, then guarded by the
     row orthogonality of the embedded table (a transcription checksum).
     """
-    reps = d5_class_representatives()
     gens = enumerate_lines(5).generators
     sizes = []
     covered: set[tuple[int, ...]] = set()
-    for e in reps:
-        orbit, frontier = {e.perm}, [e.perm]
+    for perm in map(tuple, d5_class_representatives().tolist()):
+        orbit, frontier = {perm}, [perm]
         for p in frontier:  # grows while the loop runs
             for s in gens:
                 q = tuple(s[p[s[i]]] for i in range(len(p)))
@@ -276,15 +273,17 @@ def d5_decompose(values18: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _d5_power_counts() -> np.ndarray:
+    """(18, 3) fixed lines of g, g^2, g^3 for each class representative g."""
+    return _power_fixed_counts(d5_class_representatives(), 3)
+
+
 def d5_chi_values() -> tuple[int, ...]:
     """The line-action character on the 18 classes."""
-    return tuple(fixed_points(e, 1) for e in d5_class_representatives())
+    return tuple(_d5_power_counts()[:, 0].tolist())
 
 
 def d5_wedge3_values() -> tuple[int, ...]:
     """wedge^3 of the line-action character on the 18 classes."""
-    out = []
-    for e in d5_class_representatives():
-        powers = tuple(fixed_points(e, k) for k in (1, 2, 3))
-        out.append(exterior_power_value(powers, 3))
-    return tuple(out)
+    return tuple(_elementary_from_powers(_d5_power_counts()).tolist())

@@ -360,7 +360,7 @@ def kernel_signs(
 
     Default orderings are the canonical enumeration with the last fiber as
     base. A seed randomizes fiber orders and bases; explicit `fiber_orders`
-    (full fiber lists per conic) and `bases` win over the seed. The kernel
+    (full fiber lists) and `bases`, one per conic, win over the seed. The kernel
     is solved as a signed graph on the conics (see the module docstring),
     then checked to annihilate every wedge; a broken structure raises
     WedgeStructureViolation, KernelDimensionViolation or SignViolation.
@@ -385,6 +385,8 @@ def kernel_signs(
         bases = [r - 2 if rng is None else rng.randrange(r - 1) for _ in conics]
     else:
         bases = [int(b) for b in bases]
+    if not len(fiber_orders) == len(bases) == len(conics):
+        raise ValueError(f"need one fiber order and one base per conic ({len(conics)})")
 
     n, edges = _signed_graph(_wedges(wedge_vector, lt, conics, fiber_orders, bases, quotient))
     epsilon = _signed_graph_kernel(n, edges)

@@ -17,50 +17,24 @@ through T_k, ..., T_2 to the identity, else RuntimeError. Then W_(k-1) is the
 stabilizer of l_k and |W_k| = |T_k| |W_(k-1)|. Only the transversal T_r, the
 product of the lower levels (|W(E_6)| x 182 bytes at r = 7) and a byte of
 length per element are kept; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
+
+Elements are these uint8 rows alone; :mod:`dp_hlog.rep_theory` reads the
+characters, the trace on Pic and the W(D_5) class representatives off them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import d5_data
 from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_conics, enumerate_lines
-from .lattice import SUPPORTED_RANKS
 from .records import Record
 
 
 class GroupTooLarge(ValueError):
     """Raised for r = 8: the full W(E_8) is out of enumeration scope."""
-
-
-class WeylElement(NamedTuple):
-    """A group element as a permutation of the canonical line list.
-
-    perm[i] is the line-table index of the image of line i. word is a witness
-    list of 0-based fundamental-root indices, not a canonical form; the
-    element is the composition s_{word[0]} o ... o s_{word[-1]} (rightmost
-    factor applied first). sign is the determinant of the induced map on Pic,
-    always (-1)**len(word).
-    """
-
-    perm: tuple[int, ...]
-    sign: int
-    word: tuple[int, ...]
-
-
-def line_coeffs(lt: LineTable) -> np.ndarray:
-    """The lines of lt as the rows of an (l, r + 1) int64 array."""
-    return np.array([l.coeffs for l in lt.lines], dtype=np.int64)
-
-
-def spanning_line_indices(lt: LineTable) -> np.ndarray:
-    """Indices of l_1..l_r and h - l_1 - l_2: a unimodular basis of Pic.
-
-    The Cremona reflection maps l_3 to l_3 + (h - l_1 - l_2 - l_3)."""
-    return np.array(lt.exceptional + (lt.generators[-1][lt.exceptional[2]],), dtype=np.int64)
 
 
 class _GroupData(Record):
@@ -72,8 +46,7 @@ class _GroupData(Record):
     the group order.
     """
 
-    __slots__ = ("r", "lt", "top", "lower", "levels")
-    r: int
+    __slots__ = ("lt", "top", "lower", "levels")
     lt: LineTable
     top: np.ndarray  # (|T_r|, points) uint8
     lower: np.ndarray  # (|W_(r-1)|, points) uint8
@@ -160,35 +133,9 @@ def group_data(r: int) -> _GroupData:
     if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     lt = enumerate_lines(r)
-    return _GroupData(r, lt, *chain(point_generators(lt), lt.exceptional[1:]))
-
-
-def generators(r: int) -> list[WeylElement]:
-    """The r fundamental reflections as line permutations (sign -1, order 2)."""
-    if r not in SUPPORTED_RANKS:
-        raise UnsupportedRank(f"rank must be in 3..8, got {r}")
-    return [WeylElement(perm, -1, (g,)) for g, perm in enumerate(enumerate_lines(r).generators)]
+    return _GroupData(lt, *chain(point_generators(lt), lt.exceptional[1:]))
 
 
 def group_order(r: int) -> int:
     """Order of W(E_r) as the size of the proved chain (r in 3..7)."""
     return len(group_data(r))
-
-
-def d5_class_representatives() -> list[WeylElement]:
-    """Representatives of the 18 conjugacy classes of W(D_5) = W(E_5).
-
-    Words come from GAP's CoxeterWord output, translated generator by
-    generator through the Dynkin relabeling (d5_data.ZETA_TO_S) into the
-    fundamental-root indexing used here; element k represents the class of
-    the k-th column of the embedded character table.
-    """
-    canonical = enumerate_lines(5)
-    out = []
-    for zeta_word in d5_data.CLASS_WORDS:
-        word = tuple(d5_data.ZETA_TO_S[z] - 1 for z in zeta_word)
-        perm = tuple(range(len(canonical)))
-        for g in word:
-            perm = tuple(perm[k] for k in canonical.generators[g])
-        out.append(WeylElement(perm, -1 if len(word) % 2 else 1, word))
-    return out

@@ -3,9 +3,10 @@
 The group-level ones work element by element (or class by class) on the
 enumerated group, independently of the bulk character and kernel routes
 they cross-check. The group itself is enumerated a second way, by a
-breadth-first closure with generator-word witnesses, apart from the
-transversal chain of weyl.group_data. The numeric one decomposes a
-transported weight-3 value into transported values of lower weight.
+breadth-first closure with generator-word witnesses (WeylElement), apart
+from the transversal chain of weyl.group_data, and the Pic basis is looked
+up in the line table. The numeric one decomposes a transported weight-3
+value into transported values of lower weight.
 """
 
 from __future__ import annotations
@@ -18,21 +19,41 @@ import sympy
 
 from dp_hlog.hyperlog.numeric import LogFormBasis, evaluate_words
 from dp_hlog.hyperlog.words import asym
-from dp_hlog.incidence import (
-    COUNTS,
-    LineTable,
-    enumerate_conics,
-    enumerate_lines,
-    reducible_fibers,
-)
-from dp_hlog.lattice import DivisorClass, is_conic_class, is_line
-from dp_hlog.weyl import (
-    WeylElement,
-    d5_class_representatives,
-    group_data,
-    line_coeffs,
-    spanning_line_indices,
-)
+from dp_hlog.incidence import COUNTS, LineTable, enumerate_conics, enumerate_lines
+from dp_hlog.incidence import reducible_fibers
+from dp_hlog.lattice import DivisorClass, exceptional, hyperplane, is_conic_class, is_line
+from dp_hlog.rep_theory import d5_class_representatives
+from dp_hlog.weyl import group_data
+
+
+class WeylElement(NamedTuple):
+    """perm[i] is the line-table index of the image of line i; word, a
+    witness, not a canonical form, composes to s_{word[0]} o ... o
+    s_{word[-1]}; sign = (-1)**len(word) is the determinant on Pic."""
+
+    perm: tuple[int, ...]
+    sign: int
+    word: tuple[int, ...]
+
+
+def generators(r: int) -> list[WeylElement]:
+    """The r fundamental reflections as line permutations (sign -1, order 2)."""
+    return [WeylElement(perm, -1, (g,)) for g, perm in enumerate(enumerate_lines(r).generators)]
+
+
+def fixed_points(perm: tuple[int, ...], power: int) -> int:
+    """Points fixed by perm**power (power >= 1), composing perm power times."""
+    images = perm
+    for _ in range(power - 1):
+        images = [perm[i] for i in images]
+    return sum(i == j for i, j in enumerate(images))
+
+
+def spanning_lines(lt: LineTable) -> np.ndarray:
+    """Indices of l_1..l_r and h - l_1 - l_2, looked up in the line table."""
+    basis = [exceptional(lt.r, i) for i in range(1, lt.r + 1)]
+    basis.append(hyperplane(lt.r) - basis[0] - basis[1])
+    return np.array([lt.index[d] for d in basis], dtype=np.int64)
 
 
 def rank_for_line_count(n: int) -> int:
@@ -84,7 +105,7 @@ def bfs_closure(r: int) -> Closure:
     lt = enumerate_lines(r)
     l = len(lt)
     gen_rows = np.array(lt.generators, dtype=np.uint8)
-    kcols = spanning_line_indices(lt)
+    kcols = spanning_lines(lt)
     # key-gather columns per generator: child[kcols] = parent[gen_rows[g][kcols]]
     key_cols = [gen_rows[g][kcols] for g in range(r)]
 
@@ -101,8 +122,6 @@ def bfs_closure(r: int) -> Closure:
     while True:
         front = perms[front_lo:count]
         n_front = count - front_lo
-        if n_front == 0:
-            break
         cand_keys = np.concatenate([_pack_keys(front[:, cols]) for cols in key_cols])
         pos = np.minimum(np.searchsorted(seen, cand_keys), len(seen) - 1)
         fresh = np.nonzero(seen[pos] != cand_keys)[0]
@@ -170,7 +189,7 @@ def stabilizer_order(r: int, target: DivisorClass) -> int:
         return sum(int(np.count_nonzero(t[gd.lower[:, idx]] == idx)) for t in gd.top)
     if is_conic_class(target):
         i, j = reducible_fibers(target, gd.lt)[0]
-        coeffs = line_coeffs(gd.lt)
+        coeffs = np.array([l.coeffs for l in gd.lt.lines], dtype=np.int64)
         total = 0
         for t in gd.top:
             sums = coeffs[t[gd.lower[:, i]]] + coeffs[t[gd.lower[:, j]]]
@@ -187,7 +206,7 @@ def spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
     V is unimodular, so the inverse must come out integral.
     """
     lt = enumerate_lines(r)
-    kcols = spanning_line_indices(lt)
+    kcols = spanning_lines(lt)
     inv = sympy.Matrix([lt.lines[k].coeffs for k in kcols.tolist()]).T.inv()
     if not all(v.is_integer for v in inv):
         raise RuntimeError("spanning lines are not a unimodular basis")
@@ -208,8 +227,7 @@ def induced_matrix(e: WeylElement, lt: LineTable) -> tuple[tuple[int, ...], ...]
 def reflection_character_value(g: WeylElement) -> int:
     """Trace on Pic minus 1 for a single element, exactly (any rank)."""
     lt = enumerate_lines(rank_for_line_count(len(g.perm)))
-    mat = induced_matrix(g, lt)
-    return sum(mat[k][k] for k in range(len(mat))) - 1
+    return int(np.trace(induced_matrix(g, lt))) - 1
 
 
 def d5_conic_values() -> tuple[int, ...]:
@@ -217,11 +235,11 @@ def d5_conic_values() -> tuple[int, ...]:
     gd = group_data(5)
     conics = enumerate_conics(5, gd.lt)
     out = []
-    for e in d5_class_representatives():
+    for perm in d5_class_representatives().tolist():
         fixed = 0
         for fib in conics:
             i, j = fib.fibers[0]
-            fixed += gd.lt.lines[e.perm[i]] + gd.lt.lines[e.perm[j]] == fib.cls
+            fixed += gd.lt.lines[perm[i]] + gd.lt.lines[perm[j]] == fib.cls
         out.append(fixed)
     return tuple(out)
 

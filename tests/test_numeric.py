@@ -240,7 +240,7 @@ def test_identity_is_nonvacuous():
     data, maps, letters, alignment, weight = numeric._web(4, None)
     _, signs = dp4.aligned_certificate(4, alignment)
     plan = numeric._draw_plan(random.Random(2), maps, letters, 1, 1e-3)
-    terms, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-11, 1 << 17)
+    terms, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-11)
     scale = max(abs(t) for t in terms)
     full = abs(sum(s * t for s, t in zip(signs, terms))) / scale
     partial = abs(sum(s * t for s, t in zip(signs[:-1], terms[:-1]))) / scale
@@ -439,14 +439,14 @@ def test_group_size_does_not_change_bits(monkeypatch, group, nodes):
         plans[r] = (maps, letters, plan, weight)
         terms, errors = [], []
         for sample in plan:
-            t, e = numeric._plan_terms(maps, letters, [sample], weight, 1e-9, 1 << 17)
+            t, e = numeric._plan_terms(maps, letters, [sample], weight, 1e-9)
             terms += t
             errors += e
         reference[r] = terms, errors
     monkeypatch.setattr(numeric, "_GROUP", group)
     monkeypatch.setattr(numeric, "_NODES", nodes)
     for r, (maps, letters, plan, weight) in plans.items():
-        terms, errors = numeric._plan_terms(maps, letters, plan, weight, 1e-9, 1 << 17)
+        terms, errors = numeric._plan_terms(maps, letters, plan, weight, 1e-9)
         assert terms == reference[r][0]
         assert errors == reference[r][1]
 
@@ -494,7 +494,7 @@ def test_plan_terms_never_evaluate_one_element(monkeypatch, r, seed):
     monkeypatch.setattr(numeric._RationalMap, "forms", counted)
     monkeypatch.setattr(numeric, "_GROUP", 1)
     monkeypatch.setattr(numeric, "_NODES", 1)
-    numeric._plan_terms(maps, letters, plan, weight, 1e-9, 1 << 17)
+    numeric._plan_terms(maps, letters, plan, weight, 1e-9)
     assert sizes and min(sizes) >= 2
 
 
@@ -550,10 +550,10 @@ def test_tolerance_ladder_monotone():
     # step count and their truncation errors largely cancel in the sum.
     data, maps, letters, alignment, weight = numeric._web(4, None)
     plan = numeric._draw_plan(random.Random(9), maps, letters, 1, 1e-3)
-    ref, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-13, 1 << 17)
+    ref, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-13)
     deviations = []
     for quad in (1e-4, 1e-7, 1e-10):
-        terms, _ = numeric._plan_terms(maps, letters, plan, weight, quad, 1 << 17)
+        terms, _ = numeric._plan_terms(maps, letters, plan, weight, quad)
         deviations.append(max(abs(a - b) for a, b in zip(terms, ref)))
     assert deviations[0] >= deviations[1] >= deviations[2]
     assert deviations[2] < deviations[0]

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from dp_hlog import d5_data, rep_theory as rt
 from dp_hlog.incidence import COUNTS, enumerate_lines
 from dp_hlog.lattice import RankMismatch
-from dp_hlog.weyl import GroupTooLarge, generators, group_data, line_coeffs
+from dp_hlog.weyl import GroupTooLarge, group_data
 
 from oracles import (
     d5_conic_values,
     enumerate_group,
+    fixed_points,
+    generators,
     reflection_character_value,
     spanning_inverse,
 )
@@ -29,33 +31,29 @@ WEDGE3_CHI5 = (560, 0, 0, 24, 0, 0, 0, -20, 0, 0, 8, 0, 0, 0, 0, -2, 0, 0)
 WEDGE3_MULTS = (1, 1, 0, 4, 5, 4, 1, 1, 6, 0, 5, 6, 3, 3, 1, 2, 2, 0)
 
 
+def _wedge(powersums) -> int:
+    """e_m of one row of power sums p_1..p_m."""
+    return int(rt._elementary_from_powers(np.array([powersums], dtype=np.int64))[0])
+
+
 def test_fixed_points_powers_of_involution():
-    for g in generators(5):
-        moved = sum(1 for i, im in enumerate(g.perm) if im != i)
-        assert rt.fixed_points(g, 1) == 16 - moved
-        assert rt.fixed_points(g, 2) == 16
-        assert rt.fixed_points(g, 3) == 16 - moved
-
-
-def test_fixed_points_rejects_bad_power():
-    g = generators(4)[0]
-    with pytest.raises(ValueError):
-        rt.fixed_points(g, 0)
+    gens = np.array(enumerate_lines(5).generators, dtype=np.uint8)
+    for g, counts in zip(gens, rt._power_fixed_counts(gens, 3).tolist()):
+        moved = int((g != np.arange(16)).sum())
+        assert counts == [16 - moved, 16, 16 - moved]
 
 
 def test_exterior_power_value_binomial():
     # On the identity, e_m of n ones is C(n, m).
-    assert rt.exterior_power_value((16, 16, 16), 3) == 560
-    assert rt.exterior_power_value((56,) * 5, 5) == 3819816
-    assert rt.exterior_power_value((10, 10), 2) == 45
+    assert _wedge((16, 16, 16)) == 560
+    assert _wedge((56,) * 5) == 3819816
+    assert _wedge((10, 10)) == 45
 
 
 def test_exterior_power_value_errors():
-    with pytest.raises(ValueError):
-        rt.exterior_power_value((16,), 3)
     with pytest.raises(rt.InternalError):
         # (p1^2 - p2)/2 is not an integer for these fake inputs.
-        rt.exterior_power_value((1, 2), 2)
+        _wedge((1, 2))
 
 
 @settings(derandomize=True, deadline=None)
@@ -78,9 +76,9 @@ def test_newton_recurrences_agree_on_permutation_power_sums(perm, m):
         det = [a + b for a, b in itertools.zip_longest(det, shifted, fillvalue=0)]
     expected = det[m] if m < len(det) else 0
     powersums = [sum(c for c in cycles if k % c == 0) for k in range(1, m + 1)]
-    scalar = rt.exterior_power_value(powersums, m)
-    vector = rt._elementary_from_powers(np.array([powersums], dtype=np.int64))
-    assert type(scalar) is int and scalar == expected
+    counted = rt._power_fixed_counts(np.array([perm], dtype=np.uint8), m)
+    assert counted.tolist() == [powersums]
+    vector = rt._elementary_from_powers(counted)
     assert vector.dtype == np.int64 and vector.tolist() == [expected]
 
 
@@ -151,8 +149,8 @@ def test_signature_multiplicity_matches_elementwise_route():
     # Cross-check the vectorized chunk path against a plain Python sum.
     total = 0
     for e in enumerate_group(4):
-        powers = tuple(rt.fixed_points(e, k) for k in (1, 2))
-        total += e.sign * rt.exterior_power_value(powers, 2)
+        p1, p2 = (fixed_points(e.perm, k) for k in (1, 2))
+        total += e.sign * ((p1 * p1 - p2) // 2)
     assert Fraction(total, 120) == rt.signature_multiplicity(4)
 
 
@@ -253,7 +251,8 @@ def test_trace_table_is_the_exact_inverse_table():
         inv, kcols = spanning_inverse(r)
         table, cols = rt._trace_table(r)
         assert np.array_equal(cols, kcols)
-        assert np.array_equal(table, inv @ line_coeffs(enumerate_lines(r)).T)
+        coeffs = np.array([l.coeffs for l in enumerate_lines(r).lines], dtype=np.int64)
+        assert np.array_equal(table, inv @ coeffs.T)
 
 
 def test_inner_product_sums_in_place():

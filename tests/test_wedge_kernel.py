@@ -192,6 +192,20 @@ def test_kernel_signs_explicit_orderings():
         wk.kernel_signs(5, fiber_orders=bad)
 
 
+def test_kernel_signs_requires_one_ordering_per_conic():
+    # r = 5 has 10 conics; a certificate with 11 entries would fail its own
+    # replay, and 9 bases would leave a conic without one.
+    fibers = [f.fibers for f in enumerate_conics(5)]
+    for kwargs in (
+        {"bases": [3] * 9},
+        {"bases": [3] * 11},
+        {"bases": [3] * 10 + [99]},
+        {"fiber_orders": fibers + fibers[:1]},
+    ):
+        with pytest.raises(ValueError, match="one base per conic"):
+            wk.kernel_signs(5, **kwargs)
+
+
 def test_quotient_matches_unreduced():
     for r in (4, 5, 6):
         assert wk.kernel_signs(r, quotient=True).epsilon == wk.kernel_signs(r).epsilon

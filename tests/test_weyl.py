@@ -6,24 +6,17 @@ import numpy as np
 import pytest
 import sympy
 
+from dp_hlog import d5_data
 from dp_hlog.incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import exceptional, hyperplane
-from dp_hlog.rep_theory import fixed_points
-from dp_hlog.weyl import (
-    GroupTooLarge,
-    WeylElement,
-    chain,
-    d5_class_representatives,
-    generators,
-    group_data,
-    group_order,
-    point_generators,
-)
+from dp_hlog.rep_theory import _power_fixed_counts, d5_class_representatives
+from dp_hlog.weyl import GroupTooLarge, chain, group_data, group_order, point_generators
 
 from oracles import (
     bfs_closure,
     chain_elements,
     enumerate_group,
+    generators,
     induced_matrix,
     stabilizer_order,
 )
@@ -56,14 +49,16 @@ def test_generators_are_involutions_with_sign_minus_one() -> None:
 def test_r5_single_reflection_fixes_eight_lines() -> None:
     # chi_5 on the class of one reflection is 8; all fundamental
     # reflections are conjugate (simply laced diagram), so each fixes 8.
-    for g in generators(5):
-        assert fixed_points(g) == 8
+    gens = np.array(enumerate_lines(5).generators, dtype=np.uint8)
+    assert _power_fixed_counts(gens, 1)[:, 0].tolist() == [8] * 5
 
 
 def test_r7_generator_fixed_counts() -> None:
-    for g in generators(7):
-        two_cycles = sum(1 for i, img in enumerate(g.perm) if img > i)
-        assert fixed_points(g) == 56 - 2 * two_cycles
+    gens = np.array(enumerate_lines(7).generators, dtype=np.uint8)
+    fixed = _power_fixed_counts(gens, 1)[:, 0]
+    for g, count in zip(gens.tolist(), fixed.tolist()):
+        two_cycles = sum(1 for i, img in enumerate(g) if img > i)
+        assert count == 56 - 2 * two_cycles
 
 
 def test_group_orders_small() -> None:
@@ -217,14 +212,15 @@ def conjugacy_class(r: int, perm: tuple[int, ...]) -> frozenset[tuple[int, ...]]
 
 def test_d5_class_representatives() -> None:
     reps = d5_class_representatives()
-    assert len(reps) == 18
-    assert fixed_points(reps[0]) == 16  # identity
-    assert fixed_points(reps[7]) == 4  # class 8
-    assert fixed_points(reps[17]) == 1  # class 18
+    assert reps.shape == (18, 16) and reps.dtype == np.uint8
+    fixed = _power_fixed_counts(reps, 1)[:, 0]
+    assert fixed[0] == 16  # identity
+    assert fixed[7] == 4  # class 8
+    assert fixed[17] == 1  # class 18
     # 18 distinct classes: conjugation orbits are pairwise disjoint and
     # exhaust the group. (Fixed-point counts of powers plus sign would
     # separate only 14 of the 18, so the honest check is the orbits.)
-    classes = [conjugacy_class(5, e.perm) for e in reps]
+    classes = [conjugacy_class(5, tuple(perm)) for perm in reps.tolist()]
     assert sum(len(c) for c in classes) == COUNTS[5].group_order
     for a in range(18):
         for b in range(a + 1, 18):
@@ -232,10 +228,11 @@ def test_d5_class_representatives() -> None:
 
 
 def test_d5_representatives_word_translation_is_consistent() -> None:
-    # the translated words must rebuild the stored permutations
-    for e in d5_class_representatives():
-        assert element_from_word(5, e.word) == e.perm
-        assert e.sign == (-1) ** len(e.word)
+    # each row is the element of its GAP word, translated into root indices
+    reps = d5_class_representatives().tolist()
+    for perm, zeta_word in zip(reps, d5_data.CLASS_WORDS):
+        word = tuple(d5_data.ZETA_TO_S[z] - 1 for z in zeta_word)
+        assert element_from_word(5, word) == tuple(perm)
 
 
 def test_enumerate_group_rejects_foreign_line_table() -> None:
@@ -243,9 +240,3 @@ def test_enumerate_group_rejects_foreign_line_table() -> None:
     shuffled = type(lt)(5, tuple(reversed(lt.lines)))
     with pytest.raises(ValueError):
         next(enumerate_group(5, shuffled))
-
-
-def test_weyl_element_is_hashable_record() -> None:
-    e = WeylElement((1, 0, 2, 3, 4, 5), -1, (0,))
-    assert fixed_points(e) == 4
-    assert hash(e) == hash(WeylElement((1, 0, 2, 3, 4, 5), -1, (0,)))

@@ -29,7 +29,6 @@ expansion of those tables.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -219,14 +218,9 @@ class AlignmentEntry(NamedTuple):
     base: int  # position of the infinity fiber in fiber_order
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class DP4Data:
+class DP4Data(NamedTuple):
     """Exact web data: the rank-5 web at an admissible parameter pair
-    (gamma, pi), or the rank-4 web with gamma = pi = None.
-
-    The one dataclass of the package: dp4_data and the tests that tamper
-    with a web derive new instances with dataclasses.replace.
-    """
+    (gamma, pi), or the rank-4 web with gamma = pi = None."""
 
     gamma: Fraction | None
     pi: Fraction | None
@@ -316,7 +310,7 @@ def dp4_data(gamma, pi) -> DP4Data:
             "parameters must satisfy pi*gamma*(pi-1)*(gamma-1)*(pi-gamma) != 0"
         )
     points = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (p, g, 1))
-    return dataclasses.replace(conic_web(points, TEN_TERM_SPEC), gamma=g, pi=p)
+    return conic_web(points, TEN_TERM_SPEC)._replace(gamma=g, pi=p)
 
 
 class ResidueReport(NamedTuple):

@@ -1,9 +1,12 @@
 """Exit-code families, artifact shapes and byte-level determinism."""
 
 import argparse
+import ast
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +129,26 @@ def test_replay_missing_file(tmp_path):
         tmp_path, "r.json", ["replay", str(tmp_path / "absent.json")]
     )
     assert code == 2
+
+
+def test_replay_of_a_too_deeply_nested_file_is_unreadable(tmp_path):
+    # json.loads gives up with a RecursionError, a RuntimeError, which must
+    # not pass for a failed replay invariant (exit 4).
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, artifact = run_json(tmp_path, "r.json", ["replay", str(deep)])
+    assert code == 2
+    assert artifact["error"].startswith("unreadable certificate: maximum recursion depth")
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    out = tmp_path if target == "directory" else tmp_path / "absent" / "e.json"
+    assert cli.main(["enumerate", "--rank", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def _swap(path, i, j):
@@ -542,9 +565,9 @@ def test_certificate_routes_never_load_fractions(tmp_path):
 
 def test_cli_import_generates_no_dataclass():
     # Records are NamedTuples or plain classes, which generate no code when
-    # a process imports them. DP4Data alone stays a dataclass; its module is
-    # deferred, so it is generated once hyperlog.dp4 is used. (Listing the
-    # defined classes reads every module's namespace, which runs them all.)
+    # a process imports them, nor once a deferred layer has run: the probe
+    # builds the five-term web, which runs hyperlog.dp4. (Listing the defined
+    # classes reads every module's namespace, which runs them all.)
     src = str(Path(dp_hlog.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
@@ -565,11 +588,58 @@ def test_cli_import_generates_no_dataclass():
         "    )\n"
         "import dp_hlog.cli\n"
         "at_import = list(made)\n"
-        "dp_hlog.cli.dp4.DEFAULT_PARAMETERS\n"
+        "dp_hlog.cli.dp4.five_term_web()\n"
         "print(json.dumps([at_import, made, defined()]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    expected = ["dp_hlog.hyperlog.dp4.DP4Data"]
-    assert json.loads(out.stdout) == [[], expected, expected]
+    assert json.loads(out.stdout) == [[], [], []]
+
+
+def test_the_exit_path_freezes_the_heap_and_passes_the_exit_code(tmp_path):
+    # `python -m dp_hlog.cli` runs the module's __main__ block, which must
+    # exit with main's code after freezing the heap.
+    src = str(Path(dp_hlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "e.json"
+    argv = ["dp-hlog", "enumerate", "--rank", "4", "--out", str(out)]
+    probe = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "before = gc.get_freeze_count()\n"
+        "try:\n"
+        "    runpy.run_module('dp_hlog.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, before, gc.get_freeze_count() > 0)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["0", "0", "True"]
+    assert json.loads(out.read_text(encoding="utf-8"))["lines"] == 10
+    usage = subprocess.run(
+        [sys.executable, "-m", "dp_hlog.cli", "enumerate", "--rank", "9"],
+        env=env, capture_output=True, text=True,
+    )
+    assert usage.returncode == 2
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    before = gc.get_freeze_count()
+    code, _ = run_json(tmp_path, "a.json", ["all", "--rank", "3"])
+    assert code == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_is_the_exit_path():
+    root = Path(cli.__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^dp-hlog = "(.+)"$', pyproject, re.M).group(1)
+    (block,) = [
+        node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    exit_call = block.body[0].value  # sys.exit(<function>())
+    assert ast.unparse(exit_call.func) == "sys.exit"
+    assert script == f"dp_hlog.cli:{exit_call.args[0].func.id}"

@@ -6,7 +6,6 @@ hand. The package derives the same web from a point configuration and a
 fiber spec; these tests are the independent oracle for that derivation.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -299,8 +298,8 @@ def test_residue_check_rank_four():
     assert (report.gamma, report.pi) == (None, None)
     rows = [list(map(list, pair)) for pair in web.residues]
     rows[2][1] = [-v for v in rows[2][1]]
-    tampered = dataclasses.replace(
-        web, residues=tuple(tuple(tuple(r) for r in pair) for pair in rows)
+    tampered = web._replace(
+        residues=tuple(tuple(tuple(r) for r in pair) for pair in rows)
     )
     with pytest.raises(dp4.ResidueMismatch):
         dp4.dp4_residue_check(tampered, trials=3, seed=0)
@@ -310,8 +309,7 @@ def test_residue_check_detects_tampering(data):
     rows = [list(map(list, triple)) for triple in data.residues]
     j = data.lines.index(FACTOR_CLASSES[6])  # L_7, in the row at U_4 = 1
     rows[3][1][j] = -rows[3][1][j]
-    tampered = dataclasses.replace(
-        data,
+    tampered = data._replace(
         residues=tuple(tuple(tuple(r) for r in triple) for triple in rows),
     )
     with pytest.raises(dp4.ResidueMismatch):
@@ -373,8 +371,7 @@ def test_five_term_symbolic_identity_needs_the_kernel_signs(monkeypatch):
 def test_symbolic_identity_sign_sensitive(data):
     rows = [list(map(list, triple)) for triple in data.residues]
     rows[0] = [[-v for v in row] for row in rows[0]]
-    tampered = dataclasses.replace(
-        data,
+    tampered = data._replace(
         residues=tuple(tuple(tuple(r) for r in triple) for triple in rows),
     )
     with pytest.raises(dp4.SymbolicIdentityViolation):
@@ -382,7 +379,7 @@ def test_symbolic_identity_sign_sensitive(data):
 
 
 def test_symbolic_identity_needs_all_terms(data):
-    dropped = dataclasses.replace(data, residues=data.residues[1:])
+    dropped = data._replace(residues=data.residues[1:])
     with pytest.raises(dp4.SymbolicIdentityViolation):
         dp4.dp4_symbolic_identity(dropped)
 

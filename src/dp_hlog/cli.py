@@ -103,8 +103,7 @@ class RunConfig(NamedTuple):
 def _route_enumerate(config: RunConfig) -> tuple[dict, int]:
     # Both enumerations raise on a wrong count or a conic without r - 1 fibers.
     rank = config.rank
-    lt = incidence.enumerate_lines(rank)
-    conics = incidence.enumerate_conics(rank, lt)
+    lt, conics = incidence.enumerate_lines(rank), incidence.enumerate_conics(rank)
     ok = len({line for c in conics for pair in c.fibers for line in pair}) == len(lt)
     artifact = {
         "rank": rank,
@@ -130,7 +129,7 @@ def _route_group(config: RunConfig) -> tuple[dict, int]:
     if not config.count_only:
         artifact["length_distribution"] = gd.length_distribution()
     if config.orbit:  # enumerate_lines raised on a wrong orbit size
-        artifact["line_orbit"] = len(gd.lt)
+        artifact["line_orbit"] = len(incidence.enumerate_lines(rank))
     artifact["matches_expected"] = ok
     return artifact, EXIT_OK if ok else EXIT_ENUM
 
@@ -305,19 +304,29 @@ def run(config: RunConfig) -> int:
     if config.subcommand not in ROUTES:
         print(f"unknown subcommand {config.subcommand!r}", file=sys.stderr)
         return EXIT_USAGE
+    # An unwritable --out fails before the route runs; mode "a" truncates nothing.
+    if config.out is not None and not _write_out(config.out, "", "a"):
+        return EXIT_USAGE
     artifact, code = _run_route(config.subcommand, config)
     text = json.dumps(artifact, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     if config.out is None:
         sys.stdout.write(text)
-    else:
-        try:
-            Path(config.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot write --out {config.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
+    elif not _write_out(config.out, text, "w"):
+        return EXIT_USAGE
     elapsed = time.monotonic() - started
     print(f"{config.subcommand}: {elapsed:.2f}s", file=sys.stderr)
     return code
+
+
+def _write_out(path: str, text: str, mode: str) -> bool:
+    """Write text to the --out path; on failure say so in one line and return False."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write --out {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _fraction_arg(text: str) -> Fraction:

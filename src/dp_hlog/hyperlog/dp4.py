@@ -236,8 +236,7 @@ def conic_web(points: Sequence[tuple], spec: Sequence[tuple]) -> DP4Data:
     """Derive the web of the plane blown up at `points` ([X:Y:Z] triples)
     from its fiber spec, with gamma = pi = None."""
     r = len(points)
-    lt = enumerate_lines(r)
-    conics = enumerate_conics(r, lt)
+    lt, conics = enumerate_lines(r), enumerate_conics(r)
     curves = {k: _curve(l, points) for k, l in enumerate(lt.lines) if l.coeffs[0]}
     factor_ids = [k for k, f in curves.items() if set(f) != {(0, 0)}]
     conic_ids = {f.cls: k for k, f in enumerate(conics)}

@@ -133,7 +133,6 @@ def _rk4_batch(
     alphabet: int,
     max_weight: int,
     tol: float,
-    max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport the word system along `count` paths in one batch.
 
@@ -224,9 +223,9 @@ def _rk4_batch(
     prev = run(c, n)
     while active.size:
         n *= 2
-        if n > max_steps:
+        if n > _STEP_CAP:
             raise QuadratureFailure(
-                f"no convergence below {tol:.1e} within {max_steps} steps"
+                f"no convergence below {tol:.1e} within {_STEP_CAP} steps"
             )
         # Free the coarse array before the odd rows are evaluated, so the
         # peak stays at the finer array plus its odd rows.
@@ -286,7 +285,6 @@ def evaluate_words(
     max_weight: int,
     *,
     tol: float = 1e-12,
-    max_steps: int = _STEP_CAP,
 ) -> PathEvaluation:
     """Transport all words of weight <= max_weight along the segment.
 
@@ -308,7 +306,7 @@ def evaluate_words(
         return (seg / (z - pts[None, :]))[:, None]
 
     index = _word_system(len(basis), max_weight)
-    v, err = _rk4_batch(coef, 1, len(basis), max_weight, tol, max_steps)
+    v, err = _rk4_batch(coef, 1, len(basis), max_weight, tol)
     values = {w: complex(v[0, i]) for w, i in index.items()}
     return PathEvaluation(base, end, values, float(err[0]))
 
@@ -492,9 +490,9 @@ def _plan_coef(
     """Batched letter coefficients of every (integral, segment) path of the
     plan, path i * len(plan) + s being integral i on segment s, and the path
     count. The paths asked for come in ascending order, so those of one
-    integral are one slice. It is filled in pieces of about _NODES (node,
-    path) pairs and at least two nodes: numpy sums a polynomial's monomials
-    in another order when it evaluates it at one point alone."""
+    integral are one slice. It is filled in pieces of at most _NODES (node,
+    path) pairs, but of at least two nodes: numpy sums a polynomial's
+    monomials in another order when it evaluates it at one point alone."""
     starts = np.asarray([xi for xi, _ in plan])
     stops = np.asarray([p for _, p in plan])
     pts = [np.asarray(row) for row in letters]
@@ -506,7 +504,7 @@ def _plan_coef(
         for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
             lo, hi = bounds[i], bounds[i + 1]
             s = paths[lo:hi] - firsts[i]
-            pieces = max(1, min(len(t) // 2, len(t) * (hi - lo) // _NODES))
+            pieces = min(len(t) // 2, -(-len(t) // max(2, _NODES // (hi - lo))))
             edges = [len(t) * k // pieces for k in range(pieces + 1)]
             for a, b in zip(edges, edges[1:]):
                 out[a:b, lo:hi] = maps[i].forms(starts[s], stops[s], t[a:b], pts[i])
@@ -541,7 +539,7 @@ def _plan_terms(
         size = min(_GROUP, count - lo)
         values, errs = _rk4_batch(
             lambda paths, t, lo=lo: coef(paths + lo, t),
-            size, alphabet, weight, quad_tol, _STEP_CAP,
+            size, alphabet, weight, quad_tol,
         )
         for p, row, err in zip(range(lo, lo + size), values, errs.tolist()):
             integral, segment = divmod(p, len(plan))

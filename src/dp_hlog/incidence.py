@@ -20,6 +20,7 @@ is plain integer arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
@@ -124,8 +125,9 @@ def _orbit(seed: tuple[int, ...]) -> dict[tuple[int, ...], tuple | None]:
     return reached
 
 
+@lru_cache(maxsize=None)
 def enumerate_lines(r: int) -> LineTable:
-    """All lines of X_r, as the Weyl orbit of l_r, in canonical order."""
+    """All lines of X_r, as the Weyl orbit of l_r, in canonical order (cached)."""
     _check_rank(r)
     lines = sorted(_orbit(exceptional(r, r).coeffs))
     if len(lines) != COUNTS[r].lines:
@@ -151,15 +153,15 @@ def reducible_fibers(c: DivisorClass, lt: LineTable) -> list[tuple[int, int]]:
     return found
 
 
-def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration]:
-    """All conic fibrations of X_r, as the Weyl orbit of h - l_1.
+@lru_cache(maxsize=None)
+def enumerate_conics(r: int) -> tuple[ConicFibration, ...]:
+    """All conic fibrations of X_r, as the Weyl orbit of h - l_1 (cached).
 
     Classes come back in canonical (lexicographic) order, each with its
     reducible fibers resolved against the canonical line table.
     """
     _check_rank(r)
-    if lt is None:
-        lt = enumerate_lines(r)
+    lt = enumerate_lines(r)
     seed = hyperplane(r) - exceptional(r, 1)
     reached = _orbit(seed.coeffs)
     if len(reached) != COUNTS[r].conics:
@@ -185,4 +187,4 @@ def enumerate_conics(r: int, lt: LineTable | None = None) -> list[ConicFibration
             if tuple(map(add, lines[i], lines[j])) != c:
                 raise FiberCountViolation(f"fiber {lines[i]} + {lines[j]} is not the conic {c}")
         out.append(ConicFibration(DivisorClass(c), fibers[c]))
-    return out
+    return tuple(out)

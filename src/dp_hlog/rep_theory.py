@@ -123,7 +123,7 @@ def _values(r: int) -> _Values:
     composed: t o w fixes x where w(x) = t^-1(x), and the trace reads the
     images t(w(k)) of the spanning lines k alone."""
     gd = group_data(r)
-    l, step = len(gd.lt), len(gd.lower)
+    l, step = COUNTS[r].lines, len(gd.lower)
     table, kcols = _trace_table(r)
     rows, spans = np.arange(len(kcols)), gd.lower[:, kcols]
     out = _Values(*(np.empty(len(gd), dtype=np.int8) for _ in range(3)))
@@ -177,8 +177,8 @@ def _double_coset_blocks(r: int) -> tuple[np.ndarray, np.ndarray]:
     of a line under it labels the line's orbit.
     """
     gd = group_data(r)
-    orbit = gd.lower[:, : len(gd.lt)].min(axis=0)
-    l_r = gd.lt.exceptional[-1]
+    orbit = gd.lower[:, : COUNTS[r].lines].min(axis=0)
+    l_r = enumerate_lines(r).exceptional[-1]
     _, first, count = np.unique(orbit[gd.top[:, l_r]], return_index=True, return_counts=True)
     return first, count
 
@@ -194,7 +194,7 @@ def signature_multiplicity(r: int) -> int:
     if r < 4:
         raise ValueError(f"rank must be in 4..7, got {r}")
     gd = group_data(r)
-    l, step = len(gd.lt), len(gd.lower)
+    l, step = COUNTS[r].lines, len(gd.lower)
     total = 0
     for j, count in zip(*_double_coset_blocks(r)):
         wedge = _elementary_from_powers(_power_fixed_counts(gd.top[j][gd.lower[:, :l]], r - 2))

@@ -30,14 +30,7 @@ from array import array
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InternalError
-from .incidence import (
-    COUNTS,
-    ConicFibration,
-    LineTable,
-    UnsupportedRank,
-    enumerate_conics,
-    enumerate_lines,
-)
+from .incidence import COUNTS, ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
 from .records import Record
 
 RANKS = range(4, 9)  # ranks with a kernel certificate
@@ -243,13 +236,24 @@ def _replayed_wedge(f: ConicFibration, base: int, drop: int) -> WedgeVector:
     return iterated_wedge(fiber_differences(f, base), drop)
 
 
-def _wedges(
-    producer, lt: LineTable, conics, fiber_orders, bases, quotient: bool
-) -> Iterator[WedgeVector]:
+def _wedges(producer, conics, fiber_orders, bases, quotient: bool) -> Iterator[WedgeVector]:
     """One wedge per conic, `producer(fibration, base, drop)`."""
-    drop = sum(1 << i for i in lt.exceptional) if quotient else 0
+    r = conics[0].cls.rank
+    drop = sum(1 << i for i in enumerate_lines(r).exceptional) if quotient else 0
     for f, order, base in zip(conics, fiber_orders, bases):
         yield producer(ConicFibration(f.cls, tuple(order)), base, drop)
+
+
+def _check_orderings(conics, fiber_orders, bases, error: type[Exception]) -> None:
+    """Raise `error` unless each conic has one fiber order, a permutation of
+    its canonical fibers, and one base, the index of one of them."""
+    if not len(fiber_orders) == len(bases) == len(conics):
+        raise error(f"need one fiber order and one base per conic ({len(conics)})")
+    for f, order, base in zip(conics, fiber_orders, bases):
+        if sorted(order) != sorted(f.fibers):
+            raise error("a fiber order does not permute the canonical fibers")
+        if not 0 <= base < len(f.fibers):
+            raise error(f"base fiber index {base} out of range 0..{len(f.fibers) - 1}")
 
 
 def _signed_graph(wedges: Iterable[WedgeVector]) -> tuple[int, array]:
@@ -360,15 +364,14 @@ def kernel_signs(
 
     Default orderings are the canonical enumeration with the last fiber as
     base. A seed randomizes fiber orders and bases; explicit `fiber_orders`
-    (full fiber lists) and `bases`, one per conic, win over the seed. The kernel
-    is solved as a signed graph on the conics (see the module docstring),
+    (full fiber lists) and `bases` win over the seed, and raise ValueError
+    unless `_check_orderings` passes them. The kernel is solved as a signed graph on the conics (see the module docstring),
     then checked to annihilate every wedge; a broken structure raises
     WedgeStructureViolation, KernelDimensionViolation or SignViolation.
     """
     if r not in RANKS:
         raise UnsupportedRank(f"rank must be in 4..8, got {r}")
-    lt = enumerate_lines(r)
-    conics = enumerate_conics(r, lt)
+    conics = enumerate_conics(r)
     rng = random.Random(seed) if seed is not None else None
 
     if fiber_orders is None:
@@ -378,17 +381,13 @@ def kernel_signs(
         ]
     else:
         fiber_orders = [tuple(tuple(p) for p in fo) for fo in fiber_orders]
-        for f, fo in zip(conics, fiber_orders):
-            if sorted(fo) != sorted(f.fibers):
-                raise ValueError("fiber_orders must permute the canonical fibers")
     if bases is None:
         bases = [r - 2 if rng is None else rng.randrange(r - 1) for _ in conics]
     else:
         bases = [int(b) for b in bases]
-    if not len(fiber_orders) == len(bases) == len(conics):
-        raise ValueError(f"need one fiber order and one base per conic ({len(conics)})")
+    _check_orderings(conics, fiber_orders, bases, ValueError)
 
-    n, edges = _signed_graph(_wedges(wedge_vector, lt, conics, fiber_orders, bases, quotient))
+    n, edges = _signed_graph(_wedges(wedge_vector, conics, fiber_orders, bases, quotient))
     epsilon = _signed_graph_kernel(n, edges)
     _check_annihilation(edges, epsilon)
     payload_cert = HlogCertificate(
@@ -421,22 +420,17 @@ def replay(cert: HlogCertificate) -> None:
         raise ReplayFailure(f"stored kernel dimension {cert.kernel_dimension} != 1")
     if any(e not in (1, -1) for e in cert.epsilon):
         raise ReplayFailure("stored coefficients are not all +-1")
-    lt = enumerate_lines(cert.r)
-    conics = enumerate_conics(cert.r, lt)
+    conics = enumerate_conics(cert.r)
     if len(conics) != len(cert.conics) or any(
         f.cls.coeffs != stored for f, stored in zip(conics, cert.conics)
     ):
         raise ReplayFailure("conic ordering does not match the canonical enumeration")
-    if not len(cert.epsilon) == len(cert.bases) == len(cert.fiber_orders) == len(conics):
+    if len(cert.epsilon) != len(conics):
         raise ReplayFailure("certificate length mismatch")
-    for f, fo, b in zip(conics, cert.fiber_orders, cert.bases):
-        if sorted(fo) != sorted(f.fibers):
-            raise ReplayFailure("stored fiber order is not a permutation of the fibers")
-        if not 0 <= b < len(f.fibers):
-            raise ReplayFailure("stored base index out of range")
+    _check_orderings(conics, cert.fiber_orders, cert.bases, ReplayFailure)
     try:
         n, edges = _signed_graph(
-            _wedges(_replayed_wedge, lt, conics, cert.fiber_orders, cert.bases, cert.quotient)
+            _wedges(_replayed_wedge, conics, cert.fiber_orders, cert.bases, cert.quotient)
         )
         _signed_graph_kernel(n, edges)
         _check_annihilation(edges, cert.epsilon)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .incidence import COUNTS, LineTable, UnsupportedRank, enumerate_conics, enumerate_lines
+from .incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
 from .records import Record
 
 
@@ -46,8 +46,7 @@ class _GroupData(Record):
     the group order.
     """
 
-    __slots__ = ("lt", "top", "lower", "levels")
-    lt: LineTable
+    __slots__ = ("top", "lower", "levels")
     top: np.ndarray  # (|T_r|, points) uint8
     lower: np.ndarray  # (|W_(r-1)|, points) uint8
     levels: np.ndarray  # (N,) uint8, word length
@@ -64,10 +63,10 @@ class _GroupData(Record):
         return np.convolve(np.bincount(self.levels[::n]), np.bincount(self.levels[:n])).tolist()
 
 
-def point_generators(lt: LineTable) -> np.ndarray:
+def point_generators(r: int) -> np.ndarray:
     """(r, lines + conics) uint8: each generator on the lines, then on the
     conic classes, a conic going where its first fiber goes."""
-    conics = enumerate_conics(lt.r, lt)
+    lt, conics = enumerate_lines(r), enumerate_conics(r)
     where = {f.cls: len(lt) + k for k, f in enumerate(conics)}
     rows = []
     for perm in lt.generators:
@@ -132,8 +131,7 @@ def group_data(r: int) -> _GroupData:
         raise GroupTooLarge("W(E_8) has ~6.96e8 elements; enumeration refused")
     if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
-    lt = enumerate_lines(r)
-    return _GroupData(lt, *chain(point_generators(lt), lt.exceptional[1:]))
+    return _GroupData(*chain(point_generators(r), enumerate_lines(r).exceptional[1:]))
 
 
 def group_order(r: int) -> int:

@@ -155,7 +155,7 @@ def bfs_closure(r: int) -> Closure:
 def chain_elements(r: int) -> Iterator[tuple[np.ndarray, int]]:
     """Each element of the chain as (line permutation, length), in chain order."""
     gd = group_data(r)
-    lines = gd.lower[:, : len(gd.lt)]
+    lines = gd.lower[:, : COUNTS[r].lines]
     k = 0
     for t in gd.top:
         for row in t[lines]:
@@ -171,8 +171,8 @@ def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement
     word is the BFS closure's witness for that permutation; each sign is the
     parity of the chain length.
     """
-    gd = group_data(r)
-    if lt is not None and lt.lines != gd.lt.lines:
+    group_data(r)  # refuses r = 8 and 9 before the closure runs
+    if lt is not None and lt.lines != enumerate_lines(r).lines:
         raise ValueError("line table does not match the canonical ordering")
     closure = bfs_closure(r)
     where = {row.tobytes(): i for i, row in enumerate(closure.perms)}
@@ -183,13 +183,13 @@ def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement
 
 def stabilizer_order(r: int, target: DivisorClass) -> int:
     """Number of group elements fixing a line or conic class."""
-    gd = group_data(r)
+    gd, lt = group_data(r), enumerate_lines(r)
     if is_line(target):
-        idx = gd.lt.index[target]
+        idx = lt.index[target]
         return sum(int(np.count_nonzero(t[gd.lower[:, idx]] == idx)) for t in gd.top)
     if is_conic_class(target):
-        i, j = reducible_fibers(target, gd.lt)[0]
-        coeffs = np.array([l.coeffs for l in gd.lt.lines], dtype=np.int64)
+        i, j = reducible_fibers(target, lt)[0]
+        coeffs = np.array([l.coeffs for l in lt.lines], dtype=np.int64)
         total = 0
         for t in gd.top:
             sums = coeffs[t[gd.lower[:, i]]] + coeffs[t[gd.lower[:, j]]]
@@ -232,14 +232,13 @@ def reflection_character_value(g: WeylElement) -> int:
 
 def d5_conic_values() -> tuple[int, ...]:
     """The conic-action character on the 18 classes, by fixed conics."""
-    gd = group_data(5)
-    conics = enumerate_conics(5, gd.lt)
+    lines, conics = enumerate_lines(5).lines, enumerate_conics(5)
     out = []
     for perm in d5_class_representatives().tolist():
         fixed = 0
         for fib in conics:
             i, j = fib.fibers[0]
-            fixed += gd.lt.lines[perm[i]] + gd.lt.lines[perm[j]] == fib.cls
+            fixed += lines[perm[i]] + lines[perm[j]] == fib.cls
         out.append(fixed)
     return tuple(out)
 

@@ -47,7 +47,7 @@ def test_criterion_01_enumeration_counts():
     ok = True
     for r in range(3, 9):
         lt = incidence.enumerate_lines(r)
-        conics = incidence.enumerate_conics(r, lt)
+        conics = incidence.enumerate_conics(r)
         ok = ok and len(lt) == EXPECTED_LINES[r]
         ok = ok and len(conics) == EXPECTED_CONICS[r]
     elapsed = time.monotonic() - start
@@ -62,7 +62,7 @@ def test_criterion_02_fiber_structure():
     for r in range(3, 9):
         lt = incidence.enumerate_lines(r)
         covered = set()
-        for c in incidence.enumerate_conics(r, lt):
+        for c in incidence.enumerate_conics(r):
             ok = ok and len(c.fibers) == r - 1
             for a, b in c.fibers:
                 ok = ok and lt.lines[a] + lt.lines[b] == c.cls

@@ -142,13 +142,24 @@ def test_replay_of_a_too_deeply_nested_file_is_unreadable(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["directory", "missing parent"])
-def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, target):
+    # The path is checked before the route runs, so the route is never called.
+    monkeypatch.setattr(cli, "_run_route", _Raises(AssertionError("the route ran")))
     out = tmp_path if target == "directory" else tmp_path / "absent" / "e.json"
     assert cli.main(["enumerate", "--rank", "3", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"cannot write --out {out}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_out_keeps_an_existing_file_until_the_artifact_is_written(tmp_path, monkeypatch):
+    out = tmp_path / "e.json"
+    out.write_text("kept\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_run_route", _Raises(LookupError("the route failed")))
+    with pytest.raises(LookupError):
+        cli.main(["enumerate", "--rank", "3", "--out", str(out)])
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 def _swap(path, i, j):
@@ -279,7 +290,7 @@ def test_failed_invariants_exit_with_the_route_code(tmp_path, monkeypatch, route
 
 
 @pytest.fixture
-def broken_generator(monkeypatch):
+def broken_generator(monkeypatch, fresh_tables):
     """weyl reads the r = 4 line table with two images of generator 0 swapped:
     those of l_1 and of h - l_2 - l_3."""
     lt = incidence.enumerate_lines(4)
@@ -289,13 +300,7 @@ def broken_generator(monkeypatch):
     perm[a], perm[b] = perm[b], perm[a]
     broken = incidence.LineTable(4, lt.lines)
     object.__setattr__(broken, "generators", (tuple(perm),) + lt.generators[1:])
-    cached = (cli.weyl.group_data, cli.rep_theory._values)
-    for fn in cached:
-        fn.cache_clear()
     monkeypatch.setattr(cli.weyl, "enumerate_lines", lambda r: broken)
-    yield
-    for fn in cached:
-        fn.cache_clear()
 
 
 @pytest.mark.parametrize("route, expected", [("group", 3), ("characters", 5)])
@@ -422,7 +427,7 @@ def test_all_rank_three(tmp_path):
     assert set(artifact["routes"]) == {"enumerate", "group", "symbols"}
 
 
-def test_all_rank_four(tmp_path):
+def test_all_rank_four(tmp_path, fresh_tables):
     code, artifact = run_json(
         tmp_path,
         "all4.json",
@@ -438,6 +443,9 @@ def test_all_rank_four(tmp_path):
         "numeric",
     }
     assert artifact["routes"]["numeric"]["passed"] is True
+    # Every route reads the line table and the conics by rank; each is built once.
+    assert incidence.enumerate_lines.cache_info().misses == 1
+    assert incidence.enumerate_conics.cache_info().misses == 1
 
 
 def test_route_table_covers_every_subcommand(capsys):

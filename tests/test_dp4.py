@@ -139,7 +139,7 @@ def _alignment_oracle():
     the ten conic classes.
     """
     lt = enumerate_lines(5)
-    conics = enumerate_conics(5, lt)
+    conics = enumerate_conics(5)
     visible = set(FACTOR_CLASSES)
     entries = []
     for i, rows in enumerate(RESIDUE_VECTORS):
@@ -409,8 +409,7 @@ def test_alignment_matches_residue_support_oracle(data):
 
 
 def test_alignment_orders_are_fiber_permutations(data):
-    lt = enumerate_lines(5)
-    conics = enumerate_conics(5, lt)
+    conics = enumerate_conics(5)
     for e in data.alignment:
         assert sorted(e.fiber_order) == sorted(conics[e.conic].fibers)
 

@@ -7,6 +7,7 @@ from dp_hlog import incidence
 from dp_hlog.incidence import (
     COUNTS,
     FiberCountViolation,
+    LineTable,
     UnsupportedRank,
     enumerate_conics,
     enumerate_lines,
@@ -51,10 +52,9 @@ def test_r7_line_shapes() -> None:
 
 
 def test_conic_counts() -> None:
-    lines = {r: enumerate_lines(r) for r in range(3, 9)}
     for r, counts in COUNTS.items():
         expected = counts.conics
-        conics = enumerate_conics(r, lines[r])
+        conics = enumerate_conics(r)
         assert len(conics) == expected
         assert len({f.cls for f in conics}) == expected
 
@@ -75,7 +75,7 @@ def test_fiber_structure_all_ranks() -> None:
     for r in range(3, 9):
         lt = enumerate_lines(r)
         covered = set()
-        for fib in enumerate_conics(r, lt):
+        for fib in enumerate_conics(r):
             assert len(fib.fibers) == r - 1
             occurrences = [i for p in fib.fibers for i in p]
             assert len(set(occurrences)) == 2 * (r - 1)
@@ -170,7 +170,7 @@ def test_fibers_match_brute_force_pairs_and_orbit() -> None:
             frontier = list(images - orbit)
             orbit |= images
         assert orbit == set(by_sum)
-        conics = enumerate_conics(r, lt)
+        conics = enumerate_conics(r)
         assert {f.cls: list(f.fibers) for f in conics} == by_sum
 
 
@@ -188,7 +188,7 @@ def test_tables_are_the_sorted_brute_force_closures() -> None:
     for r in range(3, 9):
         lt = enumerate_lines(r)
         assert list(lt.lines) == _closure(exceptional(r, r))
-        conics = enumerate_conics(r, lt)
+        conics = enumerate_conics(r)
         assert [f.cls for f in conics] == _closure(hyperplane(r) - exceptional(r, 1))
 
 
@@ -197,7 +197,7 @@ def test_coefficient_reflections_and_generator_table_match_lattice_reflect() -> 
     # line and conic; the table against a lookup of reflect's images.
     for r in range(3, 9):
         lt = enumerate_lines(r)
-        classes = list(lt.lines) + [f.cls for f in enumerate_conics(r, lt)]
+        classes = list(lt.lines) + [f.cls for f in enumerate_conics(r)]
         for g, rho in enumerate(roots(r)):
             for d in classes:
                 assert DivisorClass(incidence._reflect(d.coeffs, g)) == reflect(rho, d)
@@ -206,14 +206,19 @@ def test_coefficient_reflections_and_generator_table_match_lattice_reflect() -> 
 
 @pytest.mark.parametrize("swap", [True, False])
 @pytest.mark.parametrize("r", [4, 6, 8])
-def test_corrupted_generator_permutation_is_caught(r: int, swap: bool) -> None:
+def test_corrupted_generator_permutation_is_caught(
+    monkeypatch, fresh_tables, r: int, swap: bool
+) -> None:
     # The reflection in l1 - l2 carries the fibers {l_j, h - l1 - l_j} of the
     # seed h - l1 onto those of h - l2. Swapping the images of l2 and l3, or
-    # sending both to one line, breaks a carried fiber.
+    # sending both to one line, breaks a carried fiber. The conics read a
+    # corrupted copy; the cached table stays as it was.
     lt = enumerate_lines(r)
     i, k = lt.index[exceptional(r, 2)], lt.index[exceptional(r, 3)]
     row = list(lt.generators[0])
     row[i], row[k] = (row[k], row[i]) if swap else (row[k], row[k])
-    object.__setattr__(lt, "generators", (tuple(row),) + lt.generators[1:])
+    broken = LineTable(r, lt.lines)
+    object.__setattr__(broken, "generators", (tuple(row),) + lt.generators[1:])
+    monkeypatch.setattr(incidence, "enumerate_lines", lambda r: broken)
     with pytest.raises(FiberCountViolation):
-        enumerate_conics(r, lt)
+        enumerate_conics(r)

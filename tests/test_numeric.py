@@ -92,10 +92,11 @@ def test_path_too_close():
         numeric.evaluate_words(basis, 1.0 + 1e-5j, 2.0 + 1.0j, 2)
 
 
-def test_quadrature_failure():
+def test_quadrature_failure(monkeypatch):
+    monkeypatch.setattr(numeric, "_STEP_CAP", 256)
     basis = numeric.LogFormBasis((0.0,))
     with pytest.raises(numeric.QuadratureFailure):
-        numeric.evaluate_words(basis, 1.0, 2.0 + 1.0j, 3, tol=1e-18, max_steps=256)
+        numeric.evaluate_words(basis, 1.0, 2.0 + 1.0j, 3, tol=1e-18)
 
 
 def test_rejections():
@@ -190,7 +191,7 @@ BOL_FIBER_TABLE = (
 def _bol_alignment():
     """The alignment the fiber table spells out, resolved to indices."""
     lt = enumerate_lines(4)
-    conics = enumerate_conics(4, lt)
+    conics = enumerate_conics(4)
     cls_index = {c.cls: k for k, c in enumerate(conics)}
     entries = []
     for i, (cls, fibers) in enumerate(BOL_FIBER_TABLE):
@@ -279,16 +280,14 @@ def test_mixed_batch_matches_single_paths():
             steps[p] = max(steps[p], len(t))
         return coef(paths, t)
 
-    values, errors = numeric._rk4_batch(
-        counted, count, alphabet, weight, 1e-9, 1 << 17
-    )
+    values, errors = numeric._rk4_batch(counted, count, alphabet, weight, 1e-9)
     assert len(set(steps)) > 2
     for j in range(count):
 
         def single(paths, t, j=j):
             return coef(paths + j, t)
 
-        alone, error = numeric._rk4_batch(single, 1, alphabet, weight, 1e-9, 1 << 17)
+        alone, error = numeric._rk4_batch(single, 1, alphabet, weight, 1e-9)
         assert np.array_equal(values[j], alone[0])
         assert errors[j] == error[0]
 
@@ -336,7 +335,7 @@ def test_node_reuse_matches_fresh_nodes(r, seed, tol):
     # reuses nodes across two doublings and drops the rows of paths that
     # have converged.
     coef, count, alphabet, weight = _plan_batch(r, seed)
-    values, errors = numeric._rk4_batch(coef, count, alphabet, weight, tol, 1 << 17)
+    values, errors = numeric._rk4_batch(coef, count, alphabet, weight, tol)
     stops = set()
     for j in range(count):
         alone, error, n = _fresh_node_transport(coef, j, alphabet, weight, tol)
@@ -346,17 +345,18 @@ def test_node_reuse_matches_fresh_nodes(r, seed, tol):
     assert stops == {128, 256, 512}
 
 
-def test_batch_fails_if_any_path_fails():
+def test_batch_fails_if_any_path_fails(monkeypatch):
     easy = (1.0, 2.0 + 1.0j, (0.0,))  # converges at 256 steps
     slow = (-1.0 + 0.01j, 1.0 + 0.01j, (0.0,))  # needs 2048
-    numeric._rk4_batch(*_segments(easy), 1, 2, 1e-10, 1024)
+    monkeypatch.setattr(numeric, "_STEP_CAP", 1024)
+    numeric._rk4_batch(*_segments(easy), 1, 2, 1e-10)
     with pytest.raises(numeric.QuadratureFailure, match="no convergence"):
-        numeric._rk4_batch(*_segments(easy, slow), 1, 2, 1e-10, 1024)
+        numeric._rk4_batch(*_segments(easy, slow), 1, 2, 1e-10)
     # A segment through the branch point gives non-finite values.
     through = (-1.0, 1.0, (0.0,))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(numeric.QuadratureFailure, match="diverged"):
-            numeric._rk4_batch(*_segments(easy, through), 1, 2, 1e-10, 1 << 17)
+            numeric._rk4_batch(*_segments(easy, through), 1, 2, 1e-10)
 
 
 def test_top_weight_matches_step_by_step_transport():
@@ -404,12 +404,12 @@ def test_block_width_does_not_change_bits(monkeypatch, block, fold_rows):
     reference = {}
     for r, seed in ((4, 1), (5, 3)):
         coef, count, alphabet, weight = _plan_batch(r, seed)
-        reference[r] = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9, 1 << 17)
+        reference[r] = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9)
     monkeypatch.setattr(numeric, "_BLOCK", block)
     monkeypatch.setattr(numeric, "_FOLD_ROWS", fold_rows)
     for r, seed in ((4, 1), (5, 3)):
         coef, count, alphabet, weight = _plan_batch(r, seed)
-        values, errors = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9, 1 << 17)
+        values, errors = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9)
         assert np.array_equal(values, reference[r][0])
         assert np.array_equal(errors, reference[r][1])
 
@@ -481,7 +481,8 @@ def test_forms_bits_do_not_depend_on_the_batch(r):
 @pytest.mark.parametrize("r, seed", [(4, 1), (5, 3)])
 def test_plan_terms_never_evaluate_one_element(monkeypatch, r, seed):
     # With one path per batch and one (node, path) pair per piece, every
-    # forms call still holds at least two elements.
+    # forms call still holds at least two elements. With 100 pairs per
+    # piece, no call holds more: 129 nodes make two pieces, not one.
     data, maps, letters, alignment, weight = numeric._web(r, None)
     plan = numeric._draw_plan(random.Random(seed), maps, letters, 1, 1e-3)
     sizes = []
@@ -492,10 +493,13 @@ def test_plan_terms_never_evaluate_one_element(monkeypatch, r, seed):
         return forms(self, start, stop, t, pts)
 
     monkeypatch.setattr(numeric._RationalMap, "forms", counted)
-    monkeypatch.setattr(numeric, "_GROUP", 1)
-    monkeypatch.setattr(numeric, "_NODES", 1)
-    numeric._plan_terms(maps, letters, plan, weight, 1e-9)
-    assert sizes and min(sizes) >= 2
+    for group, nodes in ((1, 1), (numeric._GROUP, 100)):
+        sizes.clear()
+        monkeypatch.setattr(numeric, "_GROUP", group)
+        monkeypatch.setattr(numeric, "_NODES", nodes)
+        numeric._plan_terms(maps, letters, plan, weight, 1e-9)
+        assert sizes and min(sizes) >= 2
+    assert max(sizes) <= 100
 
 
 def test_transport_memory_is_bounded_by_the_group():

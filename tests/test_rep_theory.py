@@ -160,7 +160,7 @@ def test_double_coset_blocks_weigh_to_the_full_sum(r):
     # p_1..p_(r-2), which do not vanish; one block per double coset, times
     # its weight, must give the sum over every block.
     gd = group_data(r)
-    l, step = len(gd.lt), len(gd.lower)
+    l, step = COUNTS[r].lines, len(gd.lower)
     sums = []
     for j, t in enumerate(gd.top):
         powers = rt._power_fixed_counts(t[gd.lower[:, :l]], r - 2)

@@ -1,7 +1,7 @@
 """Wedge construction and the one-dimensional +-1 kernel."""
 
 import json
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb
 from operator import or_
 
@@ -66,17 +66,12 @@ def test_wedge_vector_entries_are_minors():
             assert outside not in w.entries
 
 
-@lru_cache(maxsize=None)
-def _conics(r):
-    return enumerate_conics(r)
-
-
 @settings(derandomize=True, deadline=None)
 @given(st.integers(4, 7), st.data())
 def test_wedge_vector_degenerate_and_antisymmetric(r, data):
     # Any conic, base fiber and pair of rows: swapping the two rows negates
     # every entry, and a repeated row leaves the empty wedge.
-    f = data.draw(st.sampled_from(_conics(r)))
+    f = data.draw(st.sampled_from(enumerate_conics(r)))
     m = wk.fiber_differences(f, data.draw(st.integers(0, r - 2)))
     i, j = data.draw(st.lists(st.integers(0, r - 3), min_size=2, max_size=2, unique=True))
     rows = list(m.rows)
@@ -94,7 +89,7 @@ def test_wedge_vector_degenerate_and_antisymmetric(r, data):
 @given(st.integers(4, 7), st.data())
 def test_closed_form_equals_iterated_wedge_and_minors(r, data):
     # A random conic, fiber order and base, with and without the quotient.
-    f = data.draw(st.sampled_from(_conics(r)))
+    f = data.draw(st.sampled_from(enumerate_conics(r)))
     f = ConicFibration(f.cls, tuple(data.draw(st.permutations(f.fibers))))
     base = data.draw(st.integers(0, r - 2))
     drop = sum(1 << k for k in enumerate_lines(r).exceptional) if data.draw(st.booleans()) else 0
@@ -115,9 +110,9 @@ def test_line_table_locates_the_exceptional_lines(r):
     lt = enumerate_lines(r)
     ls = [exceptional(r, i) for i in range(1, r + 1)]
     assert [lt.lines[k] for k in lt.exceptional] == ls
-    conic = enumerate_conics(r, lt)[:1]
+    conic = enumerate_conics(r)[:1]
     masks = [
-        list(wk._wedges(lambda f, base, drop: drop, lt, conic, [conic[0].fibers], [0], q))
+        list(wk._wedges(lambda f, base, drop: drop, conic, [conic[0].fibers], [0], q))
         for q in (False, True)
     ]
     assert masks == [[0], [reduce(or_, (1 << lt.index[l] for l in ls))]]
@@ -138,7 +133,7 @@ def test_closed_form_matches_iterated_wedge(r, seed, quotient):
     # more than C(2(r - 1), r - 2) entries.
     cert = wk.kernel_signs(r, seed=seed, quotient=quotient)
     conics = enumerate_conics(r)
-    args = (enumerate_lines(r), conics, cert.fiber_orders, cert.bases, quotient)
+    args = (conics, cert.fiber_orders, cert.bases, quotient)
     closed = wk._wedges(wk.wedge_vector, *args)
     iterated = wk._wedges(wk._replayed_wedge, *args)
     for f, a, b in zip(conics, closed, iterated, strict=True):
@@ -188,8 +183,11 @@ def test_kernel_signs_explicit_orderings():
     assert cert.fiber_orders[0] == tuple(reversed(conics[0].fibers))
     wk.replay(cert)
     bad = [conics[0].fibers[:-1] + ((0, 1),)] + [f.fibers for f in conics[1:]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="permute"):
         wk.kernel_signs(5, fiber_orders=bad)
+    # r = 5 conics have 4 fibers, so base 4 indexes none.
+    with pytest.raises(ValueError, match="out of range"):
+        wk.kernel_signs(5, bases=[0] * 9 + [4])
 
 
 def test_kernel_signs_requires_one_ordering_per_conic():
@@ -341,11 +339,7 @@ def test_dense_rank_oracle(r, quotient):
     # kernel dimension without the signed-graph solve.
     cert = wk.kernel_signs(r, quotient=quotient)
     conics = enumerate_conics(r)
-    wedges = list(
-        wk._wedges(
-            wk._replayed_wedge, enumerate_lines(r), conics, cert.fiber_orders, cert.bases, quotient
-        )
-    )
+    wedges = list(wk._wedges(wk._replayed_wedge, conics, cert.fiber_orders, cert.bases, quotient))
     column = {t: c for c, t in enumerate(sorted({t for w in wedges for t in w.entries}))}
     m = np.zeros((len(wedges), len(column)), dtype=np.int64)
     for k, w in enumerate(wedges):
@@ -355,16 +349,9 @@ def test_dense_rank_oracle(r, quotient):
     assert not np.any(np.array(cert.epsilon, dtype=np.int64) @ m)
 
 
-def test_quotient_certificate_builds_one_line_table(monkeypatch):
-    from dp_hlog import incidence
-
-    calls = []
-
-    def counting(r):
-        calls.append(r)
-        return enumerate_lines(r)
-
-    monkeypatch.setattr(incidence, "enumerate_lines", counting)
-    monkeypatch.setattr(wk, "enumerate_lines", counting)
-    wk.kernel_signs(7, quotient=True)
-    assert calls == [7]
+def test_quotient_certificate_builds_one_line_table(fresh_tables):
+    # Both tables are built once per rank, however many readers ask.
+    cert = wk.kernel_signs(7, quotient=True)
+    wk.replay(cert)
+    assert enumerate_lines.cache_info().misses == 1
+    assert enumerate_conics.cache_info().misses == 1

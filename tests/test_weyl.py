@@ -99,7 +99,7 @@ def test_a_generator_with_two_images_swapped_fails_the_chain() -> None:
     rng = random.Random(13)
     for r in (4, 6):
         lt = enumerate_lines(r)
-        gens = point_generators(lt)
+        gens = point_generators(r)
         top, lower, levels = chain(gens, _bases(r, lt))
         assert len(top) * len(lower) == len(levels) == COUNTS[r].group_order
         swaps = list(itertools.product(range(r), itertools.combinations(range(gens.shape[1]), 2)))
@@ -114,7 +114,7 @@ def test_group_data_holds_no_array_larger_than_one_block() -> None:
     # At r = 7 one block is |W(E_6)| = 51,840 elements on 56 lines and 126
     # conic classes; the group itself (|W| x 56 bytes) is never materialized.
     lt = enumerate_lines(7)
-    gens, bases = point_generators(lt), _bases(7, lt)
+    gens, bases = point_generators(7), _bases(7, lt)
     tracemalloc.start()
     try:
         chain(gens, bases)
@@ -161,7 +161,7 @@ def test_group_acts_transitively_on_lines_and_conics() -> None:
     seed_line = lt.index[exceptional(r, r)]
     line_orbit = {e.perm[seed_line] for e in enumerate_group(r)}
     assert line_orbit == set(range(len(lt)))
-    conics = enumerate_conics(r, lt)
+    conics = enumerate_conics(r)
     i, j = conics[0].fibers[0]
     conic_orbit = {lt.lines[e.perm[i]] + lt.lines[e.perm[j]] for e in enumerate_group(r)}
     assert conic_orbit == {f.cls for f in conics}

@@ -230,19 +230,20 @@ def _route_numeric(config: RunConfig) -> tuple[dict, int]:
     samples, tol = NUMERIC_DEFAULTS[rank]
     samples = samples if config.samples is None else config.samples
     tol = tol if config.tol is None else config.tol
+    # An unseeded run draws the seed-0 plan, so its artifact is reproducible.
+    seed = 0 if config.seed is None else config.seed
     data = None
-    if rank == 5:
-        gamma, pi = dp4.DEFAULT_PARAMETERS
-        try:
+    # A degenerate (gamma, pi), or a web whose coefficients overflow a float.
+    try:
+        if rank == 5:
+            gamma, pi = dp4.DEFAULT_PARAMETERS
             data = dp4.dp4_data(
                 gamma if config.gamma is None else config.gamma,
                 pi if config.pi is None else config.pi,
             )
-        except ValueError as exc:
-            return {"rank": rank, "error": str(exc)}, EXIT_USAGE
-    # An unseeded run draws the seed-0 plan, so its artifact is reproducible.
-    seed = 0 if config.seed is None else config.seed
-    report = hnumeric.verify_identity_numeric(rank, samples, tol, data=data, seed=seed)
+        report = hnumeric.verify_identity_numeric(rank, samples, tol, data=data, seed=seed)
+    except ValueError as exc:
+        return {"rank": rank, "error": str(exc)}, EXIT_USAGE
     artifact = {
         "rank": report.r,
         "samples": report.samples,

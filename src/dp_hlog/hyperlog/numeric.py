@@ -3,10 +3,10 @@
 Hyperlogarithms with letters dz/(z - b_k) satisfy a triangular linear ODE:
 the derivative of the value of a word is the first letter's form times the
 value of the word with that letter removed. This module integrates the full
-word-indexed system along straight segments (or along pullbacks of planar
-segments under the first integrals of a web) with a fixed-step fourth-order
-scheme, doubling the step count until the values stabilize; the reported
-error estimate is never below the observed halving discrepancy. The paths of
+word-indexed system along the pullbacks of planar segments under the first
+integrals of a web with a fixed-step fourth-order scheme, doubling the step
+count until the values stabilize; the reported error estimate is never below
+the observed halving discrepancy. The paths of
 one call (every first integral times every sample) are transported integral
 by integral in groups of a fixed number of paths, one batch per group, so
 memory follows the group, not samples times integrals. Each path keeps its
@@ -41,11 +41,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..records import Record
 from . import dp4
-from .words import Word, WordCombination, asym
+from .words import Word, asym
 
-_MAX_WEIGHT = 5
 _STEP_CAP = 1 << 17
 _CLEARANCE_GRID = 1025
 _CANDIDATES = 4  # endpoints checked per batch while drawing a plan
@@ -67,50 +65,11 @@ _FOLD_ROWS = 32
 
 
 class PathTooClose(RuntimeError):
-    """The integration path comes within delta of a branch point."""
-
-    def __init__(self, delta: float, message: str) -> None:
-        super().__init__(message)
-        self.delta = delta
+    """The plan draw found no paths clear enough of the branch points."""
 
 
 class QuadratureFailure(RuntimeError):
     """Step doubling hit the cap without meeting the tolerance."""
-
-
-class LogFormBasis(Record):
-    """Branch points b_1..b_s of the forms dz/(z - b_k); infinity implicit.
-
-    len() is the number of branch points.
-    """
-
-    __slots__ = ("points",)
-    points: tuple[complex, ...]
-
-    def __init__(self, points: Sequence[complex]) -> None:
-        pts = tuple(complex(p) for p in points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("branch points must be pairwise distinct")
-        super().__init__(pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-class PathEvaluation(Record):
-    """Values of every word along one path, with a shared error estimate."""
-
-    __slots__ = ("base", "end", "values", "error")
-    base: complex
-    end: complex
-    values: dict[Word, complex]
-    error: float
-
-    def value_of(self, combination: WordCombination) -> complex:
-        total = 0j
-        for w, c in combination:
-            total += float(c) * self.values[w]
-        return total
 
 
 def _word_system(alphabet: int, max_weight: int) -> dict[Word, int]:
@@ -261,56 +220,6 @@ def _running_sum(first: np.ndarray, inc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _segment_clearance(
-    base: complex, end: complex, points: Sequence[complex]
-) -> float:
-    seg = end - base
-    norm2 = abs(seg) ** 2
-    best = math.inf
-    for p in points:
-        if norm2 == 0.0:
-            d = abs(p - base)
-        else:
-            t = ((p - base) * seg.conjugate()).real / norm2
-            t = min(1.0, max(0.0, t))
-            d = abs(p - (base + t * seg))
-        best = min(best, d)
-    return best
-
-
-def evaluate_words(
-    basis: LogFormBasis,
-    base: complex,
-    end: complex,
-    max_weight: int,
-    *,
-    tol: float = 1e-12,
-) -> PathEvaluation:
-    """Transport all words of weight <= max_weight along the segment.
-
-    The segment must keep distance > 1e-3 from every branch point; `tol`
-    is the step-halving stabilization target.
-    """
-    if not 1 <= max_weight <= _MAX_WEIGHT:
-        raise ValueError(f"max_weight must be in 1..{_MAX_WEIGHT}")
-    base = complex(base)
-    end = complex(end)
-    clearance = _segment_clearance(base, end, basis.points)
-    if clearance <= 1e-3:
-        raise PathTooClose(1e-3, f"segment clearance {clearance:.3e} is not above 1e-3")
-    pts = np.asarray(basis.points)
-    seg = end - base
-
-    def coef(paths: np.ndarray, t: np.ndarray) -> np.ndarray:
-        z = base + t[:, None] * seg
-        return (seg / (z - pts[None, :]))[:, None]
-
-    index = _word_system(len(basis), max_weight)
-    v, err = _rk4_batch(coef, 1, len(basis), max_weight, tol)
-    values = {w: complex(v[0, i]) for w, i in index.items()}
-    return PathEvaluation(base, end, values, float(err[0]))
-
-
 class _RationalMap:
     """Vectorized evaluation of one first integral along a planar segment.
 
@@ -409,8 +318,11 @@ def _web(r: int, data: dp4.DP4Data | None):
             data = dp4.dp4_data(*dp4.DEFAULT_PARAMETERS)
     else:
         raise ValueError("numeric verification covers ranks 4 and 5 only")
-    maps = [_RationalMap(n, d) for n, d in data.integrals]
-    letters = [tuple(complex(c) for c in row) for row in data.spectra]
+    try:
+        maps = [_RationalMap(n, d) for n, d in data.integrals]
+        letters = [tuple(complex(c) for c in row) for row in data.spectra]
+    except OverflowError:
+        raise ValueError("the web's coefficients do not fit a float") from None
     return data, maps, letters, data.alignment, r - 2
 
 
@@ -466,12 +378,12 @@ def _draw_plan(
         if clear([xi], [(xi[0] + 1e-6, xi[1] + 1e-6j)])[0]:
             break
     else:
-        raise PathTooClose(delta, "no admissible base point found")
+        raise PathTooClose("no admissible base point found")
     plan = []
     attempts, limit = 0, 200 * samples
     while len(plan) < samples:
         if attempts == limit:
-            raise PathTooClose(delta, "could not sample enough clear endpoints")
+            raise PathTooClose("could not sample enough clear endpoints")
         batch = min(samples - len(plan), _CANDIDATES, limit - attempts)
         stops = [
             (xi[0] + cpx(-0.7, 0.7, -0.7, 0.7), xi[1] + cpx(-0.7, 0.7, -0.7, 0.7))

@@ -141,7 +141,7 @@ def _json_pair(value) -> tuple[int, int]:
 
 
 def _content_hash(payload: dict) -> str:
-    import hashlib  # loads OpenSSL, which only certify and replay need
+    import hashlib  # loads OpenSSL, which only certificates need
 
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -132,8 +132,3 @@ def group_data(r: int) -> _GroupData:
     if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     return _GroupData(*chain(point_generators(r), enumerate_lines(r).exceptional[1:]))
-
-
-def group_order(r: int) -> int:
-    """Order of W(E_r) as the size of the proved chain (r in 3..7)."""
-    return len(group_data(r))

@@ -5,8 +5,9 @@ enumerated group, independently of the bulk character and kernel routes
 they cross-check. The group itself is enumerated a second way, by a
 breadth-first closure with generator-word witnesses (WeylElement), apart
 from the transversal chain of weyl.group_data, and the Pic basis is looked
-up in the line table. The numeric one decomposes a transported weight-3
-value into transported values of lower weight.
+up in the line table. The numeric ones transport words along straight
+segments through the kernel the numeric route runs, and decompose a
+transported weight-3 value into transported values of lower weight.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import sympy
 
-from dp_hlog.hyperlog.numeric import LogFormBasis, evaluate_words
-from dp_hlog.hyperlog.words import asym
+from dp_hlog.hyperlog import numeric
+from dp_hlog.hyperlog.words import Word, WordCombination, asym
 from dp_hlog.incidence import COUNTS, LineTable, enumerate_conics, enumerate_lines
 from dp_hlog.incidence import reducible_fibers
 from dp_hlog.lattice import DivisorClass, exceptional, hyperplane, is_conic_class, is_line
@@ -243,15 +244,53 @@ def d5_conic_values() -> tuple[int, ...]:
     return tuple(out)
 
 
-def ai3_cross_check(basis: LogFormBasis, base: complex, end: complex) -> float:
-    """Discrepancy of the weight-3 antisymmetric value against its
-    logarithm-times-weight-2 decomposition (must be at quadrature level)."""
-    if len(basis) != 3:
+def segments(*segs):
+    """Batched letter coefficients of straight segments (base, end, points),
+    as numeric._rk4_batch reads them, and the number of segments."""
+
+    def coef(paths, t):
+        cols = []
+        for p in paths:
+            base, end, points = segs[p]
+            pts = np.asarray(points, dtype=complex)
+            seg = end - base
+            cols.append(seg / (base + t[:, None] * seg - pts[None, :]))
+        return np.stack(cols, axis=1)
+
+    return coef, len(segs)
+
+
+def segment_words(
+    base: complex, end: complex, points, max_weight: int, tol: float = 1e-12
+) -> tuple[dict[Word, complex], float]:
+    """Every word of weight <= max_weight in the letters dz/(z - points[k]),
+    transported alone along the segment base -> end, keyed by word, and its
+    error estimate."""
+    values, errors = numeric._rk4_batch(
+        *segments((base, end, points)), len(points), max_weight, tol
+    )
+    index = numeric._word_system(len(points), max_weight)
+    return {w: complex(values[0, i]) for w, i in index.items()}, float(errors[0])
+
+
+def combination_value(values: dict[Word, complex], combination: WordCombination) -> complex:
+    """The combination's value from word values, term by term."""
+    total = 0j
+    for w, c in combination:
+        total += float(c) * values[w]
+    return total
+
+
+def ai3_cross_check(points, base: complex, end: complex) -> float:
+    """Discrepancy of the weight-3 antisymmetric value on the letters
+    dz/(z - points[k]) against its logarithm-times-weight-2 decomposition
+    (must be at quadrature level)."""
+    if len(points) != 3:
         raise ValueError("the decomposition needs exactly three finite letters")
-    pe = evaluate_words(basis, base, end, 3)
-    lhs = pe.value_of(asym((0, 1, 2)))
+    values, _ = segment_words(base, end, points, 3)
+    lhs = combination_value(values, asym((0, 1, 2)))
     rhs = 0j
     for i in range(3):
         rest = tuple(k for k in range(3) if k != i)
-        rhs += (-1) ** i * pe.values[(i,)] * pe.value_of(asym(rest))
+        rhs += (-1) ** i * values[(i,)] * combination_value(values, asym(rest))
     return abs(lhs - rhs / 3)

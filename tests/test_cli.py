@@ -380,6 +380,9 @@ def test_numeric_parameter_gates():
         )
         == 2
     )
+    # A web whose coefficients overflow a float.
+    for gamma in ("1e400", "1e-400"):
+        assert cli.main(["numeric", "--rank", "5", "--gamma", gamma, "--pi", "1/2"]) == 2
     assert cli.main(["numeric", "--rank", "4", "--samples", "0"]) == 2
     assert cli.main(["numeric", "--rank", "4", "--threads", "2"]) == 2
     assert cli.main(["all", "--rank", "4", "--threads", "2"]) == 2
@@ -530,19 +533,21 @@ def test_certificate_routes_never_load_numpy(tmp_path):
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.split() == ["{0}", loaded]
-    # hashlib loads OpenSSL's _hashlib, which only the certificate hash needs.
+    # hashlib loads OpenSSL's _hashlib, which only the certificate hash needs:
+    # certify's, and that of the certificate numeric takes its signs from.
     calls = [["enumerate", "--rank", "4", "--out", out], ["symbols", "--out", out]]
-    probe = (
-        "import sys, dp_hlog.cli; "
-        f"codes = [dp_hlog.cli.main(args) for args in {calls!r}]; "
-        "before = '_hashlib' in sys.modules; "
-        f"codes.append(dp_hlog.cli.main(['certify', '--rank', '4', '--out', {out!r}])); "
-        "print(set(codes), before, '_hashlib' in sys.modules)"
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert run.stdout.split() == ["{0}", "False", "True"]
+    for hashed in (["certify", "--rank", "4"], ["numeric", "--rank", "4", "--samples", "1"]):
+        probe = (
+            "import sys, dp_hlog.cli; "
+            f"codes = [dp_hlog.cli.main(args) for args in {calls!r}]; "
+            "before = '_hashlib' in sys.modules; "
+            f"codes.append(dp_hlog.cli.main({hashed + ['--out', out]!r})); "
+            "print(set(codes), before, '_hashlib' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == ["{0}", "False", "True"]
 
 
 def test_certificate_routes_never_load_fractions(tmp_path):

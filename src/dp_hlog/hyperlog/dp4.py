@@ -22,9 +22,9 @@ A fiber spec names, for each first integral, its conic class and one line
 of the fiber at each spectrum value 0, 1, [r_i,] infinity. That is also the
 conic alignment: feeding those fiber orders to the wedge-kernel engine
 produces the sign vector used by the symbolic identity and the numeric
-verification, so signs are never hard-coded. The tests check the derived webs against hand-written
-tables of the integrals, factors, residues and fibers, and against a sympy
-expansion of those tables.
+verification, so signs are never hard-coded. The tests check the derived
+webs against hand-written tables of the integrals, factors, residues and
+fibers, and against a sympy expansion of those tables.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import NamedTuple, Sequence
 
 from ..errors import InternalError
 from ..incidence import enumerate_conics, enumerate_lines
-from ..lattice import DivisorClass
 from ..wedge_kernel import HlogCertificate, kernel_signs
 from .words import _signed_permutations
 
@@ -136,10 +135,10 @@ def _without_content(*polys: Poly) -> tuple[Poly, ...]:
     joint sign: negating a numerator and its denominator together leaves
     every quotient bit-identical.
     """
-    coeffs = [c for p in polys for c in p.values()]
+    values = [c for p in polys for c in p.values()]
     content = Fraction(
-        math.gcd(*(c.numerator for c in coeffs)),
-        math.lcm(*(c.denominator for c in coeffs)),
+        math.gcd(*(c.numerator for c in values)),
+        math.lcm(*(c.denominator for c in values)),
     )
     if polys[-1][min(polys[-1])] < 0:
         content = -content
@@ -178,24 +177,24 @@ def _kernel_vector(rows: Sequence[Sequence], n: int, what: str) -> list[Fraction
     return basis[0]
 
 
-def _divisor(r: int, text: str) -> DivisorClass:
+def _divisor(r: int, text: str) -> tuple[int, ...]:
     """The class written as, say, '2h-l1-l2' on the rank-r lattice."""
-    coeffs = [0] * (r + 1)
+    d = [0] * (r + 1)
     for sign, mult, base, i in re.findall(r"([+-]?)(\d*)([hl])(\d*)", text):
-        coeffs[int(i or 0)] += (-1 if sign == "-" else 1) * int(mult or 1)
-    return DivisorClass(tuple(coeffs))
+        d[int(i or 0)] += (-1 if sign == "-" else 1) * int(mult or 1)
+    return tuple(d)
 
 
-def _curve(line: DivisorClass, points: Sequence[tuple]) -> Poly:
+def _curve(line: tuple[int, ...], points: Sequence[tuple]) -> Poly:
     """The plane curve of a non-exceptional line class, at Z = 1."""
-    d = line.coeffs[0]
+    d = line[0]
     monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
     rows = [
         [X**i * Y**j * Z ** (d - i - j) for i, j in monomials]
-        for (X, Y, Z), m in zip(points, line.coeffs[1:])
+        for (X, Y, Z), m in zip(points, line[1:])
         if m
     ]
-    v = _kernel_vector(rows, len(monomials), f"curves of class {line.coeffs}")
+    v = _kernel_vector(rows, len(monomials), f"curves of class {line}")
     return {k: c for k, c in zip(monomials, v) if c}
 
 
@@ -225,7 +224,7 @@ class DP4Data(NamedTuple):
     gamma: Fraction | None
     pi: Fraction | None
     integrals: tuple[tuple[Poly, Poly], ...]  # (numerator, denominator)
-    lines: tuple[DivisorClass, ...]  # the line class of each factor
+    lines: tuple[tuple[int, ...], ...]  # the line class of each factor
     factors: tuple[Poly, ...]
     spectra: tuple[tuple[Fraction, ...], ...]  # (0, 1[, r_i])
     residues: tuple[tuple[tuple[int, ...], ...], ...]
@@ -237,7 +236,7 @@ def conic_web(points: Sequence[tuple], spec: Sequence[tuple]) -> DP4Data:
     from its fiber spec, with gamma = pi = None."""
     r = len(points)
     lt, conics = enumerate_lines(r), enumerate_conics(r)
-    curves = {k: _curve(l, points) for k, l in enumerate(lt.lines) if l.coeffs[0]}
+    curves = {k: _curve(l, points) for k, l in enumerate(lt.lines) if l[0]}
     factor_ids = [k for k, f in curves.items() if set(f) != {(0, 0)}]
     conic_ids = {f.cls: k for k, f in enumerate(conics)}
     integrals, spectra, residues, alignment = [], [], [], []
@@ -390,7 +389,7 @@ def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
     """Verify sum_i eps_i Asym^(r-2)(R_i1 (x) ... (x) R_i(r-2)) = 0 exactly,
     with eps the aligned kernel signs; R_is is integral i's residue row at
     its s-th finite spectrum value."""
-    r = data.lines[0].rank
+    r = len(data.lines[0]) - 1
     if len(data.residues) != len(data.alignment):
         raise SymbolicIdentityViolation(
             f"{len(data.residues)} residue tables for {len(data.alignment)} integrals"

@@ -21,10 +21,10 @@ is plain integer arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
-from .lattice import SUPPORTED_RANKS, DivisorClass, exceptional, hyperplane
+from .lattice import SUPPORTED_RANKS, RankMismatch, exceptional, hyperplane
 from .records import Record
 
 
@@ -63,18 +63,16 @@ class LineTable(Record):
 
     __slots__ = ("r", "lines", "index", "generators", "exceptional")
     r: int
-    lines: tuple[DivisorClass, ...]
-    index: dict[DivisorClass, int]
+    lines: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
     generators: tuple[tuple[int, ...], ...]
     exceptional: tuple[int, ...]
 
-    def __init__(self, r: int, lines: tuple[DivisorClass, ...]) -> None:
-        position = {l.coeffs: i for i, l in enumerate(lines)}
-        generators = tuple(
-            tuple(position[_reflect(l.coeffs, g)] for l in lines) for g in range(r)
-        )
-        exc = tuple(position[exceptional(r, i).coeffs] for i in range(1, r + 1))
-        super().__init__(r, lines, {l: i for i, l in enumerate(lines)}, generators, exc)
+    def __init__(self, r: int, lines: tuple[tuple[int, ...], ...]) -> None:
+        index = {l: i for i, l in enumerate(lines)}
+        generators = tuple(tuple(index[_reflect(l, g)] for l in lines) for g in range(r))
+        exc = tuple(index[exceptional(r, i)] for i in range(1, r + 1))
+        super().__init__(r, lines, index, generators, exc)
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -87,7 +85,7 @@ class ConicFibration(NamedTuple):
     line_i + line_j = cls, stored sorted by (min, max).
     """
 
-    cls: DivisorClass
+    cls: tuple[int, ...]
     fibers: tuple[tuple[int, int], ...]
 
 
@@ -129,26 +127,28 @@ def _orbit(seed: tuple[int, ...]) -> dict[tuple[int, ...], tuple | None]:
 def enumerate_lines(r: int) -> LineTable:
     """All lines of X_r, as the Weyl orbit of l_r, in canonical order (cached)."""
     _check_rank(r)
-    lines = sorted(_orbit(exceptional(r, r).coeffs))
+    lines = sorted(_orbit(exceptional(r, r)))
     if len(lines) != COUNTS[r].lines:
         raise RuntimeError(f"line orbit has size {len(lines)}, expected {COUNTS[r].lines}")
-    return LineTable(r, tuple(map(DivisorClass, lines)))
+    return LineTable(r, tuple(lines))
 
 
-def reducible_fibers(c: DivisorClass, lt: LineTable) -> list[tuple[int, int]]:
+def reducible_fibers(c: tuple[int, ...], lt: LineTable) -> list[tuple[int, int]]:
     """All unordered line-index pairs {i, j} with line_i + line_j = c.
 
     Exactly r - 1 pairs must exist for a conic class; anything else signals
-    a broken enumeration.
+    a broken enumeration. A class of another rank raises RankMismatch.
     """
+    if len(c) != lt.r + 1:
+        raise RankMismatch(f"rank {len(c) - 1} class on the rank {lt.r} line table")
     found = []
     for i, line in enumerate(lt.lines):
-        j = lt.index.get(c - line, -1)
+        j = lt.index.get(tuple(map(sub, c, line)), -1)
         if i < j:
             found.append((i, j))
     if len(found) != lt.r - 1:
         raise FiberCountViolation(
-            f"conic {c.coeffs} has {len(found)} reducible fibers, expected {lt.r - 1}"
+            f"conic {c} has {len(found)} reducible fibers, expected {lt.r - 1}"
         )
     return found
 
@@ -162,11 +162,11 @@ def enumerate_conics(r: int) -> tuple[ConicFibration, ...]:
     """
     _check_rank(r)
     lt = enumerate_lines(r)
-    seed = hyperplane(r) - exceptional(r, 1)
-    reached = _orbit(seed.coeffs)
+    seed = tuple(map(sub, hyperplane(r), exceptional(r, 1)))
+    reached = _orbit(seed)
     if len(reached) != COUNTS[r].conics:
         raise RuntimeError(f"conic orbit has size {len(reached)}, expected {COUNTS[r].conics}")
-    fibers = {seed.coeffs: tuple(reducible_fibers(seed, lt))}
+    fibers = {seed: tuple(reducible_fibers(seed, lt))}
     for c, step in reached.items():
         if step is not None:
             parent, g = step
@@ -176,7 +176,7 @@ def enumerate_conics(r: int) -> tuple[ConicFibration, ...]:
                 a, b = perm[i], perm[j]
                 carried.add((a, b) if a < b else (b, a))
             fibers[c] = tuple(sorted(carried))
-    lines = [l.coeffs for l in lt.lines]
+    lines = lt.lines
     out = []
     for c in sorted(reached):
         if len(fibers[c]) != r - 1:
@@ -186,5 +186,5 @@ def enumerate_conics(r: int) -> tuple[ConicFibration, ...]:
         for i, j in fibers[c]:
             if tuple(map(add, lines[i], lines[j])) != c:
                 raise FiberCountViolation(f"fiber {lines[i]} + {lines[j]} is not the conic {c}")
-        out.append(ConicFibration(DivisorClass(c), fibers[c]))
+        out.append(ConicFibration(c, fibers[c]))
     return tuple(out)

@@ -9,6 +9,11 @@ reads one block per double coset W_(r-1) t W_(r-1), weighted by the number
 of blocks in it. Every reduction is an exact integer; exterior powers use the
 Newton recurrence on power sums.
 
+A class function is an int8 array over the group: entry i is its value at
+element i of the chain order of weyl.group_data. Constancy on conjugacy
+classes is a property of the construction, spot-checked in tests. The
+per-rank caches hand out read-only arrays.
+
 The type D5 character table (r = 5) is embedded in :mod:`dp_hlog.d5_data`,
 so that case decomposes completely: its 18 class representatives are rows
 composed from GAP's class words, and their values go through the same
@@ -29,7 +34,6 @@ from . import d5_data
 from .errors import InternalError
 from .incidence import COUNTS, enumerate_lines
 from .lattice import RankMismatch
-from .records import Record
 from .weyl import group_data
 
 
@@ -40,23 +44,6 @@ _PIECE = 1 << 12
 
 class NotACharacter(ValueError):
     """Decomposition against the character table gave a non-integer."""
-
-
-class ClassFunctionSample(Record):
-    """A class function sampled over the whole group.
-
-    values[i] is the value at element i of the chain order of
-    weyl.group_data, one byte each; constancy on conjugacy classes is a
-    property of the construction, spot-checked in tests. len() is the group
-    order.
-    """
-
-    __slots__ = ("values", "r")
-    values: np.ndarray
-    r: int
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _power_fixed_counts(chunk: np.ndarray, s: int) -> np.ndarray:
@@ -103,10 +90,12 @@ def _trace_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     (d_1 + d0) l_1 + (d_2 + d0) l_2 + sum_(i >= 3) d_i l_i.
     """
     lt = enumerate_lines(r)
-    coeffs = np.array([l.coeffs for l in lt.lines], dtype=np.int64).T
-    table = np.concatenate([coeffs[1:], coeffs[:1]])
-    table[:2] += coeffs[0]
-    return table, np.array(lt.exceptional + (lt.generators[-1][lt.exceptional[2]],))
+    d = np.array(lt.lines, dtype=np.int64).T
+    table = np.concatenate([d[1:], d[:1]])
+    table[:2] += d[0]
+    kcols = np.array(lt.exceptional + (lt.generators[-1][lt.exceptional[2]],))
+    table.flags.writeable = kcols.flags.writeable = False
+    return table, kcols
 
 
 class _Values(NamedTuple):
@@ -132,38 +121,41 @@ def _values(r: int) -> _Values:
         out.line[lo : lo + step] = fixed[:, :l].sum(axis=1, dtype=np.int16)
         out.conic[lo : lo + step] = fixed[:, l:].sum(axis=1, dtype=np.int16)
         out.reflection[lo : lo + step] = table[rows, t[spans]].sum(axis=1) - 1
+    for values in out:
+        values.flags.writeable = False
     return out
 
 
-def line_character(r: int) -> ClassFunctionSample:
+def line_character(r: int) -> np.ndarray:
     """g -> number of fixed lines."""
-    return ClassFunctionSample(_values(r).line, r)
+    return _values(r).line
 
 
-def conic_character(r: int) -> ClassFunctionSample:
+def conic_character(r: int) -> np.ndarray:
     """g -> number of fixed conic classes; degree kappa_r at the identity."""
-    return ClassFunctionSample(_values(r).conic, r)
+    return _values(r).conic
 
 
-def reflection_character(r: int) -> ClassFunctionSample:
+def reflection_character(r: int) -> np.ndarray:
     """g -> trace of g on Pic minus 1 (the canonical class splits off)."""
-    return ClassFunctionSample(_values(r).reflection, r)
+    return _values(r).reflection
 
 
-def trivial_character(r: int) -> ClassFunctionSample:
-    return ClassFunctionSample(np.ones(len(group_data(r)), dtype=np.int8), r)
+def trivial_character(r: int) -> np.ndarray:
+    return np.ones(len(group_data(r)), dtype=np.int8)
 
 
-def inner_product(chi: ClassFunctionSample, psi: ClassFunctionSample) -> Fraction:
+def inner_product(chi: np.ndarray, psi: np.ndarray) -> Fraction:
     """(1/|W|) sum_g chi(g) psi(g), exact.
 
-    einsum casts the int8 values to int64 inside its buffer, so no int64
-    copy of a sample is made; |values| <= 126 and |W| <= 2,903,040 keep the
-    sum far below 2^63.
+    The group orders of the ranks all differ, so samples of different
+    lengths are of different ranks (RankMismatch). einsum casts the int8
+    values to int64 inside its buffer, so no int64 copy of a sample is
+    made; |values| <= 126 and |W| <= 2,903,040 keep the sum far below 2^63.
     """
-    if chi.r != psi.r or len(chi) != len(psi):
-        raise RankMismatch(f"rank {chi.r} vs rank {psi.r}")
-    return Fraction(int(np.einsum("i,i->", chi.values, psi.values, dtype=np.int64)), len(chi))
+    if len(chi) != len(psi):
+        raise RankMismatch(f"samples of {len(chi)} and {len(psi)} group elements")
+    return Fraction(int(np.einsum("i,i->", chi, psi, dtype=np.int64)), len(chi))
 
 
 def _double_coset_blocks(r: int) -> tuple[np.ndarray, np.ndarray]:

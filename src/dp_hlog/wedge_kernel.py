@@ -105,17 +105,20 @@ class HlogCertificate(NamedTuple):
         """Read a stored certificate strictly; nothing is coerced.
 
         Integers must be JSON integers (not a bool, a float or a quoted
-        number), each fiber an array of exactly two of them, quotient a JSON
-        boolean and content_hash a string. Anything else, or a missing
-        field, raises ValueError.
+        number), every list a JSON array (not an object or a string), each
+        fiber an array of exactly two integers, quotient a JSON boolean and
+        content_hash a string. Anything else, or a missing field, raises
+        ValueError.
         """
         try:
             return cls(
                 r=_json_int(data["r"]),
-                conics=tuple(tuple(map(_json_int, c)) for c in data["conics"]),
-                fiber_orders=tuple(tuple(map(_json_pair, fo)) for fo in data["fiber_orders"]),
-                bases=tuple(map(_json_int, data["bases"])),
-                epsilon=tuple(map(_json_int, data["epsilon"])),
+                conics=_json_array(data["conics"], _json_array),
+                fiber_orders=_json_array(
+                    data["fiber_orders"], lambda fo: _json_array(fo, _json_pair)
+                ),
+                bases=_json_array(data["bases"]),
+                epsilon=_json_array(data["epsilon"]),
                 kernel_dimension=_json_int(data["kernel_dimension"]),
                 quotient=_json_typed(data["quotient"], bool),
                 content_hash=_json_typed(data["content_hash"], str),
@@ -134,10 +137,16 @@ def _json_int(value) -> int:
     return _json_typed(value, int)
 
 
+def _json_array(value, read=_json_int) -> tuple:
+    """The items of a JSON array (not an object or a string), each read by `read`."""
+    return tuple(map(read, _json_typed(value, list)))
+
+
 def _json_pair(value) -> tuple[int, int]:
-    if len(_json_typed(value, list)) != 2:
+    pair = _json_array(value)
+    if len(pair) != 2:
         raise ValueError(f"malformed certificate: fiber {value!r} is not a pair")
-    return _json_int(value[0]), _json_int(value[1])
+    return pair
 
 
 def _content_hash(payload: dict) -> str:
@@ -152,7 +161,7 @@ def fiber_differences(f: ConicFibration, base: int) -> FiberDifferenceMatrix:
     nf = len(f.fibers)
     if not 0 <= base < nf:
         raise IndexError(f"base fiber index {base} out of range 0..{nf - 1}")
-    l = COUNTS[f.cls.rank].lines
+    l = COUNTS[len(f.cls) - 1].lines
     bi, bj = f.fibers[base]
     rows = []
     for s, (i, j) in enumerate(f.fibers):
@@ -238,7 +247,7 @@ def _replayed_wedge(f: ConicFibration, base: int, drop: int) -> WedgeVector:
 
 def _wedges(producer, conics, fiber_orders, bases, quotient: bool) -> Iterator[WedgeVector]:
     """One wedge per conic, `producer(fibration, base, drop)`."""
-    r = conics[0].cls.rank
+    r = len(conics[0].cls) - 1
     drop = sum(1 << i for i in enumerate_lines(r).exceptional) if quotient else 0
     for f, order, base in zip(conics, fiber_orders, bases):
         yield producer(ConicFibration(f.cls, tuple(order)), base, drop)
@@ -365,8 +374,9 @@ def kernel_signs(
     Default orderings are the canonical enumeration with the last fiber as
     base. A seed randomizes fiber orders and bases; explicit `fiber_orders`
     (full fiber lists) and `bases` win over the seed, and raise ValueError
-    unless `_check_orderings` passes them. The kernel is solved as a signed graph on the conics (see the module docstring),
-    then checked to annihilate every wedge; a broken structure raises
+    unless `_check_orderings` passes them. The kernel is solved as a signed
+    graph on the conics (see the module docstring), then checked to
+    annihilate every wedge; a broken structure raises
     WedgeStructureViolation, KernelDimensionViolation or SignViolation.
     """
     if r not in RANKS:
@@ -392,7 +402,7 @@ def kernel_signs(
     _check_annihilation(edges, epsilon)
     payload_cert = HlogCertificate(
         r=r,
-        conics=tuple(c.cls.coeffs for c in conics),
+        conics=tuple(f.cls for f in conics),
         fiber_orders=tuple(tuple(fo) for fo in fiber_orders),
         bases=tuple(bases),
         epsilon=epsilon,
@@ -422,7 +432,7 @@ def replay(cert: HlogCertificate) -> None:
         raise ReplayFailure("stored coefficients are not all +-1")
     conics = enumerate_conics(cert.r)
     if len(conics) != len(cert.conics) or any(
-        f.cls.coeffs != stored for f, stored in zip(conics, cert.conics)
+        f.cls != stored for f, stored in zip(conics, cert.conics)
     ):
         raise ReplayFailure("conic ordering does not match the canonical enumeration")
     if len(cert.epsilon) != len(conics):

@@ -25,6 +25,7 @@ characters, the trace on Pic and the W(D_5) class representatives off them.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -68,9 +69,9 @@ def point_generators(r: int) -> np.ndarray:
     conic classes, a conic going where its first fiber goes."""
     lt, conics = enumerate_lines(r), enumerate_conics(r)
     where = {f.cls: len(lt) + k for k, f in enumerate(conics)}
-    rows = []
+    rows, firsts = [], [f.fibers[0] for f in conics]
     for perm in lt.generators:
-        images = [lt.lines[perm[i]] + lt.lines[perm[j]] for i, j in (f.fibers[0] for f in conics)]
+        images = [tuple(map(add, lt.lines[perm[i]], lt.lines[perm[j]])) for i, j in firsts]
         if not all(c in where for c in images):
             raise RuntimeError("a generator maps a conic class off the conic classes")
         rows.append(list(perm) + [where[c] for c in images])
@@ -126,9 +127,13 @@ def chain(gens: np.ndarray, bases: Sequence[int]) -> tuple[np.ndarray, np.ndarra
 
 @lru_cache(maxsize=None)
 def group_data(r: int) -> _GroupData:
-    """W(E_r) for r in 3..7 as a proved chain of coset transversals (cached)."""
+    """W(E_r) for r in 3..7 as a proved chain of coset transversals (cached,
+    so its arrays are read-only)."""
     if r == 8:
         raise GroupTooLarge("W(E_8) has ~6.96e8 elements; enumeration refused")
     if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
-    return _GroupData(*chain(point_generators(r), enumerate_lines(r).exceptional[1:]))
+    gd = _GroupData(*chain(point_generators(r), enumerate_lines(r).exceptional[1:]))
+    for rows in (gd.top, gd.lower, gd.levels):
+        rows.flags.writeable = False
+    return gd

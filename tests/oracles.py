@@ -1,13 +1,16 @@
 """Oracles that only the tests call.
 
-The group-level ones work element by element (or class by class) on the
-enumerated group, independently of the bulk character and kernel routes
-they cross-check. The group itself is enumerated a second way, by a
-breadth-first closure with generator-word witnesses (WeylElement), apart
-from the transversal chain of weyl.group_data, and the Pic basis is looked
-up in the line table. The numeric ones transport words along straight
-segments through the kernel the numeric route runs, and decompose a
-transported weight-3 value into transported values of lower weight.
+The lattice ones combine and reflect divisor classes, coefficient tuples,
+by the textbook formulas; they are the reference for the coefficient
+reflections of incidence. The group-level ones work element by element (or
+class by class) on the enumerated group, independently of the bulk
+character and kernel routes they cross-check. The group itself is
+enumerated a second way, by a breadth-first closure with generator-word
+witnesses (WeylElement), apart from the transversal chain of
+weyl.group_data, and the Pic basis is looked up in the line table. The
+numeric ones transport words along straight segments through the kernel
+the numeric route runs, and decompose a transported weight-3 value into
+transported values of lower weight.
 """
 
 from __future__ import annotations
@@ -22,9 +25,41 @@ from dp_hlog.hyperlog import numeric
 from dp_hlog.hyperlog.words import Word, WordCombination, asym
 from dp_hlog.incidence import COUNTS, LineTable, enumerate_conics, enumerate_lines
 from dp_hlog.incidence import reducible_fibers
-from dp_hlog.lattice import DivisorClass, exceptional, hyperplane, is_conic_class, is_line
+from dp_hlog.lattice import canonical, exceptional, hyperplane, is_conic_class, is_line, pair
 from dp_hlog.rep_theory import d5_class_representatives
 from dp_hlog.weyl import group_data
+
+
+class NotARoot(ValueError):
+    """A reflection was requested in a class that is not a root."""
+
+
+def combine(*classes: tuple[int, ...], by: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """sum_k by[k] * classes[k], coefficient by coefficient (by defaults to
+    all ones). Classes of different lengths raise ValueError."""
+    by = (1,) * len(classes) if by is None else by
+    return tuple(
+        sum(n * x for n, x in zip(by, column, strict=True))
+        for column in zip(*classes, strict=True)
+    )
+
+
+def roots(r: int) -> tuple[tuple[int, ...], ...]:
+    """Fundamental roots rho_i = l_i - l_(i+1) (i < r), rho_r = h - l_1 - l_2 - l_3."""
+    l = [exceptional(r, i) for i in range(1, r + 1)]
+    cremona = combine(hyperplane(r), *l[:3], by=(1, -1, -1, -1))
+    return tuple(combine(a, b, by=(1, -1)) for a, b in zip(l, l[1:])) + (cremona,)
+
+
+def reflect(rho: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
+    """Reflection of d in the root rho: d + pair(d, rho) * rho.
+
+    rho must satisfy pair(rho, rho) = -2 and pair(rho, K) = 0, i.e. be a
+    root of the orthogonal complement of the canonical class.
+    """
+    if pair(rho, rho) != -2 or pair(rho, canonical(len(rho) - 1)) != 0:
+        raise NotARoot(f"{rho} is not a root")
+    return combine(d, rho, by=(1, pair(d, rho)))
 
 
 class WeylElement(NamedTuple):
@@ -53,7 +88,7 @@ def fixed_points(perm: tuple[int, ...], power: int) -> int:
 def spanning_lines(lt: LineTable) -> np.ndarray:
     """Indices of l_1..l_r and h - l_1 - l_2, looked up in the line table."""
     basis = [exceptional(lt.r, i) for i in range(1, lt.r + 1)]
-    basis.append(hyperplane(lt.r) - basis[0] - basis[1])
+    basis.append(combine(hyperplane(lt.r), basis[0], basis[1], by=(1, -1, -1)))
     return np.array([lt.index[d] for d in basis], dtype=np.int64)
 
 
@@ -182,7 +217,7 @@ def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement
         yield WeylElement(tuple(perm.tolist()), -1 if length & 1 else 1, word)
 
 
-def stabilizer_order(r: int, target: DivisorClass) -> int:
+def stabilizer_order(r: int, target: tuple[int, ...]) -> int:
     """Number of group elements fixing a line or conic class."""
     gd, lt = group_data(r), enumerate_lines(r)
     if is_line(target):
@@ -190,11 +225,11 @@ def stabilizer_order(r: int, target: DivisorClass) -> int:
         return sum(int(np.count_nonzero(t[gd.lower[:, idx]] == idx)) for t in gd.top)
     if is_conic_class(target):
         i, j = reducible_fibers(target, lt)[0]
-        coeffs = np.array([l.coeffs for l in lt.lines], dtype=np.int64)
+        lines = np.array(lt.lines, dtype=np.int64)
         total = 0
         for t in gd.top:
-            sums = coeffs[t[gd.lower[:, i]]] + coeffs[t[gd.lower[:, j]]]
-            total += int(np.count_nonzero(np.all(sums == target.coeffs, axis=1)))
+            sums = lines[t[gd.lower[:, i]]] + lines[t[gd.lower[:, j]]]
+            total += int(np.count_nonzero(np.all(sums == target, axis=1)))
         return total
     raise ValueError("target must be a line or a conic class")
 
@@ -208,7 +243,7 @@ def spanning_inverse(r: int) -> tuple[np.ndarray, np.ndarray]:
     """
     lt = enumerate_lines(r)
     kcols = spanning_lines(lt)
-    inv = sympy.Matrix([lt.lines[k].coeffs for k in kcols.tolist()]).T.inv()
+    inv = sympy.Matrix([lt.lines[k] for k in kcols.tolist()]).T.inv()
     if not all(v.is_integer for v in inv):
         raise RuntimeError("spanning lines are not a unimodular basis")
     return np.array(inv.tolist(), dtype=np.int64), kcols
@@ -221,7 +256,7 @@ def induced_matrix(e: WeylElement, lt: LineTable) -> tuple[tuple[int, ...], ...]
     their images, with V^-1 from spanning_inverse.
     """
     inv, kcols = spanning_inverse(lt.r)
-    images = np.array([lt.lines[e.perm[k]].coeffs for k in kcols.tolist()], dtype=np.int64).T
+    images = np.array([lt.lines[e.perm[k]] for k in kcols.tolist()], dtype=np.int64).T
     return tuple(tuple(row) for row in (images @ inv).tolist())
 
 
@@ -239,7 +274,7 @@ def d5_conic_values() -> tuple[int, ...]:
         fixed = 0
         for fib in conics:
             i, j = fib.fibers[0]
-            fixed += lines[perm[i]] + lines[perm[j]] == fib.cls
+            fixed += combine(lines[perm[i]], lines[perm[j]]) == fib.cls
         out.append(fixed)
     return tuple(out)
 

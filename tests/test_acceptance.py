@@ -57,6 +57,7 @@ def test_criterion_01_enumeration_counts():
 
 def test_criterion_02_fiber_structure():
     from dp_hlog.lattice import pair
+    from oracles import combine
 
     start = time.monotonic()
     ok = True
@@ -66,7 +67,7 @@ def test_criterion_02_fiber_structure():
         for c in incidence.enumerate_conics(r):
             ok = ok and len(c.fibers) == r - 1
             for a, b in c.fibers:
-                ok = ok and lt.lines[a] + lt.lines[b] == c.cls
+                ok = ok and combine(lt.lines[a], lt.lines[b]) == c.cls
                 ok = ok and pair(lt.lines[a], lt.lines[b]) == 1
                 covered.update((a, b))
         ok = ok and covered == set(range(len(lt)))

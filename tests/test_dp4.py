@@ -20,6 +20,8 @@ from dp_hlog.hyperlog import dp4
 from dp_hlog.incidence import enumerate_conics, enumerate_lines
 from dp_hlog.lattice import exceptional, hyperplane
 
+from oracles import combine
+
 
 def _u_expressions(g, p, x, y) -> tuple:
     return (
@@ -110,17 +112,21 @@ def _factor_classes():
     """Divisor classes of the affine factors L_1..L_10, in order."""
     h = hyperplane(5)
     e = [None] + [exceptional(5, i) for i in range(1, 6)]
+
+    def line(i: int, j: int) -> tuple[int, ...]:
+        return combine(h, e[i], e[j], by=(1, -1, -1))
+
     return (
-        h - e[2] - e[3],
-        h - e[1] - e[3],
-        h - e[1] - e[5],
-        h - e[2] - e[4],
-        h - e[2] - e[5],
-        h - e[3] - e[4],
-        h - e[1] - e[4],
-        2 * h - e[1] - e[2] - e[3] - e[4] - e[5],
-        h - e[4] - e[5],
-        h - e[3] - e[5],
+        line(2, 3),
+        line(1, 3),
+        line(1, 5),
+        line(2, 4),
+        line(2, 5),
+        line(3, 4),
+        line(1, 4),
+        combine(h, *e[1:], by=(2, -1, -1, -1, -1, -1)),
+        line(4, 5),
+        line(3, 5),
     )
 
 
@@ -267,7 +273,7 @@ def test_spectra_formulas(data):
 def test_factor_degrees(data):
     degrees = {c: max(i + j for i, j in f) for c, f in zip(data.lines, data.factors)}
     assert [degrees[c] for c in FACTOR_CLASSES] == [1, 1, 1, 1, 1, 1, 1, 2, 1, 1]
-    assert all(degrees[c] == c.coeffs[0] for c in data.lines)
+    assert all(degrees[c] == c[0] for c in data.lines)
 
 
 @pytest.mark.parametrize(

@@ -14,17 +14,15 @@ from dp_hlog.incidence import (
     reducible_fibers,
 )
 from dp_hlog.lattice import (
-    DivisorClass,
+    RankMismatch,
     exceptional,
     hyperplane,
     is_conic_class,
     is_line,
     pair,
-    reflect,
-    roots,
 )
 
-from oracles import rank_for_line_count
+from oracles import combine, rank_for_line_count, reflect, roots
 
 
 def test_line_counts() -> None:
@@ -47,7 +45,7 @@ def test_r7_line_shapes() -> None:
     # By h-degree: 7 exceptional, 21 through two points, 21 conic-degree
     # duals, 7 cubics; the quoted partition is 7/21/21/7.
     lt = enumerate_lines(7)
-    by_degree = Counter(l.coeffs[0] for l in lt.lines)
+    by_degree = Counter(l[0] for l in lt.lines)
     assert by_degree == {0: 7, 1: 21, 2: 21, 3: 7}
 
 
@@ -61,7 +59,7 @@ def test_conic_counts() -> None:
 
 def test_r7_conic_shapes() -> None:
     conics = enumerate_conics(7)
-    by_degree = Counter(f.cls.coeffs[0] for f in conics)
+    by_degree = Counter(f.cls[0] for f in conics)
     assert by_degree == {1: 7, 2: 35, 3: 42, 4: 35, 5: 7}
 
 
@@ -82,7 +80,7 @@ def test_fiber_structure_all_ranks() -> None:
             covered.update(occurrences)
             assert list(fib.fibers) == sorted(fib.fibers)
             for i, j in fib.fibers:
-                assert lt.lines[i] + lt.lines[j] == fib.cls
+                assert combine(lt.lines[i], lt.lines[j]) == fib.cls
                 assert pair(lt.lines[i], lt.lines[j]) == 1
         # every line is a component of some reducible fiber
         assert covered == set(range(len(lt)))
@@ -92,23 +90,28 @@ def test_fibers_of_h_minus_l1() -> None:
     # For c = h - l1 the fibers are {h - l1 - lj, lj}, j = 2..r.
     for r in (4, 7):
         lt = enumerate_lines(r)
-        c = hyperplane(r) - exceptional(r, 1)
+        c = combine(hyperplane(r), exceptional(r, 1), by=(1, -1))
         fibers = reducible_fibers(c, lt)
         assert len(fibers) == r - 1
         expected = {
-            frozenset((exceptional(r, j), c - exceptional(r, j))) for j in range(2, r + 1)
+            frozenset((exceptional(r, j), combine(c, exceptional(r, j), by=(1, -1))))
+            for j in range(2, r + 1)
         }
         got = {frozenset((lt.lines[i], lt.lines[j])) for i, j in fibers}
         assert got == expected
+        # A longer tuple is no conic of this rank, though its first r + 1
+        # coefficients are.
+        with pytest.raises(RankMismatch):
+            reducible_fibers(c + (0,), lt)
 
 
 def test_r7_degree_two_conic_fiber_shapes() -> None:
     # c = 2h - l1 - l2 - l3 - l4: three fibers split the four points into
     # two lines, three pair an exceptional line with a conic-degree line.
     lt = enumerate_lines(7)
-    c = DivisorClass((2, -1, -1, -1, -1, 0, 0, 0))
+    c = (2, -1, -1, -1, -1, 0, 0, 0)
     shapes = Counter(
-        tuple(sorted((lt.lines[i].coeffs[0], lt.lines[j].coeffs[0])))
+        tuple(sorted((lt.lines[i][0], lt.lines[j][0])))
         for i, j in reducible_fibers(c, lt)
     )
     assert shapes == {(1, 1): 3, (0, 2): 3}
@@ -162,8 +165,8 @@ def test_fibers_match_brute_force_pairs_and_orbit() -> None:
         for i, a in enumerate(lt.lines):
             for j in range(i + 1, len(lt)):
                 if pair(a, lt.lines[j]) == 1:
-                    by_sum.setdefault(a + lt.lines[j], []).append((i, j))
-        seed = hyperplane(r) - exceptional(r, 1)
+                    by_sum.setdefault(combine(a, lt.lines[j]), []).append((i, j))
+        seed = combine(hyperplane(r), exceptional(r, 1), by=(1, -1))
         orbit, frontier = {seed}, [seed]
         while frontier:
             images = {reflect(rho, d) for d in frontier for rho in roots(r)}
@@ -174,11 +177,11 @@ def test_fibers_match_brute_force_pairs_and_orbit() -> None:
         assert {f.cls: list(f.fibers) for f in conics} == by_sum
 
 
-def _closure(seed: DivisorClass) -> list[DivisorClass]:
-    # One reflection at a time on DivisorClass values, sorted at the end.
+def _closure(seed: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # One reflection at a time by the lattice formula, sorted at the end.
     orbit, frontier = {seed}, [seed]
     while frontier:
-        images = {reflect(rho, d) for d in frontier for rho in roots(seed.rank)}
+        images = {reflect(rho, d) for d in frontier for rho in roots(len(seed) - 1)}
         frontier = list(images - orbit)
         orbit |= images
     return sorted(orbit)
@@ -189,7 +192,8 @@ def test_tables_are_the_sorted_brute_force_closures() -> None:
         lt = enumerate_lines(r)
         assert list(lt.lines) == _closure(exceptional(r, r))
         conics = enumerate_conics(r)
-        assert [f.cls for f in conics] == _closure(hyperplane(r) - exceptional(r, 1))
+        seed = combine(hyperplane(r), exceptional(r, 1), by=(1, -1))
+        assert [f.cls for f in conics] == _closure(seed)
 
 
 def test_coefficient_reflections_and_generator_table_match_lattice_reflect() -> None:
@@ -200,7 +204,7 @@ def test_coefficient_reflections_and_generator_table_match_lattice_reflect() -> 
         classes = list(lt.lines) + [f.cls for f in enumerate_conics(r)]
         for g, rho in enumerate(roots(r)):
             for d in classes:
-                assert DivisorClass(incidence._reflect(d.coeffs, g)) == reflect(rho, d)
+                assert incidence._reflect(d, g) == reflect(rho, d)
             assert lt.generators[g] == tuple(lt.index[reflect(rho, l)] for l in lt.lines)
 
 

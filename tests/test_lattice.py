@@ -1,11 +1,9 @@
 import random
 
-import numpy as np
 import pytest
 
+from dp_hlog.incidence import enumerate_conics, enumerate_lines
 from dp_hlog.lattice import (
-    DivisorClass,
-    NotARoot,
     RankMismatch,
     canonical,
     exceptional,
@@ -13,17 +11,14 @@ from dp_hlog.lattice import (
     is_conic_class,
     is_line,
     pair,
-    reflect,
-    roots,
 )
+from dp_hlog.wedge_kernel import kernel_signs
+
+from oracles import NotARoot, combine, reflect, roots
 
 
-def cls(*coeffs: int) -> DivisorClass:
-    return DivisorClass(tuple(coeffs))
-
-
-def random_class(rng: random.Random, r: int) -> DivisorClass:
-    return DivisorClass(tuple(rng.randint(-9, 9) for _ in range(r + 1)))
+def random_class(rng: random.Random, r: int) -> tuple[int, ...]:
+    return tuple(rng.randint(-9, 9) for _ in range(r + 1))
 
 
 def test_pair_diagonal_form() -> None:
@@ -49,12 +44,12 @@ def test_pair_symmetric_bilinear() -> None:
             a, b, c = (random_class(rng, r) for _ in range(3))
             m, n = rng.randint(-4, 4), rng.randint(-4, 4)
             assert pair(a, b) == pair(b, a)
-            assert pair(m * a + n * b, c) == m * pair(a, c) + n * pair(b, c)
+            assert pair(combine(a, b, by=(m, n)), c) == m * pair(a, c) + n * pair(b, c)
 
 
 def test_pair_rank_mismatch() -> None:
     with pytest.raises(RankMismatch):
-        pair(cls(1, 0, 0, 0), cls(1, 0, 0, 0, 0))
+        pair((1, 0, 0, 0), (1, 0, 0, 0, 0))
 
 
 def test_fundamental_roots() -> None:
@@ -85,10 +80,10 @@ def test_root_gram_matches_dynkin_diagram() -> None:
 
 def test_reflect_examples() -> None:
     rho = roots(4)[3]  # h - l1 - l2 - l3
-    assert reflect(rho, rho) == -1 * rho
+    assert reflect(rho, rho) == combine(rho, by=(-1,))
     assert reflect(rho, canonical(4)) == canonical(4)
     # Hand arithmetic: pair(l1, rho) = 1, so l1 -> l1 + rho = h - l2 - l3.
-    assert reflect(rho, exceptional(4, 1)) == cls(1, 0, -1, -1, 0)
+    assert reflect(rho, exceptional(4, 1)) == (1, 0, -1, -1, 0)
 
 
 def test_reflect_involution_preserves_pair() -> None:
@@ -117,45 +112,29 @@ def test_is_line() -> None:
     assert not is_line(hyperplane(7))
     assert not is_line(canonical(7))
     # 3h - sum(l) - l1: a quoted line shape for r=7.
-    assert is_line(cls(3, -2, -1, -1, -1, -1, -1, -1))
+    assert is_line((3, -2, -1, -1, -1, -1, -1, -1))
 
 
 def test_is_conic_class() -> None:
-    assert is_conic_class(cls(1, -1, 0, 0, 0, 0, 0, 0))  # h - l1
+    assert is_conic_class((1, -1, 0, 0, 0, 0, 0, 0))  # h - l1
     assert not is_conic_class(hyperplane(7))
     assert not is_conic_class(exceptional(7, 2))
     # 5h - 2*sum(l) + l3: a quoted conic shape for r=7.
-    assert is_conic_class(cls(5, -2, -2, -1, -2, -2, -2, -2))
+    assert is_conic_class((5, -2, -2, -1, -2, -2, -2, -2))
 
 
-def test_divisor_class_validation_and_ordering() -> None:
-    with pytest.raises(ValueError):
-        DivisorClass((1, 0))  # r=1 unsupported
-    with pytest.raises(ValueError):
-        DivisorClass(tuple([0] * 11))
-    # Coefficients must be integers: nothing is truncated.
-    with pytest.raises(TypeError):
-        DivisorClass((1.5, 0, 0, -0.9))
-    with pytest.raises(TypeError):
-        cls(2, 0, 0, -2) * 0.5
-    numpy_made = DivisorClass(np.array([1, 0, 0, -1], dtype=np.int64))
-    assert numpy_made == cls(1, 0, 0, -1)
-    assert all(type(c) is int for c in numpy_made.coeffs)
-    a, b = cls(0, 1, 0, 0), cls(1, -1, 0, 0)
-    assert a < b and a <= b and b > a and b >= a and a <= a
-    assert sorted([b, cls(0, 0, 0, 1), a]) == [cls(0, 0, 0, 1), a, b]
-
-
-def test_divisor_class_is_an_immutable_hashable_value() -> None:
-    a = cls(2, -1, -1, 0)
-    assert a == cls(2, -1, -1, 0) and a != cls(2, -1, 0, -1)
-    assert hash(a) == hash(cls(2, -1, -1, 0))
-    assert len({a, cls(2, -1, -1, 0), cls(2, -1, 0, -1)}) == 2
-    # A class is no tuple: it neither equals nor orders against one.
-    assert a != (2, -1, -1, 0)
-    with pytest.raises(TypeError):
-        a < (3, 0, 0, 0)
-    with pytest.raises(AttributeError):
-        a.coeffs = (1, 0, 0, 0)
-    with pytest.raises(AttributeError):
-        del a.coeffs
+def test_classes_are_sorted_tuples_of_ints() -> None:
+    # A class is its tuple of r + 1 Python ints (so it dumps to JSON as is),
+    # and the tables are in lexicographic order of those tuples.
+    for r in range(3, 9):
+        tables = (enumerate_lines(r).lines, tuple(f.cls for f in enumerate_conics(r)))
+        for classes in tables:
+            assert list(classes) == sorted(classes)
+            for d in classes:
+                assert type(d) is tuple and len(d) == r + 1
+                assert all(type(x) is int for x in d)
+        for d in (hyperplane(r), exceptional(r, r), canonical(r)):
+            assert type(d) is tuple and all(type(x) is int for x in d)
+    # A certificate stores the conic classes themselves.
+    for r in range(4, 8):
+        assert kernel_signs(r).conics == tuple(f.cls for f in enumerate_conics(r))

@@ -12,7 +12,6 @@ import pytest
 from dp_hlog.hyperlog import dp4, numeric
 from dp_hlog.hyperlog.words import shuffle
 from dp_hlog.incidence import enumerate_conics, enumerate_lines
-from dp_hlog.lattice import DivisorClass
 from oracles import ai3_cross_check, combination_value, segment_words, segments
 
 
@@ -165,9 +164,9 @@ def _bol_alignment():
     cls_index = {c.cls: k for k, c in enumerate(conics)}
     entries = []
     for i, (cls, fibers) in enumerate(BOL_FIBER_TABLE):
-        k = cls_index[DivisorClass(cls)]
+        k = cls_index[cls]
         order = tuple(
-            tuple(sorted(lt.index[DivisorClass(p)] for p in pair)) for pair in fibers
+            tuple(sorted(lt.index[p] for p in pair)) for pair in fibers
         )
         assert sorted(order) == sorted(conics[k].fibers)
         entries.append(dp4.AlignmentEntry(i, k, order, 2))

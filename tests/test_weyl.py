@@ -15,6 +15,7 @@ from dp_hlog.weyl import GroupTooLarge, chain, group_data, point_generators
 from oracles import (
     bfs_closure,
     chain_elements,
+    combine,
     enumerate_group,
     generators,
     induced_matrix,
@@ -163,14 +164,14 @@ def test_group_acts_transitively_on_lines_and_conics() -> None:
     assert line_orbit == set(range(len(lt)))
     conics = enumerate_conics(r)
     i, j = conics[0].fibers[0]
-    conic_orbit = {lt.lines[e.perm[i]] + lt.lines[e.perm[j]] for e in enumerate_group(r)}
+    conic_orbit = {combine(lt.lines[e.perm[i]], lt.lines[e.perm[j]]) for e in enumerate_group(r)}
     assert conic_orbit == {f.cls for f in conics}
 
 
 def test_stabilizer_orders() -> None:
     # orbit-stabilizer: 120/5 = 24 and 1920/10 = 192 for the conic seeds
-    assert stabilizer_order(4, hyperplane(4) - exceptional(4, 1)) == 24
-    assert stabilizer_order(5, hyperplane(5) - exceptional(5, 1)) == 192
+    for r, order in ((4, 24), (5, 192)):
+        assert stabilizer_order(r, combine(hyperplane(r), exceptional(r, 1), by=(1, -1))) == order
     # 1920/16 = 120 for a line
     assert stabilizer_order(5, exceptional(5, 5)) == 120
     with pytest.raises(ValueError):
@@ -188,8 +189,8 @@ def test_induced_matrix_determinant_is_sign() -> None:
         assert int(mat.det()) == e.sign
         # the matrix must map each line class to its image class
         for i in (0, 3, 7):
-            src = sympy.Matrix(lt.lines[i].coeffs)
-            dst = sympy.Matrix(lt.lines[e.perm[i]].coeffs)
+            src = sympy.Matrix(lt.lines[i])
+            dst = sympy.Matrix(lt.lines[e.perm[i]])
             assert mat * src == dst
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 from ..errors import InternalError
 from ..incidence import enumerate_conics, enumerate_lines
-from ..wedge_kernel import HlogCertificate, kernel_signs
+from ..wedge_kernel import kernel_epsilon
 from .words import _signed_permutations
 
 Poly = dict  # {(x_degree, y_degree): Fraction}
@@ -394,7 +394,7 @@ def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
         raise SymbolicIdentityViolation(
             f"{len(data.residues)} residue tables for {len(data.alignment)} integrals"
         )
-    _, signs = aligned_certificate(r, data.alignment)
+    signs = aligned_signs(r, data.alignment)
     total: dict[tuple[int, ...], Fraction] = {}
     sizes = []
     for eps, rows in zip(signs, data.residues):
@@ -413,16 +413,9 @@ def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
     return SymbolicReport(tuple(sizes), len(data.factors) ** (r - 2))
 
 
-def aligned_certificate(
-    r: int, alignment: Sequence[AlignmentEntry]
-) -> tuple[HlogCertificate, tuple[int, ...]]:
-    """Kernel certificate with fibers in spectrum order; signs per integral."""
-    count = len(alignment)
-    fiber_orders: list = [None] * count
-    bases: list = [None] * count
-    for e in alignment:
-        fiber_orders[e.conic] = e.fiber_order
-        bases[e.conic] = e.base
-    cert = kernel_signs(r, fiber_orders=fiber_orders, bases=bases)
-    by_integral = sorted(alignment, key=lambda e: e.integral)
-    return cert, tuple(cert.epsilon[e.conic] for e in by_integral)
+def aligned_signs(r: int, alignment: Sequence[AlignmentEntry]) -> tuple[int, ...]:
+    """Kernel signs with fibers in spectrum order, one per integral."""
+    by_conic = sorted(alignment, key=lambda e: e.conic)
+    orders, bases = [e.fiber_order for e in by_conic], [e.base for e in by_conic]
+    epsilon = kernel_epsilon(enumerate_conics(r), orders, bases, False)
+    return tuple(epsilon[e.conic] for e in sorted(alignment, key=lambda e: e.integral))

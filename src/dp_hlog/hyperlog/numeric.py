@@ -27,8 +27,8 @@ evaluation size or block width.
 The first integrals come from the webs the dp4 module derives from a point
 configuration: the five-term web for the weight-2 identity at rank 4, and
 the ten-integral web for the weight-3 identity at rank 5. In both cases the
-term signs come from the wedge kernel certificate, aligned fiber-by-fiber
-by the web's fiber spec, never from a hard-coded list.
+term signs come from the wedge kernel solve, aligned fiber-by-fiber by the
+web's fiber spec, never from a hard-coded list.
 """
 
 from __future__ import annotations
@@ -478,15 +478,15 @@ def verify_identity_numeric(
     carries per-sample residuals max|sum_i eps_i AI_i| / max_i|AI_i| and the
     propagated quadrature budgets; it passes iff the worst residual is below
     tol. Paths keep a clearance of 1e-3 and each transport stabilizes to
-    min(1e-11, tol / 1000). Signs come from the aligned kernel certificate,
-    and the plan is drawn from random.Random(seed).
+    min(1e-11, tol / 1000). Signs come from the aligned kernel solve, and
+    the plan is drawn from random.Random(seed).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
     data, maps, letters, alignment, weight = _web(r, data)
-    _, signs = dp4.aligned_certificate(r, alignment)
+    signs = dp4.aligned_signs(r, alignment)
     plan = _draw_plan(random.Random(seed), maps, letters, samples, 1e-3)
     quad_tol = min(1e-11, tol * 1e-3)
     terms, errors = _plan_terms(maps, letters, plan, weight, quad_tol)

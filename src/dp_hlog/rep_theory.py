@@ -2,8 +2,8 @@
 
 Permutation characters are sampled over the whole group (r <= 7), one block
 t o W_(r-1) of the transversal chain of :mod:`dp_hlog.weyl` at a time. Each
-element permutes the lines and the conic classes, so fixed lines and fixed
-conics are fixed-point counts; power sums come from iterated composition.
+element permutes the lines, and a conic class goes where its first fiber
+goes; fixed points are counted, power sums come from iterated composition.
 The signature multiplicity needs only the sum of a class function, so it
 reads one block per double coset W_(r-1) t W_(r-1), weighted by the number
 of blocks in it. Every reduction is an exact integer; exterior powers use the
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import d5_data
 from .errors import InternalError
-from .incidence import COUNTS, enumerate_lines
+from .incidence import COUNTS, enumerate_conics, enumerate_lines
 from .lattice import RankMismatch
 from .weyl import group_data
 
@@ -110,17 +110,28 @@ class _Values(NamedTuple):
 def _values(r: int) -> _Values:
     """The three characters one block t o W_(r-1) at a time, no block
     composed: t o w fixes x where w(x) = t^-1(x), and the trace reads the
-    images t(w(k)) of the spanning lines k alone."""
-    gd = group_data(r)
-    l, step = COUNTS[r].lines, len(gd.lower)
+    images t(w(k)) of the spanning lines k alone. An element maps conic c
+    to the conic of the images of c's first fiber, read off a table of the
+    fiber pairs; an image pair that is no fiber raises InternalError."""
+    gd, conics = group_data(r), enumerate_conics(r)
+    step, kappa, l = len(gd.lower), len(conics), COUNTS[r].lines
+    fiber_conic = np.full((l, l), kappa, dtype=np.min_scalar_type(kappa))
+    for c, f in enumerate(conics):
+        for i, j in f.fibers:
+            fiber_conic[i, j] = fiber_conic[j, i] = c
+    a, b = np.array([f.fibers[0] for f in conics]).T
+    inverses = np.argsort(gd.top, axis=1).astype(np.uint8)
+    lower_conics, inverse_conics = (fiber_conic[x[:, a], x[:, b]] for x in (gd.lower, inverses))
+    if (lower_conics == kappa).any() or (inverse_conics == kappa).any():
+        raise InternalError("a group element maps a first fiber off the fibers")
     table, kcols = _trace_table(r)
     rows, spans = np.arange(len(kcols)), gd.lower[:, kcols]
     out = _Values(*(np.empty(len(gd), dtype=np.int8) for _ in range(3)))
-    for lo, t in zip(range(0, len(gd), step), gd.top):
-        fixed = gd.lower == np.argsort(t).astype(np.uint8)
-        out.line[lo : lo + step] = fixed[:, :l].sum(axis=1, dtype=np.int16)
-        out.conic[lo : lo + step] = fixed[:, l:].sum(axis=1, dtype=np.int16)
-        out.reflection[lo : lo + step] = table[rows, t[spans]].sum(axis=1) - 1
+    for j, t in enumerate(gd.top):
+        block = slice(j * step, (j + 1) * step)
+        out.line[block] = (gd.lower == inverses[j]).sum(axis=1, dtype=np.int16)
+        out.conic[block] = (lower_conics == inverse_conics[j]).sum(axis=1, dtype=np.int16)
+        out.reflection[block] = table[rows, t[spans]].sum(axis=1) - 1
     for values in out:
         values.flags.writeable = False
     return out
@@ -169,7 +180,7 @@ def _double_coset_blocks(r: int) -> tuple[np.ndarray, np.ndarray]:
     of a line under it labels the line's orbit.
     """
     gd = group_data(r)
-    orbit = gd.lower[:, : COUNTS[r].lines].min(axis=0)
+    orbit = gd.lower.min(axis=0)
     l_r = enumerate_lines(r).exceptional[-1]
     _, first, count = np.unique(orbit[gd.top[:, l_r]], return_index=True, return_counts=True)
     return first, count
@@ -186,10 +197,10 @@ def signature_multiplicity(r: int) -> int:
     if r < 4:
         raise ValueError(f"rank must be in 4..7, got {r}")
     gd = group_data(r)
-    l, step = COUNTS[r].lines, len(gd.lower)
+    step = len(gd.lower)
     total = 0
     for j, count in zip(*_double_coset_blocks(r)):
-        wedge = _elementary_from_powers(_power_fixed_counts(gd.top[j][gd.lower[:, :l]], r - 2))
+        wedge = _elementary_from_powers(_power_fixed_counts(gd.top[j][gd.lower], r - 2))
         signs = 1 - 2 * (gd.levels[j * step : (j + 1) * step] & 1).astype(np.int64)
         total += int(count) * int(np.einsum("i,i->", signs, wedge, dtype=np.int64))
     mult = Fraction(total, len(gd))

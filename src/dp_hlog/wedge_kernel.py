@@ -107,9 +107,11 @@ class HlogCertificate(NamedTuple):
         Integers must be JSON integers (not a bool, a float or a quoted
         number), every list a JSON array (not an object or a string), each
         fiber an array of exactly two integers, quotient a JSON boolean and
-        content_hash a string. Anything else, or a missing field, raises
-        ValueError.
+        content_hash a string, and the object holds exactly these fields, so
+        no stored entry goes unread. Anything else raises ValueError.
         """
+        if not isinstance(data, dict) or sorted(data) != sorted(cls._fields):
+            raise ValueError(f"malformed certificate: fields must be {', '.join(cls._fields)}")
         try:
             return cls(
                 r=_json_int(data["r"]),
@@ -123,7 +125,7 @@ class HlogCertificate(NamedTuple):
                 quotient=_json_typed(data["quotient"], bool),
                 content_hash=_json_typed(data["content_hash"], str),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (TypeError, IndexError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
 
 
@@ -150,7 +152,7 @@ def _json_pair(value) -> tuple[int, int]:
 
 
 def _content_hash(payload: dict) -> str:
-    import hashlib  # loads OpenSSL, which only certificates need
+    import hashlib  # loads OpenSSL: certify and replay do; numeric's signs skip the hash
 
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -361,6 +363,20 @@ def _check_annihilation(edges: array, epsilon: Sequence[int]) -> None:
         raise InternalError("claimed kernel vector does not annihilate the system")
 
 
+def kernel_epsilon(conics, fiber_orders, bases, quotient: bool) -> tuple[int, ...]:
+    """The +-1 kernel vector of the wedges of `conics` (`enumerate_conics(r)`,
+    r in RANKS) under orderings that pass `_check_orderings` (else
+    ValueError): fiber orders as tuples of pairs, one base per conic. Solved
+    as a signed graph (see the module docstring), then checked on every
+    wedge. A broken structure raises WedgeStructureViolation,
+    KernelDimensionViolation or SignViolation."""
+    _check_orderings(conics, fiber_orders, bases, ValueError)
+    n, edges = _signed_graph(_wedges(wedge_vector, conics, fiber_orders, bases, quotient))
+    epsilon = _signed_graph_kernel(n, edges)
+    _check_annihilation(edges, epsilon)
+    return epsilon
+
+
 def kernel_signs(
     r: int,
     *,
@@ -369,21 +385,16 @@ def kernel_signs(
     bases: Sequence[int] | None = None,
     quotient: bool = False,
 ) -> HlogCertificate:
-    """Compute the +-1 kernel vector over the conic classes of rank r.
+    """The kernel vector (`kernel_epsilon`) as a certificate, with its content hash.
 
     Default orderings are the canonical enumeration with the last fiber as
     base. A seed randomizes fiber orders and bases; explicit `fiber_orders`
-    (full fiber lists) and `bases` win over the seed, and raise ValueError
-    unless `_check_orderings` passes them. The kernel is solved as a signed
-    graph on the conics (see the module docstring), then checked to
-    annihilate every wedge; a broken structure raises
-    WedgeStructureViolation, KernelDimensionViolation or SignViolation.
+    (full fiber lists) and `bases` win over the seed.
     """
     if r not in RANKS:
         raise UnsupportedRank(f"rank must be in 4..8, got {r}")
     conics = enumerate_conics(r)
     rng = random.Random(seed) if seed is not None else None
-
     if fiber_orders is None:
         fiber_orders = [
             f.fibers if rng is None else tuple(rng.sample(f.fibers, len(f.fibers)))
@@ -395,23 +406,17 @@ def kernel_signs(
         bases = [r - 2 if rng is None else rng.randrange(r - 1) for _ in conics]
     else:
         bases = [int(b) for b in bases]
-    _check_orderings(conics, fiber_orders, bases, ValueError)
-
-    n, edges = _signed_graph(_wedges(wedge_vector, conics, fiber_orders, bases, quotient))
-    epsilon = _signed_graph_kernel(n, edges)
-    _check_annihilation(edges, epsilon)
     payload_cert = HlogCertificate(
         r=r,
         conics=tuple(f.cls for f in conics),
         fiber_orders=tuple(tuple(fo) for fo in fiber_orders),
         bases=tuple(bases),
-        epsilon=epsilon,
+        epsilon=kernel_epsilon(conics, fiber_orders, bases, quotient),
         kernel_dimension=1,
         quotient=quotient,
         content_hash="",
     )
-    digest = _content_hash(payload_cert.payload())
-    return payload_cert._replace(content_hash=digest)
+    return payload_cert._replace(content_hash=_content_hash(payload_cert.payload()))
 
 
 def replay(cert: HlogCertificate) -> None:

@@ -1,21 +1,22 @@
-"""W(E_r) as a chain of coset transversals on the lines and conic classes.
+"""W(E_r) as a chain of coset transversals on the lines.
 
-Elements act on the points of X_r: the lines in canonical order, then the
-conic classes (offset by the line count), as uint8 permutations. W_k
-(k = 2..r) is generated by the swaps with generator indices 0..k-2 and, for
-k >= 3, by the Cremona reflection (index r - 1). Its transversal T_k is a
-BFS of the orbit of l_k under W_k: one t with t(l_k) = m per line m of the
-orbit, with its BFS depth. Every element is t_r o ... o t_2 exactly once
-(Sims 1970). A BFS word is a shortest coset representative, and lengths add
-across the parabolic factorization W_k = T_k W_(k-1) (Humphreys, Reflection
-Groups and Coxeter Groups, 1.10), so the length of an element is the sum of
-its depths and its sign, the determinant on Pic, the parity of that sum.
+Elements are uint8 permutations of the lines in canonical order; a conic
+class is the sum of the two lines of any of its fibers, so they fix the
+conic action too. W_k (k = 2..r) is generated by the swaps with generator
+indices 0..k-2 and, for k >= 3, by the Cremona reflection (index r - 1).
+Its transversal T_k is a BFS of the orbit of l_k under W_k: one t with
+t(l_k) = m per line m of the orbit, with its BFS depth. Every element is
+t_r o ... o t_2 exactly once (Sims 1970). A BFS word is a shortest coset
+representative, and lengths add across the parabolic factorization
+W_k = T_k W_(k-1) (Humphreys, Reflection Groups and Coxeter Groups, 1.10),
+so the length of an element is the sum of its depths and its sign, the
+determinant on Pic, the parity of that sum.
 
 The chain is proved, not assumed: the generators of W_(k-1) must fix l_k,
 and every Schreier generator g o t (t in T_k, g a generator of W_k) must sift
 through T_k, ..., T_2 to the identity, else RuntimeError. Then W_(k-1) is the
 stabilizer of l_k and |W_k| = |T_k| |W_(k-1)|. Only the transversal T_r, the
-product of the lower levels (|W(E_6)| x 182 bytes at r = 7) and a byte of
+product of the lower levels (|W(E_6)| x 56 bytes at r = 7) and a byte of
 length per element are kept; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
 
 Elements are these uint8 rows alone; :mod:`dp_hlog.rep_theory` reads the
@@ -25,12 +26,11 @@ characters, the trace on Pic and the W(D_5) class representatives off them.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Sequence
 
 import numpy as np
 
-from .incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
+from .incidence import COUNTS, UnsupportedRank, enumerate_lines
 from .records import Record
 
 
@@ -41,15 +41,14 @@ class GroupTooLarge(ValueError):
 class _GroupData(Record):
     """W(E_r) as T_r o W_(r-1), in chain order with the identity first.
 
-    top holds T_r and lower every element of W_(r-1), as permutations of the
-    lines and then the conic classes; element j * len(lower) + i is
-    top[j] o lower[i], and levels[k] is the length of element k. len() is
-    the group order.
+    top holds T_r and lower every element of W_(r-1), as line permutations;
+    element j * len(lower) + i is top[j] o lower[i], and levels[k] is the
+    length of element k. len() is the group order.
     """
 
     __slots__ = ("top", "lower", "levels")
-    top: np.ndarray  # (|T_r|, points) uint8
-    lower: np.ndarray  # (|W_(r-1)|, points) uint8
+    top: np.ndarray  # (|T_r|, lines) uint8
+    lower: np.ndarray  # (|W_(r-1)|, lines) uint8
     levels: np.ndarray  # (N,) uint8, word length
 
     def __len__(self) -> int:
@@ -64,23 +63,9 @@ class _GroupData(Record):
         return np.convolve(np.bincount(self.levels[::n]), np.bincount(self.levels[:n])).tolist()
 
 
-def point_generators(r: int) -> np.ndarray:
-    """(r, lines + conics) uint8: each generator on the lines, then on the
-    conic classes, a conic going where its first fiber goes."""
-    lt, conics = enumerate_lines(r), enumerate_conics(r)
-    where = {f.cls: len(lt) + k for k, f in enumerate(conics)}
-    rows, firsts = [], [f.fibers[0] for f in conics]
-    for perm in lt.generators:
-        images = [tuple(map(add, lt.lines[perm[i]], lt.lines[perm[j]])) for i, j in firsts]
-        if not all(c in where for c in images):
-            raise RuntimeError("a generator maps a conic class off the conic classes")
-        rows.append(list(perm) + [where[c] for c in images])
-    return np.array(rows, dtype=np.uint8)
-
-
 def _transversal(gens: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """BFS of the orbit of base under gens by left multiplication: one t
-    with t(base) = m per orbit point m, identity first, and its depth."""
+    with t(base) = m per orbit line m, identity first, and its depth."""
     perms, depths, reached = [np.arange(gens.shape[1], dtype=np.uint8)], [0], {base}
     for t, depth in zip(perms, depths):  # both grow while the loop runs
         for g in gens:
@@ -94,7 +79,7 @@ def _transversal(gens: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
 
 def chain(gens: np.ndarray, bases: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T_r, the product W_(r-1) of the lower transversals and the lengths of
-    T_r o W_(r-1), for the point generators gens and bases l_2..l_r.
+    T_r o W_(r-1), for the line generators gens and bases l_2..l_r.
 
     Raises RuntimeError unless the generators of W_(k-1) fix l_k and every
     Schreier generator of W_k sifts to the identity.
@@ -133,7 +118,8 @@ def group_data(r: int) -> _GroupData:
         raise GroupTooLarge("W(E_8) has ~6.96e8 elements; enumeration refused")
     if r not in COUNTS:
         raise UnsupportedRank(f"rank must be in 3..8, got {r}")
-    gd = _GroupData(*chain(point_generators(r), enumerate_lines(r).exceptional[1:]))
+    lt = enumerate_lines(r)
+    gd = _GroupData(*chain(np.array(lt.generators, dtype=np.uint8), lt.exceptional[1:]))
     for rows in (gd.top, gd.lower, gd.levels):
         rows.flags.writeable = False
     return gd

@@ -191,12 +191,8 @@ def bfs_closure(r: int) -> Closure:
 def chain_elements(r: int) -> Iterator[tuple[np.ndarray, int]]:
     """Each element of the chain as (line permutation, length), in chain order."""
     gd = group_data(r)
-    lines = gd.lower[:, : COUNTS[r].lines]
-    k = 0
-    for t in gd.top:
-        for row in t[lines]:
-            yield row, int(gd.levels[k])
-            k += 1
+    rows = (row for t in gd.top for row in t[gd.lower])
+    yield from zip(rows, map(int, gd.levels))
 
 
 def enumerate_group(r: int, lt: LineTable | None = None) -> Iterator[WeylElement]:

@@ -126,6 +126,23 @@ def test_replay_reads_each_field_strictly(tmp_path, field):
     assert replay_artifact["error"].startswith("unreadable certificate: malformed certificate")
 
 
+@pytest.mark.parametrize("change", ["extra field", "missing field"])
+def test_replay_refuses_a_field_it_would_not_read(tmp_path, change):
+    # The content hash covers only the payload, so an added field leaves the
+    # stored hash valid; the reader refuses it before the hash is checked.
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--rank", "4", "--out", str(out)]) == 0
+    artifact = json.loads(out.read_text(encoding="utf-8"))
+    if change == "extra field":
+        artifact["certificate"]["note"] = "unread"
+    else:
+        del artifact["certificate"]["quotient"]
+    out.write_text(json.dumps(artifact), encoding="utf-8")
+    code, replay_artifact = run_json(tmp_path, "r.json", ["replay", str(out)])
+    assert code == 2
+    assert replay_artifact["error"].startswith("unreadable certificate: malformed certificate")
+
+
 def test_replay_missing_file(tmp_path):
     code, artifact = run_json(
         tmp_path, "r.json", ["replay", str(tmp_path / "absent.json")]
@@ -550,20 +567,23 @@ def test_certificate_routes_never_load_numpy(tmp_path):
         )
         assert run.stdout.split() == ["{0}", loaded]
     # hashlib loads OpenSSL's _hashlib, which only the certificate hash needs:
-    # certify's, and that of the certificate numeric takes its signs from.
+    # certify's. numeric reads its signs off the kernel solve, unhashed.
     calls = [["enumerate", "--rank", "4", "--out", out], ["symbols", "--out", out]]
-    for hashed in (["certify", "--rank", "4"], ["numeric", "--rank", "4", "--samples", "1"]):
+    for args, hashed in (
+        (["certify", "--rank", "4"], "True"),
+        (["numeric", "--rank", "4", "--samples", "1"], "False"),
+    ):
         probe = (
             "import sys, dp_hlog.cli; "
             f"codes = [dp_hlog.cli.main(args) for args in {calls!r}]; "
             "before = '_hashlib' in sys.modules; "
-            f"codes.append(dp_hlog.cli.main({hashed + ['--out', out]!r})); "
+            f"codes.append(dp_hlog.cli.main({args + ['--out', out]!r})); "
             "print(set(codes), before, '_hashlib' in sys.modules)"
         )
         run = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
-        assert run.stdout.split() == ["{0}", "False", "True"]
+        assert run.stdout.split() == ["{0}", "False", hashed]
 
 
 def test_certificate_routes_never_load_fractions(tmp_path):

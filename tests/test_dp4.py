@@ -361,15 +361,15 @@ def test_five_term_symbolic_identity_needs_the_kernel_signs(monkeypatch):
     report = dp4.dp4_symbolic_identity(web)
     assert report.terms_per_integral == (2, 2, 6, 6, 16)
     assert report.ambient_dimension == 25
-    aligned = dp4.aligned_certificate
-    assert aligned(4, web.alignment)[1] == (-1, 1, 1, -1, -1)
+    aligned = dp4.aligned_signs
+    assert aligned(4, web.alignment) == (-1, 1, 1, -1, -1)
     for k in range(5):
 
         def flipped(r, alignment, k=k):
-            cert, signs = aligned(r, alignment)
-            return cert, signs[:k] + (-signs[k],) + signs[k + 1 :]
+            signs = aligned(r, alignment)
+            return signs[:k] + (-signs[k],) + signs[k + 1 :]
 
-        monkeypatch.setattr(dp4, "aligned_certificate", flipped)
+        monkeypatch.setattr(dp4, "aligned_signs", flipped)
         with pytest.raises(dp4.SymbolicIdentityViolation):
             dp4.dp4_symbolic_identity(web)
 

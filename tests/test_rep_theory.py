@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp_hlog import d5_data, rep_theory as rt
-from dp_hlog.incidence import COUNTS, enumerate_lines
+from dp_hlog.incidence import COUNTS, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import RankMismatch
 from dp_hlog.weyl import GroupTooLarge, group_data
 
@@ -107,6 +107,37 @@ def test_degrees_at_identity():
         assert rt.reflection_character(r)[0] == r
 
 
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_conic_character_is_the_class_sum_count(r):
+    # Independently of the fiber table: g fixes the conic c when the images
+    # of its first fiber (a, b) sum to c, lines[g(a)] + lines[g(b)] == c,
+    # counted on every element of every block.
+    gd = group_data(r)
+    lines = np.array(enumerate_lines(r).lines, dtype=np.int8)
+    counts = []
+    for t in gd.top:
+        g = t[gd.lower]
+        fixed = np.zeros(len(g), dtype=np.int64)
+        for f in enumerate_conics(r):
+            a, b = f.fibers[0]
+            fixed += np.all(lines[g[:, a]] + lines[g[:, b]] == f.cls, axis=1)
+        counts.append(fixed)
+    assert np.concatenate(counts).tolist() == rt.conic_character(r).tolist()
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_a_first_fiber_mapped_off_the_fibers_raises(monkeypatch, fresh_tables, r):
+    # A conic table that lists each conic's first fiber alone. The group is
+    # transitive on the fibers, so some generator moves a first fiber onto
+    # another fiber, which no longer reads as one. Every generator is a row
+    # read: the swap of l_(r-1) and l_r is in T_r and its own inverse, the
+    # others are in W_(r-1).
+    broken = tuple(f._replace(fibers=f.fibers[:1]) for f in enumerate_conics(r))
+    monkeypatch.setattr(rt, "enumerate_conics", lambda rank: broken)
+    with pytest.raises(rt.InternalError, match="off the fibers"):
+        rt.conic_character(r)
+
+
 def test_reflection_character_value_matches_bulk():
     refl = rt.reflection_character(4)
     for i, e in enumerate(itertools.islice(enumerate_group(4), 60)):
@@ -181,10 +212,10 @@ def test_double_coset_blocks_weigh_to_the_full_sum(r):
     # p_1..p_(r-2), which do not vanish; one block per double coset, times
     # its weight, must give the sum over every block.
     gd = group_data(r)
-    l, step = COUNTS[r].lines, len(gd.lower)
+    step = len(gd.lower)
     sums = []
     for j, t in enumerate(gd.top):
-        powers = rt._power_fixed_counts(t[gd.lower[:, :l]], r - 2)
+        powers = rt._power_fixed_counts(t[gd.lower], r - 2)
         signs = 1 - 2 * (gd.levels[j * step : (j + 1) * step] & 1).astype(np.int64)
         sums.append([int(signs @ rt._elementary_from_powers(powers)), *powers.sum(axis=0)])
     sums = np.array(sums, dtype=np.int64)

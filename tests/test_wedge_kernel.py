@@ -153,10 +153,9 @@ def test_kernel_signs_small_ranks():
 
 
 def test_kernel_signs_rejections():
-    with pytest.raises(UnsupportedRank):
-        wk.kernel_signs(3)
-    with pytest.raises(UnsupportedRank):
-        wk.kernel_signs(9)
+    for r in (2, 3, 9):
+        with pytest.raises(UnsupportedRank, match=r"4\.\.8, got"):
+            wk.kernel_signs(r)
 
 
 def test_kernel_signs_randomized_orderings_stay_valid():
@@ -202,6 +201,21 @@ def test_kernel_signs_requires_one_ordering_per_conic():
     ):
         with pytest.raises(ValueError, match="one base per conic"):
             wk.kernel_signs(5, **kwargs)
+
+
+def test_kernel_epsilon_is_the_certificate_vector():
+    # The hash-free solve gives the certificate's signs and checks the same
+    # orderings.
+    for r, seed, quotient in ((4, 0, False), (5, 1, True), (6, 2, False)):
+        cert = wk.kernel_signs(r, seed=seed, quotient=quotient)
+        epsilon = wk.kernel_epsilon(enumerate_conics(r), cert.fiber_orders, cert.bases, quotient)
+        assert epsilon == cert.epsilon
+    conics = enumerate_conics(5)
+    fibers = [f.fibers for f in conics]
+    with pytest.raises(ValueError, match="one base per conic"):
+        wk.kernel_epsilon(conics, fibers, [3] * 9, False)
+    with pytest.raises(ValueError, match="permute"):
+        wk.kernel_epsilon(conics, [fibers[0][:-1] + ((0, 1),)] + fibers[1:], [3] * 10, False)
 
 
 def test_quotient_matches_unreduced():

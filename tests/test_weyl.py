@@ -10,7 +10,7 @@ from dp_hlog import d5_data
 from dp_hlog.incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import exceptional, hyperplane
 from dp_hlog.rep_theory import _power_fixed_counts, d5_class_representatives
-from dp_hlog.weyl import GroupTooLarge, chain, group_data, point_generators
+from dp_hlog.weyl import GroupTooLarge, chain, group_data
 
 from oracles import (
     bfs_closure,
@@ -100,7 +100,7 @@ def test_a_generator_with_two_images_swapped_fails_the_chain() -> None:
     rng = random.Random(13)
     for r in (4, 6):
         lt = enumerate_lines(r)
-        gens = point_generators(r)
+        gens = np.array(lt.generators, dtype=np.uint8)
         top, lower, levels = chain(gens, _bases(r, lt))
         assert len(top) * len(lower) == len(levels) == COUNTS[r].group_order
         swaps = list(itertools.product(range(r), itertools.combinations(range(gens.shape[1]), 2)))
@@ -112,21 +112,21 @@ def test_a_generator_with_two_images_swapped_fails_the_chain() -> None:
 
 
 def test_group_data_holds_no_array_larger_than_one_block() -> None:
-    # At r = 7 one block is |W(E_6)| = 51,840 elements on 56 lines and 126
-    # conic classes; the group itself (|W| x 56 bytes) is never materialized.
+    # At r = 7 one block is |W(E_6)| = 51,840 elements on 56 lines; the
+    # group itself (|W| x 56 bytes) is never materialized.
     lt = enumerate_lines(7)
-    gens, bases = point_generators(7), _bases(7, lt)
+    gens, bases = np.array(lt.generators, dtype=np.uint8), _bases(7, lt)
     tracemalloc.start()
     try:
         chain(gens, bases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 51840 * 182
+    assert peak < 3 * 51840 * 56
     gd = group_data(7)
     held = [getattr(gd, name) for name in gd.__slots__]
     sizes = [a.size for a in held if isinstance(a, np.ndarray)]
-    assert len(sizes) == 3 and max(sizes) <= 51840 * 182
+    assert len(sizes) == 3 and max(sizes) <= 51840 * 56
     assert len(gd) == COUNTS[7].group_order
 
 

@@ -46,7 +46,6 @@ from .words import Word, asym
 
 _STEP_CAP = 1 << 17
 _CLEARANCE_GRID = 1025
-_CANDIDATES = 4  # endpoints checked per batch while drawing a plan
 # Elements (words x paths x steps) of the top weight in one block of steps
 # of a transport run; each lower weight holds 1/alphabet of the one above.
 _BLOCK = 1 << 13
@@ -329,23 +328,23 @@ def _web(r: int, data: dp4.DP4Data | None):
 def _clear(
     m: _RationalMap,
     pts: Sequence[complex],
-    starts: np.ndarray,
-    stops: np.ndarray,
+    start: tuple[complex, complex],
+    stop: tuple[complex, complex],
     delta: float,
-) -> np.ndarray:
-    """Which planar segments starts[s] -> stops[s] (rows of (x, y)) keep the
-    denominator off zero, |u| below 1/delta and u further than delta from
-    every letter, on _CLEARANCE_GRID points each."""
+) -> bool:
+    """Whether the planar segment start -> stop, each an (x, y) pair, keeps
+    the denominator off zero, |u| below 1/delta and u further than delta
+    from every letter, on _CLEARANCE_GRID points."""
     t = np.linspace(0.0, 1.0, _CLEARANCE_GRID)
-    x, y = (starts[:, i, None] + t * (stops[:, i, None] - starts[:, i, None]) for i in (0, 1))
-    xy = m.powers(x, y)
+    xy = m.powers(*(start[i] + t * (stop[i] - start[i]) for i in (0, 1)))
     d = m.den(*xy)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = m.num(*xy) / d
-        ok = (np.abs(d).min(axis=1) > 1e-12) & (np.abs(u).max(axis=1) < 1.0 / delta)
-        for b in pts:
-            ok &= np.abs(u - b).min(axis=1) > delta
-    return ok
+    return bool(
+        np.abs(d).min() > 1e-12
+        and np.abs(u).max() < 1.0 / delta
+        and all(np.abs(u - b).min() > delta for b in pts)
+    )
 
 
 def _draw_plan(
@@ -355,43 +354,34 @@ def _draw_plan(
     samples: int,
     delta: float,
 ):
-    """A base point and `samples` clear endpoints around it, drawn from rng.
+    """A base point and `samples` >= 1 clear endpoints around it, drawn
+    from rng one candidate at a time.
 
-    Endpoints are drawn in batches of the ones still missing (at most
-    _CANDIDATES), each integral checked once per batch; the plan and the
-    candidate that exhausts the 200 * samples attempts are those of drawing
-    and checking the candidates one at a time.
+    A candidate segment is checked against the integrals in order and
+    rejected by the first one it does not clear. The base point gets 100
+    candidates and the endpoints 200 * samples before PathTooClose.
     """
 
     def cpx(lo: float, hi: float, im_lo: float, im_hi: float) -> complex:
         return complex(rng.uniform(lo, hi), rng.uniform(im_lo, im_hi))
 
-    def clear(starts: list, stops: list) -> np.ndarray:
-        ok = np.ones(len(stops), dtype=bool)
-        starts, stops = np.asarray(starts), np.asarray(stops)
-        for m, pts in zip(maps, letters):
-            ok[ok] = _clear(m, pts, starts[ok], stops[ok], delta)
-        return ok
+    def clear(start: tuple, stop: tuple) -> bool:
+        return all(_clear(m, pts, start, stop, delta) for m, pts in zip(maps, letters))
 
     for _ in range(100):
         xi = (cpx(-1.2, 1.2, 0.1, 0.9), cpx(-1.2, 1.2, -0.9, -0.1))
-        if clear([xi], [(xi[0] + 1e-6, xi[1] + 1e-6j)])[0]:
+        if clear(xi, (xi[0] + 1e-6, xi[1] + 1e-6j)):
             break
     else:
         raise PathTooClose("no admissible base point found")
     plan = []
-    attempts, limit = 0, 200 * samples
-    while len(plan) < samples:
-        if attempts == limit:
-            raise PathTooClose("could not sample enough clear endpoints")
-        batch = min(samples - len(plan), _CANDIDATES, limit - attempts)
-        stops = [
-            (xi[0] + cpx(-0.7, 0.7, -0.7, 0.7), xi[1] + cpx(-0.7, 0.7, -0.7, 0.7))
-            for _ in range(batch)
-        ]
-        plan.extend((xi, p) for p, ok in zip(stops, clear([xi] * batch, stops)) if ok)
-        attempts += batch
-    return plan
+    for _ in range(200 * samples):
+        p = (xi[0] + cpx(-0.7, 0.7, -0.7, 0.7), xi[1] + cpx(-0.7, 0.7, -0.7, 0.7))
+        if clear(xi, p):
+            plan.append((xi, p))
+            if len(plan) == samples:
+                return plan
+    raise PathTooClose("could not sample enough clear endpoints")
 
 
 def _plan_coef(

@@ -255,16 +255,16 @@ def _wedges(producer, conics, fiber_orders, bases, quotient: bool) -> Iterator[W
         yield producer(ConicFibration(f.cls, tuple(order)), base, drop)
 
 
-def _check_orderings(conics, fiber_orders, bases, error: type[Exception]) -> None:
-    """Raise `error` unless each conic has one fiber order, a permutation of
-    its canonical fibers, and one base, the index of one of them."""
+def _check_orderings(conics, fiber_orders, bases) -> None:
+    """Raise ValueError unless each conic has one fiber order, a permutation
+    of its canonical fibers, and one base, the index of one of them."""
     if not len(fiber_orders) == len(bases) == len(conics):
-        raise error(f"need one fiber order and one base per conic ({len(conics)})")
+        raise ValueError(f"need one fiber order and one base per conic ({len(conics)})")
     for f, order, base in zip(conics, fiber_orders, bases):
         if sorted(order) != sorted(f.fibers):
-            raise error("a fiber order does not permute the canonical fibers")
+            raise ValueError("a fiber order does not permute the canonical fibers")
         if not 0 <= base < len(f.fibers):
-            raise error(f"base fiber index {base} out of range 0..{len(f.fibers) - 1}")
+            raise ValueError(f"base fiber index {base} out of range 0..{len(f.fibers) - 1}")
 
 
 def _signed_graph(wedges: Iterable[WedgeVector]) -> tuple[int, array]:
@@ -370,53 +370,41 @@ def kernel_epsilon(conics, fiber_orders, bases, quotient: bool) -> tuple[int, ..
     as a signed graph (see the module docstring), then checked on every
     wedge. A broken structure raises WedgeStructureViolation,
     KernelDimensionViolation or SignViolation."""
-    _check_orderings(conics, fiber_orders, bases, ValueError)
+    _check_orderings(conics, fiber_orders, bases)
     n, edges = _signed_graph(_wedges(wedge_vector, conics, fiber_orders, bases, quotient))
     epsilon = _signed_graph_kernel(n, edges)
     _check_annihilation(edges, epsilon)
     return epsilon
 
 
-def kernel_signs(
-    r: int,
-    *,
-    seed: int | None = None,
-    fiber_orders: Sequence[Sequence[tuple[int, int]]] | None = None,
-    bases: Sequence[int] | None = None,
-    quotient: bool = False,
-) -> HlogCertificate:
+def kernel_signs(r: int, *, seed: int | None = None, quotient: bool = False) -> HlogCertificate:
     """The kernel vector (`kernel_epsilon`) as a certificate, with its content hash.
 
-    Default orderings are the canonical enumeration with the last fiber as
-    base. A seed randomizes fiber orders and bases; explicit `fiber_orders`
-    (full fiber lists) and `bases` win over the seed.
+    Without a seed each conic keeps its canonical fiber order with the last
+    fiber as base; a seed draws every fiber order, then every base, from
+    random.Random(seed).
     """
     if r not in RANKS:
         raise UnsupportedRank(f"rank must be in 4..8, got {r}")
     conics = enumerate_conics(r)
-    rng = random.Random(seed) if seed is not None else None
-    if fiber_orders is None:
-        fiber_orders = [
-            f.fibers if rng is None else tuple(rng.sample(f.fibers, len(f.fibers)))
-            for f in conics
-        ]
+    if seed is None:
+        fiber_orders = tuple(f.fibers for f in conics)
+        bases = (r - 2,) * len(conics)
     else:
-        fiber_orders = [tuple(tuple(p) for p in fo) for fo in fiber_orders]
-    if bases is None:
-        bases = [r - 2 if rng is None else rng.randrange(r - 1) for _ in conics]
-    else:
-        bases = [int(b) for b in bases]
-    payload_cert = HlogCertificate(
+        rng = random.Random(seed)
+        fiber_orders = tuple(tuple(rng.sample(f.fibers, len(f.fibers))) for f in conics)
+        bases = tuple(rng.randrange(r - 1) for _ in conics)
+    cert = HlogCertificate(
         r=r,
         conics=tuple(f.cls for f in conics),
-        fiber_orders=tuple(tuple(fo) for fo in fiber_orders),
-        bases=tuple(bases),
+        fiber_orders=fiber_orders,
+        bases=bases,
         epsilon=kernel_epsilon(conics, fiber_orders, bases, quotient),
         kernel_dimension=1,
         quotient=quotient,
         content_hash="",
     )
-    return payload_cert._replace(content_hash=_content_hash(payload_cert.payload()))
+    return cert._replace(content_hash=_content_hash(cert.payload()))
 
 
 def replay(cert: HlogCertificate) -> None:
@@ -442,14 +430,15 @@ def replay(cert: HlogCertificate) -> None:
         raise ReplayFailure("conic ordering does not match the canonical enumeration")
     if len(cert.epsilon) != len(conics):
         raise ReplayFailure("certificate length mismatch")
-    _check_orderings(conics, cert.fiber_orders, cert.bases, ReplayFailure)
     try:
+        _check_orderings(conics, cert.fiber_orders, cert.bases)
         n, edges = _signed_graph(
             _wedges(_replayed_wedge, conics, cert.fiber_orders, cert.bases, cert.quotient)
         )
         _signed_graph_kernel(n, edges)
         _check_annihilation(edges, cert.epsilon)
     except (
+        ValueError,
         WedgeStructureViolation,
         KernelDimensionViolation,
         SignViolation,

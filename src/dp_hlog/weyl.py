@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .incidence import COUNTS, UnsupportedRank, enumerate_lines
+from .incidence import enumerate_lines
 from .records import Record
 
 
@@ -116,8 +116,6 @@ def group_data(r: int) -> _GroupData:
     so its arrays are read-only)."""
     if r == 8:
         raise GroupTooLarge("W(E_8) has ~6.96e8 elements; enumeration refused")
-    if r not in COUNTS:
-        raise UnsupportedRank(f"rank must be in 3..8, got {r}")
     lt = enumerate_lines(r)
     gd = _GroupData(*chain(np.array(lt.generators, dtype=np.uint8), lt.exceptional[1:]))
     for rows in (gd.top, gd.lower, gd.levels):

@@ -437,9 +437,8 @@ def test_aligned_kernel_signs_all_plus(data):
     for e in align:
         fiber_orders[e.conic] = e.fiber_order
         bases[e.conic] = e.base
-    cert = wedge_kernel.kernel_signs(5, fiber_orders=fiber_orders, bases=bases)
-    assert cert.kernel_dimension == 1
-    assert [cert.epsilon[e.conic] for e in align] == [1] * 10
+    epsilon = wedge_kernel.kernel_epsilon(enumerate_conics(5), fiber_orders, bases, False)
+    assert [epsilon[e.conic] for e in align] == [1] * 10
 
 
 def test_poly_eval_and_diff(data):

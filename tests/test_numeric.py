@@ -594,3 +594,52 @@ def test_batched_plan_gives_up_at_the_same_candidate():
             assert batched == _plan_or_failure(_draw_plan_one_by_one, *args)
             outcomes.add(batched if isinstance(batched, str) else len(batched))
     assert outcomes == {1, 4, "could not sample enough clear endpoints"}
+
+
+@pytest.mark.parametrize(
+    "r, delta, sample_counts, seeds",
+    # At r = 5 and delta = 1e-3, seeds 13 and 17 of the first 32 are the
+    # ones whose 10-sample plans reject a candidate (at integrals 3 and 4).
+    [(4, 0.85, (1, 4), (2, 9, 13)), (5, 1e-3, (10,), (13, 17))],
+)
+def test_plan_checks_each_candidate_once_per_integral(
+    monkeypatch, r, delta, sample_counts, seeds
+):
+    # Each candidate segment meets the integrals in order, one _clear call
+    # each, up to and including the first that rejects it.
+    data, maps, letters, alignment, weight = numeric._web(r, None)
+    index = {id(m): i for i, m in enumerate(maps)}
+    calls = []
+    clear = numeric._clear
+
+    def counted(m, pts, start, stop, delta):
+        calls.append((index[id(m)], start, stop))
+        return clear(m, pts, start, stop, delta)
+
+    monkeypatch.setattr(numeric, "_clear", counted)
+    rejected = 0
+    for samples in sample_counts:
+        for seed in seeds:
+            calls.clear()
+            outcome = _plan_or_failure(
+                numeric._draw_plan, seed, maps, letters, samples, delta
+            )
+            candidates = list(dict.fromkeys((a, b) for _, a, b in calls))
+            expected, accepted = [], []
+            for start, stop in candidates:
+                for i, (m, pts) in enumerate(zip(maps, letters)):
+                    expected.append((i, start, stop))
+                    if not _path_clear_one(m, pts, start, stop, delta):
+                        rejected += 1
+                        break
+                else:
+                    accepted.append((start, stop))
+            assert calls == expected
+            # The first accepted segment is the base point's; a plan that
+            # gives up has drawn 200 * samples endpoints after it.
+            if outcome == "could not sample enough clear endpoints":
+                endpoints = len(candidates) - 1 - candidates.index(accepted[0])
+                assert endpoints == 200 * samples
+            else:
+                assert outcome == accepted[1:]
+    assert rejected

@@ -173,49 +173,54 @@ def test_kernel_signs_randomized_orderings_stay_valid():
     assert base.content_hash != again.content_hash
 
 
-def test_kernel_signs_explicit_orderings():
+def test_kernel_epsilon_explicit_orderings():
     conics = enumerate_conics(5)
-    orders = [tuple(reversed(f.fibers)) for f in conics]
-    cert = wk.kernel_signs(5, fiber_orders=orders, bases=[0] * len(conics))
-    assert cert.kernel_dimension == 1
-    assert all(e in (1, -1) for e in cert.epsilon)
-    assert cert.fiber_orders[0] == tuple(reversed(conics[0].fibers))
-    wk.replay(cert)
-    bad = [conics[0].fibers[:-1] + ((0, 1),)] + [f.fibers for f in conics[1:]]
+    orders = tuple(tuple(reversed(f.fibers)) for f in conics)
+    bases = (0,) * len(conics)
+    epsilon = wk.kernel_epsilon(conics, orders, bases, False)
+    assert all(e in (1, -1) for e in epsilon)
+    # The reversed-order, base-0 certificate replays.
+    cert = wk.HlogCertificate(
+        r=5,
+        conics=tuple(f.cls for f in conics),
+        fiber_orders=orders,
+        bases=bases,
+        epsilon=epsilon,
+        kernel_dimension=1,
+        quotient=False,
+        content_hash="",
+    )
+    wk.replay(cert._replace(content_hash=wk._content_hash(cert.payload())))
+    fibers = [f.fibers for f in conics]
+    bad = [fibers[0][:-1] + ((0, 1),)] + fibers[1:]
     with pytest.raises(ValueError, match="permute"):
-        wk.kernel_signs(5, fiber_orders=bad)
+        wk.kernel_epsilon(conics, bad, [3] * 10, False)
     # r = 5 conics have 4 fibers, so base 4 indexes none.
     with pytest.raises(ValueError, match="out of range"):
-        wk.kernel_signs(5, bases=[0] * 9 + [4])
+        wk.kernel_epsilon(conics, fibers, [0] * 9 + [4], False)
 
 
-def test_kernel_signs_requires_one_ordering_per_conic():
+def test_kernel_epsilon_requires_one_ordering_per_conic():
     # r = 5 has 10 conics; a certificate with 11 entries would fail its own
     # replay, and 9 bases would leave a conic without one.
-    fibers = [f.fibers for f in enumerate_conics(5)]
-    for kwargs in (
-        {"bases": [3] * 9},
-        {"bases": [3] * 11},
-        {"bases": [3] * 10 + [99]},
-        {"fiber_orders": fibers + fibers[:1]},
+    conics = enumerate_conics(5)
+    fibers = [f.fibers for f in conics]
+    for orders, bases in (
+        (fibers, [3] * 9),
+        (fibers, [3] * 11),
+        (fibers, [3] * 10 + [99]),
+        (fibers + fibers[:1], [3] * 10),
     ):
         with pytest.raises(ValueError, match="one base per conic"):
-            wk.kernel_signs(5, **kwargs)
+            wk.kernel_epsilon(conics, orders, bases, False)
 
 
 def test_kernel_epsilon_is_the_certificate_vector():
-    # The hash-free solve gives the certificate's signs and checks the same
-    # orderings.
+    # The hash-free solve gives the certificate's signs.
     for r, seed, quotient in ((4, 0, False), (5, 1, True), (6, 2, False)):
         cert = wk.kernel_signs(r, seed=seed, quotient=quotient)
         epsilon = wk.kernel_epsilon(enumerate_conics(r), cert.fiber_orders, cert.bases, quotient)
         assert epsilon == cert.epsilon
-    conics = enumerate_conics(5)
-    fibers = [f.fibers for f in conics]
-    with pytest.raises(ValueError, match="one base per conic"):
-        wk.kernel_epsilon(conics, fibers, [3] * 9, False)
-    with pytest.raises(ValueError, match="permute"):
-        wk.kernel_epsilon(conics, [fibers[0][:-1] + ((0, 1),)] + fibers[1:], [3] * 10, False)
 
 
 def test_quotient_matches_unreduced():
@@ -266,10 +271,10 @@ def test_base_choice_flips_are_absorbed():
     # Base and fiber-order changes perturb each wedge by +-1 only, so the
     # kernel stays one-dimensional with +-1 entries whatever we choose.
     conics = enumerate_conics(4)
+    fibers = [f.fibers for f in conics]
     for base in (0, 1, 2):
-        cert = wk.kernel_signs(4, bases=[base] * len(conics))
-        assert cert.kernel_dimension == 1
-        assert all(e in (1, -1) for e in cert.epsilon)
+        epsilon = wk.kernel_epsilon(conics, fibers, [base] * len(conics), False)
+        assert all(e in (1, -1) for e in epsilon)
 
 
 def _graph(*entries):

@@ -376,8 +376,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("numeric", help="numerical functional identities")
     add_common(p, NUMERIC_DEFAULTS.keys())
-    p.add_argument("--gamma", type=_fraction_arg, default=None)
-    p.add_argument("--pi", type=_fraction_arg, default=None)
+    for flag in ("--gamma", "--pi"):
+        # argparse reads "-3/4" after a space as an option, not a value.
+        p.add_argument(
+            flag, type=_fraction_arg, default=None,
+            help="rank-5 web parameter, a rational such as 1/3; "
+            f"give a negative one as {flag}=-3/4",
+        )
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -6,22 +6,21 @@ value of the word with that letter removed. This module integrates the full
 word-indexed system along the pullbacks of planar segments under the first
 integrals of a web with a fixed-step fourth-order scheme, doubling the step
 count until the values stabilize; the reported error estimate is never below
-the observed halving discrepancy. The paths of
-one call (every first integral times every sample) are transported integral
-by integral in groups of a fixed number of paths, one batch per group, so
-memory follows the group, not samples times integrals. Each path keeps its
-own step doubling and leaves its batch once it has converged. A run of n
-steps goes over blocks of steps and, within a block, weight by weight: the
-RK4 stages of every word of one weight at every step of the block are outer
-products of the letter coefficients with the stage inputs of the weight
-below, and the values at the step starts are a running sum of the
-increments. Coefficients come from vectorised evaluations per first integral
-over its active paths, each over a bounded number of nodes, on one grid of
-dyadic nodes that each doubling extends by its midpoints instead of
-rebuilding; an integral's numerator, denominator and gradients share one
-table of powers. Every element goes through the float operations of a lone
-path transported step by step on fresh nodes, in the same order, so values
-and error estimates are bit-identical to that route whatever the group size,
+the observed halving discrepancy. One transport batch holds one first
+integral's segments, in groups of at most a fixed number of paths, so memory
+follows the group, not samples times integrals. Each path keeps its own step
+doubling and leaves its batch once it has converged. A run of n steps goes
+over blocks of steps and, within a block, weight by weight: the RK4 stages
+of every word of one weight at every step of the block are outer products of
+the letter coefficients with the stage inputs of the weight below, and the
+values at the step starts are a running sum of the increments. Coefficients
+come from vectorised evaluations of the batch's first integral over its
+active paths, each over a bounded number of nodes, on one grid of dyadic
+nodes that each doubling extends by its midpoints instead of rebuilding; the
+integral's numerator, denominator and gradients share one table of powers.
+Every element goes through the float operations of a lone path transported
+step by step on fresh nodes, in the same order, so values and error
+estimates are bit-identical to that route whatever the group size,
 evaluation size or block width.
 
 The first integrals come from the webs the dp4 module derives from a point
@@ -49,10 +48,11 @@ _CLEARANCE_GRID = 1025
 # Elements (words x paths x steps) of the top weight in one block of steps
 # of a transport run; each lower weight holds 1/alphabet of the one above.
 _BLOCK = 1 << 13
-# Paths of one transport batch when a sample plan is transported; each
-# coefficient table of the batch holds (2n + 1) x paths x letters values.
-# Smaller groups lower the peak a little more but free and map memory more
-# often: at 20 paths, `all --rank 4/5` took 11-15% more page faults.
+# Segments of one first integral per transport batch when a sample plan is
+# transported; each coefficient table of the batch holds (2n + 1) x paths x
+# letters values. Smaller groups lower the peak a little more but free and
+# map memory more often: at 200 rank-5 samples, groups of 20 took 2.9 times
+# the page faults of groups of 40, for the same CPU time.
 _GROUP = 40
 # (node, path) pairs of one evaluation of a first integral's coefficients;
 # its temporaries take 100-350 bytes per pair.
@@ -385,34 +385,29 @@ def _draw_plan(
 
 
 def _plan_coef(
-    maps: Sequence[_RationalMap],
-    letters: Sequence[tuple[complex, ...]],
+    m: _RationalMap,
+    pts: Sequence[complex],
     plan: Sequence[tuple[tuple[complex, complex], tuple[complex, complex]]],
-) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
-    """Batched letter coefficients of every (integral, segment) path of the
-    plan, path i * len(plan) + s being integral i on segment s, and the path
-    count. The paths asked for come in ascending order, so those of one
-    integral are one slice. It is filled in pieces of at most _NODES (node,
-    path) pairs, but of at least two nodes: numpy sums a polynomial's
-    monomials in another order when it evaluates it at one point alone."""
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Batched letter coefficients of one first integral on the planar
+    segments of the plan, path s being segment s. It is filled in pieces of
+    at most _NODES (node, path) pairs, but of at least two nodes: numpy sums
+    a polynomial's monomials in another order when it evaluates it at one
+    point alone."""
     starts = np.asarray([xi for xi, _ in plan])
     stops = np.asarray([p for _, p in plan])
-    pts = [np.asarray(row) for row in letters]
-    firsts = np.arange(len(maps) + 1) * len(plan)
+    pts = np.asarray(pts)
 
     def coef(paths: np.ndarray, t: np.ndarray) -> np.ndarray:
-        out = np.empty((len(t), len(paths), len(pts[0])), dtype=complex)
-        bounds = np.searchsorted(paths, firsts)
-        for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
-            lo, hi = bounds[i], bounds[i + 1]
-            s = paths[lo:hi] - firsts[i]
-            pieces = min(len(t) // 2, -(-len(t) // max(2, _NODES // (hi - lo))))
-            edges = [len(t) * k // pieces for k in range(pieces + 1)]
-            for a, b in zip(edges, edges[1:]):
-                out[a:b, lo:hi] = maps[i].forms(starts[s], stops[s], t[a:b], pts[i])
+        out = np.empty((len(t), len(paths), len(pts)), dtype=complex)
+        pieces = min(len(t) // 2, -(-len(t) // max(2, _NODES // len(paths))))
+        edges = [len(t) * k // pieces for k in range(pieces + 1)]
+        start, stop = starts[paths], stops[paths]
+        for a, b in zip(edges, edges[1:]):
+            out[a:b] = m.forms(start, stop, t[a:b], pts)
         return out
 
-    return coef, len(plan) * len(maps)
+    return coef
 
 
 def _plan_terms(
@@ -425,30 +420,28 @@ def _plan_terms(
     """Antisymmetric values and error estimates of every integral on every
     planar segment of the plan, segment by segment.
 
-    The (integral, segment) paths go integral by integral, in groups of
-    _GROUP consecutive paths, one transport batch per group; so a batch's
-    coefficient tables grow with the group, not with the plan. A path's
-    values and error are those of a lone transport, whatever the group. A
-    failure raises from the first group that fails.
+    Each first integral's segments go in groups of at most _GROUP, one
+    transport batch per group; so a batch's coefficient tables grow with the
+    group, not with the plan. A path's values and error are those of a lone
+    transport, whatever the group. A failure raises from the first group
+    that fails.
     """
-    coef, count = _plan_coef(maps, letters, plan)
     alphabet = len(letters[0])
     index = _word_system(alphabet, weight)
     combination = [(index[w], float(c)) for w, c in asym(tuple(range(weight)))]
-    terms = [0j] * count
-    errors = [0.0] * count
-    for lo in range(0, count, _GROUP):
-        size = min(_GROUP, count - lo)
-        values, errs = _rk4_batch(
-            lambda paths, t, lo=lo: coef(paths + lo, t),
-            size, alphabet, weight, quad_tol,
-        )
-        for p, row, err in zip(range(lo, lo + size), values, errs.tolist()):
-            integral, segment = divmod(p, len(plan))
-            k = segment * len(maps) + integral
-            for i, c in combination:
-                terms[k] += c * complex(row[i])
-            errors[k] = err
+    terms = [0j] * (len(plan) * len(maps))
+    errors = [0.0] * len(terms)
+    for integral, (m, pts) in enumerate(zip(maps, letters)):
+        for lo in range(0, len(plan), _GROUP):
+            group = plan[lo : lo + _GROUP]
+            values, errs = _rk4_batch(
+                _plan_coef(m, pts, group), len(group), alphabet, weight, quad_tol
+            )
+            for segment, (row, err) in enumerate(zip(values, errs.tolist()), lo):
+                k = segment * len(maps) + integral
+                for i, c in combination:
+                    terms[k] += c * complex(row[i])
+                errors[k] = err
     return terms, errors
 
 

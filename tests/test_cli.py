@@ -421,6 +421,19 @@ def test_numeric_parameter_gates():
     assert cli.main(["all", "--rank", "4", "--threads", "2"]) == 2
 
 
+def test_a_negative_gamma_or_pi_needs_an_equals_sign(capsys):
+    # argparse reads "-3/4" after a space as an option: a usage error.
+    for flag in ("--gamma", "--pi"):
+        args = ["numeric", "--rank", "5", "--samples", "1"]
+        assert cli.main(args + [flag, "-3/4"]) == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+        assert cli.main(args + [f"{flag}=-3/4"]) == 0
+        assert json.loads(capsys.readouterr().out)[flag[2:]] == "-3/4"
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(["numeric", "--help"])
+    assert "--gamma=-3/4" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("subcommand", ["numeric", "all"])
 def test_tol_must_be_finite_and_positive(subcommand, tol):

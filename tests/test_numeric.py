@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dp_hlog.cli import NUMERIC_DEFAULTS
 from dp_hlog.hyperlog import dp4, numeric
 from dp_hlog.hyperlog.words import shuffle
 from dp_hlog.incidence import enumerate_conics, enumerate_lines
@@ -218,10 +219,17 @@ def test_identity_is_nonvacuous():
 
 
 def _plan_batch(r, seed):
+    # Every first integral on one sample's segment as one batch, one path
+    # per integral: _rk4_batch reads any coefficient callback, and the route
+    # gives each integral its own.
     data, maps, letters, alignment, weight = numeric._web(r, None)
     plan = numeric._draw_plan(random.Random(seed), maps, letters, 1, 1e-3)
-    coef, count = numeric._plan_coef(maps, letters, plan)
-    return coef, count, len(letters[0]), weight
+    coefs = [numeric._plan_coef(m, pts, plan) for m, pts in zip(maps, letters)]
+
+    def coef(paths, t):
+        return np.concatenate([coefs[p](np.zeros(1, dtype=int), t) for p in paths], axis=1)
+
+    return coef, len(coefs), len(letters[0]), weight
 
 
 def test_mixed_batch_matches_single_paths():
@@ -371,6 +379,7 @@ def test_block_width_does_not_change_bits(monkeypatch, block, fold_rows):
     "group, nodes",
     [
         (1, numeric._NODES),
+        (3, numeric._NODES),
         (numeric._GROUP, numeric._NODES),
         (10**9, numeric._NODES),
         (numeric._GROUP, 1),
@@ -378,10 +387,10 @@ def test_block_width_does_not_change_bits(monkeypatch, block, fold_rows):
     ],
 )
 def test_group_size_does_not_change_bits(monkeypatch, group, nodes):
-    # One path per batch, the default, and the whole plan in one batch; with
-    # the default group, coefficients one node row at a time and all nodes
-    # at once. Ten r = 4 samples and five r = 5 samples make 50 paths each,
-    # so the default group splits both plans. The reference transports
+    # One path per batch, three, the default, and each integral's segments
+    # in one batch; with the default group, coefficients one node row at a
+    # time and all nodes at once. Groups of three split the ten r = 4 and
+    # the five r = 5 segments of each integral. The reference transports
     # each sample as a plan of its own, so it also pins the segment-major
     # order of the terms.
     plans = {}
@@ -402,6 +411,50 @@ def test_group_size_does_not_change_bits(monkeypatch, group, nodes):
         terms, errors = numeric._plan_terms(maps, letters, plan, weight, 1e-9)
         assert terms == reference[r][0]
         assert errors == reference[r][1]
+
+
+@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("samples", [None, 53])
+def test_no_batch_mixes_integrals(monkeypatch, r, samples):
+    # Every coefficient call of a transport batch evaluates one first
+    # integral, on as many segments as it asks paths for; a batch holds at
+    # most _GROUP paths, and each integral's segments fill
+    # ceil(samples / _GROUP) batches. None is the route's default count.
+    default, tol = NUMERIC_DEFAULTS[r]
+    samples = samples or default
+    forms = numeric._RationalMap.forms
+    rk4 = numeric._rk4_batch
+    evaluated, batches = [], []
+
+    def watched_forms(self, start, stop, t, pts):
+        evaluated.append((self, len(start)))
+        return forms(self, start, stop, t, pts)
+
+    def watched_batch(coef, count, *args):
+        maps = set()
+
+        def watched(paths, t):
+            evaluated.clear()
+            out = coef(paths, t)
+            assert evaluated and {n for _, n in evaluated} == {len(paths)}
+            maps.update(m for m, _ in evaluated)
+            return out
+
+        result = rk4(watched, count, *args)
+        batches.append((maps, count))
+        return result
+
+    monkeypatch.setattr(numeric._RationalMap, "forms", watched_forms)
+    monkeypatch.setattr(numeric, "_rk4_batch", watched_batch)
+    assert numeric.verify_identity_numeric(r, samples, tol, seed=1).passed
+    assert all(len(maps) == 1 and count <= numeric._GROUP for maps, count in batches)
+    per_integral = {}
+    for (m,), count in batches:
+        per_integral.setdefault(m, []).append(count)
+    assert len(per_integral) == (5 if r == 4 else 10)
+    for counts in per_integral.values():
+        assert sum(counts) == samples
+        assert len(counts) == -(-samples // numeric._GROUP)
 
 
 def _node_batches(n, size):
@@ -456,10 +509,10 @@ def test_plan_terms_never_evaluate_one_element(monkeypatch, r, seed):
 
 
 def test_transport_memory_is_bounded_by_the_group():
-    # 40 rank-5 samples are 400 paths. Transported in one batch, their
-    # coefficient tables and the doubling copies peaked at 14.3 MiB; in
-    # groups of 40 paths the route peaks near 3.3 MiB (2.4 MiB at 10
-    # samples).
+    # 40 rank-5 samples are 400 paths: ten integrals of 40 segments, one
+    # transport batch each. Transported in one batch, their coefficient
+    # tables and the doubling copies peaked at 13.1 MiB; one integral's
+    # segments per batch peak near 2.7 MiB (1.4 MiB at 10 samples).
     tracemalloc.start()
     try:
         report = numeric.verify_identity_numeric(5, samples=40, tol=1e-6, seed=1)
@@ -538,68 +591,20 @@ def _path_clear_one(m, pts, start, stop, delta):
     return all(np.min(np.abs(u - b)) > delta for b in pts)
 
 
-def _draw_plan_one_by_one(rng, maps, letters, samples, delta):
-    """The sample plan, drawing and checking one candidate at a time."""
-
-    def cpx(lo, hi, im_lo, im_hi):
-        return complex(rng.uniform(lo, hi), rng.uniform(im_lo, im_hi))
-
-    def clear(start, stop):
-        return all(_path_clear_one(m, pts, start, stop, delta) for m, pts in zip(maps, letters))
-
-    for _ in range(100):
-        xi = (cpx(-1.2, 1.2, 0.1, 0.9), cpx(-1.2, 1.2, -0.9, -0.1))
-        if clear(xi, (xi[0] + 1e-6, xi[1] + 1e-6j)):
-            break
-    else:
-        raise numeric.PathTooClose("no admissible base point found")
-    plan, attempts = [], 0
-    while len(plan) < samples:
-        attempts += 1
-        if attempts > 200 * samples:
-            raise numeric.PathTooClose("could not sample enough clear endpoints")
-        p = (xi[0] + cpx(-0.7, 0.7, -0.7, 0.7), xi[1] + cpx(-0.7, 0.7, -0.7, 0.7))
-        if clear(xi, p):
-            plan.append((xi, p))
-    return plan
-
-
-def _plan_or_failure(draw, seed, maps, letters, samples, delta):
+def _plan_or_failure(seed, maps, letters, samples, delta):
     try:
-        return draw(random.Random(seed), maps, letters, samples, delta)
+        return numeric._draw_plan(random.Random(seed), maps, letters, samples, delta)
     except numeric.PathTooClose as exc:
         return str(exc)
 
 
-@pytest.mark.parametrize("r", [4, 5])
-def test_batched_plan_equals_the_one_by_one_plan(r):
-    data, maps, letters, alignment, weight = numeric._web(r, None)
-    samples = 20 if r == 4 else 10
-    for seed in range(32):
-        args = (seed, maps, letters, samples, 1e-3)
-        assert _plan_or_failure(numeric._draw_plan, *args) == _plan_or_failure(
-            _draw_plan_one_by_one, *args
-        )
-
-
-def test_batched_plan_gives_up_at_the_same_candidate():
-    # At this delta most base points and endpoints are rejected: some plans
-    # run out of their 200 * samples attempts, others just make it.
-    data, maps, letters, alignment, weight = numeric._web(4, None)
-    outcomes = set()
-    for samples in (1, 4):
-        for seed in (2, 9, 13):
-            args = (seed, maps, letters, samples, 0.85)
-            batched = _plan_or_failure(numeric._draw_plan, *args)
-            assert batched == _plan_or_failure(_draw_plan_one_by_one, *args)
-            outcomes.add(batched if isinstance(batched, str) else len(batched))
-    assert outcomes == {1, 4, "could not sample enough clear endpoints"}
-
-
 @pytest.mark.parametrize(
     "r, delta, sample_counts, seeds",
-    # At r = 5 and delta = 1e-3, seeds 13 and 17 of the first 32 are the
-    # ones whose 10-sample plans reject a candidate (at integrals 3 and 4).
+    # At r = 4 and delta = 0.85 most base points and endpoints are
+    # rejected: some plans run out of their 200 * samples attempts, others
+    # just make it. At r = 5 and delta = 1e-3, seeds 13 and 17 of the first
+    # 32 are the ones whose 10-sample plans reject a candidate (at integrals
+    # 3 and 4).
     [(4, 0.85, (1, 4), (2, 9, 13)), (5, 1e-3, (10,), (13, 17))],
 )
 def test_plan_checks_each_candidate_once_per_integral(
@@ -618,12 +623,12 @@ def test_plan_checks_each_candidate_once_per_integral(
 
     monkeypatch.setattr(numeric, "_clear", counted)
     rejected = 0
+    seen = set()
     for samples in sample_counts:
         for seed in seeds:
             calls.clear()
-            outcome = _plan_or_failure(
-                numeric._draw_plan, seed, maps, letters, samples, delta
-            )
+            outcome = _plan_or_failure(seed, maps, letters, samples, delta)
+            seen.add(outcome if isinstance(outcome, str) else len(outcome))
             candidates = list(dict.fromkeys((a, b) for _, a, b in calls))
             expected, accepted = [], []
             for start, stop in candidates:
@@ -643,3 +648,4 @@ def test_plan_checks_each_candidate_once_per_integral(
             else:
                 assert outcome == accepted[1:]
     assert rejected
+    assert seen == ({1, 4, "could not sample enough clear endpoints"} if r == 4 else {10})

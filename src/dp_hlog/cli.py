@@ -62,7 +62,6 @@ def _deferred(name: str):
     return module
 
 
-d5_data = _deferred(__package__ + ".d5_data")
 weyl = _deferred(__package__ + ".weyl")
 rep_theory = _deferred(__package__ + ".rep_theory")
 hwords = _deferred(__package__ + ".hyperlog.words")
@@ -78,6 +77,14 @@ EXIT_NUMERIC = 6
 
 # Rank -> (line_norm, conic_norm); its keys are the ranks `characters` runs at.
 EXPECTED_NORMS = {4: (3, 2), 5: (3, 3), 6: (3, 3), 7: (4, 5)}
+# `characters --rank 5 --d5-full`: the line character chi (16 lines) and its
+# alternating cube on the classes of rep_theory.CLASS_LABELS, the
+# multiplicities of the irreducibles (rep_theory.IRREDUCIBLE_LABELS) in that
+# cube, and the irreducibles in chi.
+D5_CHI = (16, 0, 0, 8, 0, 0, 0, 4, 0, 0, 4, 0, 0, 2, 0, 2, 0, 1)
+D5_WEDGE3 = (560, 0, 0, 24, 0, 0, 0, -20, 0, 0, 8, 0, 0, 0, 0, -2, 0, 0)
+D5_WEDGE3_MULTS = (1, 1, 0, 4, 5, 4, 1, 1, 6, 0, 5, 6, 3, 3, 1, 2, 2, 0)
+D5_CHI_PARTS = ("[.5]", "[1.4]", "[2.3]")
 # Rank -> default (samples, tol) of the numeric route; its keys are its ranks.
 NUMERIC_DEFAULTS = {4: (20, 1e-8), 5: (10, 1e-6)}
 
@@ -190,7 +197,7 @@ def _route_characters(config: RunConfig) -> tuple[dict, int]:
         chi_dec = rep_theory.d5_decompose(chi)
         wedge_dec = rep_theory.d5_decompose(wedge)
         chi_parts = tuple(
-            sorted(d5_data.IRREDUCIBLE_LABELS[s] for s, m in enumerate(chi_dec) if m)
+            sorted(rep_theory.IRREDUCIBLE_LABELS[s] for s, m in enumerate(chi_dec) if m)
         )
         artifact["d5"] = {
             "chi": list(chi),
@@ -200,10 +207,10 @@ def _route_characters(config: RunConfig) -> tuple[dict, int]:
         }
         ok = (
             ok
-            and chi == d5_data.D5_CHI
-            and wedge == d5_data.D5_WEDGE3
-            and wedge_dec == d5_data.D5_WEDGE3_MULTS
-            and chi_parts == d5_data.D5_CHI_PARTS
+            and chi == D5_CHI
+            and wedge == D5_WEDGE3
+            and wedge_dec == D5_WEDGE3_MULTS
+            and chi_parts == D5_CHI_PARTS
         )
     artifact["matches_expected"] = ok
     return artifact, EXIT_OK if ok else EXIT_CHARACTER

@@ -14,26 +14,27 @@ element i of the chain order of weyl.group_data. Constancy on conjugacy
 classes is a property of the construction, spot-checked in tests. The
 per-rank caches hand out read-only arrays.
 
-The type D5 character table (r = 5) is embedded in :mod:`dp_hlog.d5_data`,
-so that case decomposes completely: its 18 class representatives are rows
-composed from GAP's class words, and their values go through the same
-power-sum kernel as the group sums. For r = 6, 7 no tables are embedded;
-only norms and the trivial/reflection projections are certified, which is
-exactly what the kernel certificate needs.
+At r = 5 the D5 character table is computed, not transcribed: a class of
+W(E_5) = W(D_5) is the signed cycle type of its action on the five conic
+pairs {c, -K - c}, one scan of the chain finds each class's size and first
+element, and the Murnaghan-Nakayama rule of type B gives the values. For
+r = 6, 7 no tables are built; only norms and the trivial/reflection
+projections are certified, which is exactly what the kernel certificate
+needs.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import d5_data
 from .errors import InternalError
 from .incidence import COUNTS, enumerate_conics, enumerate_lines
-from .lattice import RankMismatch
+from .lattice import RankMismatch, canonical
 from .weyl import group_data
 
 
@@ -42,7 +43,7 @@ from .weyl import group_data
 _PIECE = 1 << 12
 
 
-class NotACharacter(ValueError):
+class NotACharacter(InternalError):
     """Decomposition against the character table gave a non-integer."""
 
 
@@ -106,24 +107,33 @@ class _Values(NamedTuple):
     reflection: np.ndarray  # trace on Pic minus 1
 
 
-@lru_cache(maxsize=None)
-def _values(r: int) -> _Values:
-    """The three characters one block t o W_(r-1) at a time, no block
-    composed: t o w fixes x where w(x) = t^-1(x), and the trace reads the
-    images t(w(k)) of the spanning lines k alone. An element maps conic c
-    to the conic of the images of c's first fiber, read off a table of the
-    fiber pairs; an image pair that is no fiber raises InternalError."""
-    gd, conics = group_data(r), enumerate_conics(r)
-    step, kappa, l = len(gd.lower), len(conics), COUNTS[r].lines
+def _conic_images(perms: np.ndarray, r: int) -> np.ndarray:
+    """(n, kappa) conic images under the line permutation rows: a row maps
+    conic c to the conic of the images of c's first fiber, read off a table
+    of the fiber pairs; an image pair that is no fiber raises InternalError."""
+    conics, l = enumerate_conics(r), COUNTS[r].lines
+    kappa = len(conics)
     fiber_conic = np.full((l, l), kappa, dtype=np.min_scalar_type(kappa))
     for c, f in enumerate(conics):
         for i, j in f.fibers:
             fiber_conic[i, j] = fiber_conic[j, i] = c
     a, b = np.array([f.fibers[0] for f in conics]).T
-    inverses = np.argsort(gd.top, axis=1).astype(np.uint8)
-    lower_conics, inverse_conics = (fiber_conic[x[:, a], x[:, b]] for x in (gd.lower, inverses))
-    if (lower_conics == kappa).any() or (inverse_conics == kappa).any():
+    images = fiber_conic[perms[:, a], perms[:, b]]
+    if (images == kappa).any():
         raise InternalError("a group element maps a first fiber off the fibers")
+    return images
+
+
+@lru_cache(maxsize=None)
+def _values(r: int) -> _Values:
+    """The three characters one block t o W_(r-1) at a time, no block
+    composed: t o w fixes x where w(x) = t^-1(x), and the trace reads the
+    images t(w(k)) of the spanning lines k alone. Conics go by
+    `_conic_images`."""
+    gd = group_data(r)
+    step = len(gd.lower)
+    inverses = np.argsort(gd.top, axis=1).astype(np.uint8)
+    lower_conics, inverse_conics = (_conic_images(x, r) for x in (gd.lower, inverses))
     table, kcols = _trace_table(r)
     rows, spans = np.arange(len(kcols)), gd.lower[:, kcols]
     out = _Values(*(np.empty(len(gd), dtype=np.int8) for _ in range(3)))
@@ -209,65 +219,119 @@ def signature_multiplicity(r: int) -> int:
     return int(mult)
 
 
-def d5_class_representatives() -> np.ndarray:
-    """(18, 16) uint8: row k represents the class of the k-th column of the
-    embedded character table of W(D_5) = W(E_5).
+# W(D_5) = W(E_5): its classes and irreducibles, each named by a bipartition
+# of 5 as in GAP3's CharTable(CoxeterGroup("D", 5)). Both orders and
+# spellings reach the artifact.
+CLASS_LABELS: tuple[str, ...] = (
+    "(1^5.)", "(1^3.1^2)", "(1.1^4)", "(21^3.)", "(1^2.21)", "(21.1^2)",
+    "(.21^3)", "(221.)", "(1.22)", "(2.21)", "(311.)", "(1.31)",
+    "(3.11)", "(32.)", "(.32)", "(41.)", "(.41)", "(5.)",
+)
+IRREDUCIBLE_LABELS: tuple[str, ...] = (
+    "[1^2.1^3]", "[1.1^4]", "[.1^5]", "[1^3.2]", "[1^2.21]", "[1.21^2]",
+    "[.21^3]", "[1.2^2]", "[2.21]", "[.2^21]", "[1^2.3]", "[1.31]",
+    "[.31^2]", "[2.3]", "[.32]", "[1.4]", "[.41]", "[.5]",
+)
 
-    Row k composes the line permutations s_(w_1) o ... o s_(w_n) of GAP's
-    CoxeterWord for class k, translated generator by generator through the
-    Dynkin relabeling d5_data.ZETA_TO_S into the fundamental-root indexing.
-    """
-    gens = np.array(enumerate_lines(5).generators, dtype=np.uint8)
-    reps = np.empty((18, gens.shape[1]), dtype=np.uint8)
-    for k, zeta_word in enumerate(d5_data.CLASS_WORDS):
-        perm = np.arange(gens.shape[1], dtype=np.uint8)
-        for z in zeta_word:
-            perm = perm[gens[d5_data.ZETA_TO_S[z] - 1]]
-        reps[k] = perm
-    return reps
+
+def _bipartition(label: str) -> tuple[tuple[int, ...], ...]:
+    """'(21^3.)' -> ((2, 1, 1, 1), ()): each part a digit with an optional
+    ^k repeat, so '221' and '2^21' read alike."""
+    return tuple(
+        tuple(int(d) for d, k in re.findall(r"(\d)(?:\^(\d))?", side) for _ in range(int(k or 1)))
+        for side in label[1:-1].split(".")
+    )
+
+
+def _signed_cycle_type(images: list[int], partner: list[int]) -> tuple[tuple[int, ...], ...]:
+    """(lambda, mu) of a conic permutation that commutes with c -> -K - c =
+    partner[c]. A k-cycle of the pairs that returns a pair unswapped is two
+    k-cycles of conics and a part k of lambda; one that swaps it is a single
+    2k-cycle through both conics of the pair and a part k of mu."""
+    lam, mu, seen = [], [], set()
+    for c in range(len(images)):
+        if c not in seen:
+            cycle = [c]
+            while images[cycle[-1]] != c:
+                cycle.append(images[cycle[-1]])
+            seen.update(cycle, (partner[x] for x in cycle))
+            if partner[c] in cycle:
+                mu.append(len(cycle) // 2)
+            else:
+                lam.append(len(cycle))
+    return tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True))
 
 
 @lru_cache(maxsize=None)
-def d5_class_sizes() -> tuple[int, ...]:
-    """Conjugacy class sizes for the 18 embedded representatives.
+def d5_classes() -> tuple[np.ndarray, tuple[int, ...]]:
+    """(representatives, sizes) of the classes of CLASS_LABELS: the first
+    chain element of each signed cycle type on the conic pairs, as a
+    read-only (18, 16) uint8 array, and the number of elements of the type,
+    from one scan of W(E_5)."""
+    gd, conics = group_data(5), enumerate_conics(5)
+    elements = gd.top[:, gd.lower].reshape(len(gd), -1)
+    index = {f.cls: c for c, f in enumerate(conics)}
+    partner = [index[tuple(-k - x for k, x in zip(canonical(5), f.cls))] for f in conics]
+    kinds = [_signed_cycle_type(images, partner) for images in _conic_images(elements, 5).tolist()]
+    types = [_bipartition(label) for label in CLASS_LABELS]
+    if set(kinds) != set(types):
+        raise InternalError(f"cycle types and class labels differ: {set(kinds) ^ set(types)}")
+    reps = elements[[kinds.index(t) for t in types]]
+    reps.flags.writeable = False
+    return reps, tuple(kinds.count(t) for t in types)
 
-    Computed as conjugation orbits under the generators, then guarded by the
-    row orthogonality of the embedded table (a transcription checksum).
-    """
-    gens = enumerate_lines(5).generators
-    sizes = []
-    covered: set[tuple[int, ...]] = set()
-    for perm in map(tuple, d5_class_representatives().tolist()):
-        orbit, frontier = {perm}, [perm]
-        for p in frontier:  # grows while the loop runs
-            for s in gens:
-                q = tuple(s[p[s[i]]] for i in range(len(p)))
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
-        if orbit & covered:
-            raise InternalError("representatives do not hit distinct classes")
-        covered |= orbit
-        sizes.append(len(orbit))
-    if sum(sizes) != COUNTS[5].group_order:
-        raise InternalError("class sizes do not partition the group")
-    table = d5_data.CHARACTER_TABLE
-    for s in range(18):
-        for t in range(s, 18):
-            acc = sum(sizes[c] * table[s][c] * table[t][c] for c in range(18))
-            if acc != (COUNTS[5].group_order if s == t else 0):
-                raise InternalError("embedded table fails row orthogonality")
-    return tuple(sizes)
+
+def _rim_hooks(part: tuple[int, ...], k: int):
+    """(rest, (-1)^height) for each rim hook of length k of the partition.
+    On the beta-numbers part[i] + len(part) - 1 - i, removing a k-hook moves
+    a bead b to a free b - k, and its height is the number of beads passed."""
+    n = len(part)
+    beads = {p + n - 1 - i for i, p in enumerate(part)}
+    for b in beads:
+        if b >= k and b - k not in beads:
+            moved = sorted(beads - {b} | {b - k}, reverse=True)
+            rest = (x - (n - 1 - i) for i, x in enumerate(moved))
+            yield tuple(p for p in rest if p), (-1) ** sum(b - k < x < b for x in beads)
+
+
+def _type_b_value(alpha: tuple[int, ...], beta: tuple[int, ...], lam: tuple, mu: tuple) -> int:
+    """chi^(alpha, beta) of W(B_n) at the signed cycle type (lam, mu), by the
+    Murnaghan-Nakayama rule: a hook of the first cycle's length comes off
+    alpha or beta with sign (-1)^height, one off beta for a negative cycle
+    (a part of mu) with one more -1 (Geck & Pfeiffer, Characters of Finite
+    Coxeter Groups and Iwahori-Hecke Algebras, 2000)."""
+    if not lam and not mu:
+        return 1
+    negative = not lam
+    k, lam, mu = (mu[0], lam, mu[1:]) if negative else (lam[0], lam[1:], mu)
+    off_alpha = sum(s * _type_b_value(a, beta, lam, mu) for a, s in _rim_hooks(alpha, k))
+    off_beta = sum(s * _type_b_value(alpha, b, lam, mu) for b, s in _rim_hooks(beta, k))
+    return off_alpha - off_beta if negative else off_alpha + off_beta
+
+
+@lru_cache(maxsize=None)
+def d5_character_table() -> tuple[tuple[int, ...], ...]:
+    """Row s, column c: IRREDUCIBLE_LABELS[s] on CLASS_LABELS[c], the
+    restriction of chi^(alpha, beta) from W(B_5), irreducible as 5 is odd.
+    Guarded by row orthogonality under the scanned class sizes."""
+    table = tuple(
+        tuple(_type_b_value(*_bipartition(row), *_bipartition(column)) for column in CLASS_LABELS)
+        for row in IRREDUCIBLE_LABELS
+    )
+    rows = np.array(table)
+    if ((rows * d5_classes()[1]) @ rows.T != COUNTS[5].group_order * np.eye(len(rows))).any():
+        raise InternalError("computed D5 table fails row orthogonality")
+    return table
 
 
 def d5_decompose(values18: Sequence[int]) -> tuple[int, ...]:
-    """Multiplicities of a class function against the embedded D5 table."""
+    """Multiplicities of a class function against the D5 character table."""
     values = list(values18)
     if len(values) != 18:
         raise ValueError("expected 18 class values")
-    sizes = d5_class_sizes()
+    sizes = d5_classes()[1]
     out = []
-    for row in d5_data.CHARACTER_TABLE:
+    for row in d5_character_table():
         num = sum(sizes[c] * row[c] * values[c] for c in range(18))
         q, rem = divmod(num, COUNTS[5].group_order)
         if rem:
@@ -279,7 +343,7 @@ def d5_decompose(values18: Sequence[int]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _d5_power_counts() -> np.ndarray:
     """(18, 3) fixed lines of g, g^2, g^3 for each class representative g."""
-    return _power_fixed_counts(d5_class_representatives(), 3)
+    return _power_fixed_counts(d5_classes()[0], 3)
 
 
 def d5_chi_values() -> tuple[int, ...]:

@@ -20,7 +20,8 @@ product of the lower levels (|W(E_6)| x 56 bytes at r = 7) and a byte of
 length per element are kept; r = 8 (|W(E_8)| ~ 6.96e8) is refused.
 
 Elements are these uint8 rows alone; :mod:`dp_hlog.rep_theory` reads the
-characters, the trace on Pic and the W(D_5) class representatives off them.
+characters and the trace on Pic off them, and at r = 5 the W(D_5) classes:
+signed cycle types on the five conic pairs, found in one scan of the chain.
 """
 
 from __future__ import annotations

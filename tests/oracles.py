@@ -10,7 +10,9 @@ witnesses (WeylElement), apart from the transversal chain of
 weyl.group_data, and the Pic basis is looked up in the line table. The
 numeric ones transport words along straight segments through the kernel
 the numeric route runs, and decompose a transported weight-3 value into
-transported values of lower weight.
+transported values of lower weight. GAP's transcribed W(D_5) table, class
+words and Dynkin relabelling are the second route to the D5 table that
+rep_theory computes by rule.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dp_hlog.hyperlog.words import Word, WordCombination, asym
 from dp_hlog.incidence import COUNTS, LineTable, enumerate_conics, enumerate_lines
 from dp_hlog.incidence import reducible_fibers
 from dp_hlog.lattice import canonical, exceptional, hyperplane, is_conic_class, is_line, pair
-from dp_hlog.rep_theory import d5_class_representatives
+from dp_hlog.rep_theory import d5_classes
 from dp_hlog.weyl import group_data
 
 
@@ -262,11 +264,61 @@ def reflection_character_value(g: WeylElement) -> int:
     return int(np.trace(induced_matrix(g, lt))) - 1
 
 
+# GAP3's CharTable(CoxeterGroup("D", 5)): row s, column c is the value of the
+# irreducible rep_theory.IRREDUCIBLE_LABELS[s] on class rep_theory.CLASS_LABELS[c].
+GAP_D5_TABLE: tuple[tuple[int, ...], ...] = (
+    (10, -2,  2, -4,  2,  0, -2,  2, -2,  0,  1, -1,  1, -1,  1,  0,  0,  0),
+    ( 5,  1, -3, -3, -1,  1,  3,  1,  1, -1,  2,  0, -2,  0,  0, -1,  1,  0),
+    ( 1,  1,  1, -1, -1, -1, -1,  1,  1,  1,  1,  1,  1, -1, -1, -1, -1,  1),
+    (10, -2,  2, -2,  0,  2, -4, -2,  2,  0,  1, -1,  1,  1, -1,  0,  0,  0),
+    (20, -4,  4, -2,  2, -2,  2,  0,  0,  0, -1,  1, -1,  1, -1,  0,  0,  0),
+    (15,  3, -9, -3, -1,  1,  3, -1, -1,  1,  0,  0,  0,  0,  0,  1, -1,  0),
+    ( 4,  4,  4, -2, -2, -2, -2,  0,  0,  0,  1,  1,  1,  1,  1,  0,  0, -1),
+    (10,  2, -6,  0,  0,  0,  0,  2,  2, -2, -2,  0,  2,  0,  0,  0,  0,  0),
+    (20, -4,  4,  2, -2,  2, -2,  0,  0,  0, -1,  1, -1, -1,  1,  0,  0,  0),
+    ( 5,  5,  5, -1, -1, -1, -1,  1,  1,  1, -1, -1, -1, -1, -1,  1,  1,  0),
+    (10, -2,  2,  2,  0, -2,  4, -2,  2,  0,  1, -1,  1, -1,  1,  0,  0,  0),
+    (15,  3, -9,  3,  1, -1, -3, -1, -1,  1,  0,  0,  0,  0,  0, -1,  1,  0),
+    ( 6,  6,  6,  0,  0,  0,  0, -2, -2, -2,  0,  0,  0,  0,  0,  0,  0,  1),
+    (10, -2,  2,  4, -2,  0,  2,  2, -2,  0,  1, -1,  1,  1, -1,  0,  0,  0),
+    ( 5,  5,  5,  1,  1,  1,  1,  1,  1,  1, -1, -1, -1,  1,  1, -1, -1,  0),
+    ( 5,  1, -3,  3,  1, -1, -3,  1,  1, -1,  2,  0, -2,  0,  0,  1, -1,  0),
+    ( 4,  4,  4,  2,  2,  2,  2,  0,  0,  0,  1,  1,  1, -1, -1,  0,  0, -1),
+    ( 1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1,  1),
+)
+
+# GAP's CoxeterWord representative of each class, in GAP's generators zeta_i.
+GAP_D5_CLASS_WORDS: tuple[tuple[int, ...], ...] = (
+    (),
+    (1, 2),
+    (1, 2, 3, 1, 2, 3, 4, 3, 1, 2, 3, 4),
+    (1,),
+    (1, 2, 3),
+    (1, 2, 4),
+    (1, 2, 3, 1, 2, 3, 4, 3, 1, 2, 3, 4, 5),
+    (1, 4),
+    (1, 3, 1, 2, 3, 4),
+    (1, 2, 3, 5),
+    (1, 3),
+    (1, 2, 3, 4),
+    (1, 2, 4, 5),
+    (1, 3, 5),
+    (1, 3, 1, 2, 3, 4, 5),
+    (1, 4, 3),
+    (1, 2, 3, 4, 5),
+    (1, 4, 3, 5),
+)
+
+# zeta_i -> the fundamental root s_j of lattice's labelling (fork at rho_3,
+# arms rho_4/rho_5, tail rho_2-rho_1), matching the two D5 diagrams node by node.
+ZETA_TO_S: dict[int, int] = {1: 4, 2: 5, 3: 3, 4: 2, 5: 1}
+
+
 def d5_conic_values() -> tuple[int, ...]:
     """The conic-action character on the 18 classes, by fixed conics."""
     lines, conics = enumerate_lines(5).lines, enumerate_conics(5)
     out = []
-    for perm in d5_class_representatives().tolist():
+    for perm in d5_classes()[0].tolist():
         fixed = 0
         for fib in conics:
             i, j = fib.fibers[0]

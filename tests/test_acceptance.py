@@ -134,10 +134,8 @@ def test_criterion_05_group_sizes():
 def test_criterion_06_d5_table_reproduction():
     chi = rep_theory.d5_chi_values()
     wedge = rep_theory.d5_wedge3_values()
-    from dp_hlog import d5_data
-
     chi_parts = sorted(
-        d5_data.IRREDUCIBLE_LABELS[s]
+        rep_theory.IRREDUCIBLE_LABELS[s]
         for s, m in enumerate(rep_theory.d5_decompose(chi))
         if m
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import dp_hlog
-from dp_hlog import cli, d5_data, incidence, wedge_kernel
+from dp_hlog import cli, incidence, wedge_kernel
 from dp_hlog.errors import InternalError
 from dp_hlog.incidence import FiberCountViolation
 from dp_hlog.lattice import exceptional, hyperplane
@@ -289,14 +289,24 @@ class _Raises:
 _CLOSURE = RuntimeError("a Schreier generator of W_4 does not sift to the identity")
 _FIBERS = FiberCountViolation("conic has 2 reducible fibers, expected 3")
 _BROKEN = InternalError("broken invariant")
+# The line character with its value on the second class raised by one: the
+# first irreducible then has multiplicity 10 * -2 / 1920.
+_D5_CHI_OFF = (
+    lambda: cli.D5_CHI[:1] + (cli.D5_CHI[1] + 1,) + cli.D5_CHI[2:],
+    "non-integer multiplicity -1/96",
+)
 
-# Route -> (module attribute to break, its failure, arguments, documented code).
+# Route -> (module attribute to break, the failure it then raises or (its
+# stand-in, the error that causes), arguments, documented code).
 BROKEN_INVARIANTS = {
     "enumerate": ("incidence.enumerate_conics", _FIBERS, ["enumerate", "--rank", "4"], 3),
     "group": ("weyl.group_data", _CLOSURE, ["group", "--rank", "4"], 3),
     "certify": ("wedge_kernel._check_annihilation", _BROKEN, ["certify", "--rank", "4"], 4),
     "certify fibers": ("wedge_kernel.enumerate_conics", _FIBERS, ["certify", "--rank", "4"], 4),
     "characters": ("rep_theory.line_character", _BROKEN, ["characters", "--rank", "4"], 5),
+    "characters d5": (
+        "rep_theory.d5_chi_values", _D5_CHI_OFF, ["characters", "--rank", "5", "--d5-full"], 5
+    ),
     "symbols": ("hwords.verify_asym_shuffle_identities", _BROKEN, ["symbols"], 6),
     "numeric": ("dp4.dp4_data", _BROKEN, ["numeric", "--rank", "5", "--samples", "1"], 6),
     "all": ("weyl.group_data", _CLOSURE, ["all", "--rank", "4", "--samples", "1"], 3),
@@ -305,21 +315,24 @@ BROKEN_INVARIANTS = {
 
 @pytest.mark.parametrize("route", sorted(BROKEN_INVARIANTS))
 def test_failed_invariants_exit_with_the_route_code(tmp_path, monkeypatch, route):
-    target, exc, args, expected = BROKEN_INVARIANTS[route]
+    target, failure, args, expected = BROKEN_INVARIANTS[route]
+    if isinstance(failure, Exception):
+        failure = _Raises(failure), str(failure)
+    stand_in, error = failure
     module, attr = target.split(".")
     # Run every deferred module first, so none binds the broken attribute.
-    for deferred in ("d5_data", "weyl", "rep_theory", "hwords", "dp4", "hnumeric"):
+    for deferred in ("weyl", "rep_theory", "hwords", "dp4", "hnumeric"):
         getattr(cli, deferred).__name__
-    monkeypatch.setattr(getattr(cli, module), attr, _Raises(exc))
+    monkeypatch.setattr(getattr(cli, module), attr, stand_in)
     code, artifact = run_json(tmp_path, "a.json", args)
     assert code == expected
     if route == "all":
         # The group route fails first; the others still run.
         assert artifact["passed"] is False
-        assert artifact["routes"]["group"]["error"] == str(exc)
+        assert artifact["routes"]["group"]["error"] == error
         assert artifact["routes"]["certify"]["certificate"]["r"] == 4
     else:
-        assert artifact["error"] == str(exc)
+        assert artifact["error"] == error
 
 
 @pytest.fixture
@@ -373,10 +386,10 @@ def test_characters_d5_full_tables(tmp_path):
         tmp_path, "c5.json", ["characters", "--rank", "5", "--d5-full"]
     )
     assert code == 0
-    assert tuple(artifact["d5"]["chi"]) == d5_data.D5_CHI
-    assert tuple(artifact["d5"]["wedge3"]) == d5_data.D5_WEDGE3
-    assert tuple(artifact["d5"]["wedge3_multiplicities"]) == d5_data.D5_WEDGE3_MULTS
-    assert tuple(artifact["d5"]["chi_parts"]) == d5_data.D5_CHI_PARTS
+    assert tuple(artifact["d5"]["chi"]) == cli.D5_CHI
+    assert tuple(artifact["d5"]["wedge3"]) == cli.D5_WEDGE3
+    assert tuple(artifact["d5"]["wedge3_multiplicities"]) == cli.D5_WEDGE3_MULTS
+    assert tuple(artifact["d5"]["chi_parts"]) == cli.D5_CHI_PARTS
 
 
 def test_d5_flag_needs_rank_five():

@@ -1,8 +1,10 @@
 """Character computations: fixed points, exterior powers, decompositions."""
 
 import itertools
+import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp_hlog import d5_data, rep_theory as rt
+from dp_hlog import cli, rep_theory as rt
 from dp_hlog.incidence import COUNTS, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import RankMismatch
 from dp_hlog.weyl import GroupTooLarge, group_data
 
 from oracles import (
+    GAP_D5_TABLE,
     d5_conic_values,
     enumerate_group,
     fixed_points,
@@ -233,49 +236,97 @@ def test_signature_multiplicity_rejections():
 
 
 def test_d5_class_sizes():
-    sizes = rt.d5_class_sizes()
+    sizes = rt.d5_classes()[1]
     assert sizes == D5_CLASS_SIZES
     assert sum(sizes) == 1920
     assert sizes[0] == 1
 
 
+def test_d5_class_sizes_follow_the_centraliser_formula():
+    # The W(B_5) class of signed cycle type (lambda, mu) has 3,840 / prod_k
+    # (2k)^(a_k + b_k) a_k! b_k! elements, a_k and b_k counting the positive
+    # and negative k-cycles; for odd n it is a single class of W(D_5).
+    for label, size in zip(rt.CLASS_LABELS, rt.d5_classes()[1], strict=True):
+        centraliser = 1
+        for parts in rt._bipartition(label):
+            for k, count in Counter(parts).items():
+                centraliser *= (2 * k) ** count * math.factorial(count)
+        assert size * centraliser == 3840, label
+
+
+def _partitions(n: int, most: int | None = None):
+    """The partitions of n into parts of at most `most`, largest part first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, n if most is None else most), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_type_b_rule_gives_the_linear_characters_of_w_b5():
+    # On all 36 classes of W(B_5), not only the 18 of W(D_5), where it is a
+    # free choice, the side whose hooks carry a negative cycle's extra -1
+    # matters: chi^((5), ()) is trivial and chi^((), (1^5)) is the determinant
+    # of the signed permutation matrix, one cyclic block per cycle with one
+    # entry negated for a negative cycle.
+    classes = 0
+    for a in range(6):
+        for lam, mu in itertools.product(_partitions(a), _partitions(5 - a)):
+            matrix, start = np.zeros((5, 5)), 0
+            for k, negative in [(k, False) for k in lam] + [(k, True) for k in mu]:
+                for j in range(k):
+                    matrix[start + (j + 1) % k, start + j] = 1
+                matrix[start, start + k - 1] *= -1 if negative else 1
+                start += k
+            assert rt._type_b_value((5,), (), lam, mu) == 1
+            assert rt._type_b_value((), (1,) * 5, lam, mu) == round(np.linalg.det(matrix))
+            classes += 1
+    assert classes == 36
+
+
+def test_d5_table_matches_gap():
+    # The rule's table against GAP's, entry by entry, each row under its label.
+    table = rt.d5_character_table()
+    assert len(table) == len(GAP_D5_TABLE) == 18
+    for label, row, gap in zip(rt.IRREDUCIBLE_LABELS, table, GAP_D5_TABLE, strict=True):
+        assert row == gap, label
+
+
 def test_d5_line_character_values_and_decomposition():
     assert rt.d5_chi_values() == CHI5
     mults = rt.d5_decompose(CHI5)
-    names = [d5_data.IRREDUCIBLE_LABELS[s] for s, m in enumerate(mults) if m]
+    names = [rt.IRREDUCIBLE_LABELS[s] for s, m in enumerate(mults) if m]
     assert all(m in (0, 1) for m in mults)
     assert names == ["[2.3]", "[1.4]", "[.5]"]
 
 
 def test_d5_expectations_match_frozen_values():
-    assert d5_data.D5_CHI == CHI5
-    assert d5_data.D5_WEDGE3 == WEDGE3_CHI5
-    assert d5_data.D5_WEDGE3_MULTS == WEDGE3_MULTS
-    assert d5_data.D5_CHI_PARTS == ("[.5]", "[1.4]", "[2.3]")
+    assert cli.D5_CHI == CHI5
+    assert cli.D5_WEDGE3 == WEDGE3_CHI5
+    assert cli.D5_WEDGE3_MULTS == WEDGE3_MULTS
+    assert cli.D5_CHI_PARTS == ("[.5]", "[1.4]", "[2.3]")
 
 
 def test_d5_wedge3_values_and_decomposition():
     assert rt.d5_wedge3_values() == WEDGE3_CHI5
     assert rt.d5_decompose(WEDGE3_CHI5) == WEDGE3_MULTS
-    degrees = [row[0] for row in d5_data.CHARACTER_TABLE]
+    degrees = [row[0] for row in rt.d5_character_table()]
     assert sum(m * d for m, d in zip(WEDGE3_MULTS, degrees)) == 560
 
 
 def test_d5_conic_decomposition():
     mults = rt.d5_decompose(d5_conic_values())
-    names = [d5_data.IRREDUCIBLE_LABELS[s] for s, m in enumerate(mults) if m]
+    names = [rt.IRREDUCIBLE_LABELS[s] for s, m in enumerate(mults) if m]
     assert all(m in (0, 1) for m in mults)
     assert names == ["[1.4]", "[.41]", "[.5]"]
 
 
 def test_d5_decompose_roundtrip_random():
     rng = random.Random(55)
+    table = rt.d5_character_table()
     for _ in range(10):
         mults = [rng.randrange(0, 4) for _ in range(18)]
-        values = [
-            sum(mults[s] * d5_data.CHARACTER_TABLE[s][c] for s in range(18))
-            for c in range(18)
-        ]
+        values = [sum(mults[s] * table[s][c] for s in range(18)) for c in range(18)]
         assert rt.d5_decompose(values) == tuple(mults)
 
 
@@ -290,7 +341,7 @@ def test_d5_decompose_rejects_non_character():
 
 def test_class_values_consistent_with_full_group_sums():
     # The same inner product through class sizes and through the raw stream.
-    sizes = rt.d5_class_sizes()
+    sizes = rt.d5_classes()[1]
     via_classes = Fraction(sum(s * v * v for s, v in zip(sizes, CHI5)), 1920)
     chi = rt.line_character(5)
     assert via_classes == rt.inner_product(chi, chi)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 import sympy
 
-from dp_hlog import d5_data
 from dp_hlog.incidence import COUNTS, UnsupportedRank, enumerate_conics, enumerate_lines
-from dp_hlog.lattice import exceptional, hyperplane
-from dp_hlog.rep_theory import _power_fixed_counts, d5_class_representatives
+from dp_hlog.lattice import canonical, exceptional, hyperplane
+from dp_hlog.rep_theory import _conic_images, _power_fixed_counts, _signed_cycle_type, d5_classes
 from dp_hlog.weyl import GroupTooLarge, chain, group_data
 
 from oracles import (
+    GAP_D5_CLASS_WORDS,
+    ZETA_TO_S,
     bfs_closure,
     chain_elements,
     combine,
@@ -212,7 +213,7 @@ def conjugacy_class(r: int, perm: tuple[int, ...]) -> frozenset[tuple[int, ...]]
 
 
 def test_d5_class_representatives() -> None:
-    reps = d5_class_representatives()
+    reps = d5_classes()[0]
     assert reps.shape == (18, 16) and reps.dtype == np.uint8
     fixed = _power_fixed_counts(reps, 1)[:, 0]
     assert fixed[0] == 16  # identity
@@ -229,11 +230,21 @@ def test_d5_class_representatives() -> None:
 
 
 def test_d5_representatives_word_translation_is_consistent() -> None:
-    # each row is the element of its GAP word, translated into root indices
-    reps = d5_class_representatives().tolist()
-    for perm, zeta_word in zip(reps, d5_data.CLASS_WORDS):
-        word = tuple(d5_data.ZETA_TO_S[z] - 1 for z in zeta_word)
-        assert element_from_word(5, word) == tuple(perm)
+    # GAP's word for class k, translated into root indices, has the signed
+    # cycle type on the conic pairs of the k-th representative: GAP's columns
+    # are the classes of CLASS_LABELS, in their order.
+    conics = enumerate_conics(5)
+    index = {f.cls: c for c, f in enumerate(conics)}
+    partner = [index[combine(canonical(5), f.cls, by=(-1, -1))] for f in conics]
+
+    def signed_type(perm):
+        images = _conic_images(np.array([perm], dtype=np.uint8), 5)[0].tolist()
+        return _signed_cycle_type(images, partner)
+
+    reps = d5_classes()[0].tolist()
+    for perm, zeta_word in zip(reps, GAP_D5_CLASS_WORDS, strict=True):
+        word = tuple(ZETA_TO_S[z] - 1 for z in zeta_word)
+        assert signed_type(element_from_word(5, word)) == signed_type(perm)
 
 
 def test_enumerate_group_rejects_foreign_line_table() -> None:

@@ -27,8 +27,10 @@ from __future__ import annotations
 import json
 import random
 from array import array
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import lattice
 from .errors import InternalError
 from .incidence import COUNTS, ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
 from .records import Record
@@ -152,10 +154,22 @@ def _json_pair(value) -> tuple[int, int]:
 
 
 def _content_hash(payload: dict) -> str:
-    import hashlib  # loads OpenSSL: certify and replay do; numeric's signs skip the hash
+    """SHA-256 of the payload's compact, key-sorted JSON, in hex.
 
+    CPython's own SHA-256 module computes it (`_sha2` from 3.12, `_sha256`
+    before), as `random` takes its `_sha512`: `hashlib` would map OpenSSL,
+    about 3.4 MB of RSS, into the process for this one digest. Only a build
+    without those modules falls back to `hashlib`.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def fiber_differences(f: ConicFibration, base: int) -> FiberDifferenceMatrix:
@@ -265,6 +279,24 @@ def _check_orderings(conics, fiber_orders, bases) -> None:
             raise ValueError("a fiber order does not permute the canonical fibers")
         if not 0 <= base < len(f.fibers):
             raise ValueError(f"base fiber index {base} out of range 0..{len(f.fibers) - 1}")
+
+
+def _check_incidence(r: int, conics, fiber_orders) -> None:
+    """Raise ReplayFailure unless the lattice confirms the stored incidence:
+    every conic passes `is_conic_class`, and every fiber of its order names
+    two line-table classes that pass `is_line`, meet once and sum to it."""
+    lines = enumerate_lines(r).lines
+    is_line = [lattice.is_line(l) for l in lines]
+    for c, order in zip(conics, fiber_orders):
+        if not lattice.is_conic_class(c):
+            raise ReplayFailure(f"{c} is not a conic class")
+        for i, j in order:
+            a, b = lines[i], lines[j]
+            if not (
+                is_line[i] and is_line[j] and lattice.pair(a, b) == 1
+                and tuple(map(add, a, b)) == c
+            ):
+                raise ReplayFailure(f"fiber {a} + {b} is not two lines meeting once in {c}")
 
 
 def _signed_graph(wedges: Iterable[WedgeVector]) -> tuple[int, array]:
@@ -410,10 +442,12 @@ def kernel_signs(r: int, *, seed: int | None = None, quotient: bool = False) -> 
 def replay(cert: HlogCertificate) -> None:
     """Re-prove a certificate from its stored orderings; raise on failure.
 
-    The wedges are rebuilt by the iterated route, not the producer's closed
-    form, and the signed-graph solve runs again, so the kernel dimension is
-    proved rather than read from the certificate; then the stored
-    coefficients must annihilate every wedge.
+    Each stored conic and fiber is first checked against the lattice
+    (`_check_incidence`), not only against the enumeration that produced
+    it. The wedges are rebuilt by the iterated route, not the producer's
+    closed form, and the signed-graph solve runs again, so the kernel
+    dimension is proved rather than read from the certificate; then the
+    stored coefficients must annihilate every wedge.
     """
     if cert.r not in RANKS:
         raise ReplayFailure(f"unsupported rank {cert.r}")
@@ -432,6 +466,7 @@ def replay(cert: HlogCertificate) -> None:
         raise ReplayFailure("certificate length mismatch")
     try:
         _check_orderings(conics, cert.fiber_orders, cert.bases)
+        _check_incidence(cert.r, cert.conics, cert.fiber_orders)
         n, edges = _signed_graph(
             _wedges(_replayed_wedge, conics, cert.fiber_orders, cert.bases, cert.quotient)
         )

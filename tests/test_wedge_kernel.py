@@ -1,6 +1,8 @@
 """Wedge construction and the one-dimensional +-1 kernel."""
 
+import hashlib
 import json
+import sys
 from functools import reduce
 from math import comb
 from operator import or_
@@ -14,6 +16,8 @@ from dp_hlog import wedge_kernel as wk
 from dp_hlog.errors import InternalError
 from dp_hlog.incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import exceptional
+
+from record_artifact_hashes import CERTIFY, artifact
 
 
 def _minor(rows, cols):
@@ -256,6 +260,36 @@ def test_certificate_roundtrip_and_replay_failures():
 
     with pytest.raises(ValueError):
         wk.HlogCertificate.from_json({"r": 4})
+
+
+def _stored_certificate(line):
+    return wk.HlogCertificate.from_json(json.loads(artifact(line))["certificate"])
+
+
+@pytest.mark.parametrize("line", CERTIFY)
+def test_content_hash_is_the_sha256_of_the_compact_payload(line):
+    # A second route to the digest: hashlib (OpenSSL here) on the same JSON.
+    cert = _stored_certificate(line)
+    blob = json.dumps(cert.payload(), sort_keys=True, separators=(",", ":"))
+    assert wk._content_hash(cert.payload()) == cert.content_hash
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == cert.content_hash
+
+
+def test_content_hash_falls_back_to_hashlib(monkeypatch):
+    # With CPython's own SHA-256 modules unimportable, hashlib's gives the digest.
+    cert = _stored_certificate("certify --rank 5 --seed 3")
+    called = []
+    openssl = hashlib.sha256
+
+    def sha256(data):
+        called.append(len(data))
+        return openssl(data)
+
+    for builtin in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, builtin, None)
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    assert wk._content_hash(cert.payload()) == cert.content_hash
+    assert len(called) == 1
 
 
 def test_replay_rejects_hash_mismatch():

@@ -40,7 +40,8 @@ COMMANDS = (
     + ["symbols"]
     + ["numeric --rank 4", "numeric --rank 5"]
     + ["numeric --rank 5 --samples 2 --seed 7 --tol 1e-5 --gamma=2/5 --pi=-3/4"]
-    + ["all --rank 3", "all --rank 7", "all --rank 4 --seed 5 --samples 2 --tol 1e-7"]
+    + [f"all --rank {r}" for r in (3, 5, 6, 7)]
+    + ["all --rank 4 --seed 5 --samples 2 --tol 1e-7"]
 )
 
 

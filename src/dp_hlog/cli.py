@@ -12,11 +12,16 @@ invariant inside a route (every layer raises a RuntimeError subclass for
 one: InternalError, FiberCountViolation, the wedge-structure violations, the
 group closure checks) exits with that route's code, not a traceback.
 
-The layers a route may not need (the Weyl group, characters, hyperlogarithms
-and numpy behind them) are bound as deferred modules: each is in
-``sys.modules`` from the import of this module on, but its code first runs
-when one of its attributes is read. So `certify`, `replay`, `enumerate` and
-`symbols` never load numpy.
+Every layer is bound as a deferred module: incidence, weyl, rep_theory,
+wedge_kernel and the three hyperlog modules are in ``sys.modules`` from the
+import of this module on, but a layer's code first runs when one of its
+attributes is read. The parser and ``ROUTES`` read only ``lattice``, so the
+import runs no layer, and a route runs the layers it reads and what they
+import: `symbols` hyperlog.words; `enumerate` incidence; `group` incidence
+and weyl; `characters` those and rep_theory; `certify` and `replay`
+incidence and wedge_kernel; `numeric` those and the hyperlog modules; `all`
+those of its routes. So only `group`, `characters`, `numeric` and `all`
+load numpy.
 
 A process that runs one command and exits goes through ``entry_point``:
 ``python -m dp_hlog.cli`` and the ``dp-hlog`` console script alike. It
@@ -40,8 +45,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import incidence, wedge_kernel
-from .lattice import SUPPORTED_RANKS
+from .lattice import CERTIFICATE_RANKS, SUPPORTED_RANKS
 
 if TYPE_CHECKING:
     from collections.abc import Collection
@@ -62,6 +66,8 @@ def _deferred(name: str):
     return module
 
 
+incidence = _deferred(__package__ + ".incidence")
+wedge_kernel = _deferred(__package__ + ".wedge_kernel")
 weyl = _deferred(__package__ + ".weyl")
 rep_theory = _deferred(__package__ + ".rep_theory")
 hwords = _deferred(__package__ + ".hyperlog.words")
@@ -286,7 +292,7 @@ def _route_all(config: RunConfig) -> tuple[dict, int]:
 ROUTES = {
     "enumerate": (_route_enumerate, SUPPORTED_RANKS, EXIT_ENUM),
     "group": (_route_group, range(3, 8), EXIT_ENUM),  # not 8: `group --rank 8` exits 2
-    "certify": (_route_certify, wedge_kernel.RANKS, EXIT_KERNEL),
+    "certify": (_route_certify, CERTIFICATE_RANKS, EXIT_KERNEL),
     "replay": (_route_replay, (), EXIT_KERNEL),
     "characters": (_route_characters, EXPECTED_NORMS.keys(), EXIT_CHARACTER),
     "symbols": (_route_symbols, SUPPORTED_RANKS, EXIT_NUMERIC),
@@ -366,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", action="store_true")
 
     p = sub.add_parser("certify", help="wedge-kernel sign certificate")
-    add_common(p, wedge_kernel.RANKS)
+    add_common(p, CERTIFICATE_RANKS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quotient", action="store_true")
 

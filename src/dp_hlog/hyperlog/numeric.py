@@ -57,10 +57,6 @@ _GROUP = 40
 # (node, path) pairs of one evaluation of a first integral's coefficients;
 # its temporaries take 100-350 bytes per pair.
 _NODES = 1 << 12
-# A running sum over fewer steps than rows / _FOLD_ROWS goes step by step:
-# np.add.accumulate costs about 35 ns per row and one np.add call about 1 us,
-# and a full-width rank-5 batch has 2,700 rows of three steps per block.
-_FOLD_ROWS = 32
 
 
 class PathTooClose(RuntimeError):
@@ -110,16 +106,17 @@ def _rk4_batch(
     weight's stages are outer products (letter times suffix) of the stage
     inputs of the weight below, over every step of the block at once; weight
     w at step i needs only weight w - 1 at step i. Its values at the step
-    starts are a running sum of its increments, carried from block to block.
+    starts are one np.add.accumulate of its increments per block, from the
+    value carried over from the block before.
 
     Bits: every element goes through the operations of the step-by-step
     loop v += (h/6)·(((k0 + 2·k1) + 2·k2) + k3) with k1 = a·(v + (h/2)·k0)
     and so on, associated the same way. Operands of an addition, or of a
     product with a real scalar, may swap, since those commute exactly; a
     complex product keeps the coefficient on the left, because numpy's
-    fused multiply-add kernels make it commute only up to rounding. The
-    running sum is a sequential fold, each value the previous one plus the
-    increment, so block boundaries change no bit.
+    fused multiply-add kernels make it commute only up to rounding.
+    np.add.accumulate is a sequential fold, each value the previous one plus
+    the increment, so block boundaries change no bit.
     """
 
     def run(c: np.ndarray, n_steps: int) -> np.ndarray:
@@ -205,17 +202,12 @@ def _rk4_batch(
 
 def _running_sum(first: np.ndarray, inc: np.ndarray) -> np.ndarray:
     """The sequential fold first, first + inc[..., 0], ... along the last
-    axis, shaped (..., steps + 1): each entry is the one before it plus the
-    next increment, by np.add.accumulate or, for many rows of few steps,
-    one step at a time."""
+    axis, shaped (..., steps + 1), by one np.add.accumulate: each entry is
+    the one before it plus the next increment."""
     acc = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,), dtype=complex)
     acc[..., 0] = first
-    if inc.shape[-1] * _FOLD_ROWS < first.size:
-        for j in range(inc.shape[-1]):
-            np.add(acc[..., j], inc[..., j], out=acc[..., j + 1])
-    else:
-        acc[..., 1:] = inc
-        np.add.accumulate(acc, axis=-1, out=acc)
+    acc[..., 1:] = inc
+    np.add.accumulate(acc, axis=-1, out=acc)
     return acc
 
 

@@ -19,6 +19,7 @@ The Weyl group W(E_r) acts on these tuples by the fundamental reflections of
 from __future__ import annotations
 
 SUPPORTED_RANKS = range(3, 9)
+CERTIFICATE_RANKS = range(4, 9)  # ranks with a wedge-kernel certificate
 
 
 class RankMismatch(ValueError):

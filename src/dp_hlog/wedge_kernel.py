@@ -35,8 +35,6 @@ from .errors import InternalError
 from .incidence import COUNTS, ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
 from .records import Record
 
-RANKS = range(4, 9)  # ranks with a kernel certificate
-
 
 class KernelDimensionViolation(RuntimeError):
     """The wedge system's kernel is not one-dimensional."""
@@ -397,11 +395,11 @@ def _check_annihilation(edges: array, epsilon: Sequence[int]) -> None:
 
 def kernel_epsilon(conics, fiber_orders, bases, quotient: bool) -> tuple[int, ...]:
     """The +-1 kernel vector of the wedges of `conics` (`enumerate_conics(r)`,
-    r in RANKS) under orderings that pass `_check_orderings` (else
-    ValueError): fiber orders as tuples of pairs, one base per conic. Solved
-    as a signed graph (see the module docstring), then checked on every
-    wedge. A broken structure raises WedgeStructureViolation,
-    KernelDimensionViolation or SignViolation."""
+    r in lattice.CERTIFICATE_RANKS) under orderings that pass
+    `_check_orderings` (else ValueError): fiber orders as tuples of pairs,
+    one base per conic. Solved as a signed graph (see the module docstring),
+    then checked on every wedge. A broken structure raises
+    WedgeStructureViolation, KernelDimensionViolation or SignViolation."""
     _check_orderings(conics, fiber_orders, bases)
     n, edges = _signed_graph(_wedges(wedge_vector, conics, fiber_orders, bases, quotient))
     epsilon = _signed_graph_kernel(n, edges)
@@ -416,7 +414,7 @@ def kernel_signs(r: int, *, seed: int | None = None, quotient: bool = False) -> 
     fiber as base; a seed draws every fiber order, then every base, from
     random.Random(seed).
     """
-    if r not in RANKS:
+    if r not in lattice.CERTIFICATE_RANKS:
         raise UnsupportedRank(f"rank must be in 4..8, got {r}")
     conics = enumerate_conics(r)
     if seed is None:
@@ -449,7 +447,7 @@ def replay(cert: HlogCertificate) -> None:
     dimension is proved rather than read from the certificate; then the
     stored coefficients must annihilate every wedge.
     """
-    if cert.r not in RANKS:
+    if cert.r not in lattice.CERTIFICATE_RANKS:
         raise ReplayFailure(f"unsupported rank {cert.r}")
     if _content_hash(cert.payload()) != cert.content_hash:
         raise ReplayFailure("content hash mismatch")

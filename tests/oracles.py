@@ -2,7 +2,10 @@
 
 The lattice ones combine and reflect divisor classes, coefficient tuples,
 by the textbook formulas; they are the reference for the coefficient
-reflections of incidence. The group-level ones work element by element (or
+reflections of incidence. Closing the fundamental roots under their
+reflections gives the positive roots, whose height counts give the degrees
+and the Poincare polynomial of W(E_r): its order and length counts without
+enumerating the group. The group-level ones work element by element (or
 class by class) on the enumerated group, independently of the bulk
 character and kernel routes they cross-check. The group itself is
 enumerated a second way, by a breadth-first closure with generator-word
@@ -62,6 +65,54 @@ def reflect(rho: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
     if pair(rho, rho) != -2 or pair(rho, canonical(len(rho) - 1)) != 0:
         raise NotARoot(f"{rho} is not a root")
     return combine(d, rho, by=(1, pair(d, rho)))
+
+
+def positive_roots(r: int) -> list[tuple[int, ...]]:
+    """The positive roots of E_r, as coefficients over `roots(r)`.
+
+    The fundamental roots are closed under their own reflections, each
+    image's coefficients carried along (reflecting d in rho_i adds
+    pair(d, rho_i) to coefficient i); the positive roots are the images
+    whose coefficients are all nonnegative.
+    """
+    simple = roots(r)
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    coefficients = dict(zip(simple, unit))
+    frontier = list(simple)
+    while frontier:
+        found = []
+        for d in frontier:
+            for i, rho in enumerate(simple):
+                image = reflect(rho, d)
+                if image not in coefficients:
+                    coefficients[image] = combine(coefficients[d], unit[i], by=(1, pair(d, rho)))
+                    found.append(image)
+        frontier = found
+    return [c for c in coefficients.values() if min(c) >= 0]
+
+
+def height_counts(positive: list[tuple[int, ...]]) -> list[int]:
+    """counts[h - 1] is the number of positive roots of height h (the sum
+    of the coefficients), h = 1 .. the largest height."""
+    heights = [sum(c) for c in positive]
+    return [heights.count(h) for h in range(1, max(heights) + 1)]
+
+
+def degrees(counts: list[int]) -> list[int]:
+    """The degrees d_i = m_i + 1 of the basic invariants, ascending: the
+    exponents m_i are the dual partition of the height counts (Kostant
+    1959), m_j = #{h : counts[h - 1] >= j} for j = 1 .. counts[0]."""
+    return sorted(1 + sum(n >= j for n in counts) for j in range(1, counts[0] + 1))
+
+
+def poincare_polynomial(degrees: list[int]) -> list[int]:
+    """Coefficients, constant term first, of prod (1 + q + ... + q^(d - 1))
+    over the degrees: the number of group elements of each length (Solomon
+    1966)."""
+    poly = [1]
+    for d in degrees:
+        poly = [sum(poly[max(0, k - d + 1) : k + 1]) for k in range(len(poly) + d - 1)]
+    return poly
 
 
 class WeylElement(NamedTuple):

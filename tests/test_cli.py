@@ -636,6 +636,47 @@ def test_certificate_routes_never_load_numpy(tmp_path):
         assert run.stdout.split() == ["{0}", loaded, "-"]
 
 
+# The layers (deferred modules) that each command line runs: an import alone
+# runs none, and `replay` replays a rank-5 certificate.
+LAYERS_RUN = {
+    "import": [],
+    "symbols": ["hyperlog.words"],
+    "enumerate --rank 8": ["incidence"],
+    "group --rank 5": ["incidence", "weyl"],
+    "characters --rank 5": ["incidence", "rep_theory", "weyl"],
+    "certify --rank 5": ["incidence", "wedge_kernel"],
+    "replay": ["incidence", "wedge_kernel"],
+}
+
+
+@pytest.mark.parametrize("command", list(LAYERS_RUN))
+def test_a_route_runs_only_the_layers_it_reads(tmp_path, command):
+    # A layer whose attributes the route never reads stays in sys.modules as
+    # an unrun _LazyModule, told apart by its type alone, since reading any
+    # attribute would run it.
+    src = str(Path(dp_hlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [] if command == "import" else command.split() + ["--out", str(tmp_path / "o.json")]
+    if command == "replay":
+        cert = str(tmp_path / "c.json")
+        assert cli.main(["certify", "--rank", "5", "--out", cert]) == 0
+        argv.insert(1, cert)
+    layers = ["incidence", "weyl", "rep_theory", "wedge_kernel"]
+    layers += ["hyperlog.words", "hyperlog.dp4", "hyperlog.numeric"]
+    probe = (
+        "import importlib.util, json, sys, dp_hlog.cli\n"
+        f"code = dp_hlog.cli.main({argv!r}) if {argv!r} else 0\n"
+        f"modules = {{name: sys.modules.get('dp_hlog.' + name) for name in {layers!r}}}\n"
+        "run = [name for name, module in modules.items()\n"
+        "       if module is not None and type(module) is not importlib.util._LazyModule]\n"
+        "print(json.dumps([code, sorted(run)]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == [0, LAYERS_RUN[command]]
+
+
 def test_certificate_routes_never_load_fractions(tmp_path):
     # Only --gamma/--pi parse rationals, so enumerate, certify and replay
     # import neither fractions nor decimal; RunConfig names Fraction only in

@@ -357,17 +357,15 @@ def test_word_system_is_letter_times_suffix(alphabet):
 
 
 @pytest.mark.parametrize("block", [1, numeric._BLOCK, 10**9])
-@pytest.mark.parametrize("fold_rows", [0, numeric._FOLD_ROWS, 10**9])
-def test_block_width_does_not_change_bits(monkeypatch, block, fold_rows):
-    # One step per block, the default, and a whole run per block; each with
-    # every running sum taken step by step, by the default rule, and by
-    # np.add.accumulate.
+def test_block_width_does_not_change_bits(monkeypatch, block):
+    # One step per block, so each running sum adds one increment to the
+    # carried value; the default; and a whole run per block, one
+    # np.add.accumulate over every step.
     reference = {}
     for r, seed in ((4, 1), (5, 3)):
         coef, count, alphabet, weight = _plan_batch(r, seed)
         reference[r] = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9)
     monkeypatch.setattr(numeric, "_BLOCK", block)
-    monkeypatch.setattr(numeric, "_FOLD_ROWS", fold_rows)
     for r, seed in ((4, 1), (5, 3)):
         coef, count, alphabet, weight = _plan_batch(r, seed)
         values, errors = numeric._rk4_batch(coef, count, alphabet, weight, 1e-9)

@@ -17,9 +17,13 @@ from oracles import (
     bfs_closure,
     chain_elements,
     combine,
+    degrees,
     enumerate_group,
     generators,
+    height_counts,
     induced_matrix,
+    poincare_polynomial,
+    positive_roots,
     stabilizer_order,
 )
 
@@ -91,6 +95,49 @@ def test_length_distribution_is_the_bfs_level_count() -> None:
     for r in (3, 4, 5, 6):
         expected = np.bincount(bfs_closure(r).levels).tolist()
         assert group_data(r).length_distribution() == expected
+
+
+# Rank -> number of positive roots and degrees of E_r (A2 x A1, A4, D5, E6,
+# E7, E8).
+ROOT_SYSTEMS = {
+    3: (4, [2, 2, 3]),
+    4: (10, [2, 3, 4, 5]),
+    5: (20, [2, 4, 5, 6, 8]),
+    6: (36, [2, 5, 6, 8, 9, 12]),
+    7: (63, [2, 6, 8, 10, 12, 14, 18]),
+    8: (120, [2, 8, 12, 14, 18, 20, 24, 30]),
+}
+
+
+def _poincare_route_matches(r: int, counts: list[int]) -> bool:
+    """The Poincare polynomial of the degrees read off the height counts
+    against the group: at q = 1 against the order in COUNTS, and at r <= 7
+    coefficient by coefficient against the chain's length distribution."""
+    poly = poincare_polynomial(degrees(counts))
+    if sum(poly) != COUNTS[r].group_order:
+        return False
+    return r == 8 or poly == group_data(r).length_distribution()
+
+
+def test_the_poincare_polynomial_is_the_length_distribution() -> None:
+    # A route to the order and the lengths from the root system alone.
+    for r, (count, expected) in ROOT_SYSTEMS.items():
+        positive = positive_roots(r)
+        assert len(positive) == count
+        counts = height_counts(positive)
+        assert degrees(counts) == expected
+        assert _poincare_route_matches(r, counts)
+
+
+def test_a_dropped_root_or_a_moved_height_count_fails_the_poincare_route() -> None:
+    for r in ROOT_SYSTEMS:
+        positive = positive_roots(r)
+        highest = max(positive, key=sum)
+        assert not _poincare_route_matches(r, height_counts([c for c in positive if c != highest]))
+        counts = height_counts(positive)
+        # One root moved from height 1 to the largest height.
+        moved = [counts[0] - 1] + counts[1:-1] + [counts[-1] + 1]
+        assert not _poincare_route_matches(r, moved)
 
 
 def _bases(r: int, lt) -> list[int]:

@@ -249,11 +249,7 @@ def _route_numeric(config: RunConfig) -> tuple[dict, int]:
     # A degenerate (gamma, pi), or a web whose coefficients overflow a float.
     try:
         if rank == 5:
-            gamma, pi = dp4.DEFAULT_PARAMETERS
-            data = dp4.dp4_data(
-                gamma if config.gamma is None else config.gamma,
-                pi if config.pi is None else config.pi,
-            )
+            data = dp4.dp4_data(config.gamma, config.pi)
         report = hnumeric.verify_identity_numeric(rank, samples, tol, data=data, seed=seed)
     except ValueError as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_USAGE

@@ -44,7 +44,7 @@ from .words import _signed_permutations
 
 Poly = dict  # {(x_degree, y_degree): Fraction}
 
-# The (gamma, pi) pair used when a caller names none.
+# The (gamma, pi) pair whose entries fill any parameter a caller leaves out.
 DEFAULT_PARAMETERS = (Fraction(1, 3), Fraction(5, 2))
 
 # The points p_1..p_4 of the five-term web, as [X:Y:Z] with x = X/Z, y = Y/Z.
@@ -209,12 +209,13 @@ def _pencil_coordinates(f0: Poly, finf: Poly, fs: Poly) -> tuple[Fraction, Fract
 
 
 class AlignmentEntry(NamedTuple):
-    """Which conic a first integral cuts out, with fibers in spectrum order."""
+    """Which conic a first integral cuts out, with fibers in spectrum order.
 
-    integral: int
+    An alignment lists one entry per first integral, in integral order.
+    """
+
     conic: int
     fiber_order: tuple[tuple[int, int], ...]  # fibers at 0, 1, [r_i,] infinity
-    base: int  # position of the infinity fiber in fiber_order
 
 
 class DP4Data(NamedTuple):
@@ -279,7 +280,7 @@ def conic_web(points: Sequence[tuple], spec: Sequence[tuple]) -> DP4Data:
                 for f in fibers[:-1]
             )
         )
-        alignment.append(AlignmentEntry(i, k, tuple(fibers), r - 2))
+        alignment.append(AlignmentEntry(k, tuple(fibers)))
     if sorted(e.conic for e in alignment) != list(range(len(conics))):
         raise InternalError("spec rows do not exhaust the conic classes")
     return DP4Data(
@@ -299,10 +300,13 @@ def five_term_web() -> DP4Data:
     return conic_web(FIVE_TERM_POINTS, FIVE_TERM_SPEC)
 
 
-def dp4_data(gamma, pi) -> DP4Data:
-    """Build the rank-5 web at exact rational parameters, checking genericity."""
-    g = Fraction(gamma)
-    p = Fraction(pi)
+def dp4_data(gamma=None, pi=None) -> DP4Data:
+    """Build the rank-5 web at exact rational parameters, checking genericity.
+
+    A parameter left as None takes its value from DEFAULT_PARAMETERS.
+    """
+    g = Fraction(DEFAULT_PARAMETERS[0] if gamma is None else gamma)
+    p = Fraction(DEFAULT_PARAMETERS[1] if pi is None else pi)
     if g * p * (p - 1) * (g - 1) * (p - g) == 0:
         raise ValueError(
             "parameters must satisfy pi*gamma*(pi-1)*(gamma-1)*(pi-gamma) != 0"
@@ -414,8 +418,8 @@ def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
 
 
 def aligned_signs(r: int, alignment: Sequence[AlignmentEntry]) -> tuple[int, ...]:
-    """Kernel signs with fibers in spectrum order, one per integral."""
-    by_conic = sorted(alignment, key=lambda e: e.conic)
-    orders, bases = [e.fiber_order for e in by_conic], [e.base for e in by_conic]
-    epsilon = kernel_epsilon(enumerate_conics(r), orders, bases, False)
-    return tuple(epsilon[e.conic] for e in sorted(alignment, key=lambda e: e.integral))
+    """Kernel signs with fibers in spectrum order, one per integral; the
+    infinity fiber, last in each order, is the base."""
+    orders = [e.fiber_order for e in sorted(alignment, key=lambda e: e.conic)]
+    epsilon = kernel_epsilon(enumerate_conics(r), orders, (r - 2,) * len(orders), False)
+    return tuple(epsilon[e.conic] for e in alignment)

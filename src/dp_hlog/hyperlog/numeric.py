@@ -306,7 +306,7 @@ def _web(r: int, data: dp4.DP4Data | None):
         data = dp4.five_term_web()
     elif r == 5:
         if data is None:
-            data = dp4.dp4_data(*dp4.DEFAULT_PARAMETERS)
+            data = dp4.dp4_data()
     else:
         raise ValueError("numeric verification covers ranks 4 and 5 only")
     try:

@@ -11,20 +11,21 @@ h - l_1 - l_2 - l_3 adds (d_0 + d_1 + d_2 + d_3) times that root.
 Each conic fibration has exactly r - 1 reducible fibers, and every
 reducible fiber is a pair of lines meeting transversely in one point:
 from l + l' = c, expanding (c, c) = 0 gives pair(l, l') = 1. The seed
-h - l_1 gets its fibers by lookup (l is in a fiber when h - l_1 - l is a
-line too). A reflection maps the fibers of a conic onto those of its image,
-so every other conic takes its BFS parent's fibers through the generator's
-line permutation, and each fiber is checked to sum to its conic. All of it
-is plain integer arithmetic.
+h - l_1 has the fibers {l_i, h - l_1 - l_i}, i = 2..r (Manin, "Cubic
+Forms"), looked up in the line table. A reflection maps the fibers of a
+conic onto those of its image, so each other conic takes the fibers of the
+conic the search first reached it from, through the generator's line
+permutation, and each fiber is checked to sum to its conic. All of it is
+plain integer arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .lattice import SUPPORTED_RANKS, RankMismatch, exceptional, hyperplane
+from .lattice import SUPPORTED_RANKS, exceptional, hyperplane
 from .records import Record
 
 
@@ -102,14 +103,14 @@ def _reflect(d: tuple[int, ...], g: int) -> tuple[int, ...]:
     return (d[0] + k, d[1] - k, d[2] - k, d[3] - k) + d[4:]
 
 
-def _orbit(seed: tuple[int, ...]) -> dict[tuple[int, ...], tuple | None]:
-    """Closure of seed under the fundamental reflections, in BFS order.
+def _orbit(seed: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Closure of seed under the fundamental reflections, breadth first.
 
-    Maps each class to the (parent, g) whose reflection reached it first;
-    the seed maps to None.
+    Yields (image, d, g) once for each class but the seed, when the search
+    first reaches it: image is d reflected in rho_(g+1).
     """
     r = len(seed) - 1
-    reached: dict[tuple[int, ...], tuple | None] = {seed: None}
+    reached = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
@@ -117,40 +118,21 @@ def _orbit(seed: tuple[int, ...]) -> dict[tuple[int, ...], tuple | None]:
             for g in range(r):
                 image = _reflect(d, g)
                 if image not in reached:
-                    reached[image] = (d, g)
+                    reached.add(image)
                     nxt.append(image)
+                    yield image, d, g
         frontier = nxt
-    return reached
 
 
 @lru_cache(maxsize=None)
 def enumerate_lines(r: int) -> LineTable:
     """All lines of X_r, as the Weyl orbit of l_r, in canonical order (cached)."""
     _check_rank(r)
-    lines = sorted(_orbit(exceptional(r, r)))
+    seed = exceptional(r, r)
+    lines = sorted([seed] + [image for image, _, _ in _orbit(seed)])
     if len(lines) != COUNTS[r].lines:
         raise RuntimeError(f"line orbit has size {len(lines)}, expected {COUNTS[r].lines}")
     return LineTable(r, tuple(lines))
-
-
-def reducible_fibers(c: tuple[int, ...], lt: LineTable) -> list[tuple[int, int]]:
-    """All unordered line-index pairs {i, j} with line_i + line_j = c.
-
-    Exactly r - 1 pairs must exist for a conic class; anything else signals
-    a broken enumeration. A class of another rank raises RankMismatch.
-    """
-    if len(c) != lt.r + 1:
-        raise RankMismatch(f"rank {len(c) - 1} class on the rank {lt.r} line table")
-    found = []
-    for i, line in enumerate(lt.lines):
-        j = lt.index.get(tuple(map(sub, c, line)), -1)
-        if i < j:
-            found.append((i, j))
-    if len(found) != lt.r - 1:
-        raise FiberCountViolation(
-            f"conic {c} has {len(found)} reducible fibers, expected {lt.r - 1}"
-        )
-    return found
 
 
 @lru_cache(maxsize=None)
@@ -163,22 +145,22 @@ def enumerate_conics(r: int) -> tuple[ConicFibration, ...]:
     _check_rank(r)
     lt = enumerate_lines(r)
     seed = tuple(map(sub, hyperplane(r), exceptional(r, 1)))
-    reached = _orbit(seed)
-    if len(reached) != COUNTS[r].conics:
-        raise RuntimeError(f"conic orbit has size {len(reached)}, expected {COUNTS[r].conics}")
-    fibers = {seed: tuple(reducible_fibers(seed, lt))}
-    for c, step in reached.items():
-        if step is not None:
-            parent, g = step
-            perm = lt.generators[g]
-            carried = set()
-            for i, j in fibers[parent]:
-                a, b = perm[i], perm[j]
-                carried.add((a, b) if a < b else (b, a))
-            fibers[c] = tuple(sorted(carried))
+    # The seed's fibers {l_i, h - l_1 - l_i}, i = 2..r; l_i (h-degree 0)
+    # sorts before h - l_1 - l_i, so each pair is (min, max).
+    pairs = [(k, lt.index[tuple(map(sub, seed, lt.lines[k]))]) for k in lt.exceptional[1:]]
+    fibers = {seed: tuple(sorted(pairs))}
+    for image, c, g in _orbit(seed):
+        perm = lt.generators[g]
+        carried = set()
+        for i, j in fibers[c]:
+            a, b = perm[i], perm[j]
+            carried.add((a, b) if a < b else (b, a))
+        fibers[image] = tuple(sorted(carried))
+    if len(fibers) != COUNTS[r].conics:
+        raise RuntimeError(f"conic orbit has size {len(fibers)}, expected {COUNTS[r].conics}")
     lines = lt.lines
     out = []
-    for c in sorted(reached):
+    for c in sorted(fibers):
         if len(fibers[c]) != r - 1:
             raise FiberCountViolation(
                 f"conic {c} has {len(fibers[c])} reducible fibers, expected {r - 1}"

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lattice
 from .errors import InternalError
-from .incidence import COUNTS, ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
+from .incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
 from .records import Record
 
 
@@ -53,10 +53,9 @@ class ReplayFailure(RuntimeError):
 
 
 class FiberDifferenceMatrix(NamedTuple):
-    """Rows (fiber s) - (base fiber) over line indices; support: the fibers' lines."""
+    """Rows (fiber s) - (base fiber), each as its nonzero (line index, value) entries."""
 
-    rows: tuple[tuple[int, ...], ...]
-    support: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
 
 class WedgeVector(Record):
@@ -171,24 +170,19 @@ def _content_hash(payload: dict) -> str:
 
 
 def fiber_differences(f: ConicFibration, base: int) -> FiberDifferenceMatrix:
-    """Difference rows (fiber s) - (fiber base), s != base, in fiber order."""
+    """Difference rows (fiber s) - (fiber base), s != base, in fiber order.
+
+    Each row is its four entries (i, 1), (j, 1), (b_i, -1), (b_j, -1): the
+    fibers are disjoint line pairs, so no two share a line.
+    """
     nf = len(f.fibers)
     if not 0 <= base < nf:
         raise IndexError(f"base fiber index {base} out of range 0..{nf - 1}")
-    l = COUNTS[len(f.cls) - 1].lines
     bi, bj = f.fibers[base]
-    rows = []
-    for s, (i, j) in enumerate(f.fibers):
-        if s == base:
-            continue
-        row = [0] * l
-        row[i] += 1
-        row[j] += 1
-        row[bi] -= 1
-        row[bj] -= 1
-        rows.append(tuple(row))
-    support = tuple(sorted({c for pair in f.fibers for c in pair}))
-    return FiberDifferenceMatrix(tuple(rows), support)
+    rows = tuple(
+        ((i, 1), (j, 1), (bi, -1), (bj, -1)) for s, (i, j) in enumerate(f.fibers) if s != base
+    )
+    return FiberDifferenceMatrix(rows)
 
 
 def wedge_vector(f: ConicFibration, base: int, drop: int = 0) -> WedgeVector:
@@ -231,12 +225,12 @@ def _extend(picks: list[tuple[int, int]], lines: list[int]) -> list[tuple[int, i
 def iterated_wedge(m: FiberDifferenceMatrix, drop: int = 0) -> WedgeVector:
     """Iterated sparse wedge of any rows; entries are exact minors.
 
-    Reads each row's nonzero entries on the support, skips the columns in
-    the bitmask `drop`, and keys entries by bitmask as `wedge_vector` does.
+    Reads each row's (column, value) entries, skips the columns in the
+    bitmask `drop`, and keys entries by bitmask as `wedge_vector` does.
     """
     acc = {0: 1}
     for row in m.rows:
-        items = [(c, 1 << c, row[c]) for c in m.support if row[c] and not drop >> c & 1]
+        items = [(c, 1 << c, v) for c, v in row if not drop >> c & 1]
         nxt: dict[int, int] = {}
         for key, coeff in acc.items():
             for col, bit, val in items:

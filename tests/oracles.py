@@ -2,12 +2,13 @@
 
 The lattice ones combine and reflect divisor classes, coefficient tuples,
 by the textbook formulas; they are the reference for the coefficient
-reflections of incidence. Closing the fundamental roots under their
-reflections gives the positive roots, whose height counts give the degrees
-and the Poincare polynomial of W(E_r): its order and length counts without
-enumerating the group. The group-level ones work element by element (or
-class by class) on the enumerated group, independently of the bulk
-character and kernel routes they cross-check. The group itself is
+reflections of incidence, and a scan of the line table finds a conic's
+fibers without the orbit that carries them. Closing the fundamental roots
+under their reflections gives the positive roots, whose height counts give
+the degrees and the Poincare polynomial of W(E_r): its order and length
+counts without enumerating the group. The group-level ones work element by
+element (or class by class) on the enumerated group, independently of the
+bulk character and kernel routes they cross-check. The group itself is
 enumerated a second way, by a breadth-first closure with generator-word
 witnesses (WeylElement), apart from the transversal chain of
 weyl.group_data, and the Pic basis is looked up in the line table. The
@@ -29,7 +30,6 @@ import sympy
 from dp_hlog.hyperlog import numeric
 from dp_hlog.hyperlog.words import Word, WordCombination, asym
 from dp_hlog.incidence import COUNTS, LineTable, enumerate_conics, enumerate_lines
-from dp_hlog.incidence import reducible_fibers
 from dp_hlog.lattice import canonical, exceptional, hyperplane, is_conic_class, is_line, pair
 from dp_hlog.rep_theory import d5_classes
 from dp_hlog.weyl import group_data
@@ -65,6 +65,13 @@ def reflect(rho: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
     if pair(rho, rho) != -2 or pair(rho, canonical(len(rho) - 1)) != 0:
         raise NotARoot(f"{rho} is not a root")
     return combine(d, rho, by=(1, pair(d, rho)))
+
+
+def reducible_fibers(c: tuple[int, ...], lt: LineTable) -> list[tuple[int, int]]:
+    """Every pair i < j of line indices with line_i + line_j = c, found by a
+    scan of the whole line table."""
+    partners = (lt.index.get(combine(c, line, by=(1, -1)), -1) for line in lt.lines)
+    return [(i, j) for i, j in enumerate(partners) if i < j]
 
 
 def positive_roots(r: int) -> list[tuple[int, ...]]:

@@ -404,8 +404,8 @@ def test_replay_rederives_the_incidence_from_the_lattice(tmp_path, monkeypatch, 
     assert error in artifact["error"]
 
 
-def test_certify_rank_eight_needs_stretch():
-    # Rank 8 runs ungated; --stretch is not an option of certify or all.
+def test_stretch_is_not_an_option_of_certify_or_all():
+    # Rank 8 runs ungated.
     assert cli.main(["certify", "--rank", "8", "--stretch"]) == 2
     assert cli.main(["all", "--rank", "8", "--stretch"]) == 2
 

@@ -162,7 +162,7 @@ def _alignment_oracle():
                     matches.append((k, tuple(f.fibers[a] for a in assign)))
         assert len(matches) == 1, f"integral {i + 1}: {len(matches)} assignments"
         k, order = matches[0]
-        entries.append(dp4.AlignmentEntry(i, k, order, 3))
+        entries.append(dp4.AlignmentEntry(k, order))
     assert sorted(e.conic for e in entries) == list(range(len(conics)))
     return tuple(entries)
 
@@ -283,6 +283,13 @@ def test_factor_degrees(data):
 def test_genericity_rejected(g, p):
     with pytest.raises(ValueError):
         dp4.dp4_data(g, p)
+
+
+def test_a_missing_parameter_takes_its_default(data):
+    g, p = Fraction(-3, 4), Fraction(9, 5)
+    assert dp4.dp4_data() == data
+    assert dp4.dp4_data(gamma=g) == dp4.dp4_data(g, Fraction(5, 2))
+    assert dp4.dp4_data(pi=p) == dp4.dp4_data(Fraction(1, 3), p)
 
 
 def test_residue_check_passes(data):
@@ -406,8 +413,6 @@ def test_alignment_is_bijective(data):
     align = data.alignment
     assert len(align) == 10
     assert sorted(e.conic for e in align) == list(range(10))
-    assert [e.integral for e in align] == list(range(10))
-    assert all(e.base == 3 for e in align)
 
 
 def test_alignment_matches_residue_support_oracle(data):
@@ -423,21 +428,19 @@ def test_alignment_orders_are_fiber_permutations(data):
 def test_alignment_base_fiber_matches_poles(data):
     lt = enumerate_lines(5)
     visible = set(FACTOR_CLASSES)
-    for e in data.alignment:
-        rows = RESIDUE_VECTORS[e.integral]
+    for e, rows in zip(data.alignment, RESIDUE_VECTORS):
         pole = {FACTOR_CLASSES[j] for j, v in enumerate(rows[0]) if v < 0}
-        a, b = e.fiber_order[e.base]
+        a, b = e.fiber_order[-1]
         assert {lt.lines[a], lt.lines[b]} & visible == pole
 
 
 def test_aligned_kernel_signs_all_plus(data):
     align = data.alignment
     fiber_orders = [None] * len(align)
-    bases = [None] * len(align)
     for e in align:
         fiber_orders[e.conic] = e.fiber_order
-        bases[e.conic] = e.base
-    epsilon = wedge_kernel.kernel_epsilon(enumerate_conics(5), fiber_orders, bases, False)
+    # The infinity fiber, last in each order, is the base.
+    epsilon = wedge_kernel.kernel_epsilon(enumerate_conics(5), fiber_orders, [3] * 10, False)
     assert [epsilon[e.conic] for e in align] == [1] * 10
 
 

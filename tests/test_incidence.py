@@ -11,10 +11,8 @@ from dp_hlog.incidence import (
     UnsupportedRank,
     enumerate_conics,
     enumerate_lines,
-    reducible_fibers,
 )
 from dp_hlog.lattice import (
-    RankMismatch,
     exceptional,
     hyperplane,
     is_conic_class,
@@ -22,7 +20,7 @@ from dp_hlog.lattice import (
     pair,
 )
 
-from oracles import combine, rank_for_line_count, reflect, roots
+from oracles import combine, rank_for_line_count, reducible_fibers, reflect, roots
 
 
 def test_line_counts() -> None:
@@ -87,22 +85,19 @@ def test_fiber_structure_all_ranks() -> None:
 
 
 def test_fibers_of_h_minus_l1() -> None:
-    # For c = h - l1 the fibers are {h - l1 - lj, lj}, j = 2..r.
-    for r in (4, 7):
+    # For c = h - l1 the fibers are {h - l1 - lj, lj}, j = 2..r: the table
+    # holds them, and a scan of the line table finds no other pair.
+    for r in range(3, 9):
         lt = enumerate_lines(r)
         c = combine(hyperplane(r), exceptional(r, 1), by=(1, -1))
-        fibers = reducible_fibers(c, lt)
-        assert len(fibers) == r - 1
+        (fibers,) = [f.fibers for f in enumerate_conics(r) if f.cls == c]
         expected = {
             frozenset((exceptional(r, j), combine(c, exceptional(r, j), by=(1, -1))))
             for j in range(2, r + 1)
         }
         got = {frozenset((lt.lines[i], lt.lines[j])) for i, j in fibers}
         assert got == expected
-        # A longer tuple is no conic of this rank, though its first r + 1
-        # coefficients are.
-        with pytest.raises(RankMismatch):
-            reducible_fibers(c + (0,), lt)
+        assert list(fibers) == reducible_fibers(c, lt)
 
 
 def test_r7_degree_two_conic_fiber_shapes() -> None:
@@ -110,17 +105,9 @@ def test_r7_degree_two_conic_fiber_shapes() -> None:
     # two lines, three pair an exceptional line with a conic-degree line.
     lt = enumerate_lines(7)
     c = (2, -1, -1, -1, -1, 0, 0, 0)
-    shapes = Counter(
-        tuple(sorted((lt.lines[i][0], lt.lines[j][0])))
-        for i, j in reducible_fibers(c, lt)
-    )
+    (fibers,) = [f.fibers for f in enumerate_conics(7) if f.cls == c]
+    shapes = Counter(tuple(sorted((lt.lines[i][0], lt.lines[j][0]))) for i, j in fibers)
     assert shapes == {(1, 1): 3, (0, 2): 3}
-
-
-def test_non_conic_class_raises_fiber_count() -> None:
-    lt = enumerate_lines(4)
-    with pytest.raises(FiberCountViolation):
-        reducible_fibers(hyperplane(4), lt)
 
 
 def test_unsupported_rank() -> None:

@@ -164,13 +164,13 @@ def _bol_alignment():
     conics = enumerate_conics(4)
     cls_index = {c.cls: k for k, c in enumerate(conics)}
     entries = []
-    for i, (cls, fibers) in enumerate(BOL_FIBER_TABLE):
+    for cls, fibers in BOL_FIBER_TABLE:
         k = cls_index[cls]
         order = tuple(
             tuple(sorted(lt.index[p] for p in pair)) for pair in fibers
         )
         assert sorted(order) == sorted(conics[k].fibers)
-        entries.append(dp4.AlignmentEntry(i, k, order, 2))
+        entries.append(dp4.AlignmentEntry(k, order))
     return tuple(entries)
 
 
@@ -185,7 +185,6 @@ def test_five_term_web_matches_hand_tables():
 def test_bol_alignment_bijective():
     entries = dp4.five_term_web().alignment
     assert sorted(e.conic for e in entries) == list(range(5))
-    assert all(e.base == 2 for e in entries)
     signs = dp4.aligned_signs(4, entries)
     assert sorted(abs(s) for s in signs) == [1] * 5
 
@@ -535,10 +534,7 @@ def test_power_tables_match_per_monomial_powers():
         rng.normal(size=(2, 33)) + 1j * rng.normal(size=(2, 33)),
     ]
     maps = [numeric._RationalMap(*nd) for nd in dp4.five_term_web().integrals]
-    maps += [
-        numeric._RationalMap(*nd)
-        for nd in dp4.dp4_data(*dp4.DEFAULT_PARAMETERS).integrals
-    ]
+    maps += [numeric._RationalMap(*nd) for nd in dp4.dp4_data().integrals]
     checked = 0
     for m in maps:
         (nx, ny), (dx, dy) = m.grads

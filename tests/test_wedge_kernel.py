@@ -21,12 +21,14 @@ from record_artifact_hashes import CERTIFY, artifact
 
 
 def _minor(rows, cols):
+    # rows as fiber_differences writes them: (column, value) entries.
+    top = dict(rows[0])
     if len(cols) == 1:
-        return rows[0][cols[0]]
+        return top.get(cols[0], 0)
     total = 0
     for p, c in enumerate(cols):
         sign = -1 if p & 1 else 1
-        total += sign * rows[0][c] * _minor(rows[1:], cols[:p] + cols[p + 1 :])
+        total += sign * top.get(c, 0) * _minor(rows[1:], cols[:p] + cols[p + 1 :])
     return total
 
 
@@ -35,10 +37,11 @@ def test_fiber_differences_shape_and_row_sums():
         conics = enumerate_conics(r)
         m = wk.fiber_differences(conics[0], r - 2)
         assert len(m.rows) == r - 2
-        assert len(m.support) == 2 * (r - 1)
+        columns = {c for row in m.rows for c, _ in row}
+        assert columns == {c for pair in conics[0].fibers for c in pair}
         for row in m.rows:
-            assert sum(row) == 0
-            assert sorted(v for v in row if v) == [-1, -1, 1, 1]
+            assert len({c for c, _ in row}) == 4
+            assert sorted(v for _, v in row) == [-1, -1, 1, 1]
 
 
 def test_fiber_differences_bad_base():
@@ -64,9 +67,9 @@ def test_wedge_vector_entries_are_minors():
             assert len(cols) == r - 2
             assert val == _minor(m.rows, cols)
             assert val != 0
-        # A tuple off the support must be absent.
+        # A tuple off the fibers' lines must be absent.
         outside = (1 << (r - 2)) - 1
-        if not set(_columns(outside)) <= set(m.support):
+        if not set(_columns(outside)) <= {c for row in m.rows for c, _ in row}:
             assert outside not in w.entries
 
 
@@ -81,11 +84,11 @@ def test_wedge_vector_degenerate_and_antisymmetric(r, data):
     rows = list(m.rows)
     rows[i], rows[j] = rows[j], rows[i]
     w = wk.iterated_wedge(m)
-    ws = wk.iterated_wedge(wk.FiberDifferenceMatrix(tuple(rows), m.support))
+    ws = wk.iterated_wedge(wk.FiberDifferenceMatrix(tuple(rows)))
     assert w.entries
     assert ws.entries == {cols: -val for cols, val in w.entries.items()}
     rows[i] = rows[j]
-    repeated = wk.FiberDifferenceMatrix(tuple(rows), m.support)
+    repeated = wk.FiberDifferenceMatrix(tuple(rows))
     assert wk.iterated_wedge(repeated).entries == {}
 
 

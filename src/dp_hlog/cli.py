@@ -245,12 +245,10 @@ def _route_numeric(config: RunConfig) -> tuple[dict, int]:
     tol = tol if config.tol is None else config.tol
     # An unseeded run draws the seed-0 plan, so its artifact is reproducible.
     seed = 0 if config.seed is None else config.seed
-    data = None
     # A degenerate (gamma, pi), or a web whose coefficients overflow a float.
     try:
-        if rank == 5:
-            data = dp4.dp4_data(config.gamma, config.pi)
-        report = hnumeric.verify_identity_numeric(rank, samples, tol, data=data, seed=seed)
+        web = dp4.five_term_web() if rank == 4 else dp4.dp4_data(config.gamma, config.pi)
+        report = hnumeric.verify_identity_numeric(web, samples, tol, seed=seed)
     except ValueError as exc:
         return {"rank": rank, "error": str(exc)}, EXIT_USAGE
     artifact = {

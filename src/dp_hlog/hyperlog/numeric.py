@@ -23,11 +23,12 @@ step by step on fresh nodes, in the same order, so values and error
 estimates are bit-identical to that route whatever the group size,
 evaluation size or block width.
 
-The first integrals come from the webs the dp4 module derives from a point
-configuration: the five-term web for the weight-2 identity at rank 4, and
-the ten-integral web for the weight-3 identity at rank 5. In both cases the
-term signs come from the wedge kernel solve, aligned fiber-by-fiber by the
-web's fiber spec, never from a hard-coded list.
+The check takes the web to verify, as the dp4 module derives it from a
+point configuration, and reads the rest from it: the rank r from its line
+classes, and the alphabet from each first integral's finite spectrum values,
+whose number r - 2 is the weight of the identity. The term signs come from
+the wedge kernel solve, aligned fiber-by-fiber by the web's fiber spec,
+never from a hard-coded list.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from . import dp4
 from .words import Word, asym
 
 _STEP_CAP = 1 << 17
+_CLEARANCE = 1e-3
 _CLEARANCE_GRID = 1025
 # Elements (words x paths x steps) of the top weight in one block of steps
 # of a transport run; each lower weight holds 1/alphabet of the one above.
@@ -299,22 +301,14 @@ class NumericReport(NamedTuple):
     passed: bool
 
 
-def _web(r: int, data: dp4.DP4Data | None):
-    if r == 4:
-        if data is not None:
-            raise ValueError("the five-integral web has no parameters")
-        data = dp4.five_term_web()
-    elif r == 5:
-        if data is None:
-            data = dp4.dp4_data()
-    else:
-        raise ValueError("numeric verification covers ranks 4 and 5 only")
+def _float_web(web: dp4.DP4Data):
+    """The web's first integrals and letters in floats, or ValueError."""
     try:
-        maps = [_RationalMap(n, d) for n, d in data.integrals]
-        letters = [tuple(complex(c) for c in row) for row in data.spectra]
+        maps = [_RationalMap(n, d) for n, d in web.integrals]
+        letters = [tuple(complex(c) for c in row) for row in web.spectra]
     except OverflowError:
         raise ValueError("the web's coefficients do not fit a float") from None
-    return data, maps, letters, data.alignment, r - 2
+    return maps, letters
 
 
 def _clear(
@@ -322,11 +316,10 @@ def _clear(
     pts: Sequence[complex],
     start: tuple[complex, complex],
     stop: tuple[complex, complex],
-    delta: float,
 ) -> bool:
     """Whether the planar segment start -> stop, each an (x, y) pair, keeps
-    the denominator off zero, |u| below 1/delta and u further than delta
-    from every letter, on _CLEARANCE_GRID points."""
+    the denominator off zero, |u| below 1/_CLEARANCE and u further than
+    _CLEARANCE from every letter, on _CLEARANCE_GRID points."""
     t = np.linspace(0.0, 1.0, _CLEARANCE_GRID)
     xy = m.powers(*(start[i] + t * (stop[i] - start[i]) for i in (0, 1)))
     d = m.den(*xy)
@@ -334,8 +327,8 @@ def _clear(
         u = m.num(*xy) / d
     return bool(
         np.abs(d).min() > 1e-12
-        and np.abs(u).max() < 1.0 / delta
-        and all(np.abs(u - b).min() > delta for b in pts)
+        and np.abs(u).max() < 1.0 / _CLEARANCE
+        and all(np.abs(u - b).min() > _CLEARANCE for b in pts)
     )
 
 
@@ -344,7 +337,6 @@ def _draw_plan(
     maps: Sequence[_RationalMap],
     letters: Sequence[tuple[complex, ...]],
     samples: int,
-    delta: float,
 ):
     """A base point and `samples` >= 1 clear endpoints around it, drawn
     from rng one candidate at a time.
@@ -358,7 +350,7 @@ def _draw_plan(
         return complex(rng.uniform(lo, hi), rng.uniform(im_lo, im_hi))
 
     def clear(start: tuple, stop: tuple) -> bool:
-        return all(_clear(m, pts, start, stop, delta) for m, pts in zip(maps, letters))
+        return all(_clear(m, pts, start, stop) for m, pts in zip(maps, letters))
 
     for _ in range(100):
         xi = (cpx(-1.2, 1.2, 0.1, 0.9), cpx(-1.2, 1.2, -0.9, -0.1))
@@ -406,11 +398,11 @@ def _plan_terms(
     maps: Sequence[_RationalMap],
     letters: Sequence[tuple[complex, ...]],
     plan: Sequence[tuple[tuple[complex, complex], tuple[complex, complex]]],
-    weight: int,
     quad_tol: float,
 ) -> tuple[list[complex], list[float]]:
     """Antisymmetric values and error estimates of every integral on every
-    planar segment of the plan, segment by segment.
+    planar segment of the plan, segment by segment; the weight is the
+    number of letters.
 
     Each first integral's segments go in groups of at most _GROUP, one
     transport batch per group; so a batch's coefficient tables grow with the
@@ -418,7 +410,7 @@ def _plan_terms(
     transport, whatever the group. A failure raises from the first group
     that fails.
     """
-    alphabet = len(letters[0])
+    alphabet = weight = len(letters[0])
     index = _word_system(alphabet, weight)
     combination = [(index[w], float(c)) for w, c in asym(tuple(range(weight)))]
     terms = [0j] * (len(plan) * len(maps))
@@ -438,21 +430,16 @@ def _plan_terms(
 
 
 def verify_identity_numeric(
-    r: int,
-    samples: int,
-    tol: float,
-    *,
-    data: dp4.DP4Data | None = None,
-    seed: int,
+    web: dp4.DP4Data, samples: int, tol: float, *, seed: int
 ) -> NumericReport:
-    """Check the rank-4 or rank-5 functional identity on random samples.
+    """Check the functional identity of the web on random samples.
 
     Endpoints are drawn in a disk around a fixed admissible base point; each
     term is the antisymmetric combination of word values transported along
     the pullback of the planar segment under that first integral. The report
     carries per-sample residuals max|sum_i eps_i AI_i| / max_i|AI_i| and the
     propagated quadrature budgets; it passes iff the worst residual is below
-    tol. Paths keep a clearance of 1e-3 and each transport stabilizes to
+    tol. Paths keep a clearance of _CLEARANCE and each transport stabilizes to
     min(1e-11, tol / 1000). Signs come from the aligned kernel solve, and
     the plan is drawn from random.Random(seed).
     """
@@ -460,11 +447,12 @@ def verify_identity_numeric(
         raise ValueError("need at least one sample")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
-    data, maps, letters, alignment, weight = _web(r, data)
-    signs = dp4.aligned_signs(r, alignment)
-    plan = _draw_plan(random.Random(seed), maps, letters, samples, 1e-3)
+    r = len(web.lines[0]) - 1
+    maps, letters = _float_web(web)
+    signs = dp4.aligned_signs(r, web.alignment)
+    plan = _draw_plan(random.Random(seed), maps, letters, samples)
     quad_tol = min(1e-11, tol * 1e-3)
-    terms, errors = _plan_terms(maps, letters, plan, weight, quad_tol)
+    terms, errors = _plan_terms(maps, letters, plan, quad_tol)
     residuals = []
     budgets = []
     for j in range(0, len(terms), len(maps)):
@@ -479,8 +467,8 @@ def verify_identity_numeric(
         samples=samples,
         tol=tol,
         seed=seed,
-        gamma=data.gamma,
-        pi=data.pi,
+        gamma=web.gamma,
+        pi=web.pi,
         signs=signs,
         residuals=tuple(residuals),
         error_budgets=tuple(budgets),

@@ -52,12 +52,6 @@ class ReplayFailure(RuntimeError):
     """A stored certificate failed re-verification."""
 
 
-class FiberDifferenceMatrix(NamedTuple):
-    """Rows (fiber s) - (base fiber), each as its nonzero (line index, value) entries."""
-
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-
-
 class WedgeVector(Record):
     """Sparse exact wedge: bitmask of line indices -> minor determinant.
 
@@ -169,20 +163,20 @@ def _content_hash(payload: dict) -> str:
     return sha256(blob.encode("utf-8")).hexdigest()
 
 
-def fiber_differences(f: ConicFibration, base: int) -> FiberDifferenceMatrix:
+def fiber_differences(f: ConicFibration, base: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Difference rows (fiber s) - (fiber base), s != base, in fiber order.
 
-    Each row is its four entries (i, 1), (j, 1), (b_i, -1), (b_j, -1): the
-    fibers are disjoint line pairs, so no two share a line.
+    Each row is its nonzero (line index, value) entries, the four entries
+    (i, 1), (j, 1), (b_i, -1), (b_j, -1): the fibers are disjoint line
+    pairs, so no two share a line.
     """
     nf = len(f.fibers)
     if not 0 <= base < nf:
         raise IndexError(f"base fiber index {base} out of range 0..{nf - 1}")
     bi, bj = f.fibers[base]
-    rows = tuple(
+    return tuple(
         ((i, 1), (j, 1), (bi, -1), (bj, -1)) for s, (i, j) in enumerate(f.fibers) if s != base
     )
-    return FiberDifferenceMatrix(rows)
 
 
 def wedge_vector(f: ConicFibration, base: int, drop: int = 0) -> WedgeVector:
@@ -222,14 +216,14 @@ def _extend(picks: list[tuple[int, int]], lines: list[int]) -> list[tuple[int, i
     ]
 
 
-def iterated_wedge(m: FiberDifferenceMatrix, drop: int = 0) -> WedgeVector:
+def iterated_wedge(rows: Iterable[Iterable[tuple[int, int]]], drop: int = 0) -> WedgeVector:
     """Iterated sparse wedge of any rows; entries are exact minors.
 
     Reads each row's (column, value) entries, skips the columns in the
     bitmask `drop`, and keys entries by bitmask as `wedge_vector` does.
     """
     acc = {0: 1}
-    for row in m.rows:
+    for row in rows:
         items = [(c, 1 << c, v) for c, v in row if not drop >> c & 1]
         nxt: dict[int, int] = {}
         for key, coeff in acc.items():

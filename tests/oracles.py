@@ -16,7 +16,8 @@ numeric ones transport words along straight segments through the kernel
 the numeric route runs, and decompose a transported weight-3 value into
 transported values of lower weight. GAP's transcribed W(D_5) table, class
 words and Dynkin relabelling are the second route to the D5 table that
-rep_theory computes by rule.
+rep_theory computes by rule. The canonical certificate of a rank is
+computed once per process, for the tests that read it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dp_hlog.hyperlog.words import Word, WordCombination, asym
 from dp_hlog.incidence import COUNTS, LineTable, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import canonical, exceptional, hyperplane, is_conic_class, is_line, pair
 from dp_hlog.rep_theory import d5_classes
+from dp_hlog.wedge_kernel import HlogCertificate, kernel_signs
 from dp_hlog.weyl import group_data
 
 
@@ -383,6 +385,12 @@ def d5_conic_values() -> tuple[int, ...]:
             fixed += combine(lines[perm[i]], lines[perm[j]]) == fib.cls
         out.append(fixed)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def canonical_certificate(r: int) -> HlogCertificate:
+    """kernel_signs(r) with the canonical fiber orders and bases."""
+    return kernel_signs(r)
 
 
 def segments(*segs):

@@ -457,6 +457,9 @@ def test_numeric_rank_four(tmp_path):
 
 
 def test_numeric_parameter_gates():
+    # The parser refuses the ranks the numeric route has no web for.
+    for rank in ("3", "6"):
+        assert cli.main(["numeric", "--rank", rank]) == 2
     assert cli.main(["numeric", "--rank", "4", "--gamma", "1/3"]) == 2
     assert cli.main(["numeric", "--rank", "5", "--gamma", "nonsense"]) == 2
     assert (

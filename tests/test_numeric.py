@@ -86,13 +86,21 @@ def test_quadrature_failure(monkeypatch):
 
 
 def test_rejections():
+    web = dp4.five_term_web()
     with pytest.raises(ValueError):
-        numeric.verify_identity_numeric(6, samples=1, tol=1e-6, seed=0)
-    with pytest.raises(ValueError):
-        numeric.verify_identity_numeric(4, samples=0, tol=1e-6, seed=0)
+        numeric.verify_identity_numeric(web, samples=0, tol=1e-6, seed=0)
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            numeric.verify_identity_numeric(4, samples=1, tol=tol, seed=0)
+            numeric.verify_identity_numeric(web, samples=1, tol=tol, seed=0)
+
+
+# The webs the numeric route checks at ranks 4 and 5, by rank.
+WEBS = {4: dp4.five_term_web, 5: dp4.dp4_data}
+
+
+def _web(r):
+    """The first integrals and letters of the rank-r web, in floats."""
+    return numeric._float_web(WEBS[r]())
 
 
 def test_ai3_cross_check():
@@ -190,7 +198,7 @@ def test_bol_alignment_bijective():
 
 
 def test_five_term_identity():
-    rep = numeric.verify_identity_numeric(4, samples=3, tol=1e-8, seed=11)
+    rep = numeric.verify_identity_numeric(dp4.five_term_web(), samples=3, tol=1e-8, seed=11)
     assert rep.passed
     assert rep.max_residual < 1e-8
     assert rep.gamma is None and rep.pi is None
@@ -198,7 +206,7 @@ def test_five_term_identity():
 
 
 def test_ten_term_identity():
-    rep = numeric.verify_identity_numeric(5, samples=2, tol=1e-6, seed=5)
+    rep = numeric.verify_identity_numeric(dp4.dp4_data(), samples=2, tol=1e-6, seed=5)
     assert rep.passed
     assert rep.max_residual < 1e-6
     assert (rep.gamma, rep.pi) == (Fraction(1, 3), Fraction(5, 2))
@@ -206,10 +214,10 @@ def test_ten_term_identity():
 
 def test_identity_is_nonvacuous():
     # Dropping one term leaves a residual comparable to that term.
-    data, maps, letters, alignment, weight = numeric._web(4, None)
-    signs = dp4.aligned_signs(4, alignment)
-    plan = numeric._draw_plan(random.Random(2), maps, letters, 1, 1e-3)
-    terms, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-11)
+    maps, letters = _web(4)
+    signs = dp4.aligned_signs(4, dp4.five_term_web().alignment)
+    plan = numeric._draw_plan(random.Random(2), maps, letters, 1)
+    terms, _ = numeric._plan_terms(maps, letters, plan, 1e-11)
     scale = max(abs(t) for t in terms)
     full = abs(sum(s * t for s, t in zip(signs, terms))) / scale
     partial = abs(sum(s * t for s, t in zip(signs[:-1], terms[:-1]))) / scale
@@ -221,14 +229,15 @@ def _plan_batch(r, seed):
     # Every first integral on one sample's segment as one batch, one path
     # per integral: _rk4_batch reads any coefficient callback, and the route
     # gives each integral its own.
-    data, maps, letters, alignment, weight = numeric._web(r, None)
-    plan = numeric._draw_plan(random.Random(seed), maps, letters, 1, 1e-3)
+    maps, letters = _web(r)
+    plan = numeric._draw_plan(random.Random(seed), maps, letters, 1)
     coefs = [numeric._plan_coef(m, pts, plan) for m, pts in zip(maps, letters)]
 
     def coef(paths, t):
         return np.concatenate([coefs[p](np.zeros(1, dtype=int), t) for p in paths], axis=1)
 
-    return coef, len(coefs), len(letters[0]), weight
+    alphabet = len(letters[0])  # also the weight: one letter per finite spectrum value
+    return coef, len(coefs), alphabet, alphabet
 
 
 def test_mixed_batch_matches_single_paths():
@@ -393,19 +402,19 @@ def test_group_size_does_not_change_bits(monkeypatch, group, nodes):
     plans = {}
     reference = {}
     for r, seed, samples in ((4, 1, 10), (5, 3, 5)):
-        data, maps, letters, alignment, weight = numeric._web(r, None)
-        plan = numeric._draw_plan(random.Random(seed), maps, letters, samples, 1e-3)
-        plans[r] = (maps, letters, plan, weight)
+        maps, letters = _web(r)
+        plan = numeric._draw_plan(random.Random(seed), maps, letters, samples)
+        plans[r] = (maps, letters, plan)
         terms, errors = [], []
         for sample in plan:
-            t, e = numeric._plan_terms(maps, letters, [sample], weight, 1e-9)
+            t, e = numeric._plan_terms(maps, letters, [sample], 1e-9)
             terms += t
             errors += e
         reference[r] = terms, errors
     monkeypatch.setattr(numeric, "_GROUP", group)
     monkeypatch.setattr(numeric, "_NODES", nodes)
-    for r, (maps, letters, plan, weight) in plans.items():
-        terms, errors = numeric._plan_terms(maps, letters, plan, weight, 1e-9)
+    for r, (maps, letters, plan) in plans.items():
+        terms, errors = numeric._plan_terms(maps, letters, plan, 1e-9)
         assert terms == reference[r][0]
         assert errors == reference[r][1]
 
@@ -443,7 +452,7 @@ def test_no_batch_mixes_integrals(monkeypatch, r, samples):
 
     monkeypatch.setattr(numeric._RationalMap, "forms", watched_forms)
     monkeypatch.setattr(numeric, "_rk4_batch", watched_batch)
-    assert numeric.verify_identity_numeric(r, samples, tol, seed=1).passed
+    assert numeric.verify_identity_numeric(WEBS[r](), samples, tol, seed=1).passed
     assert all(len(maps) == 1 and count <= numeric._GROUP for maps, count in batches)
     per_integral = {}
     for (m,), count in batches:
@@ -468,8 +477,8 @@ def test_forms_bits_do_not_depend_on_the_batch(r):
     # one (node, segment) element alone differs in the last bit at up to 176
     # of the nodes, since numpy then sums a polynomial's monomials in another
     # order; the transport never makes one.
-    data, maps, letters, alignment, weight = numeric._web(r, None)
-    plan = numeric._draw_plan(random.Random(1), maps, letters, 1, 1e-3)
+    maps, letters = _web(r)
+    plan = numeric._draw_plan(random.Random(1), maps, letters, 1)
     starts = np.asarray([xi for xi, _ in plan])
     stops = np.asarray([p for _, p in plan])
     t = np.arange(257) / 256
@@ -486,8 +495,8 @@ def test_plan_terms_never_evaluate_one_element(monkeypatch, r, seed):
     # With one path per batch and one (node, path) pair per piece, every
     # forms call still holds at least two elements. With 100 pairs per
     # piece, no call holds more: 129 nodes make two pieces, not one.
-    data, maps, letters, alignment, weight = numeric._web(r, None)
-    plan = numeric._draw_plan(random.Random(seed), maps, letters, 1, 1e-3)
+    maps, letters = _web(r)
+    plan = numeric._draw_plan(random.Random(seed), maps, letters, 1)
     sizes = []
     forms = numeric._RationalMap.forms
 
@@ -500,7 +509,7 @@ def test_plan_terms_never_evaluate_one_element(monkeypatch, r, seed):
         sizes.clear()
         monkeypatch.setattr(numeric, "_GROUP", group)
         monkeypatch.setattr(numeric, "_NODES", nodes)
-        numeric._plan_terms(maps, letters, plan, weight, 1e-9)
+        numeric._plan_terms(maps, letters, plan, 1e-9)
         assert sizes and min(sizes) >= 2
     assert max(sizes) <= 100
 
@@ -512,7 +521,7 @@ def test_transport_memory_is_bounded_by_the_group():
     # segments per batch peak near 2.7 MiB (1.4 MiB at 10 samples).
     tracemalloc.start()
     try:
-        report = numeric.verify_identity_numeric(5, samples=40, tol=1e-6, seed=1)
+        report = numeric.verify_identity_numeric(dp4.dp4_data(), samples=40, tol=1e-6, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -552,21 +561,22 @@ def test_tolerance_ladder_monotone():
     # converged value monotonically. The raw identity residual is not a
     # reliable ladder statistic: at coarse tolerances all terms share one
     # step count and their truncation errors largely cancel in the sum.
-    data, maps, letters, alignment, weight = numeric._web(4, None)
-    plan = numeric._draw_plan(random.Random(9), maps, letters, 1, 1e-3)
-    ref, _ = numeric._plan_terms(maps, letters, plan, weight, 1e-13)
+    maps, letters = _web(4)
+    plan = numeric._draw_plan(random.Random(9), maps, letters, 1)
+    ref, _ = numeric._plan_terms(maps, letters, plan, 1e-13)
     deviations = []
     for quad in (1e-4, 1e-7, 1e-10):
-        terms, _ = numeric._plan_terms(maps, letters, plan, weight, quad)
+        terms, _ = numeric._plan_terms(maps, letters, plan, quad)
         deviations.append(max(abs(a - b) for a, b in zip(terms, ref)))
     assert deviations[0] >= deviations[1] >= deviations[2]
     assert deviations[2] < deviations[0]
 
 
-def test_draw_plan_gives_up_cleanly():
-    data, maps, letters, alignment, weight = numeric._web(4, None)
+def test_draw_plan_gives_up_cleanly(monkeypatch):
+    maps, letters = _web(4)
+    monkeypatch.setattr(numeric, "_CLEARANCE", 10.0)
     with pytest.raises(numeric.PathTooClose):
-        numeric._draw_plan(random.Random(0), maps, letters, 1, 10.0)
+        numeric._draw_plan(random.Random(0), maps, letters, 1)
 
 
 def _path_clear_one(m, pts, start, stop, delta):
@@ -585,9 +595,9 @@ def _path_clear_one(m, pts, start, stop, delta):
     return all(np.min(np.abs(u - b)) > delta for b in pts)
 
 
-def _plan_or_failure(seed, maps, letters, samples, delta):
+def _plan_or_failure(seed, maps, letters, samples):
     try:
-        return numeric._draw_plan(random.Random(seed), maps, letters, samples, delta)
+        return numeric._draw_plan(random.Random(seed), maps, letters, samples)
     except numeric.PathTooClose as exc:
         return str(exc)
 
@@ -606,22 +616,23 @@ def test_plan_checks_each_candidate_once_per_integral(
 ):
     # Each candidate segment meets the integrals in order, one _clear call
     # each, up to and including the first that rejects it.
-    data, maps, letters, alignment, weight = numeric._web(r, None)
+    maps, letters = _web(r)
     index = {id(m): i for i, m in enumerate(maps)}
     calls = []
     clear = numeric._clear
 
-    def counted(m, pts, start, stop, delta):
+    def counted(m, pts, start, stop):
         calls.append((index[id(m)], start, stop))
-        return clear(m, pts, start, stop, delta)
+        return clear(m, pts, start, stop)
 
     monkeypatch.setattr(numeric, "_clear", counted)
+    monkeypatch.setattr(numeric, "_CLEARANCE", delta)
     rejected = 0
     seen = set()
     for samples in sample_counts:
         for seed in seeds:
             calls.clear()
-            outcome = _plan_or_failure(seed, maps, letters, samples, delta)
+            outcome = _plan_or_failure(seed, maps, letters, samples)
             seen.add(outcome if isinstance(outcome, str) else len(outcome))
             candidates = list(dict.fromkeys((a, b) for _, a, b in calls))
             expected, accepted = [], []

@@ -17,6 +17,7 @@ from dp_hlog.errors import InternalError
 from dp_hlog.incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
 from dp_hlog.lattice import exceptional
 
+from oracles import canonical_certificate
 from record_artifact_hashes import CERTIFY, artifact
 
 
@@ -35,11 +36,11 @@ def _minor(rows, cols):
 def test_fiber_differences_shape_and_row_sums():
     for r in (4, 7):
         conics = enumerate_conics(r)
-        m = wk.fiber_differences(conics[0], r - 2)
-        assert len(m.rows) == r - 2
-        columns = {c for row in m.rows for c, _ in row}
+        rows = wk.fiber_differences(conics[0], r - 2)
+        assert len(rows) == r - 2
+        columns = {c for row in rows for c, _ in row}
         assert columns == {c for pair in conics[0].fibers for c in pair}
-        for row in m.rows:
+        for row in rows:
             assert len({c for c, _ in row}) == 4
             assert sorted(v for _, v in row) == [-1, -1, 1, 1]
 
@@ -59,17 +60,17 @@ def _columns(key):
 def test_wedge_vector_entries_are_minors():
     for r in (4, 5):
         f = enumerate_conics(r)[0]
-        m = wk.fiber_differences(f, r - 2)
-        w = wk.iterated_wedge(m)
+        rows = wk.fiber_differences(f, r - 2)
+        w = wk.iterated_wedge(rows)
         assert len(w) == len(w.entries) <= comb(2 * (r - 1), r - 2)
         for key, val in w.entries.items():
             cols = _columns(key)
             assert len(cols) == r - 2
-            assert val == _minor(m.rows, cols)
+            assert val == _minor(rows, cols)
             assert val != 0
         # A tuple off the fibers' lines must be absent.
         outside = (1 << (r - 2)) - 1
-        if not set(_columns(outside)) <= {c for row in m.rows for c, _ in row}:
+        if not set(_columns(outside)) <= {c for row in rows for c, _ in row}:
             assert outside not in w.entries
 
 
@@ -81,15 +82,14 @@ def test_wedge_vector_degenerate_and_antisymmetric(r, data):
     f = data.draw(st.sampled_from(enumerate_conics(r)))
     m = wk.fiber_differences(f, data.draw(st.integers(0, r - 2)))
     i, j = data.draw(st.lists(st.integers(0, r - 3), min_size=2, max_size=2, unique=True))
-    rows = list(m.rows)
+    rows = list(m)
     rows[i], rows[j] = rows[j], rows[i]
     w = wk.iterated_wedge(m)
-    ws = wk.iterated_wedge(wk.FiberDifferenceMatrix(tuple(rows)))
+    ws = wk.iterated_wedge(rows)
     assert w.entries
     assert ws.entries == {cols: -val for cols, val in w.entries.items()}
     rows[i] = rows[j]
-    repeated = wk.FiberDifferenceMatrix(tuple(rows))
-    assert wk.iterated_wedge(repeated).entries == {}
+    assert wk.iterated_wedge(rows).entries == {}
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -101,13 +101,13 @@ def test_closed_form_equals_iterated_wedge_and_minors(r, data):
     base = data.draw(st.integers(0, r - 2))
     drop = sum(1 << k for k in enumerate_lines(r).exceptional) if data.draw(st.booleans()) else 0
     w = wk.wedge_vector(f, base, drop=drop)
-    m = wk.fiber_differences(f, base)
-    assert w.entries == wk.iterated_wedge(m, drop).entries
+    rows = wk.fiber_differences(f, base)
+    assert w.entries == wk.iterated_wedge(rows, drop).entries
     if not drop:
         assert len(w) == (r - 1) * 2 ** (r - 2)
     for key, val in w.entries.items():
         assert not key & drop
-        assert val == _minor(m.rows, _columns(key)) in (1, -1)
+        assert val == _minor(rows, _columns(key)) in (1, -1)
 
 
 @pytest.mark.parametrize("r", range(3, 9))
@@ -137,8 +137,9 @@ def _ordering_cases():
 def test_closed_form_matches_iterated_wedge(r, seed, quotient):
     # Entry for entry, on the orderings the certificates store. Every key is
     # an (r - 2)-subset of its conic's 2(r - 1) fiber lines, so no wedge has
-    # more than C(2(r - 1), r - 2) entries.
-    cert = wk.kernel_signs(r, seed=seed, quotient=quotient)
+    # more than C(2(r - 1), r - 2) entries. The r = 8 certificate is
+    # criterion 3's, computed once per process.
+    cert = canonical_certificate(8) if r == 8 else wk.kernel_signs(r, seed=seed, quotient=quotient)
     conics = enumerate_conics(r)
     args = (conics, cert.fiber_orders, cert.bases, quotient)
     closed = wk._wedges(wk.wedge_vector, *args)
@@ -376,6 +377,24 @@ def test_replay_reproves_the_wedge_structure(monkeypatch):
     monkeypatch.setattr(wk, "_wedges", lambda *args: iter([wk.WedgeVector({1: 1})]))
     with pytest.raises(wk.ReplayFailure, match="only one wedge"):
         wk.replay(cert)
+
+
+def test_replay_reproves_connectivity(monkeypatch):
+    # Five wedges with +-1 entries, every tuple in two of them and annihilated
+    # by epsilon = +1, but in two components {0, 1} and {2, 3, 4}: a kernel
+    # of dimension two, which replay must refuse. Tuples 32 and 64 link the
+    # components, and then the same certificate replays.
+    cert = wk.kernel_signs(4)._replace(epsilon=(1,) * 5)
+    cert = cert._replace(content_hash=wk._content_hash(cert.payload()))
+
+    def replay(wedges):
+        monkeypatch.setattr(wk, "_wedges", lambda *args: map(wk.WedgeVector, wedges))
+        wk.replay(cert)
+
+    with pytest.raises(wk.ReplayFailure):
+        replay([{1: 1}, {1: -1}, {2: 1, 8: 1}, {2: -1, 16: 1}, {8: -1, 16: -1}])
+    replay([{1: 1, 32: 1}, {1: -1, 64: 1}, {2: 1, 8: 1, 32: -1}, {2: -1, 16: 1, 64: -1},
+            {8: -1, 16: -1}])
 
 
 def test_replay_never_calls_the_closed_form(monkeypatch):

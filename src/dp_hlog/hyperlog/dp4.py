@@ -219,8 +219,10 @@ class AlignmentEntry(NamedTuple):
 
 
 class DP4Data(NamedTuple):
-    """Exact web data: the rank-5 web at an admissible parameter pair
-    (gamma, pi), or the rank-4 web with gamma = pi = None."""
+    """Exact web data of the plane blown up at r points, as conic_web
+    derives it from the points and a fiber spec, for any rank r. gamma and
+    pi are the parameter pair of the rank-5 web of dp4_data, and None for
+    every other web."""
 
     gamma: Fraction | None
     pi: Fraction | None

@@ -16,9 +16,11 @@ the letter coefficients with the stage inputs of the weight below, and the
 values at the step starts are a running sum of the increments. Coefficients
 come from vectorised evaluations of the batch's first integral over its
 active paths, each over a bounded number of nodes, on one grid of dyadic
-nodes that each doubling extends by its midpoints instead of rebuilding; the
-integral's numerator, denominator and gradients share one table of powers.
-Every element goes through the float operations of a lone path transported
+nodes that each doubling extends by its midpoints instead of rebuilding. The
+integral's numerator, denominator and gradients share per-column power
+tables, one whole array per power of x and of y, and each polynomial adds its
+monomial columns in the order numpy's sum over a monomial axis would. Every
+element goes through the float operations of a lone path transported
 step by step on fresh nodes, in the same order, so values and error
 estimates are bit-identical to that route whatever the group size,
 evaluation size or block width.
@@ -217,7 +219,7 @@ class _RationalMap:
     """Vectorized evaluation of one first integral along a planar segment.
 
     The numerator, the denominator and their four partial derivatives all
-    read one table of the powers x**i and y**j per evaluation.
+    read one set of power columns x**i and y**j per evaluation.
     """
 
     __slots__ = ("num", "den", "grads", "degrees")
@@ -233,11 +235,20 @@ class _RationalMap:
             max(k[axis] for k in (*num, *den)) for axis in (0, 1)
         )
 
-    def powers(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x**i and y**j on a new last axis, up to the degrees in x and y."""
-        return (
-            x[..., None] ** np.arange(self.degrees[0] + 1),
-            y[..., None] ** np.arange(self.degrees[1] + 1),
+    def powers(
+        self, x: np.ndarray, y: np.ndarray
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The columns x**i and y**j, each shaped like x and y, up to the
+        degrees in x and y.
+
+        np.power, not the ** operator, which sends a scalar 2 to np.square,
+        whose product differs from the power loop in the last bit. The
+        power loop gives exactly 1 and v at the exponents 0 and 1, so column
+        k has the bits of v[..., None] ** np.arange(degree + 1) at k.
+        """
+        return tuple(
+            [np.ones_like(v), v][: d + 1] + [np.power(v, k) for k in range(2, d + 1)]
+            for v, d in zip((x, y), self.degrees)
         )
 
     def forms(
@@ -262,27 +273,65 @@ class _RationalMap:
 
 
 class _PolyEval:
-    __slots__ = ("ei", "ej", "c")
+    __slots__ = ("monomials",)
 
     def __init__(self, poly: dict) -> None:
-        items = sorted(poly.items())
-        self.ei = np.asarray([k[0] for k, _ in items], dtype=np.int64)
-        self.ej = np.asarray([k[1] for k, _ in items], dtype=np.int64)
-        self.c = np.asarray([complex(v) for _, v in items], dtype=complex)
+        self.monomials = [(complex(v), i, j) for (i, j), v in sorted(poly.items())]
 
-    def __call__(self, xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
-        """The polynomial at the points whose power tables are xp and yp.
+    def __call__(self, xp: list[np.ndarray], yp: list[np.ndarray]) -> np.ndarray:
+        """The polynomial at the points whose power columns are xp and yp.
 
-        The monomial terms c * x**i * y**j go into one C-contiguous buffer
-        with the monomials on its last axis, so the sum runs over a
-        contiguous axis in the same (pairwise) order as for x**ei * y**ej
-        computed per monomial; a gathered table has its monomial axis
-        outermost, and numpy would sum it in another order.
+        Each monomial term is (c * x**i) * y**j, one whole column at a
+        time, and the terms are added as np.stack(terms, -1).sum(-1) adds
+        them. The coefficient stays on the left, since numpy's fused
+        multiply-add kernels make a complex product commute only up to
+        rounding. The products are not taken in place: on a one-element
+        array, numpy runs an in-place product through its reduction loop,
+        which can round differently.
         """
-        terms = np.empty(xp.shape[:-1] + self.c.shape, dtype=complex)
-        np.multiply(self.c, xp[..., self.ei], out=terms)
-        terms *= yp[..., self.ej]
-        return terms.sum(axis=-1)
+        terms = [(c * xp[i]) * yp[j] for c, i, j in self.monomials]
+        return _pairwise_sum(terms, xp[0].shape)
+
+
+def _pairwise_sum(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The sum of the complex arrays `terms`, each of the given shape, with
+    the bits of np.stack(terms, -1).sum(-1): numpy 2 sums a contiguous
+    complex axis by its pairwise rule (_pairwise) and adds that to the
+    identity 0. The terms are summed in place, so the caller hands over
+    arrays it owns."""
+    if not terms:
+        return np.zeros(shape, dtype=complex)
+    total = _pairwise(terms)
+    # Turns only a -0.0 into 0.0, as numpy's start from the identity does.
+    total += 0.0
+    return total
+
+
+def _pairwise(terms: list[np.ndarray]) -> np.ndarray:
+    """numpy's pairwise summation on whole arrays: a left fold below 4
+    terms, four running sums over blocks of four up to 64, and above that
+    a split at half the terms rounded down to a multiple of 4."""
+    m = len(terms)
+    if m > 64:
+        total = _pairwise(terms[: m // 8 * 4])
+        total += _pairwise(terms[m // 8 * 4 :])
+        return total
+    if m < 4:
+        total, rest = terms[0], terms[1:]
+    else:
+        sums = terms[:4]
+        whole = m - m % 4
+        for b in range(4, whole, 4):
+            for s, t in zip(sums, terms[b : b + 4]):
+                s += t
+        total = sums[0]
+        total += sums[1]
+        sums[2] += sums[3]
+        total += sums[2]
+        rest = terms[whole:]
+    for t in rest:
+        total += t
+    return total
 
 
 class NumericReport(NamedTuple):
@@ -375,9 +424,10 @@ def _plan_coef(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Batched letter coefficients of one first integral on the planar
     segments of the plan, path s being segment s. It is filled in pieces of
-    at most _NODES (node, path) pairs, but of at least two nodes: numpy sums
-    a polynomial's monomials in another order when it evaluates it at one
-    point alone."""
+    at most _NODES (node, path) pairs, but of at least two nodes: a forms
+    call over one (node, path) element alone gets its polynomial values
+    bit for bit, but its gradients times the segment direction differ in
+    the last bit at some elements."""
     starts = np.asarray([xi for xi, _ in plan])
     stops = np.asarray([p for _, p in plan])
     pts = np.asarray(pts)

@@ -474,9 +474,10 @@ def _node_batches(n, size):
 def test_forms_bits_do_not_depend_on_the_batch(r):
     # On one segment, each node of a forms call gets the bits it gets in a
     # call over all 257 nodes, in batches of 2 and 3 nodes alike. A call over
-    # one (node, segment) element alone differs in the last bit at up to 176
-    # of the nodes, since numpy then sums a polynomial's monomials in another
-    # order; the transport never makes one.
+    # one (node, segment) element alone differs in the last bit at 132 of the
+    # 1,285 r = 4 and 677 of the 2,570 r = 5 (node, integral) pairs: its
+    # polynomial values agree (next test), but the gradients times the
+    # segment direction do not; the transport never makes such a call.
     maps, letters = _web(r)
     plan = numeric._draw_plan(random.Random(1), maps, letters, 1)
     starts = np.asarray([xi for xi, _ in plan])
@@ -488,6 +489,26 @@ def test_forms_bits_do_not_depend_on_the_batch(r):
         for size in (2, 3):
             parts = [m.forms(starts, stops, t[a:b], pts) for a, b in _node_batches(len(t), size)]
             assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole))
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_polynomials_bits_do_not_depend_on_the_shape(r):
+    # Every numerator, denominator and gradient of the web gives each node of
+    # a segment the bits it gets inside a call over all 257 nodes, also when
+    # evaluated at that one (node, segment) element alone.
+    maps, letters = _web(r)
+    plan = numeric._draw_plan(random.Random(1), maps, letters, 1)
+    (start, stop), = plan
+    t = np.arange(257) / 256
+    x, y = (start[i] + t[:, None] * (stop[i] - start[i]) for i in (0, 1))
+    for m in maps:
+        (nx, ny), (dx, dy) = m.grads
+        polys = (m.num, m.den, nx, ny, dx, dy)
+        whole = [p(*m.powers(x, y)) for p in polys]
+        for k in range(len(t)):
+            xy = m.powers(x[k : k + 1], y[k : k + 1])
+            for p, w in zip(polys, whole):
+                assert np.array_equal(_bits(p(*xy)), _bits(w[k : k + 1]))
 
 
 @pytest.mark.parametrize("r, seed", [(4, 1), (5, 3)])
@@ -533,27 +554,78 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _random_poly(rng):
+    # 5 to 30 monomials of degree at most 6 in each of x and y, with small
+    # nonzero rational coefficients.
+    keys = rng.choice(49, size=int(rng.integers(5, 31)), replace=False)
+    return {
+        (int(k) // 7, int(k) % 7): Fraction(
+            int(rng.choice([-1, 1]) * rng.integers(1, 10)), int(rng.integers(1, 10))
+        )
+        for k in keys
+    }
+
+
+def _gather_sum(p, x, y):
+    # The monomial terms c * x**i * y**j on a new last axis, summed by numpy.
+    c = np.array([c for c, _, _ in p.monomials], dtype=complex)
+    ei = np.array([i for _, i, _ in p.monomials], dtype=np.int64)
+    ej = np.array([j for _, _, j in p.monomials], dtype=np.int64)
+    return (c * x[..., None] ** ei * y[..., None] ** ej).sum(axis=-1)
+
+
 def test_power_tables_match_per_monomial_powers():
-    # Every numerator, denominator and gradient of both webs, evaluated from
-    # the shared power tables, has the bits of c * x**ei * y**ej summed over
-    # the monomials, on a (times, segments) grid and on a clearance line.
+    # Every numerator, denominator and gradient of both webs and of ten
+    # random integrals of up to 30 monomials, the size of the r = 6/7 webs,
+    # evaluated from the shared power columns, has the bits of
+    # c * x**ei * y**ej summed over the monomials, on a (times, segments)
+    # grid and on a clearance line.
     rng = np.random.default_rng(0)
     grids = [
         rng.normal(size=(2, 9, 4)) + 1j * rng.normal(size=(2, 9, 4)),
         rng.normal(size=(2, 33)) + 1j * rng.normal(size=(2, 33)),
     ]
-    maps = [numeric._RationalMap(*nd) for nd in dp4.five_term_web().integrals]
-    maps += [numeric._RationalMap(*nd) for nd in dp4.dp4_data().integrals]
+    integrals = dp4.five_term_web().integrals + dp4.dp4_data().integrals
+    integrals += tuple((_random_poly(rng), _random_poly(rng)) for _ in range(10))
     checked = 0
-    for m in maps:
+    for m in (numeric._RationalMap(*nd) for nd in integrals):
         (nx, ny), (dx, dy) = m.grads
         for x, y in grids:
             xy = m.powers(x, y)
             for p in (m.num, m.den, nx, ny, dx, dy):
-                old = (p.c * x[..., None] ** p.ei * y[..., None] ** p.ej).sum(axis=-1)
-                assert np.array_equal(_bits(p(*xy)), _bits(old))
+                assert np.array_equal(_bits(p(*xy)), _bits(_gather_sum(p, x, y)))
                 checked += 1
-    assert checked == 2 * 6 * 15
+    assert checked == 2 * 6 * 25
+
+
+def test_power_columns_match_broadcast_powers():
+    # Column k of each power table has the bits of v ** k computed over a
+    # new last axis, for every degree up to 6.
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(2, 9, 4)) + 1j * rng.normal(size=(2, 9, 4))
+    for degree in range(7):
+        m = numeric._RationalMap({(degree, degree): 1}, {(0, 0): 1})
+        for v, columns in zip((x, y), m.powers(x, y)):
+            table = v[..., None] ** np.arange(degree + 1)
+            assert len(columns) == degree + 1
+            for k, column in enumerate(columns):
+                assert np.array_equal(_bits(column), _bits(table[..., k]))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_pairwise_sum_matches_numpy_sum(shape):
+    # For m = 0..140 terms, the fold has the bits of numpy's sum over the
+    # stacked terms: below 4 a left fold, up to 64 four running sums, above
+    # that a split. One element of every term is -0.0; numpy adds its sum to
+    # the identity 0 and returns 0.0.
+    rng = np.random.default_rng(2)
+    for m in range(141):
+        stack = rng.normal(size=shape + (m,)) + 1j * rng.normal(size=shape + (m,))
+        stack *= 10.0 ** rng.integers(-6, 7, size=stack.shape)
+        stack[(0,) * len(shape)] = complex(-0.0, -0.0)
+        terms = [stack[..., k].copy() for k in range(m)]
+        got = numeric._pairwise_sum(terms, shape)
+        assert np.array_equal(_bits(got), _bits(stack.sum(axis=-1)))
 
 
 def test_tolerance_ladder_monotone():

@@ -12,8 +12,12 @@ follows the group, not samples times integrals. Each path keeps its own step
 doubling and leaves its batch once it has converged. A run of n steps goes
 over blocks of steps and, within a block, weight by weight: the RK4 stages
 of every word of one weight at every step of the block are outer products of
-the letter coefficients with the stage inputs of the weight below, and the
-values at the step starts are a running sum of the increments. Coefficients
+the letter coefficients with the stage inputs of the weight below. Below the
+top weight, the values at the step starts are a running sum of the
+increments, since they make the stage inputs one weight up; the top weight's
+values are read only after the block, so its increments are folded row by
+row into the value it carries. The block's arrays live in buffers that only
+grow, reused by every block and doubling of the batch. Coefficients
 come from vectorised evaluations of the batch's first integral over its
 active paths, each over a bounded number of nodes, on one grid of dyadic
 nodes that each doubling extends by its midpoints instead of rebuilding. The
@@ -109,9 +113,14 @@ def _rk4_batch(
     (l, rest) are a letter-l coefficient times a stage input of rest, so one
     weight's stages are outer products (letter times suffix) of the stage
     inputs of the weight below, over every step of the block at once; weight
-    w at step i needs only weight w - 1 at step i. Its values at the step
-    starts are one np.add.accumulate of its increments per block, from the
-    value carried over from the block before.
+    w at step i needs only weight w - 1 at step i. Below the top weight, its
+    values at the step starts are one running sum of its increments per
+    block (_running_sum), from the value carried over from the block before.
+    No stage reads the top weight, so its increments go step-major into
+    rows 1..b of one array whose row 0 is the carried value, and
+    _fold_rows adds the rows in one reduction. Every block reads views of
+    buffers that only grow, one per role, kept for the whole batch; the
+    views are built once per run, for the full blocks and the remainder.
 
     Bits: every element goes through the operations of the step-by-step
     loop v += (h/6)·(((k0 + 2·k1) + 2·k2) + k3) with k1 = a·(v + (h/2)·k0)
@@ -119,58 +128,107 @@ def _rk4_batch(
     product with a real scalar, may swap, since those commute exactly; a
     complex product keeps the coefficient on the left, because numpy's
     fused multiply-add kernels make it commute only up to rounding.
-    np.add.accumulate is a sequential fold, each value the previous one plus
-    the increment, so block boundaries change no bit.
+    np.add.accumulate and the row fold are sequential folds, each value the
+    previous one plus the increment, so block boundaries change no bit.
+    2·k1 and 2·k2 are (2·ah)·s, with 2·ah = ah + ah taken once per block:
+    scaling by a power of two commutes with rounding unless a value
+    overflows or goes subnormal, so (2·ah)·s has the bits of 2·(ah·s), and
+    (2·k1)·(h/4) and (2·k2)·(h/2) those of (h/2)·k1 and h·k2.
     """
+
+    pool: dict[str, np.ndarray] = {}
+
+    def buffer(role: str, size: int) -> np.ndarray:
+        # The first `size` elements of the role's flat buffer, which only
+        # grows; the batch's runs and blocks reuse it.
+        if role not in pool or pool[role].size < size:
+            pool[role] = np.empty(size, dtype=complex)
+        return pool[role][:size]
+
+    def block(paths: int, b: int) -> tuple:
+        # Views into the buffers for a block of b steps. The coefficients,
+        # stage inputs, products and running sums have the steps innermost,
+        # the top weight's fold has them outermost. The products share a
+        # buffer with the running sums and the fold, which are written only
+        # once the increment is whole.
+        pairs = alphabet**max_weight * paths  # top-weight (word, path) pairs
+        work = buffer("work", (b + 1) * pairs)
+        flat = buffer("inc", b * pairs)
+        coefs = buffer("coefs", 3 * alphabet * paths * b)
+        weights = []
+        for w in range(1, max_weight + 1):
+            shape = (alphabet, alphabet ** (w - 1), paths, b)
+            inc = flat[: math.prod(shape)].reshape(shape)
+            tmp = work[: inc.size].reshape(shape)
+            if w < max_weight:
+                acc = work[: inc.size // b * (b + 1)].reshape(*shape[:3], b + 1)
+                nxt = buffer(f"stages{w}", 4 * inc.size).reshape(4, *shape)
+                sums = acc.reshape(-1, paths, b + 1)
+                weights.append((inc, tmp, acc[..., 1:], sums, nxt))
+            else:
+                # Row 0 is the carried value, rows 1..b the increments.
+                fold = work.reshape(b + 1, pairs)
+                scaled = fold[1:].reshape(b, *shape[:3]).transpose(1, 2, 3, 0)
+                weights.append((inc, tmp, scaled, fold, None))
+        # Stage inputs of the empty word: 1 + (h/2)·0 and 1 + h·0 are 1.
+        ones = np.ones((1, paths, b), dtype=complex)
+        return coefs.reshape(3, alphabet, 1, paths, b), (ones,) * 4, weights
 
     def run(c: np.ndarray, n_steps: int) -> np.ndarray:
         h = 1.0 / n_steps
         paths = c.shape[1]
-        width = max(1, _BLOCK // (paths * alphabet**max_weight))
+        # A run shorter than a block is one block.
+        width = min(n_steps, max(1, _BLOCK // (paths * alphabet**max_weight)))
         # Values at the current step start, weight by weight, as
         # (words, paths); the empty word is 1 throughout.
         carry = [np.ones((1, paths), dtype=complex)] + [
             np.zeros((alphabet**w, paths), dtype=complex)
             for w in range(1, max_weight + 1)
         ]
+        top = carry[-1].reshape(-1)
+        blocks = {b: block(paths, b) for b in (width, n_steps % width) if b}
         for i in range(0, n_steps, width):
             b = min(width, n_steps - i)
+            (a0, ah2, a1), stages, weights = blocks[b]
             nodes = c[2 * i : 2 * (i + b) + 1].transpose(2, 1, 0)
-            a0, ah, a1 = (
-                np.ascontiguousarray(nodes[:, None, :, j : j + 2 * b : 2])
-                for j in range(3)
-            )
-            # Stage inputs of the empty word: 1 + (h/2)·0 and 1 + h·0 are 1.
-            stages = (np.ones((1, paths, b), dtype=complex),) * 4
-            for w in range(1, max_weight + 1):
-                low = w < max_weight
-                # inc = (h/6)·(((k0 + 2·k1) + 2·k2) + k3). Below the top
-                # weight, (h/2)·k0, (h/2)·k1 and h·k2 are kept: each plus the
-                # value at the step start is a stage input one weight up.
-                inc = np.multiply(a0, stages[0])
-                if low:
-                    p1 = inc * (h / 2)
-                tmp = np.multiply(ah, stages[1])
-                if low:
-                    p2 = tmp * (h / 2)
-                tmp *= 2
+            np.copyto(a0[:, 0], nodes[..., 0 : 2 * b : 2])
+            mid = nodes[..., 1 : 2 * b : 2]
+            np.add(mid, mid, out=ah2[:, 0])
+            np.copyto(a1[:, 0], nodes[..., 2 : 2 * b + 1 : 2])
+            for w, (inc, tmp, scaled, acc, nxt) in enumerate(weights, 1):
+                # inc = (h/6)·(((k0 + 2·k1) + 2·k2) + k3), with 2·k1 and
+                # 2·k2 taken as (2·ah)·s. Below the top weight, (h/2)·k0,
+                # (h/2)·k1 = (2·k1)·(h/4) and h·k2 = (2·k2)·(h/2) are kept:
+                # each plus the value at the step start is a stage input one
+                # weight up.
+                np.multiply(a0, stages[0], out=inc)
+                if nxt is not None:
+                    np.multiply(inc, h / 2, out=nxt[1])
+                np.multiply(ah2, stages[1], out=tmp)
+                if nxt is not None:
+                    np.multiply(tmp, h / 4, out=nxt[2])
                 inc += tmp
-                np.multiply(ah, stages[2], out=tmp)
-                if low:
-                    p3 = tmp * h
-                tmp *= 2
+                np.multiply(ah2, stages[2], out=tmp)
+                if nxt is not None:
+                    np.multiply(tmp, h / 2, out=nxt[3])
                 inc += tmp
                 np.multiply(a1, stages[3], out=tmp)
                 inc += tmp
-                inc *= h / 6
-                acc = _running_sum(carry[w], inc.reshape(-1, paths, b))
-                carry[w] = acc[..., b]
-                if low:
-                    v = np.ascontiguousarray(acc[..., :b])
-                    stages = (v,) + tuple(
-                        np.add(p.reshape(v.shape), v, out=p.reshape(v.shape))
-                        for p in (p1, p2, p3)
-                    )
+                if nxt is None:
+                    acc[0] = top
+                    np.copyto(scaled, inc)
+                    rows = acc[1:]
+                    rows *= h / 6
+                    _fold_rows(acc, top)
+                    continue
+                acc[..., 0] = carry[w]
+                np.multiply(inc, h / 6, out=scaled)
+                _running_sum(acc)
+                carry[w][...] = acc[..., b]
+                stages = nxt.reshape(4, -1, paths, b)
+                np.copyto(stages[0], acc[..., :b])
+                for s in stages[1:]:
+                    s += stages[0]
         return np.concatenate(carry).T
 
     words = sum(alphabet**w for w in range(max_weight + 1))
@@ -204,15 +262,26 @@ def _rk4_batch(
     return values, errors
 
 
-def _running_sum(first: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """The sequential fold first, first + inc[..., 0], ... along the last
-    axis, shaped (..., steps + 1), by one np.add.accumulate: each entry is
-    the one before it plus the next increment."""
-    acc = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,), dtype=complex)
-    acc[..., 0] = first
-    acc[..., 1:] = inc
+def _running_sum(acc: np.ndarray) -> None:
+    """Fold acc in place along its last axis, each entry the one before it
+    plus itself: one np.add.accumulate, a sequential fold. The transport's
+    lower weights take their values at every step start from it."""
     np.add.accumulate(acc, axis=-1, out=acc)
-    return acc
+
+
+def _fold_rows(rows: np.ndarray, out: np.ndarray) -> None:
+    """out = ((rows[0] + rows[1]) + ...) + rows[-1], the sequential fold of
+    the rows of a C-contiguous complex (steps, n) array, with the bits of
+    the last column of np.add.accumulate over its transpose.
+
+    np.add.reduce over the outer axis adds one whole row at a time, in
+    order; numpy sums pairwise only along the axis of its inner loop, which
+    a complex (steps, 1) array would make the rows. So the rows are reduced
+    as floats, (steps, 2n), whose inner loop is always across a row. The
+    fold starts from -0.0, the exact identity of IEEE addition, so even a
+    signed zero keeps its bits.
+    """
+    np.add.reduce(rows.view(float), axis=0, out=out.view(float), initial=-0.0)
 
 
 class _RationalMap:

@@ -366,9 +366,9 @@ def test_word_system_is_letter_times_suffix(alphabet):
 
 @pytest.mark.parametrize("block", [1, numeric._BLOCK, 10**9])
 def test_block_width_does_not_change_bits(monkeypatch, block):
-    # One step per block, so each running sum adds one increment to the
-    # carried value; the default; and a whole run per block, one
-    # np.add.accumulate over every step.
+    # One step per block, so each running sum and the top weight's fold add
+    # one increment to the carried value; the default; and a whole run per
+    # block, one running sum and one fold over every step.
     reference = {}
     for r, seed in ((4, 1), (5, 3)):
         coef, count, alphabet, weight = _plan_batch(r, seed)
@@ -539,7 +539,8 @@ def test_transport_memory_is_bounded_by_the_group():
     # 40 rank-5 samples are 400 paths: ten integrals of 40 segments, one
     # transport batch each. Transported in one batch, their coefficient
     # tables and the doubling copies peaked at 13.1 MiB; one integral's
-    # segments per batch peak near 2.7 MiB (1.4 MiB at 10 samples).
+    # segments per batch peak near 3.2 MiB (1.9 MiB at 10 samples), about
+    # 0.5 MiB of it the transport's block buffers.
     tracemalloc.start()
     try:
         report = numeric.verify_identity_numeric(dp4.dp4_data(), samples=40, tol=1e-6, seed=1)
@@ -626,6 +627,48 @@ def test_pairwise_sum_matches_numpy_sum(shape):
         terms = [stack[..., k].copy() for k in range(m)]
         got = numeric._pairwise_sum(terms, shape)
         assert np.array_equal(_bits(got), _bits(stack.sum(axis=-1)))
+
+
+def test_row_fold_is_the_sequential_fold():
+    # The top weight's fold adds whole rows in order: it has the bits of the
+    # last column of np.add.accumulate over the transposed layout, for
+    # blocks of 1 to 64 steps and from one word of one path (where numpy
+    # would reduce a complex column pairwise) up to 1,080. The real parts
+    # of one column are -0.0, which a fold started from +0.0 turns into 0.0.
+    rng = np.random.default_rng(3)
+    for b in range(1, 65):
+        for n in (1, 4, 270, 1080):
+            rows = rng.normal(size=(b + 1, n)) + 1j * rng.normal(size=(b + 1, n))
+            rows *= 10.0 ** rng.integers(-8, 9, size=rows.shape)
+            rows.real[:, 0] = -0.0
+            out = np.empty(n, dtype=complex)
+            numeric._fold_rows(rows, out)
+            running = np.add.accumulate(np.ascontiguousarray(rows.T), axis=-1)
+            assert np.array_equal(_bits(out), _bits(running[:, -1]))
+
+
+def test_doubled_coefficient_keeps_the_stage_bits():
+    # The transport takes 2·k1 and 2·k2 as (2·a)·s in place of 2·(a·s), and
+    # the stage inputs (h/2)·k1 and h·k2 as (2·k1)·(h/4) and (2·k2)·(h/2):
+    # scaling by a power of two commutes with rounding while nothing
+    # overflows or goes subnormal. Checked in one block's broadcast layout,
+    # at letter coefficients of 1e-3 to 1e3, stage inputs of 1e-6 to 1e2 and
+    # steps of 2**-6 to 2**-17.
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        a = rng.normal(size=(3, 1, 10, 30)) + 1j * rng.normal(size=(3, 1, 10, 30))
+        a *= 10.0 ** rng.uniform(-3, 3, size=a.shape)
+        s = rng.normal(size=(9, 10, 30)) + 1j * rng.normal(size=(9, 10, 30))
+        s *= 10.0 ** rng.uniform(-6, 2, size=s.shape)
+        k = np.multiply(a, s)
+        twice = k.copy()
+        twice *= 2
+        doubled = np.multiply(np.add(a, a), s)
+        assert np.array_equal(_bits(doubled), _bits(twice))
+        for n in range(6, 18):
+            h = 2.0**-n
+            assert np.array_equal(_bits(doubled * (h / 4)), _bits(k * (h / 2)))
+            assert np.array_equal(_bits(doubled * (h / 2)), _bits(k * h))
 
 
 def test_tolerance_ladder_monotone():

@@ -10,10 +10,9 @@ curves; the first integral of the pencil is U = lambda F_0 / F_inf, scaled
 so that the fiber F_1 maps to 1, and r_i is the value of U on the remaining
 fiber. As U - c vanishes exactly on the fiber over c, d log(U - c) is that
 fiber's affine factors minus those of the infinity fiber: an integer residue
-row over the affine lines, which the residue check re-derives by exact
-identity testing at random rational points. The line through [1:0:0] and
-[0:1:0] is the line at infinity; it is a constant in affine coordinates, so
-it is no factor.
+row over the affine lines, which the residue check proves as an exact
+polynomial identity. The line through [1:0:0] and [0:1:0] is the line at
+infinity; it is a constant in affine coordinates, so it is no factor.
 
 At r = 5 the points [1:0:0], [0:1:0], (0,0), (1,1), (pi, gamma) give the
 two-parameter ten-integral web; at r = 4 the points (0,0), (1,1), [1:0:0],
@@ -32,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -79,13 +77,6 @@ class ResidueMismatch(RuntimeError):
 
 class SymbolicIdentityViolation(RuntimeError):
     """The weight-3 antisymmetric tensor sum failed to vanish."""
-
-
-def _peval(p: Poly, xv, yv):
-    total = 0
-    for (i, j), c in p.items():
-        total += c * xv**i * yv**j
-    return total
 
 
 def _pdiff(p: Poly, var: int) -> Poly:
@@ -317,60 +308,48 @@ def dp4_data(gamma=None, pi=None) -> DP4Data:
     return conic_web(points, TEN_TERM_SPEC)._replace(gamma=g, pi=p)
 
 
-class ResidueReport(NamedTuple):
-    gamma: Fraction
-    pi: Fraction
-    identities_checked: int
-    trials: int
+def _strict_zip(what: str, *tables):
+    """zip(*tables), raising ResidueMismatch where their lengths differ."""
+    try:
+        yield from zip(*tables, strict=True)
+    except ValueError:
+        raise ResidueMismatch(f"{what}: table lengths differ") from None
 
 
-def dp4_residue_check(data: DP4Data, trials: int = 20, seed: int = 0) -> ResidueReport:
-    """Re-derive every residue vector by exact evaluation at random points.
+def _proportional(a: Poly, b: Poly) -> bool:
+    """Whether a = k b for a constant k != 0."""
+    key = next((m for m, v in b.items() if v), None)
+    if key is None or not a.get(key):
+        return False
+    return not any(_pscale_sub(a, a[key] / b[key], b).values())
 
-    For each i and each finite spectrum value c, both partial derivatives of
-    log(U_i - c) and of sum_j m_j log L_j are compared as exact fractions at
-    `trials` random rational points off the arrangement.
+
+def dp4_residue_check(data: DP4Data) -> int:
+    """Prove every residue row as a polynomial identity; return the count.
+
+    Row m of U = num/den at spectrum value c claims (num - c den)/den =
+    k prod_j L_j^(m_j) for a constant k != 0, which is d log(U - c) =
+    sum_j m_j d log L_j. With the negative exponents cleared, that is the
+    exact identity (num - c den) prod_(m_j<0) L_j^(-m_j) = k den
+    prod_(m_j>0) L_j^(m_j). The proof uses field operations only, so it
+    reads any coefficient field.
     """
-    rng = random.Random(seed)
-    fx = [(_pdiff(f, 0), _pdiff(f, 1)) for f in data.factors]
-    checked = 0
-    for i, (num, den) in enumerate(data.integrals):
-        dden = (_pdiff(den, 0), _pdiff(den, 1))
-        for s, c in enumerate(data.spectra[i]):
-            n_c = _pscale_sub(num, c, den)
-            dnum = (_pdiff(n_c, 0), _pdiff(n_c, 1))
-            m = data.residues[i][s]
-            for _ in range(trials):
-                xv, yv, lvals, nv, dv = _sample_point(rng, data, n_c, den)
-                for var in range(2):
-                    lhs = _peval(dnum[var], xv, yv) / nv - _peval(
-                        dden[var], xv, yv
-                    ) / dv
-                    rhs = Fraction(0)
-                    for j, mj in enumerate(m):
-                        if mj:
-                            rhs += mj * _peval(fx[j][var], xv, yv) / lvals[j]
-                    if lhs != rhs:
-                        raise ResidueMismatch(
-                            f"dlog(U_{i + 1} - c) mismatch at spectrum slot {s + 1}"
-                        )
-            checked += 1
-    return ResidueReport(data.gamma, data.pi, checked, trials)
-
-
-def _sample_point(rng: random.Random, data: DP4Data, n_c: Poly, den: Poly):
-    for _ in range(1000):
-        xv = Fraction(rng.randrange(-40, 41), rng.randrange(1, 8))
-        yv = Fraction(rng.randrange(-40, 41), rng.randrange(1, 8))
-        lvals = [_peval(f, xv, yv) for f in data.factors]
-        if any(v == 0 for v in lvals):
-            continue
-        nv = _peval(n_c, xv, yv)
-        dv = _peval(den, xv, yv)
-        if nv == 0 or dv == 0:
-            continue
-        return xv, yv, lvals, nv, dv
-    raise InternalError("could not sample a point off the arrangement")
+    proved = 0
+    for i, ((num, den), values, rows) in enumerate(
+        _strict_zip("integrals", data.integrals, data.spectra, data.residues)
+    ):
+        for s, (c, row) in enumerate(_strict_zip(f"U_{i + 1}", values, rows)):
+            lhs, rhs = _pscale_sub(num, c, den), den
+            where = f"U_{i + 1} at spectrum slot {s + 1}"
+            for f, mj in _strict_zip(where, data.factors, row):
+                for _ in range(mj):
+                    rhs = _pmul(rhs, f)
+                for _ in range(-mj):
+                    lhs = _pmul(lhs, f)
+            if not _proportional(lhs, rhs):
+                raise ResidueMismatch(f"dlog(U - c) mismatch for {where}")
+            proved += 1
+    return proved
 
 
 def asym_residue_tensor(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], Fraction]:

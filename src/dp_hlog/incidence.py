@@ -91,8 +91,9 @@ class ConicFibration(NamedTuple):
 
 
 def _check_rank(r: int) -> None:
-    if r not in SUPPORTED_RANKS:
-        raise UnsupportedRank(f"rank must be in 3..8, got {r}")
+    ranks = SUPPORTED_RANKS
+    if r not in ranks:
+        raise UnsupportedRank(f"rank must be in {ranks[0]}..{ranks[-1]}, got {r}")
 
 
 def _reflect(d: tuple[int, ...], g: int) -> tuple[int, ...]:

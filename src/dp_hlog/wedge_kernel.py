@@ -402,8 +402,9 @@ def kernel_signs(r: int, *, seed: int | None = None, quotient: bool = False) -> 
     fiber as base; a seed draws every fiber order, then every base, from
     random.Random(seed).
     """
-    if r not in lattice.CERTIFICATE_RANKS:
-        raise UnsupportedRank(f"rank must be in 4..8, got {r}")
+    ranks = lattice.CERTIFICATE_RANKS
+    if r not in ranks:
+        raise UnsupportedRank(f"rank must be in {ranks[0]}..{ranks[-1]}, got {r}")
     conics = enumerate_conics(r)
     if seed is None:
         fiber_orders = tuple(f.fibers for f in conics)

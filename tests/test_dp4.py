@@ -293,29 +293,24 @@ def test_a_missing_parameter_takes_its_default(data):
 
 
 def test_residue_check_passes(data):
-    report = dp4.dp4_residue_check(data, trials=5, seed=7)
-    assert report.identities_checked == 30
-    assert report.trials == 5
+    assert dp4.dp4_residue_check(data) == 30
 
 
 def test_residue_check_other_parameters():
     other = dp4.dp4_data(Fraction(-3, 4), Fraction(9, 5))
-    report = dp4.dp4_residue_check(other, trials=3, seed=2)
-    assert report.identities_checked == 30
+    assert dp4.dp4_residue_check(other) == 30
 
 
 def test_residue_check_rank_four():
     web = dp4.five_term_web()
-    report = dp4.dp4_residue_check(web, trials=5, seed=3)
-    assert report.identities_checked == 10
-    assert (report.gamma, report.pi) == (None, None)
+    assert dp4.dp4_residue_check(web) == 10
     rows = [list(map(list, pair)) for pair in web.residues]
     rows[2][1] = [-v for v in rows[2][1]]
     tampered = web._replace(
         residues=tuple(tuple(tuple(r) for r in pair) for pair in rows)
     )
     with pytest.raises(dp4.ResidueMismatch):
-        dp4.dp4_residue_check(tampered, trials=3, seed=0)
+        dp4.dp4_residue_check(tampered)
 
 
 def test_residue_check_detects_tampering(data):
@@ -326,7 +321,76 @@ def test_residue_check_detects_tampering(data):
         residues=tuple(tuple(tuple(r) for r in triple) for triple in rows),
     )
     with pytest.raises(dp4.ResidueMismatch):
-        dp4.dp4_residue_check(tampered, trials=3, seed=0)
+        dp4.dp4_residue_check(tampered)
+
+
+def _extra_row(data):
+    residues = list(data.residues)
+    residues[0] += (residues[0][0],)
+    return data._replace(residues=tuple(residues))
+
+
+def _missing_row(data):
+    residues = list(data.residues)
+    residues[0] = residues[0][:-1]
+    return data._replace(residues=tuple(residues))
+
+
+def _extra_entry(data):
+    residues = list(data.residues)
+    residues[0] = (residues[0][0] + (0,), *residues[0][1:])
+    return data._replace(residues=tuple(residues))
+
+
+def _missing_table(data):
+    return data._replace(residues=data.residues[:-1])
+
+
+@pytest.mark.parametrize(
+    "reshape", [_extra_row, _missing_row, _extra_entry, _missing_table]
+)
+def test_residue_check_refuses_a_table_of_the_wrong_shape(data, reshape):
+    with pytest.raises(dp4.ResidueMismatch, match="lengths differ"):
+        dp4.dp4_residue_check(reshape(data))
+
+
+def _single_integrals(web):
+    """Each integral of the web alone, as a web of one integral."""
+    for i in range(len(web.integrals)):
+        yield web._replace(
+            integrals=web.integrals[i : i + 1],
+            spectra=web.spectra[i : i + 1],
+            residues=web.residues[i : i + 1],
+        )
+
+
+def _tampered_single_integrals(web):
+    """Every one-integral web with one residue entry moved by +-1, one
+    spectrum value moved, or one numerator coefficient moved."""
+    for one in _single_integrals(web):
+        (num, den), values, rows = one.integrals[0], one.spectra[0], one.residues[0]
+        for s, row in enumerate(rows):
+            for j, dv in itertools.product(range(len(row)), (1, -1)):
+                bumped = row[:j] + (row[j] + dv,) + row[j + 1 :]
+                yield one._replace(residues=(rows[:s] + (bumped,) + rows[s + 1 :],))
+            moved = values[:s] + (values[s] + Fraction(1, 7),) + values[s + 1 :]
+            yield one._replace(spectra=(moved,))
+        for key in num:
+            yield one._replace(integrals=(({**num, key: num[key] + 1}, den),))
+
+
+@pytest.mark.parametrize("web", [dp4.five_term_web, dp4.dp4_data])
+def test_residue_check_catches_every_one_entry_change(web):
+    web = web()
+    rows = sum(map(len, web.residues))
+    assert sum(map(dp4.dp4_residue_check, _single_integrals(web))) == rows
+    cases = 0
+    for tampered in _tampered_single_integrals(web):
+        with pytest.raises(dp4.ResidueMismatch):
+            dp4.dp4_residue_check(tampered)
+        cases += 1
+    terms = sum(len(num) for num, _ in web.integrals)
+    assert cases == rows * (2 * len(web.factors) + 1) + terms
 
 
 def test_symbolic_identity_zero(data):
@@ -444,6 +508,10 @@ def test_aligned_kernel_signs_all_plus(data):
     assert [epsilon[e.conic] for e in align] == [1] * 10
 
 
+def _peval(p, xv, yv):
+    return sum(c * xv**i * yv**j for (i, j), c in p.items())
+
+
 def test_poly_eval_and_diff(data):
     num, den = data.integrals[7]
     xv, yv = Fraction(3, 2), Fraction(-1, 3)
@@ -451,13 +519,13 @@ def test_poly_eval_and_diff(data):
     expected = (-xv * (xv * (g - 1) + (1 - yv) * p - g + yv)) / (
         (xv - yv) * (xv - p)
     )
-    assert dp4._peval(num, xv, yv) / dp4._peval(den, xv, yv) == expected
+    assert _peval(num, xv, yv) / _peval(den, xv, yv) == expected
     # The conic factor is a rational multiple of L_8, whose x-derivative is
     # gamma*(pi + y - 1) - pi*y.
     conic = dict(zip(data.lines, data.factors))[FACTOR_CLASSES[7]]
     l8 = _l_expressions(g, p, xv, yv)[7]
     d = dp4._pdiff(conic, 0)
-    assert dp4._peval(d, xv, yv) * l8 == (g * (p + yv - 1) - p * yv) * dp4._peval(
+    assert _peval(d, xv, yv) * l8 == (g * (p + yv - 1) - p * yv) * _peval(
         conic, xv, yv
     )
 

@@ -29,7 +29,6 @@ fibers, and against a sympy expansion of those tables.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -37,8 +36,7 @@ from typing import NamedTuple, Sequence
 
 from ..errors import InternalError
 from ..incidence import enumerate_conics, enumerate_lines
-from ..wedge_kernel import kernel_epsilon
-from .words import _signed_permutations
+from ..wedge_kernel import iterated_wedge, kernel_epsilon
 
 Poly = dict  # {(x_degree, y_degree): Fraction}
 
@@ -76,7 +74,7 @@ class ResidueMismatch(RuntimeError):
 
 
 class SymbolicIdentityViolation(RuntimeError):
-    """The weight-3 antisymmetric tensor sum failed to vanish."""
+    """The weight r - 2 antisymmetric tensor sum failed to vanish."""
 
 
 def _pdiff(p: Poly, var: int) -> Poly:
@@ -352,49 +350,39 @@ def dp4_residue_check(data: DP4Data) -> int:
     return proved
 
 
-def asym_residue_tensor(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], Fraction]:
-    """Asym^w(row_1 (x) ... (x) row_w), w = len(rows), expanded over ordered
-    w-tuples of factor indices."""
-    nz = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-    counts: dict[tuple[int, ...], int] = {}
-    for perm, sign in _signed_permutations(len(rows)):
-        for picks in itertools.product(*(nz[p] for p in perm)):
-            key = tuple(j for j, _ in picks)
-            counts[key] = counts.get(key, 0) + sign * math.prod(v for _, v in picks)
-    norm = math.factorial(len(rows))
-    return {key: Fraction(c, norm) for key, c in counts.items() if c}
-
-
 class SymbolicReport(NamedTuple):
     terms_per_integral: tuple[int, ...]
     ambient_dimension: int
 
 
 def dp4_symbolic_identity(data: DP4Data) -> SymbolicReport:
-    """Verify sum_i eps_i Asym^(r-2)(R_i1 (x) ... (x) R_i(r-2)) = 0 exactly,
-    with eps the aligned kernel signs; R_is is integral i's residue row at
-    its s-th finite spectrum value."""
+    """Verify sum_i eps_i R_i1 ^ ... ^ R_iw = 0 exactly, w = r - 2, with eps
+    the aligned kernel signs; R_is is integral i's residue row at its s-th
+    finite spectrum value.
+
+    This is the paper's sum_i eps_i Asym^w(R_i1 (x) ... (x) R_iw) = 0:
+    Asym^w of the rows is the alternating tensor of their wedge over w!, its
+    entry at a sorted w-tuple of factor indices being the rows' minor on
+    those columns over w!. `iterated_wedge` gives those minors exactly, as
+    integers keyed by factor bitmask. terms_per_integral counts each
+    integral's nonzero Asym entries, w! per wedge entry.
+    """
     r = len(data.lines[0]) - 1
     if len(data.residues) != len(data.alignment):
         raise SymbolicIdentityViolation(
             f"{len(data.residues)} residue tables for {len(data.alignment)} integrals"
         )
     signs = aligned_signs(r, data.alignment)
-    total: dict[tuple[int, ...], Fraction] = {}
+    total: dict[int, int] = {}
     sizes = []
     for eps, rows in zip(signs, data.residues):
-        tensor = asym_residue_tensor(rows)
-        sizes.append(len(tensor))
-        for key, v in tensor.items():
-            s = total.get(key, 0) + eps * v
-            if s:
-                total[key] = s
-            else:
-                total.pop(key, None)
-    if total:
-        raise SymbolicIdentityViolation(
-            f"{len(total)} nonzero tensor entries remain"
-        )
+        wedge = iterated_wedge([(j, v) for j, v in enumerate(row) if v] for row in rows)
+        sizes.append(math.factorial(r - 2) * len(wedge))
+        for key, v in wedge.entries.items():
+            total[key] = total.get(key, 0) + eps * v
+    left = sum(1 for v in total.values() if v)
+    if left:
+        raise SymbolicIdentityViolation(f"{left} nonzero wedge entries remain")
     return SymbolicReport(tuple(sizes), len(data.factors) ** (r - 2))
 
 

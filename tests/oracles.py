@@ -14,7 +14,9 @@ witnesses (WeylElement), apart from the transversal chain of
 weyl.group_data, and the Pic basis is looked up in the line table. The
 numeric ones transport words along straight segments through the kernel
 the numeric route runs, and decompose a transported weight-3 value into
-transported values of lower weight. GAP's transcribed W(D_5) table, class
+transported values of lower weight. The Asym^w expansion of residue rows
+over all w! signed slot permutations is the second route to the wedge that
+dp4's symbolic identity sums. GAP's transcribed W(D_5) table, class
 words and Dynkin relabelling are the second route to the D5 table that
 rep_theory computes by rule. The canonical certificate of a rank is
 computed once per process, for the tests that read it.
@@ -22,6 +24,9 @@ computed once per process, for the tests that read it.
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -391,6 +396,21 @@ def d5_conic_values() -> tuple[int, ...]:
 def canonical_certificate(r: int) -> HlogCertificate:
     """kernel_signs(r) with the canonical fiber orders and bases."""
     return kernel_signs(r)
+
+
+def asym_residue_tensor(rows) -> dict[tuple[int, ...], Fraction]:
+    """Asym^w(row_1 (x) ... (x) row_w), w = len(rows), expanded over all w!
+    signed permutations of the tensor slots and keyed by ordered w-tuples of
+    factor indices; a permutation's sign is the parity of its inversions."""
+    nz = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    counts: dict[tuple[int, ...], int] = {}
+    for perm in itertools.permutations(range(len(rows))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for picks in itertools.product(*(nz[p] for p in perm)):
+            key = tuple(j for j, _ in picks)
+            counts[key] = counts.get(key, 0) + sign * math.prod(v for _, v in picks)
+    norm = math.factorial(len(rows))
+    return {key: Fraction(c, norm) for key, c in counts.items() if c}
 
 
 def segments(*segs):

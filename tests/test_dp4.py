@@ -6,6 +6,7 @@ hand. The package derives the same web from a point configuration and a
 fiber spec; these tests are the independent oracle for that derivation.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from dp_hlog.hyperlog import dp4
 from dp_hlog.incidence import enumerate_conics, enumerate_lines
 from dp_hlog.lattice import exceptional, hyperplane
 
-from oracles import combine
+from oracles import asym_residue_tensor, combine
 
 
 def _u_expressions(g, p, x, y) -> tuple:
@@ -401,7 +402,7 @@ def test_symbolic_identity_zero(data):
 
 def test_single_tensor_nonzero(data):
     for rows in data.residues:
-        assert dp4.asym_residue_tensor(rows)
+        assert asym_residue_tensor(rows)
 
 
 # The six signed permutations of three tensor slots, written out.
@@ -422,27 +423,20 @@ def test_weight_three_tensor_matches_written_out_permutations(data):
             for j1, j2, j3 in itertools.product(range(len(rows[0])), repeat=3):
                 v = rows[perm[0]][j1] * rows[perm[1]][j2] * rows[perm[2]][j3]
                 expected[j1, j2, j3] = expected.get((j1, j2, j3), 0) + Fraction(sign * v, 6)
-        assert dp4.asym_residue_tensor(rows) == {k: v for k, v in expected.items() if v}
+        assert asym_residue_tensor(rows) == {k: v for k, v in expected.items() if v}
 
 
 def test_five_term_symbolic_identity_needs_the_kernel_signs(monkeypatch):
     # At weight 2 the aligned signs are (-1, 1, 1, -1, -1); summed without
-    # them, 8 tensor entries remain.
-    web = dp4.five_term_web()
+    # them, 8 tensor entries remain. Flipping any one fails both routes.
+    web = _symbolic_web("five_term")
     report = dp4.dp4_symbolic_identity(web)
     assert report.terms_per_integral == (2, 2, 6, 6, 16)
     assert report.ambient_dimension == 25
-    aligned = dp4.aligned_signs
-    assert aligned(4, web.alignment) == (-1, 1, 1, -1, -1)
+    assert dp4.aligned_signs(4, web.alignment) == (-1, 1, 1, -1, -1)
     for k in range(5):
-
-        def flipped(r, alignment, k=k):
-            signs = aligned(r, alignment)
-            return signs[:k] + (-signs[k],) + signs[k + 1 :]
-
-        monkeypatch.setattr(dp4, "aligned_signs", flipped)
-        with pytest.raises(dp4.SymbolicIdentityViolation):
-            dp4.dp4_symbolic_identity(web)
+        _flip_fails_both_routes("five_term", k, monkeypatch)
+        monkeypatch.undo()
 
 
 def test_symbolic_identity_sign_sensitive(data):
@@ -467,10 +461,115 @@ def test_relabeling_equivariance(data):
     perm = (3, 1, 4, 0, 9, 2, 6, 8, 7, 5)
     total = {}
     for rows in data.residues:
-        for key, v in dp4.asym_residue_tensor(rows).items():
+        for key, v in asym_residue_tensor(rows).items():
             new = tuple(perm[j] for j in key)
             total[new] = total.get(new, Fraction(0)) + v
     assert not any(total.values())
+
+
+def _spec_name(d):
+    """A class in the notation of a fiber spec, say '2h-l1-l2' or 'l3'."""
+    terms = (
+        ("-" if c < 0 else "+") + (str(abs(c)) if abs(c) != 1 else "") + (f"l{i}" if i else "h")
+        for i, c in enumerate(d)
+        if c
+    )
+    return "".join(terms).lstrip("+")
+
+
+# Six points in general position; the first two put the line through them
+# at infinity.
+SIX_POINTS = (
+    (1, 0, 0),
+    (0, 1, 0),
+    (0, 0, 1),
+    (1, 1, 1),
+    (Fraction(5, 2), Fraction(1, 3), 1),
+    (Fraction(-2, 3), Fraction(7, 4), 1),
+)
+
+
+def _six_point_web():
+    """The weight-4 web of the cubic surface: every conic of X_6 in canonical
+    order, its fibers in stored order, the last at infinity."""
+    lines = enumerate_lines(6).lines
+    spec = [
+        (_spec_name(f.cls), tuple(_spec_name(lines[a]) for a, _ in f.fibers))
+        for f in enumerate_conics(6)
+    ]
+    return dp4.conic_web(SIX_POINTS, spec)
+
+
+SYMBOLIC_WEBS = {
+    "five_term": dp4.five_term_web,
+    "ten_term": dp4.dp4_data,
+    "ten_term_other": lambda: dp4.dp4_data(Fraction(-3, 4), Fraction(9, 5)),
+    "six_point": _six_point_web,
+}
+
+
+@functools.cache
+def _symbolic_web(name):
+    return SYMBOLIC_WEBS[name]()
+
+
+@functools.cache
+def _oracle_tensors(name):
+    return tuple(asym_residue_tensor(rows) for rows in _symbolic_web(name).residues)
+
+
+def _asym_sum(tensors, signs):
+    """The nonzero entries of sum_i signs_i tensors_i."""
+    total = {}
+    for eps, tensor in zip(signs, tensors, strict=True):
+        for key, v in tensor.items():
+            total[key] = total.get(key, 0) + eps * v
+    return {key: v for key, v in total.items() if v}
+
+
+@pytest.mark.parametrize("name", SYMBOLIC_WEBS)
+def test_wedge_agrees_with_the_asym_oracle(name):
+    web = _symbolic_web(name)
+    r = len(web.lines[0]) - 1
+    norm = math.factorial(r - 2)
+    report = dp4.dp4_symbolic_identity(web)
+    tensors = _oracle_tensors(name)
+    for rows, tensor, terms in zip(web.residues, tensors, report.terms_per_integral, strict=True):
+        wedge = wedge_kernel.iterated_wedge(
+            [(j, v) for j, v in enumerate(row) if v] for row in rows
+        )
+        for key, v in wedge.entries.items():
+            columns = tuple(j for j in range(key.bit_length()) if key >> j & 1)
+            assert v == norm * tensor[columns]
+        assert len(tensor) == norm * len(wedge) == terms
+    assert not _asym_sum(tensors, dp4.aligned_signs(r, web.alignment))
+
+
+def _flip_fails_both_routes(name, k, monkeypatch):
+    """Flipping the k-th aligned sign leaves entries in both sums."""
+    web = _symbolic_web(name)
+    signs = dp4.aligned_signs(len(web.lines[0]) - 1, web.alignment)
+    flipped = signs[:k] + (-signs[k],) + signs[k + 1 :]
+    monkeypatch.setattr(dp4, "aligned_signs", lambda r, alignment: flipped)
+    with pytest.raises(dp4.SymbolicIdentityViolation):
+        dp4.dp4_symbolic_identity(web)
+    assert _asym_sum(_oracle_tensors(name), flipped)
+
+
+def test_every_rank_five_sign_flip_fails_both_routes(monkeypatch):
+    for k in range(10):
+        _flip_fails_both_routes("ten_term", k, monkeypatch)
+        monkeypatch.undo()
+
+
+def test_six_point_web_weight_four_identity(monkeypatch):
+    web = _symbolic_web("six_point")
+    assert (len(web.integrals), len(web.factors)) == (27, 20)
+    assert dp4.dp4_residue_check(web) == 108
+    report = dp4.dp4_symbolic_identity(web)
+    assert report.terms_per_integral == tuple(map(len, _oracle_tensors("six_point")))
+    assert report.ambient_dimension == 20**4
+    _flip_fails_both_routes("six_point", 0, monkeypatch)
 
 
 def test_alignment_is_bijective(data):

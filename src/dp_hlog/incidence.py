@@ -104,7 +104,7 @@ def _reflect(d: tuple[int, ...], g: int) -> tuple[int, ...]:
     return (d[0] + k, d[1] - k, d[2] - k, d[3] - k) + d[4:]
 
 
-def _orbit(seed: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+def orbit(seed: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Closure of seed under the fundamental reflections, breadth first.
 
     Yields (image, d, g) once for each class but the seed, when the search
@@ -130,7 +130,7 @@ def enumerate_lines(r: int) -> LineTable:
     """All lines of X_r, as the Weyl orbit of l_r, in canonical order (cached)."""
     _check_rank(r)
     seed = exceptional(r, r)
-    lines = sorted([seed] + [image for image, _, _ in _orbit(seed)])
+    lines = sorted([seed] + [image for image, _, _ in orbit(seed)])
     if len(lines) != COUNTS[r].lines:
         raise RuntimeError(f"line orbit has size {len(lines)}, expected {COUNTS[r].lines}")
     return LineTable(r, tuple(lines))
@@ -150,7 +150,7 @@ def enumerate_conics(r: int) -> tuple[ConicFibration, ...]:
     # sorts before h - l_1 - l_i, so each pair is (min, max).
     pairs = [(k, lt.index[tuple(map(sub, seed, lt.lines[k]))]) for k in lt.exceptional[1:]]
     fibers = {seed: tuple(sorted(pairs))}
-    for image, c, g in _orbit(seed):
+    for image, c, g in orbit(seed):
         perm = lt.generators[g]
         carried = set()
         for i, j in fibers[c]:

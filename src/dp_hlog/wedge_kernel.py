@@ -3,45 +3,47 @@
 For each conic class the r-2 differences of reducible-fiber indicator
 vectors span a rank r-2 module; their wedge is a sparse integer vector of
 minors indexed by (r-2)-sets of line indices, keyed as bitmasks (bit c is
-line c). The kernel of the resulting linear system (one equation per
-occupied set, one unknown per conic) is expected to be one-dimensional with
-all coefficients +-1; the certificate records the orderings that produced it
+line c). The left kernel of the resulting linear system (one equation per
+occupied set, one unknown per conic) is one-dimensional with all
+coefficients +-1; the certificate records the orderings that produced it
 so the identity can be replayed bit-exactly.
+
+The signs come from the Weyl group (`_weyl_epsilon`). A simple reflection
+s maps conic c to s(c) and c's fibers onto those of s(c), in an order that
+differs from s(c)'s canonical one by a permutation pi; the closed form
+gives s(w_c) = sgn(pi) w_s(c), so v = sum_c eps_c w_c satisfies s(v) = -v
+when eps(s(c)) = -sgn(pi) eps(c). The producer reads that rule along
+the edges by which the conic orbit search first reaches each conic.
 
 The wedge is computed twice, by independent routes: the producer writes
 it in closed form (`wedge_vector`), a signed sum of (r-1) 2^(r-2) unit
 entries since the fibers are disjoint line pairs; replay multiplies out the
 rebuilt difference rows one at a time (`iterated_wedge`).
 
-Every occupied set sits in exactly two wedges, both times with value +-1,
-so the system is a signed graph on the conics: set t joins conics a and b
-with sign -v_a v_b, and a kernel vector is a sign assignment that every edge
-respects. Its left kernel is one-dimensional with +-1 entries exactly when
-the graph is connected and balanced (Harary 1953; Zaslavsky, "Signed
-graphs", 1982). The solve checks that structure and raises when it fails;
-the coefficients are then checked on every edge.
+Either set of wedges, with the signs, goes through one check
+(`_check_kernel`): every entry is +-1, every occupied set lies in exactly
+two wedges a, b with eps_a u + eps_b v = 0, and the conics are connected
+through shared sets. The wedges are then a connected signed graph on the
+conics that eps balances, so the left kernel is exactly the span of eps
+(Harary 1953; Zaslavsky, "Signed graphs", 1982). The producer walks and
+then checks; replay only checks, with the stored signs.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from array import array
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lattice
 from .errors import InternalError
-from .incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines
+from .incidence import ConicFibration, UnsupportedRank, enumerate_conics, enumerate_lines, orbit
 from .records import Record
 
 
 class KernelDimensionViolation(RuntimeError):
     """The wedge system's kernel is not one-dimensional."""
-
-
-class SignViolation(RuntimeError):
-    """A normalized kernel coefficient is not +1 or -1."""
 
 
 class WedgeStructureViolation(RuntimeError):
@@ -285,113 +287,104 @@ def _check_incidence(r: int, conics, fiber_orders) -> None:
                 raise ReplayFailure(f"fiber {a} + {b} is not two lines meeting once in {c}")
 
 
-def _signed_graph(wedges: Iterable[WedgeVector]) -> tuple[int, array]:
-    """Pair the two occurrences of each tuple into an edge of the signed graph.
+def _sign(perm: Sequence[int]) -> int:
+    """-1 if the distinct integers `perm` have an odd number of inversions, else +1."""
+    return -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) & 1 else 1
 
-    Returns the number of wedges and the edges as a flat array of triples
-    (a, b, s): the tuple has entry u in wedge a and v in wedge b, and
-    eps_a u + eps_b v = 0 reads eps_b = s eps_a with s = -u v. Raises
-    WedgeStructureViolation unless every entry is +-1 and every tuple lies
-    in exactly two wedges.
+
+def _weyl_epsilon(conics, fiber_orders, bases) -> tuple[int, ...]:
+    """The +-1 signs that the W(E_r) action gives the wedges of `conics`.
+
+    Along each edge of the conic orbit search (`incidence.orbit`) that
+    first reaches a conic, image = s_g(c): pi lists where c's canonical
+    fibers, mapped through generator g's line permutation, sit in image's
+    canonical fibers, and eps(image) = -sgn(pi) eps(c). A conic's stored
+    fiber order and base then multiply its sign by sgn(order) and
+    (-1)^(base + r - 2), and eps_0 is normalized to +1. Raises
+    InternalError when a mapped fiber is no fiber of the image conic or the
+    search misses a conic of the table.
     """
-    first: dict = {}  # tuple -> b or ~b (entry +1 or -1 in wedge b); None once paired
-    edges = array("i")
-    n = 0
+    r = len(conics[0].cls) - 1
+    generators = enumerate_lines(r).generators
+    index = {f.cls: k for k, f in enumerate(conics)}
+    where = {pair: (k, p) for k, f in enumerate(conics) for p, pair in enumerate(f.fibers)}
+    seed = conics[0].cls
+    eps = [0] * len(conics)
+    eps[index[seed]] = 1
+    for image, c, g in orbit(seed):
+        a, b = index[c], index.get(image, -1)
+        perm = generators[g]
+        pi = []
+        for i, j in conics[a].fibers:
+            i, j = perm[i], perm[j]
+            k, p = where.get((i, j) if i < j else (j, i), (None, 0))
+            if k != b:
+                raise InternalError(
+                    f"generator {g} maps a fiber of conic {c} to no fiber of {image}"
+                )
+            pi.append(p)
+        eps[b] = -_sign(pi) * eps[a]
+    if 0 in eps:
+        k = eps.index(0)
+        raise InternalError(f"the orbit of {seed} misses conic {k}, {conics[k].cls}")
+    eps = [
+        e * _sign([where[pair][1] for pair in order]) * (-1 if (base + r) & 1 else 1)
+        for e, order, base in zip(eps, fiber_orders, bases)
+    ]
+    return tuple(e * eps[0] for e in eps)
+
+
+def _check_kernel(wedges: Iterable[WedgeVector], epsilon: Sequence[int]) -> None:
+    """Prove that the left kernel of the wedges is exactly span(epsilon).
+
+    epsilon holds one +-1 sign per wedge. One pass over the entries checks
+    that each is +-1 and that each tuple lies in exactly two wedges (else
+    WedgeStructureViolation), with values u in wedge a and v in wedge b
+    such that eps_a u + eps_b v = 0 (else InternalError); it joins a and b
+    in a union-find as the tuple pairs. The wedges then form a signed graph
+    that epsilon balances, whose kernel dimension is its number of
+    components (Harary 1953): more than one raises KernelDimensionViolation.
+    """
+    first: dict = {}  # tuple -> b or ~b (eps_b v = +1 or -1 in wedge b); None once paired
+    parent = list(range(len(epsilon)))  # joins hang roots under b, the wedge being read
+    pairs = 0
     for b, w in enumerate(wedges):
-        n, neg = b + 1, ~b
+        e = epsilon[b]
         for t, v in w.entries.items():
             if v != 1 and v != -1:
                 raise WedgeStructureViolation(f"wedge {b} has entry {v}")
-            mark = b if v == 1 else neg
+            mark = b if v == e else ~b
             seen = first.setdefault(t, mark)
             if seen == mark:
                 continue
             if seen is None:
                 raise WedgeStructureViolation(f"a tuple of wedge {b} is in three or more wedges")
+            if (seen < 0) == (mark < 0):
+                raise InternalError("claimed kernel vector does not annihilate the system")
             first[t] = None
-            edges.extend((~seen, b, v) if seen < 0 else (seen, b, -v))
-    if len(first) != len(edges) // 3:
+            pairs += 1
+            a = ~seen if seen < 0 else seen
+            while parent[a] != a:  # a's root, halving the path
+                parent[a] = a = parent[parent[a]]
+            parent[a] = b
+    if pairs != len(first):
         raise WedgeStructureViolation("a tuple occurs in only one wedge")
-    return n, edges
-
-
-def signed_components(
-    n: int, edges: Iterable[tuple[int, int, int]]
-) -> tuple[list[int], list[int], list[bool]]:
-    """Union-find with parity on the nodes 0..n-1 of a signed graph.
-
-    Each edge (a, b, s) says x_b = s x_a. Returns (roots, signs, balanced):
-    node k lies in the component rooted at roots[k] with x_k = signs[k]
-    x_root, and balanced[root] is False once an edge closes a cycle of sign
-    -1 in that component.
-    """
-    parent = list(range(n))
-    sign = [1] * n  # sign of a node relative to its parent
-    balanced = [True] * n
-
-    def find(x: int) -> int:
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        s = 1
-        for y in reversed(path):
-            s *= sign[y]
-            sign[y], parent[y] = s, x
-        return x
-
-    for a, b, s in edges:
-        # Once compressed, a node's parent is its root: skip the call then.
-        ra, rb = parent[a], parent[b]
-        if parent[ra] != ra:
-            ra = find(a)
-        if parent[rb] != rb:
-            rb = find(b)
-        # x_b = s x_a, restated between the two roots
-        rel = s * sign[a] * sign[b]
-        if ra == rb:
-            balanced[ra] = balanced[ra] and rel == 1
-        else:
-            parent[rb], sign[rb] = ra, rel
-            balanced[ra] = balanced[ra] and balanced[rb]
-    # After a find on every node, each sign is relative to the node's root.
-    return [find(k) for k in range(n)], sign, balanced
-
-
-def _signed_graph_kernel(n: int, edges: array) -> tuple[int, ...]:
-    """The +-1 left kernel vector of the wedges, normalized to epsilon_0 = +1.
-
-    The kernel dimension is the number of balanced components, and an
-    unbalanced component forces zeros.
-    """
-    roots, signs, balanced = signed_components(n, zip(edges[::3], edges[1::3], edges[2::3]))
-    components = set(roots)
-    dimension = sum(balanced[x] for x in components)
+    dimension = sum(k == p for k, p in enumerate(parent))
     if dimension != 1:
         raise KernelDimensionViolation(f"kernel dimension {dimension}, expected 1")
-    if len(components) != 1:
-        raise SignViolation("kernel coefficients not all +-1: an unbalanced component is 0")
-    return tuple(s * signs[0] for s in signs)
-
-
-def _check_annihilation(edges: array, epsilon: Sequence[int]) -> None:
-    """eps_a u + eps_b v = 0 on every edge, i.e. eps_b = s eps_a."""
-    heads, tails, signs = edges[::3], edges[1::3], edges[2::3]
-    if any(epsilon[b] != s * epsilon[a] for a, b, s in zip(heads, tails, signs)):
-        raise InternalError("claimed kernel vector does not annihilate the system")
 
 
 def kernel_epsilon(conics, fiber_orders, bases, quotient: bool) -> tuple[int, ...]:
     """The +-1 kernel vector of the wedges of `conics` (`enumerate_conics(r)`,
     r in lattice.CERTIFICATE_RANKS) under orderings that pass
     `_check_orderings` (else ValueError): fiber orders as tuples of pairs,
-    one base per conic. Solved as a signed graph (see the module docstring),
-    then checked on every wedge. A broken structure raises
-    WedgeStructureViolation, KernelDimensionViolation or SignViolation."""
+    one base per conic. Read from the Weyl action (`_weyl_epsilon`), then
+    proved on the closed-form wedges (`_check_kernel`), whose failures
+    raise WedgeStructureViolation, KernelDimensionViolation or
+    InternalError."""
     _check_orderings(conics, fiber_orders, bases)
-    n, edges = _signed_graph(_wedges(wedge_vector, conics, fiber_orders, bases, quotient))
-    epsilon = _signed_graph_kernel(n, edges)
-    _check_annihilation(edges, epsilon)
+    epsilon = _weyl_epsilon(conics, fiber_orders, bases)
+    _check_kernel(_wedges(wedge_vector, conics, fiber_orders, bases, quotient), epsilon)
     return epsilon
 
 
@@ -432,9 +425,9 @@ def replay(cert: HlogCertificate) -> None:
     Each stored conic and fiber is first checked against the lattice
     (`_check_incidence`), not only against the enumeration that produced
     it. The wedges are rebuilt by the iterated route, not the producer's
-    closed form, and the signed-graph solve runs again, so the kernel
-    dimension is proved rather than read from the certificate; then the
-    stored coefficients must annihilate every wedge.
+    closed form, and `_check_kernel` proves that the stored coefficients
+    span their left kernel, so the kernel dimension is proved rather than
+    read from the certificate. Replay never runs the Weyl walk.
     """
     if cert.r not in lattice.CERTIFICATE_RANKS:
         raise ReplayFailure(f"unsupported rank {cert.r}")
@@ -454,16 +447,9 @@ def replay(cert: HlogCertificate) -> None:
     try:
         _check_orderings(conics, cert.fiber_orders, cert.bases)
         _check_incidence(cert.r, cert.conics, cert.fiber_orders)
-        n, edges = _signed_graph(
-            _wedges(_replayed_wedge, conics, cert.fiber_orders, cert.bases, cert.quotient)
+        _check_kernel(
+            _wedges(_replayed_wedge, conics, cert.fiber_orders, cert.bases, cert.quotient),
+            cert.epsilon,
         )
-        _signed_graph_kernel(n, edges)
-        _check_annihilation(edges, cert.epsilon)
-    except (
-        ValueError,
-        WedgeStructureViolation,
-        KernelDimensionViolation,
-        SignViolation,
-        InternalError,
-    ) as exc:
+    except (ValueError, WedgeStructureViolation, KernelDimensionViolation, InternalError) as exc:
         raise ReplayFailure(str(exc)) from exc

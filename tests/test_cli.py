@@ -301,7 +301,7 @@ _D5_CHI_OFF = (
 BROKEN_INVARIANTS = {
     "enumerate": ("incidence.enumerate_conics", _FIBERS, ["enumerate", "--rank", "4"], 3),
     "group": ("weyl.group_data", _CLOSURE, ["group", "--rank", "4"], 3),
-    "certify": ("wedge_kernel._check_annihilation", _BROKEN, ["certify", "--rank", "4"], 4),
+    "certify": ("wedge_kernel._check_kernel", _BROKEN, ["certify", "--rank", "4"], 4),
     "certify fibers": ("wedge_kernel.enumerate_conics", _FIBERS, ["certify", "--rank", "4"], 4),
     "characters": ("rep_theory.line_character", _BROKEN, ["characters", "--rank", "4"], 5),
     "characters d5": (
@@ -390,15 +390,45 @@ CONSISTENT_CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("corruption", sorted(CONSISTENT_CORRUPTIONS))
-def test_replay_rederives_the_incidence_from_the_lattice(tmp_path, monkeypatch, corruption):
-    # The producer and replay read the same corrupted table, so the stored
-    # conics and fibers match the enumeration; only the lattice sees the fault.
+def _corrupt(monkeypatch, corruption):
+    """Make certify and replay read the named corrupted table; return replay's error."""
     table, corrupt, error = CONSISTENT_CORRUPTIONS[corruption]
     read = getattr(wedge_kernel, table)
     monkeypatch.setattr(wedge_kernel, table, lambda r: corrupt(read(r)))
+    return error
+
+
+@pytest.mark.parametrize("corruption", sorted(CONSISTENT_CORRUPTIONS))
+def test_certify_refuses_a_corrupted_table(tmp_path, monkeypatch, corruption):
+    # The Weyl walk carries each conic's fibers through a generator, and on
+    # each corrupted table some image is no fiber of the conic it reaches.
+    _corrupt(monkeypatch, corruption)
+    code, artifact = run_json(tmp_path, "c.json", ["certify", "--rank", "4"])
+    assert code == 4
+    walk = r"generator \d maps a fiber of conic \(.*\) to no fiber of \(.*\)"
+    assert re.fullmatch(walk, artifact["error"])
+
+
+@pytest.mark.parametrize("corruption", sorted(CONSISTENT_CORRUPTIONS))
+def test_replay_rederives_the_incidence_from_the_lattice(tmp_path, monkeypatch, corruption):
+    # A certificate made consistent with the corrupted table: its conics and
+    # fiber orders are the enumeration's, so only the lattice sees the fault.
+    epsilon = wedge_kernel.kernel_signs(4).epsilon
+    error = _corrupt(monkeypatch, corruption)
+    conics = wedge_kernel.enumerate_conics(4)
+    cert = wedge_kernel.HlogCertificate(
+        r=4,
+        conics=tuple(f.cls for f in conics),
+        fiber_orders=tuple(f.fibers for f in conics),
+        bases=(2,) * len(conics),
+        epsilon=epsilon,
+        kernel_dimension=1,
+        quotient=False,
+        content_hash="",
+    )
+    cert = cert._replace(content_hash=wedge_kernel._content_hash(cert.payload()))
     out = tmp_path / "cert.json"
-    assert cli.main(["certify", "--rank", "4", "--out", str(out)]) == 0
+    out.write_text(json.dumps(cert.to_json()), encoding="utf-8")
     code, artifact = run_json(tmp_path, "r.json", ["replay", str(out)])
     assert code == 4
     assert error in artifact["error"]

@@ -450,9 +450,13 @@ def test_symbolic_identity_sign_sensitive(data):
 
 
 def test_symbolic_identity_needs_all_terms(data):
-    dropped = data._replace(residues=data.residues[1:])
-    with pytest.raises(dp4.SymbolicIdentityViolation):
-        dp4.dp4_symbolic_identity(dropped)
+    # Each integral dropped by zeroing its residue rows: every table keeps
+    # its shape, so the wedge sum itself must be left with entries.
+    for i, rows in enumerate(data.residues):
+        zeroed = tuple(tuple(0 for _ in row) for row in rows)
+        dropped = data._replace(residues=data.residues[:i] + (zeroed,) + data.residues[i + 1 :])
+        with pytest.raises(dp4.SymbolicIdentityViolation, match="nonzero wedge entries remain"):
+            dp4.dp4_symbolic_identity(dropped)
 
 
 def test_relabeling_equivariance(data):

@@ -1,7 +1,9 @@
 """Wedge construction and the one-dimensional +-1 kernel."""
 
 import hashlib
+import itertools
 import json
+import random
 import sys
 from functools import reduce
 from math import comb
@@ -315,61 +317,94 @@ def test_base_choice_flips_are_absorbed():
         assert all(e in (1, -1) for e in epsilon)
 
 
-def _graph(*entries):
-    return wk._signed_graph(wk.WedgeVector(dict(e)) for e in entries)
+def _check(entries, epsilon):
+    wk._check_kernel([wk.WedgeVector(dict(e)) for e in entries], epsilon)
 
 
-def _kernel(*entries):
-    return wk._signed_graph_kernel(*_graph(*entries))
+_SIGNS = list(itertools.product((1, -1), repeat=3))
 
-
-# Three conics pairwise joined by a -1 edge: a cycle of sign -1.
+# Three conics pairwise joined by a tuple with entries +1, +1: no +-1 vector
+# annihilates all three.
 _UNBALANCED_TRIANGLE = ({1: 1, 4: 1}, {1: 1, 2: 1}, {2: 1, 4: 1})
 
 
-def test_signed_graph_kernel_solves_balanced_graph():
-    # Edge signs are -v_a v_b: two parallel edges give conic 1 the opposite
-    # sign of conic 0, and conic 2 follows conic 1 with the same sign.
-    n, edges = _graph({1: 1, 32: 1}, {1: 1, 2: 1, 32: 1}, {2: -1})
-    assert n == 3 and list(edges) == [0, 1, -1, 0, 1, -1, 1, 2, 1]
-    assert wk._signed_graph_kernel(n, edges) == (1, -1, -1)
-    wk._check_annihilation(edges, (1, -1, -1))
-    wk._check_annihilation(edges, (-1, 1, 1))
-    for wrong in ((1, 1, 1), (1, -1, 1), (1, 1, -1)):
-        with pytest.raises(InternalError, match="annihilate"):
-            wk._check_annihilation(edges, wrong)
+def test_check_kernel_passes_exactly_the_kernel_vector():
+    # Tuples 1 and 32 give conic 1 the opposite sign of conic 0, and tuple 2
+    # gives conic 2 the sign of conic 1: the kernel is spanned by (1, -1, -1).
+    system = ({1: 1, 32: 1}, {1: 1, 2: 1, 32: 1}, {2: -1})
+    for epsilon in _SIGNS:
+        if epsilon in ((1, -1, -1), (-1, 1, 1)):
+            _check(system, epsilon)
+        else:
+            with pytest.raises(InternalError, match="annihilate"):
+                _check(system, epsilon)
 
 
 @pytest.mark.parametrize(
-    "entries",
+    "entries, match",
     [
-        ({1: 1}, {2: 1}),  # tuples in one wedge only
-        ({1: 1}, {1: -1}, {1: 1}),  # a tuple in three wedges
-        ({1: 2}, {1: 1}),  # an entry that is not +-1
+        (({1: 1}, {2: 1}), "only one wedge"),
+        (({1: 1}, {1: -1}, {1: 1}), "three or more"),
+        (({1: 2}, {1: 1}), "has entry 2"),
     ],
+    ids=["one wedge", "three wedges", "entry 2"],
 )
-def test_signed_graph_kernel_rejects_broken_structure(entries):
-    with pytest.raises(wk.WedgeStructureViolation):
-        _kernel(*entries)
+def test_check_kernel_rejects_broken_structure(entries, match):
+    # Each system is annihilated by epsilon = +1 wherever its tuples pair.
+    with pytest.raises(wk.WedgeStructureViolation, match=match):
+        _check(entries, (1,) * len(entries))
 
 
-def test_signed_graph_kernel_dimension_and_sign_failures():
-    with pytest.raises(wk.KernelDimensionViolation, match="dimension 2,"):
-        _kernel({1: 1}, {1: 1}, {2: 1}, {2: -1})
-    with pytest.raises(wk.KernelDimensionViolation, match="dimension 0,"):
-        _kernel(*_UNBALANCED_TRIANGLE)
-    with pytest.raises(wk.SignViolation):
-        _kernel(*_UNBALANCED_TRIANGLE, {512: 1}, {512: 1})
+def test_check_kernel_counts_the_components():
+    # Annihilated, every tuple in two wedges, but {0, 1} and {2, 3} share none.
+    with pytest.raises(wk.KernelDimensionViolation, match="^kernel dimension 2, expected 1$"):
+        _check(({1: 1}, {1: 1}, {2: 1}, {2: -1}), (1, -1, 1, 1))
+    # A conic without a wedge is a component of its own.
+    with pytest.raises(wk.KernelDimensionViolation, match="^kernel dimension 2, expected 1$"):
+        _check(({1: 1}, {1: -1}), (1, 1, 1))
 
 
-def test_signed_components_reports_each_component():
-    # 0 - 1 balanced, 2 - 3 - 4 a cycle of sign -1, 5 alone.
-    edges = [(0, 1, -1), (2, 3, 1), (3, 4, 1), (4, 2, -1)]
-    roots, signs, balanced = wk.signed_components(6, edges)
-    assert roots[0] == roots[1] and signs[1] == -signs[0]
-    assert len({roots[2], roots[3], roots[4]}) == 1
-    assert len(set(roots)) == 3
-    assert [balanced[x] for x in (roots[0], roots[2], roots[5])] == [True, False, True]
+def test_check_kernel_refuses_the_unbalanced_triangle():
+    for epsilon in _SIGNS:
+        with pytest.raises(InternalError, match="annihilate"):
+            _check(_UNBALANCED_TRIANGLE, epsilon)
+
+
+def _drawn_orderings(r, seed):
+    """Fiber orders and bases drawn from random.Random(seed), or the
+    canonical ones (base r - 2) without a seed."""
+    conics = enumerate_conics(r)
+    if seed is None:
+        return [f.fibers for f in conics], [r - 2] * len(conics)
+    rng = random.Random(seed)
+    orders = [tuple(rng.sample(f.fibers, len(f.fibers))) for f in conics]
+    return orders, [rng.randrange(r - 1) for _ in conics]
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("seed", [None, 11, 12])
+@pytest.mark.parametrize("r", [4, 5, 6, 7])
+def test_weyl_signs_annihilate_the_replayed_wedges(r, seed, quotient):
+    # The walk's signs under any orderings, summed against replay's wedges
+    # entry by entry in the test: every tuple cancels.
+    conics = enumerate_conics(r)
+    orders, bases = _drawn_orderings(r, seed)
+    epsilon = wk._weyl_epsilon(conics, orders, bases)
+    assert epsilon[0] == 1 and set(epsilon) == {1, -1}
+    total = {}
+    for e, w in zip(epsilon, wk._wedges(wk._replayed_wedge, conics, orders, bases, quotient)):
+        for t, v in w.entries.items():
+            total[t] = total.get(t, 0) + e * v
+    assert total and not any(total.values())
+
+
+def test_weyl_walk_refuses_a_conic_off_the_orbit():
+    # A second copy of the first conic, appended: the search reaches each
+    # class once, so one of the two entries keeps no sign.
+    conics = enumerate_conics(4)
+    orders, bases = _drawn_orderings(4, None)
+    with pytest.raises(InternalError, match=r"misses conic 0, \(1, -1, 0, 0, 0\)"):
+        wk._weyl_epsilon(conics + conics[:1], orders + orders[:1], bases + bases[:1])
 
 
 def test_replay_reproves_the_wedge_structure(monkeypatch):
@@ -404,6 +439,19 @@ def test_replay_never_calls_the_closed_form(monkeypatch):
         raise AssertionError("replay called the producer's closed form")
 
     monkeypatch.setattr(wk, "wedge_vector", refuse)
+    wk.replay(cert)
+
+
+@pytest.mark.parametrize("producer", ["_weyl_epsilon", "orbit", "wedge_vector"])
+def test_replay_runs_none_of_the_producer(monkeypatch, producer):
+    # Replay proves the stored signs by the check alone: it neither walks
+    # the orbit for them nor builds a closed-form wedge.
+    cert = wk.kernel_signs(6, seed=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"replay called the producer's {producer}")
+
+    monkeypatch.setattr(wk, producer, refuse)
     wk.replay(cert)
 
 
